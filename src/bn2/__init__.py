@@ -28,6 +28,7 @@ from bn2.relations import (
     build_rhs_vector,
     build_T,
     evaluate_rhs,
+    solve_class,
     system_matrix,
     triangularity_report,
 )

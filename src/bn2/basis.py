@@ -139,7 +139,11 @@ def enumerate_basis(g: int) -> tuple[ClassLabel, ...]:
         for j in range(i, min(g - 2, g - 1 - i) + 1):
             labels.append(dd(i, j))
     labels.extend(th(i) for i in range(1, (g - 1) // 2 + 1))
-    assert len(labels) == basis_dimension(g)
+    n = basis_dimension(g)
+    if len(labels) != n:
+        raise RuntimeError(
+            f"internal error: enumerated {len(labels)} generators at g={g}, expected {n}"
+        )
     return tuple(labels)
 
 
@@ -148,7 +152,7 @@ def basis_index(g: int) -> dict[ClassLabel, int]:
     return {lab: pos for pos, lab in enumerate(enumerate_basis(g))}
 
 
-def canonicalize(raw: ClassLabel, g: int) -> list[tuple[ClassLabel, Fraction]]:
+def canonicalize(raw: ClassLabel, g: int) -> ClassLabel:
     """Resolve a raw relation-template label to a canonical generator.
 
     Sorts boundary pairs ascending.  For g = 5 only, la(2) and la(3) written
@@ -164,7 +168,7 @@ def canonicalize(raw: ClassLabel, g: int) -> list[tuple[ClassLabel, Fraction]]:
         lab = LD2
     if not is_valid(lab, g):
         raise ValueError(f"label {lab} is invalid for genus {g}")
-    return [(lab, Fraction(1))]
+    return lab
 
 
 class ClassExpression:

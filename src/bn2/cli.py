@@ -15,25 +15,19 @@ from typing import Sequence
 
 from bn2 import enumerative
 from bn2.basis import enumerate_basis
-from bn2.enumerative import (
-    InvalidIndexError,
-    RegimeError,
-    RhoMismatchError,
-    SchubertIndex,
-)
+from bn2.enumerative import SchubertIndex
 from bn2.relations import (
     build_relations,
-    build_rhs_vector,
-    system_matrix,
+    solve_class,
     system_to_csv,
     system_to_json,
     t_matrix_to_csv,
     t_matrix_to_json,
 )
-from bn2.solver import solve_exact
 from bn2 import verify
 
-_DOMAIN_ERRORS = (InvalidIndexError, RhoMismatchError, RegimeError, ValueError, ArithmeticError)
+# the enumerative and solver errors all subclass ValueError
+_DOMAIN_ERRORS = (ValueError, ArithmeticError)
 
 
 def _parse_pair(text: str, flag: str) -> SchubertIndex:
@@ -133,16 +127,11 @@ def _cmd_tmatrix(args, parser) -> int:
 
 def _cmd_solve(args, parser) -> int:
     try:
-        k = args.k
-        system = build_relations(2 * k)
-        x = solve_exact(system_matrix(system), build_rhs_vector(system, k))
+        solved = solve_class(args.k)
     except _DOMAIN_ERRORS as exc:
         print(f"bn2 solve: {exc}", file=sys.stderr)
         return 2
-    lines = "".join(
-        f"{lab} {value}\n" for lab, value in zip(system.labels, x)
-    )
-    _emit(lines, args.out)
+    _emit("".join(f"{lab} {value}\n" for lab, value in solved.coefficients.items()), args.out)
     return 0
 
 
@@ -218,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis = sub.add_parser("basis", help="list the generators at a genus")
     common(p_basis, "g")
     p_basis.set_defaults(func=_cmd_basis)
-    p_basis.set_defaults(required_g=True)
 
     p_matrix = sub.add_parser("matrix", help="export the relation matrix Q_g")
     common(p_matrix, "g", "k", "format")

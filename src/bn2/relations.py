@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from bn2.basis import (
@@ -25,6 +25,7 @@ from bn2.basis import (
     LD0,
     LD1,
     LD2,
+    ClassExpression,
     ClassLabel,
     basis_dimension,
     basis_index,
@@ -45,7 +46,7 @@ from bn2.enumerative import (
     sum_S16,
     sum_T,
 )
-from bn2.solver import RationalMatrix
+from bn2.solver import RationalMatrix, solve_exact
 
 __all__ = [
     "Rhs",
@@ -57,6 +58,7 @@ __all__ = [
     "build_matrix",
     "system_matrix",
     "build_rhs_vector",
+    "solve_class",
     "build_T",
     "t_column_tags",
     "TriangularityReport",
@@ -66,9 +68,6 @@ __all__ = [
     "t_matrix_to_csv",
     "t_matrix_to_json",
 ]
-
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class Rhs:
@@ -85,11 +84,12 @@ class Rhs:
 
 @dataclass
 class Relation:
-    """One test-surface row: source tag, coefficient map, RHS descriptor."""
+    """One test-surface row: source tag, nonzero integer coefficients, RHS
+    descriptor."""
 
     source: str
     g: int
-    coefficients: dict[ClassLabel, Fraction]
+    coefficients: dict[ClassLabel, int]
     rhs: Rhs
 
 
@@ -97,19 +97,19 @@ class Relation:
 class RelationSystem:
     g: int
     rows: list[Relation]
-    labels: tuple[ClassLabel, ...] = field(default=())
 
-    def __post_init__(self):
-        if not self.labels:
-            self.labels = enumerate_basis(self.g)
+    @property
+    def labels(self) -> tuple[ClassLabel, ...]:
+        """The columns: the genus-g generators in the frozen order."""
+        return enumerate_basis(self.g)
 
 
-def _accumulate(g: int, terms) -> dict[ClassLabel, Fraction]:
-    acc: dict[ClassLabel, Fraction] = {}
+def _accumulate(g: int, terms) -> dict[ClassLabel, int]:
+    acc: dict[ClassLabel, int] = {}
     for raw, coeff in terms:
-        for lab, mult in canonicalize(raw, g):
-            acc[lab] = acc.get(lab, ZERO) + Fraction(coeff) * mult
-    return {lab: c for lab, c in acc.items() if c != 0}
+        lab = canonicalize(raw, g)
+        acc[lab] = acc.get(lab, 0) + coeff
+    return {lab: c for lab, c in acc.items() if c}
 
 
 def build_relations(g: int) -> RelationSystem:
@@ -431,8 +431,37 @@ def build_relations(g: int) -> RelationSystem:
     )
 
     expected = basis_dimension(g) - (1 if g == 5 else 0)
-    assert len(rows) == expected, f"built {len(rows)} rows at g={g}, expected {expected}"
+    if len(rows) != expected:
+        raise RuntimeError(f"internal error: built {len(rows)} rows at g={g}, expected {expected}")
     return RelationSystem(g, rows)
+
+
+_S01 = SchubertIndex(0, 1)
+
+# kind -> (g, i, j) -> (symbolic count, divisor, the count at degree k); the
+# right-hand side is the count over the divisor.
+_RHS_KINDS = {
+    "zero": lambda g, i, j: ("0", 1, lambda k: 0),
+    "T": lambda g, i, j: (f"T({i})", (2 * i - 2) * (2 * (g - i) - 2), lambda k: sum_T(i, g, k)),
+    "D": lambda g, i, j: (f"D({i},{j})", (2 * i - 2) * (2 * j - 2), lambda k: sum_D(i, j, g, k)),
+    "n_over": lambda g, i, j: (f"n({g - 2},(0,1))", g - 3, lambda k: count_n(g - 2, k, _S01)),
+    "D6": lambda g, i, j: (f"D(2,{i})", 6 * (i - 1), lambda k: sum_D(2, i, g, k)),
+    "4N": lambda g, i, j: (
+        f"4*N({g - 4},(0,1),(0,1))",
+        1,
+        lambda k: 4 * castelnuovo_N(g - 4, k, _S01, _S01),
+    ),
+    "2ell": lambda g, i, j: (f"2*ell({g - 2})", 1, lambda k: 2 * count_ell(g - 2, k)),
+    "S16": lambda g, i, j: (f"S16({i})", 2 * i - 2, lambda k: sum_S16(i, g, k)),
+    "S16sp": lambda g, i, j: (f"m({g - 2},(0,1))", 2 * g - 6, lambda k: count_m(g - 2, k, _S01)),
+}
+
+
+def _rhs_parts(rel: Relation):
+    r = rel.rhs
+    if r.kind not in _RHS_KINDS:
+        raise ValueError(f"unknown rhs kind {r.kind!r}")
+    return _RHS_KINDS[r.kind](rel.g, r.i, r.j)
 
 
 def evaluate_rhs(rel: Relation, k: int) -> Fraction:
@@ -440,58 +469,24 @@ def evaluate_rhs(rel: Relation, k: int) -> Fraction:
 
     Zero descriptors evaluate for any genus; the nonzero ones require
     g = 2k."""
-    r, g = rel.rhs, rel.g
-    if r.kind == "zero":
-        return ZERO
-    if g != 2 * k:
-        raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={g}, k={k}")
-    if r.kind == "T":
-        return Fraction(sum_T(r.i, g, k), (2 * r.i - 2) * (2 * (g - r.i) - 2))
-    if r.kind == "D":
-        return Fraction(sum_D(r.i, r.j, g, k), (2 * r.i - 2) * (2 * r.j - 2))
-    if r.kind == "n_over":
-        return Fraction(count_n(g - 2, k, SchubertIndex(0, 1)), g - 3)
-    if r.kind == "D6":
-        return Fraction(sum_D(2, r.i, g, k), 6 * (r.i - 1))
-    if r.kind == "4N":
-        return 4 * castelnuovo_N(g - 4, k, SchubertIndex(0, 1), SchubertIndex(0, 1))
-    if r.kind == "2ell":
-        return Fraction(2 * count_ell(g - 2, k))
-    if r.kind == "S16":
-        return Fraction(sum_S16(r.i, g, k), 2 * r.i - 2)
-    if r.kind == "S16sp":
-        return Fraction(count_m(g - 2, k, SchubertIndex(0, 1)), 2 * g - 6)
-    raise ValueError(f"unknown rhs kind {r.kind!r}")
+    _, divisor, count = _rhs_parts(rel)
+    if rel.rhs.kind != "zero" and rel.g != 2 * k:
+        raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={rel.g}, k={k}")
+    return Fraction(count(k), divisor)
 
 
 def describe_rhs(rel: Relation) -> str:
     """Symbolic form of the right-hand side, for exports without a fixed k."""
-    r, g = rel.rhs, rel.g
-    if r.kind == "zero":
-        return "0"
-    if r.kind == "T":
-        return f"T({r.i})/{(2 * r.i - 2) * (2 * (g - r.i) - 2)}"
-    if r.kind == "D":
-        return f"D({r.i},{r.j})/{(2 * r.i - 2) * (2 * r.j - 2)}"
-    if r.kind == "n_over":
-        return f"n({g - 2},(0,1))/{g - 3}"
-    if r.kind == "D6":
-        return f"D(2,{r.i})/{6 * (r.i - 1)}"
-    if r.kind == "4N":
-        return f"4*N({g - 4},(0,1),(0,1))"
-    if r.kind == "2ell":
-        return f"2*ell({g - 2})"
-    if r.kind == "S16":
-        return f"S16({r.i})/{2 * r.i - 2}"
-    if r.kind == "S16sp":
-        return f"m({g - 2},(0,1))/{2 * g - 6}"
-    raise ValueError(f"unknown rhs kind {r.kind!r}")
+    text, divisor, _ = _rhs_parts(rel)
+    return text if divisor == 1 else f"{text}/{divisor}"
 
 
 def system_matrix(system: RelationSystem) -> RationalMatrix:
     """Rows in system order, columns in the frozen basis order."""
-    return RationalMatrix(
-        [[rel.coefficients.get(lab, ZERO) for lab in system.labels] for rel in system.rows]
+    index = basis_index(system.g)
+    return RationalMatrix.from_sparse(
+        [{index[lab]: v for lab, v in rel.coefficients.items()} for rel in system.rows],
+        len(index),
     )
 
 
@@ -503,114 +498,100 @@ def build_rhs_vector(system: RelationSystem, k: int) -> list[Fraction]:
     return [evaluate_rhs(rel, k) for rel in system.rows]
 
 
+def solve_class(k: int) -> ClassExpression:
+    """The degree-k class at genus 2k: the exact solution of Q_g x = b_k."""
+    system = build_relations(2 * k)
+    x = solve_exact(system_matrix(system), build_rhs_vector(system, k))
+    return ClassExpression.from_vector(system.g, x)
+
+
 def _t_columns(g: int):
     """(tag, coefficient dict) pairs for the columns of T_g, in group order."""
     fl = g // 2
     for i in range(2, fl + 1):
-        yield f"T1[i={i}]", {om(i): Fraction(1)}
+        yield f"T1[i={i}]", {om(i): 1}
     for i in range(2, g - 2):
         for j in range(i, g - 2):
             if i + j > g - 1:
                 break
-            yield f"T2[i={i},j={j}]", {dd(i, j): Fraction(1)}
-    yield "T3", {dd(1, g - 2): Fraction(1)}
+            yield f"T2[i={i},j={j}]", {dd(i, j): 1}
+    yield "T3", {dd(1, g - 2): 1}
     for i in range(2, g - 2):
-        yield f"T4[i={i}]", {dd(1, i): Fraction(1)}
-    yield "T5", {dd(0, g - 1): Fraction(1)}
+        yield f"T4[i={i}]", {dd(1, i): 1}
+    yield "T5", {dd(0, g - 1): 1}
     for i in range(3, g - 2):
-        yield f"T6[i={i}]", {la(i): Fraction(1)}
-    yield "T6[ld2]", {LD2: Fraction(1)}
-    yield "T7", {dd(1, 1): Fraction(1)}
-    yield "T8", {LD0: Fraction(1)}
-    yield "T9[j=2]", {dd(1, 2): Fraction(2), dd(0, 2): Fraction(1), LD2: Fraction(-10)}
+        yield f"T6[i={i}]", {la(i): 1}
+    yield "T6[ld2]", {LD2: 1}
+    yield "T7", {dd(1, 1): 1}
+    yield "T8", {LD0: 1}
+    yield "T9[j=2]", {dd(1, 2): 2, dd(0, 2): 1, LD2: -10}
     for j in range(3, g - 2):
-        yield f"T9[j={j}]", {
-            dd(1, j): Fraction(2),
-            dd(0, j): Fraction(1),
-            la(g - j): Fraction(-10),
-        }
-    yield "T10", {
-        LD1: Fraction(60),
-        D1SQ: Fraction(12),
-        dd(0, g - 1): Fraction(-3),
-        dd(0, 1): Fraction(8),
-        dd(0, 0): Fraction(2),
-    }
-    yield "T11", {LD1: Fraction(12), LD0: Fraction(1), dd(0, g - 1): Fraction(-1)}
-    yield "T12", {dd(0, g - 2): Fraction(1), dd(1, g - 2): Fraction(2)}
-    yield "T13", {
-        LD1: Fraction(12),
-        LD0: Fraction(6),
-        dd(0, g - 1): Fraction(-1),
-        dd(0, 1): Fraction(-1),
-        dd(0, 0): Fraction(-1),
-    }
-    t14: dict[ClassLabel, Fraction] = {
-        K1SQ: Fraction(6),
-        LD0: Fraction(72),
-        LD1: Fraction(144),
-        LD2: Fraction(144),
-    }
+        yield f"T9[j={j}]", {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}
+    yield "T10", {LD1: 60, D1SQ: 12, dd(0, g - 1): -3, dd(0, 1): 8, dd(0, 0): 2}
+    yield "T11", {LD1: 12, LD0: 1, dd(0, g - 1): -1}
+    yield "T12", {dd(0, g - 2): 1, dd(1, g - 2): 2}
+    yield "T13", {LD1: 12, LD0: 6, dd(0, g - 1): -1, dd(0, 1): -1, dd(0, 0): -1}
+    t14: dict[ClassLabel, int] = {K1SQ: 6, LD0: 72, LD1: 144, LD2: 144}
     if g % 2 == 0:
         # the self-paired middle class; absent for odd g, where every pair
         # {s, g-s} is already covered by the sum below
-        t14[om(fl)] = Fraction(6)
+        t14[om(fl)] = 6
     for s in range(2, (g + 1) // 2):  # s < g/2
-        t14[om(s)] = t14.get(om(s), ZERO) + 12
+        t14[om(s)] = t14.get(om(s), 0) + 12
     for s in range(3, g - 2):
-        t14[la(s)] = Fraction(144)
+        t14[la(s)] = 144
     for lab in enumerate_basis(g):
         if lab.kind == "d":
-            t14[lab] = Fraction(-12)
-    t14[dd(0, g - 1)] = Fraction(-11)
+            t14[lab] = -12
+    t14[dd(0, g - 1)] = -11
     yield "T14", t14
-    yield "T15", {K2: Fraction(1)}
+    yield "T15", {K2: 1}
     for i in range(fl, g - 2):
-        yield f"T16[i={i}]", {om(i + 1): Fraction(1), om(g - i - 1): Fraction(-1)}
-    t16: dict[ClassLabel, Fraction] = {
-        D1SQ: Fraction(12 * (g - 1)),
-        dd(1, 1): Fraction(-24 * (g - 1)),
-        dd(0, g - 1): Fraction(2 * (g - 1)),
-        D0SQ: Fraction(3),
-        dd(0, 0): Fraction(-6),
+        yield f"T16[i={i}]", {om(i + 1): 1, om(g - i - 1): -1}
+    t16: dict[ClassLabel, int] = {
+        D1SQ: 12 * (g - 1),
+        dd(1, 1): -24 * (g - 1),
+        dd(0, g - 1): 2 * (g - 1),
+        D0SQ: 3,
+        dd(0, 0): -6,
     }
     for s in range(2, fl + 1):
         w = 6 * (g - 2 * s)  # = 12 (g/2 - s)
         if w:
-            t16[om(g - s)] = t16.get(om(g - s), ZERO) + (g - 1) * w
-            t16[om(s)] = t16.get(om(s), ZERO) - (g - 1) * w
+            t16[om(g - s)] = t16.get(om(g - s), 0) + (g - 1) * w
+            t16[om(s)] = t16.get(om(s), 0) - (g - 1) * w
     yield "T16[sum]", {lab: v for lab, v in t16.items() if v != 0}
-    t17: dict[ClassLabel, Fraction] = {
-        K2: Fraction(6 * g),
-        D1SQ: Fraction(12 - 6 * g),
-        dd(1, 1): Fraction(12 * (g - 2)),
-        D0SQ: Fraction(-3),
-        dd(0, g - 1): Fraction(2 - g),
-        dd(0, 0): Fraction(6),
+    t17: dict[ClassLabel, int] = {
+        K2: 6 * g,
+        D1SQ: 12 - 6 * g,
+        dd(1, 1): 12 * (g - 2),
+        D0SQ: -3,
+        dd(0, g - 1): 2 - g,
+        dd(0, 0): 6,
     }
     for s in range(2, fl + 1):
         w = 6 * (g - 2 * s)
         if w:
-            t17[om(g - s)] = t17.get(om(g - s), ZERO) + w
-            t17[om(s)] = t17.get(om(s), ZERO) - w
+            t17[om(g - s)] = t17.get(om(g - s), 0) + w
+            t17[om(s)] = t17.get(om(s), 0) - w
     yield "T17", {lab: v for lab, v in t17.items() if v != 0}
     for i in range(4, (g + 1) // 2 + 1):
-        yield f"T18[i={i}]", {th(i - 1): Fraction(1)}
-    yield "T18[th2]", {th(2): Fraction(1)}
-    t18: dict[ClassLabel, Fraction] = {
-        K2: Fraction(-6 * g),
-        D1SQ: Fraction(6 * g - 12),
-        dd(1, 1): Fraction(12 * (2 - g)),
-        D0SQ: Fraction(3),
-        dd(0, g - 1): Fraction(g - 2),
-        dd(0, 0): Fraction(-6),
-        th(1): Fraction(72),
+        yield f"T18[i={i}]", {th(i - 1): 1}
+    yield "T18[th2]", {th(2): 1}
+    t18: dict[ClassLabel, int] = {
+        K2: -6 * g,
+        D1SQ: 6 * g - 12,
+        dd(1, 1): 12 * (2 - g),
+        D0SQ: 3,
+        dd(0, g - 1): g - 2,
+        dd(0, 0): -6,
+        th(1): 72,
     }
     for s in range(2, fl + 1):
         w = 6 * (g - 2 * s)
         if w:
-            t18[om(s)] = t18.get(om(s), ZERO) + w
-            t18[om(g - s)] = t18.get(om(g - s), ZERO) - w
+            t18[om(s)] = t18.get(om(s), 0) + w
+            t18[om(g - s)] = t18.get(om(g - s), 0) - w
     yield "T18[final]", {lab: v for lab, v in t18.items() if v != 0}
 
 
@@ -618,21 +599,26 @@ def t_column_tags(g: int) -> list[str]:
     return [tag for tag, _ in _t_columns(g)]
 
 
+def _checked_t_columns(g: int) -> list[tuple[str, dict[ClassLabel, int]]]:
+    if g < 6:
+        raise ValueError(f"T_g is defined for g >= 6, got g={g}")
+    cols = list(_t_columns(g))
+    n = basis_dimension(g)
+    if len(cols) != n:
+        raise RuntimeError(f"internal error: built {len(cols)} T-columns at g={g}, expected {n}")
+    return cols
+
+
 def build_T(g: int) -> RationalMatrix:
     """The triangularizing column matrix: rows indexed by the basis, one
     column per group entry, built to pair with the rows of Q_g."""
-    if g < 6:
-        raise ValueError(f"T_g is defined for g >= 6, got g={g}")
-    labels = enumerate_basis(g)
+    cols = _checked_t_columns(g)
     index = basis_index(g)
-    cols = list(_t_columns(g))
-    n = basis_dimension(g)
-    assert len(cols) == n, f"built {len(cols)} T-columns at g={g}, expected {n}"
-    entries = [[ZERO] * n for _ in range(len(labels))]
+    rows: list[dict[int, int]] = [{} for _ in index]
     for c, (_, coeffs) in enumerate(cols):
         for lab, v in coeffs.items():
-            entries[index[lab]][c] = v
-    return RationalMatrix(entries)
+            rows[index[lab]][c] = v
+    return RationalMatrix.from_sparse(rows, len(cols))
 
 
 @dataclass
@@ -659,9 +645,7 @@ def triangularity_report(q: RationalMatrix, t: RationalMatrix) -> TriangularityR
         )
     p = q.matmul(t)
     n = p.nrows
-    violations = [
-        (r, c, p.entry(r, c)) for r in range(n) for c in range(r + 1, n) if p.entry(r, c) != 0
-    ]
+    violations = sorted((r, c, v) for r, c, v in p.nonzeros() if c > r)
     zero_diag = [r for r in range(n) if p.entry(r, r) == 0]
     return TriangularityReport(
         order=n,
@@ -676,6 +660,12 @@ def _rhs_text(rel: Relation, k: int | None) -> str:
     return str(evaluate_rhs(rel, k)) if k is not None else describe_rhs(rel)
 
 
+def _in_basis_order(coeffs: dict[ClassLabel, int], g: int) -> dict[str, str]:
+    """Nonzero coefficients as strings, keyed in the frozen basis order."""
+    index = basis_index(g)
+    return {str(lab): str(v) for lab, v in sorted(coeffs.items(), key=lambda kv: index[kv[0]])}
+
+
 def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -684,7 +674,7 @@ def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
         writer.writerow(
             [
                 rel.source,
-                *[str(rel.coefficients.get(lab, ZERO)) for lab in system.labels],
+                *[str(rel.coefficients.get(lab, 0)) for lab in system.labels],
                 _rhs_text(rel, k),
             ]
         )
@@ -698,11 +688,7 @@ def system_to_json(system: RelationSystem, k: int | None = None) -> str:
         "rows": [
             {
                 "source": rel.source,
-                "coeffs": {
-                    str(lab): str(rel.coefficients[lab])
-                    for lab in system.labels
-                    if lab in rel.coefficients
-                },
+                "coeffs": _in_basis_order(rel.coefficients, system.g),
                 "rhs": _rhs_text(rel, k),
             }
             for rel in system.rows
@@ -712,34 +698,22 @@ def system_to_json(system: RelationSystem, k: int | None = None) -> str:
 
 
 def t_matrix_to_csv(g: int) -> str:
-    labels = enumerate_basis(g)
     t = build_T(g)
-    tags = t_column_tags(g)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", *tags])
-    for r, lab in enumerate(labels):
-        writer.writerow([str(lab), *[str(t.entry(r, c)) for c in range(t.ncols)]])
+    writer.writerow(["label", *t_column_tags(g)])
+    for r, lab in enumerate(enumerate_basis(g)):
+        writer.writerow([str(lab), *map(str, t.row(r))])
     return buf.getvalue()
 
 
 def t_matrix_to_json(g: int) -> str:
-    labels = enumerate_basis(g)
-    t = build_T(g)
-    tags = t_column_tags(g)
     data = {
         "g": g,
-        "labels": [str(lab) for lab in labels],
+        "labels": [str(lab) for lab in enumerate_basis(g)],
         "columns": [
-            {
-                "tag": tags[c],
-                "coeffs": {
-                    str(labels[r]): str(t.entry(r, c))
-                    for r in range(t.nrows)
-                    if t.entry(r, c) != 0
-                },
-            }
-            for c in range(t.ncols)
+            {"tag": tag, "coeffs": _in_basis_order(coeffs, g)}
+            for tag, coeffs in _checked_t_columns(g)
         ],
     }
     return json.dumps(data, indent=2) + "\n"

@@ -1,16 +1,17 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals on sparse matrices.
 
-Two independent elimination strategies are provided: plain Gaussian
-elimination on Fraction entries, and fraction-free (Bareiss) elimination on
-denominator-cleared integer rows.  The test suite uses them as mutual
-oracles; ``solve_exact`` additionally verifies its answer by substitution
-into every equation before returning.
+A matrix stores each row as a mapping from column to its nonzero Fraction.
+Two independent dense elimination strategies are provided: fraction-free
+(Bareiss) elimination on integer rows built straight from the nonzeros, the
+production route, and plain Gaussian elimination on Fraction entries.  The
+test suite uses them as mutual oracles; ``solve_exact`` additionally verifies
+its answer by substitution into every equation before returning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 __all__ = [
     "RationalMatrix",
@@ -22,6 +23,9 @@ __all__ = [
     "det_is_nonzero",
     "nullspace",
 ]
+
+# every zero entry a matrix hands out is this one object
+ZERO = Fraction(0)
 
 
 class DimensionMismatchError(ValueError):
@@ -37,25 +41,46 @@ class SingularMatrixError(ValueError):
 
 
 class RationalMatrix:
-    """Dense matrix of Fractions, immutable by convention."""
+    """Sparse matrix of Fractions, one {column: nonzero entry} dict per row,
+    immutable by convention."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_ncols")
 
     def __init__(self, entries):
-        rows = [[Fraction(x) for x in row] for row in entries]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise DimensionMismatchError("rows have unequal lengths")
-        self._rows = rows
+        """Matrix from dense rows of rationals."""
+        rows = [list(r) for r in entries]
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise DimensionMismatchError("rows have unequal lengths")
+        self._fill([dict(enumerate(r)) for r in rows], width)
+
+    @classmethod
+    def from_sparse(cls, rows, ncols: int) -> "RationalMatrix":
+        """Matrix from one {column: rational} mapping per row; zeros are dropped."""
+        matrix = cls.__new__(cls)
+        matrix._fill(rows, ncols)
+        return matrix
+
+    def _fill(self, rows, ncols: int) -> None:
+        self._ncols = ncols
+        self._rows: list[dict[int, Fraction]] = []
+        for row in rows:
+            entries = {}
+            for j, x in row.items():
+                if not 0 <= j < ncols:
+                    raise DimensionMismatchError(f"column {j} outside a matrix of {ncols} columns")
+                value = Fraction(x)
+                if value:
+                    entries[j] = value
+            self._rows.append(entries)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls.from_sparse([{i: 1} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
+        return cls.from_sparse([{} for _ in range(nrows)], ncols)
 
     @property
     def nrows(self) -> int:
@@ -63,17 +88,24 @@ class RationalMatrix:
 
     @property
     def ncols(self) -> int:
-        return len(self._rows[0]) if self._rows else 0
+        return self._ncols
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
+        return self._rows[i].get(j, ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(self._rows[i])
+        row = self._rows[i]
+        return tuple(row.get(j, ZERO) for j in range(self._ncols))
 
     def rows(self) -> list[list[Fraction]]:
-        """A mutable copy of the entries."""
-        return [list(r) for r in self._rows]
+        """A mutable dense copy of the entries."""
+        return [list(self.row(i)) for i in range(self.nrows)]
+
+    def nonzeros(self):
+        """(row, column, value) of every nonzero entry, row by row."""
+        for i, row in enumerate(self._rows):
+            for j, value in row.items():
+                yield i, j, value
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -82,43 +114,42 @@ class RationalMatrix:
         if len(v) != self.ncols:
             raise DimensionMismatchError(f"matvec: {self.ncols} columns vs {len(v)} entries")
         vv = [Fraction(x) for x in v]
-        return [sum((r[j] * vv[j] for j in range(self.ncols)), Fraction(0)) for r in self._rows]
+        return [sum((a * vv[j] for j, a in row.items()), ZERO) for row in self._rows]
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatchError(
                 f"matmul: {self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
             )
-        out = [[Fraction(0)] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self._rows):
-            orow = out[i]
-            for t, a in enumerate(row):
-                if a == 0:
-                    continue
-                brow = other._rows[t]
-                for j, b in enumerate(brow):
-                    if b != 0:
-                        orow[j] += a * b
-        return RationalMatrix(out)
+        out = []
+        for row in self._rows:
+            acc: dict[int, Fraction] = {}
+            for t, a in row.items():
+                for j, b in other._rows[t].items():
+                    acc[j] = acc.get(j, ZERO) + a * b
+            out.append(acc)
+        return RationalMatrix.from_sparse(out, other.ncols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._ncols == other._ncols and self._rows == other._rows
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
 
-def _scaled_int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns integer rows and the scales."""
+def _scaled_int_rows(rows: list[dict[int, Fraction]], width: int):
+    """Clear denominators row by row from the nonzeros; returns dense integer
+    rows of the given width and the row scales."""
     out, scales = [], []
     for row in rows:
-        mult = 1
-        for x in row:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        out.append([int(x * mult) for x in row])
-        scales.append(mult)
+        scale = lcm(*(x.denominator for x in row.values()))
+        dense = [0] * width
+        for j, x in row.items():
+            dense[j] = x.numerator * (scale // x.denominator)
+        out.append(dense)
+        scales.append(scale)
     return out, scales
 
 
@@ -201,7 +232,7 @@ def _gauss_echelon(rows: list[list[Fraction]], pivot_limit: int | None = None):
 def rank(matrix: RationalMatrix, method: str = "bareiss") -> int:
     """Exact rank via the chosen elimination strategy."""
     if method == "bareiss":
-        int_rows, _ = _scaled_int_rows(matrix.rows())
+        int_rows, _ = _scaled_int_rows(matrix._rows, matrix.ncols)
         _, pivots, _ = _bareiss_echelon(int_rows)
     elif method == "gauss":
         _, pivots = _gauss_echelon(matrix.rows())
@@ -217,7 +248,7 @@ def det(matrix: RationalMatrix) -> Fraction:
     n = matrix.nrows
     if n == 0:
         return Fraction(1)
-    int_rows, scales = _scaled_int_rows(matrix.rows())
+    int_rows, scales = _scaled_int_rows(matrix._rows, n)
     rows, pivots, sign = _bareiss_echelon(int_rows)
     if len(pivots) < n:
         return Fraction(0)
@@ -258,11 +289,13 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
     n = matrix.nrows
     if len(b) != n:
         raise DimensionMismatchError(f"rhs length {len(b)} vs order {n}")
-    aug = [row + [Fraction(v)] for row, v in zip(matrix.rows(), b)]
+    rhs = [Fraction(v) for v in b]
     if method == "bareiss":
-        int_rows, _ = _scaled_int_rows(aug)
+        aug = [{**row, n: v} for row, v in zip(matrix._rows, rhs)]
+        int_rows, _ = _scaled_int_rows(aug, n + 1)
         rows, pivots, _ = _bareiss_echelon(int_rows, pivot_limit=n)
     elif method == "gauss":
+        aug = [row + [v] for row, v in zip(matrix.rows(), rhs)]
         rows, pivots = _gauss_echelon(aug, pivot_limit=n)
     else:
         raise ValueError(f"unknown elimination method {method!r}")
@@ -271,7 +304,7 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
             f"matrix of order {n} is singular (rank {len(pivots)})", rank=len(pivots)
         )
     x = _back_substitute(rows, pivots, n, n)
-    if matrix.matvec(x) != [Fraction(v) for v in b]:
+    if matrix.matvec(x) != rhs:
         raise ArithmeticError("internal error: solution has a nonzero residual")
     return x
 

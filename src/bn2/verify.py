@@ -32,12 +32,12 @@ from bn2.exactnum import double_factorial_odd, factorial
 from bn2.relations import (
     build_matrix,
     build_relations,
-    build_rhs_vector,
     build_T,
+    solve_class,
     system_matrix,
     triangularity_report,
 )
-from bn2.solver import RationalMatrix, det_is_nonzero, nullspace, rank, solve_exact
+from bn2.solver import RationalMatrix, det_is_nonzero, nullspace, rank
 
 __all__ = [
     "CheckReport",
@@ -431,15 +431,9 @@ def m4_rank_relation() -> list[Fraction]:
 # Checks.
 
 
-def _rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _compare_expressions(name: str, expected: ClassExpression, actual: ClassExpression) -> CheckReport:
     mism = actual.diff(expected)
-    diff = [
-        {"label": lab, "actual": _rational(a), "expected": _rational(b)} for lab, a, b in mism
-    ]
+    diff = [{"label": lab, "actual": str(a), "expected": str(b)} for lab, a, b in mism]
     return CheckReport(
         check=name,
         status="pass" if not mism else "fail",
@@ -451,20 +445,15 @@ def _compare_expressions(name: str, expected: ClassExpression, actual: ClassExpr
 
 def check_trigonal_table() -> CheckReport:
     """Solve the genus-6 system at k = 3 and compare with the known table."""
-    system = build_relations(6)
-    x = solve_exact(system_matrix(system), build_rhs_vector(system, 3))
-    solved = ClassExpression.from_vector(6, x)
-    report = _compare_expressions("trigonal-table", known_trigonal_class(), solved)
-    return report
+    return _compare_expressions("trigonal-table", known_trigonal_class(), solve_class(3))
+
 
 def check_closed_form(k: int) -> CheckReport:
     """Solve the genus-2k system at degree k and compare with the closed
-    formula, label by label."""
-    g = 2 * k
-    system = build_relations(g)
-    x = solve_exact(system_matrix(system), build_rhs_vector(system, k))
-    solved = ClassExpression.from_vector(g, x)
-    return _compare_expressions(f"closed-form[k={k}]", closed_form_class(k), solved)
+    formula, label by label.  The closed formula's k >= 3 domain is checked
+    first."""
+    expected = closed_form_class(k)
+    return _compare_expressions(f"closed-form[k={k}]", expected, solve_class(k))
 
 
 def check_pullback(k: int) -> CheckReport:
@@ -472,7 +461,7 @@ def check_pullback(k: int) -> CheckReport:
     the (c) coordinate is reported."""
     image = pullback_image(closed_form_class(k))
     bad = [
-        {"coordinate": PULLBACK_BASIS[t], "value": _rational(image[t])}
+        {"coordinate": PULLBACK_BASIS[t], "value": str(image[t])}
         for t in (0, 1, 2, 4)
         if image[t] != 0
     ]
@@ -480,7 +469,7 @@ def check_pullback(k: int) -> CheckReport:
         check=f"pullback[k={k}]",
         status="pass" if not bad else "fail",
         expected="zero on D00, (a), (b), (d)",
-        actual={"(c)": _rational(image[3])} if not bad else f"{len(bad)} nonzero coordinates",
+        actual={"(c)": str(image[3])} if not bad else f"{len(bad)} nonzero coordinates",
         diff=bad,
     )
 
@@ -493,7 +482,7 @@ def check_m4() -> CheckReport:
     cls = m4_class()
     x = [cls[name] for name in M4_LABELS]
     residues = [
-        {"relation": tags[t], "lhs": _rational(lhs), "rhs": _rational(rhs[t])}
+        {"relation": tags[t], "lhs": str(lhs), "rhs": str(rhs[t])}
         for t, lhs in enumerate(matrix.matvec(x))
         if lhs != rhs[t]
     ]
@@ -518,24 +507,11 @@ def check_m4() -> CheckReport:
 
 
 def check_trigonal_interior() -> CheckReport:
-    """The interior part of the genus-6 class: k1^2 coefficient 41/144 and
-    k2 coefficient -4, plus the full-table comparison against the known
-    genus-6 class."""
-    cls = closed_form_class(3)
-    diff = []
-    if cls[K1SQ] != F(41, 144):
-        diff.append({"label": "k1^2", "actual": _rational(cls[K1SQ]), "expected": "41/144"})
-    if cls[K2] != F(-4):
-        diff.append({"label": "k2", "actual": _rational(cls[K2]), "expected": "-4"})
-    table = _compare_expressions("trigonal", known_trigonal_class(), cls)
-    diff.extend(table.diff)
-    return CheckReport(
-        check="trigonal",
-        status="pass" if not diff else "fail",
-        expected="k1^2 -> 41/144, k2 -> -4, full table match",
-        actual="all equal" if not diff else f"{len(diff)} mismatches",
-        diff=diff,
-    )
+    """The genus-6 closed formula against the known genus-6 table, whose rows
+    include the interior coefficients k1^2 -> 41/144 and k2 -> -4."""
+    report = _compare_expressions("trigonal", known_trigonal_class(), closed_form_class(3))
+    report.expected = "k1^2 -> 41/144, k2 -> -4, full table match"
+    return report
 
 
 G5_CONVENTION_NOTE = (
@@ -563,6 +539,8 @@ def check_g5_rank() -> CheckReport:
 
 def check_nonsingular(g: int) -> CheckReport:
     """det(Q_g) != 0."""
+    if g < 6:
+        raise ValueError(f"Q_g is square only for g >= 6, got g={g}")
     ok = det_is_nonzero(build_matrix(g))
     return CheckReport(
         check=f"nonsingular[g={g}]",
@@ -577,9 +555,7 @@ def check_triangularity(g: int) -> CheckReport:
     under the documented row/column pairing.  Deviations are reported, not
     asserted."""
     report = triangularity_report(build_matrix(g), build_T(g))
-    diff = [
-        {"row": r, "col": c, "value": _rational(v)} for r, c, v in report.violations[:50]
-    ]
+    diff = [{"row": r, "col": c, "value": str(v)} for r, c, v in report.violations[:50]]
     diff.extend({"diagonal": r, "value": "0"} for r in report.zero_diagonal[:50])
     return CheckReport(
         check=f"triangularity[g={g}]",

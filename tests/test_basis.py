@@ -73,21 +73,29 @@ def test_every_valid_label_is_enumerated(g):
     assert valid == set(enumerate_basis(g))
 
 
+def test_enumerate_basis_count_mismatch_is_an_error(monkeypatch):
+    import bn2.basis
+
+    monkeypatch.setattr(bn2.basis, "basis_dimension", lambda g: 26)
+    with pytest.raises(RuntimeError, match=r"enumerated 25 generators at g=6, expected 26"):
+        enumerate_basis.__wrapped__(6)
+
+
 def test_canonicalize_sorts_pairs():
-    assert canonicalize(dd(3, 1), 6) == [(dd(1, 3), Fraction(1))]
+    assert canonicalize(dd(3, 1), 6) == dd(1, 3)
 
 
 def test_canonicalize_is_idempotent_on_basis():
     for g in (5, 6, 9):
         for lab in enumerate_basis(g):
-            assert canonicalize(lab, g) == [(lab, Fraction(1))]
+            assert canonicalize(lab, g) == lab
 
 
 def test_canonicalize_g5_lambda_convention():
-    assert canonicalize(la(3), 5) == [(LD2, Fraction(1))]
-    assert canonicalize(la(2), 5) == [(LD2, Fraction(1))]
+    assert canonicalize(la(3), 5) == LD2
+    assert canonicalize(la(2), 5) == LD2
     # at g = 6 the label la(3) is a generator of its own
-    assert canonicalize(la(3), 6) == [(la(3), Fraction(1))]
+    assert canonicalize(la(3), 6) == la(3)
 
 
 def test_canonicalize_rejects_out_of_range():

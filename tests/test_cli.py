@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -183,3 +184,32 @@ def test_verify_all_small(capsys):
     assert names == sorted(names)
     assert "trigonal-table" in names
     assert all(rep["status"] != "fail" for rep in reports)
+
+
+def test_verify_closed_form_reports_formula_domain(capsys):
+    code, out, err = run(capsys, "verify", "closed-form", "--k", "2")
+    assert code == 2 and out == ""
+    assert "closed formula holds for k >= 3, got k=2" in err
+
+
+def test_verify_nonsingular_reports_square_domain(capsys):
+    code, out, err = run(capsys, "verify", "nonsingular", "--g", "5")
+    assert code == 2 and out == ""
+    assert "Q_g is square only for g >= 6, got g=5" in err
+
+
+# stdout digests recorded before RationalMatrix became sparse
+PINNED_STDOUT_SHA256 = {
+    "tmatrix --g 8 --format csv": "a78f2a2385b96726cd600e772260702cf58b1ff1f64181c36b3ffc8b2846e431",
+    "tmatrix --g 8 --format json": "a62e01eff6be1ed2a3cb7c56d0cdd3fe6490bdc85edebb578bbfda9ba39bf5c0",
+    "matrix --g 8 --format csv": "b7a2505e687bafd953dae84114ad26123098fd4abac85f06f00eb086a67aa484",
+    "matrix --g 8 --format json": "2229723b64686b79845620dc53971c480df29cc657928c10274b412f10997240",
+    "verify triangularity": "aababc1ed73bbcbc108447d14ab8c859c164f6c56dfcb3829f29c1e92d07d11e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT_SHA256))
+def test_stdout_matches_pinned_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT_SHA256[command]

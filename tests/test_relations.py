@@ -4,6 +4,7 @@ import pytest
 
 from bn2.basis import D1SQ, K1SQ, K2, LD2, basis_dimension, dd, enumerate_basis, om
 from bn2.relations import (
+    Relation,
     Rhs,
     build_matrix,
     build_relations,
@@ -110,6 +111,24 @@ def test_rhs_requires_matching_genus():
         evaluate_rhs(_row(system, "S1[i=2]"), 4)
     # a zero rhs evaluates for any k
     assert evaluate_rhs(_row(system, "S5"), 4) == 0
+
+
+def test_unknown_rhs_kind_is_rejected():
+    rel = Relation("S0", 6, {}, Rhs("bogus"))
+    with pytest.raises(ValueError, match="unknown rhs kind 'bogus'"):
+        evaluate_rhs(rel, 3)
+    with pytest.raises(ValueError, match="unknown rhs kind 'bogus'"):
+        describe_rhs(rel)
+
+
+def test_structural_counts_are_checked(monkeypatch):
+    import bn2.relations
+
+    monkeypatch.setattr(bn2.relations, "basis_dimension", lambda g: 26)
+    with pytest.raises(RuntimeError, match=r"built 25 rows at g=6, expected 26"):
+        build_relations(6)
+    with pytest.raises(RuntimeError, match=r"built 25 T-columns at g=6, expected 26"):
+        build_T(6)
 
 
 def test_matrix_shapes():

@@ -135,3 +135,46 @@ def test_rank_nullity_property(n, data):
     assert rank(m) + len(nullspace(m)) == n
     for v in nullspace(m):
         assert m.matvec(v) == [0] * n
+
+
+# most draws are an explicit zero, as in the relation matrices
+_MOSTLY_ZERO = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_storage_matches_dense_reference(nrows, inner, ncols, data):
+    def dense(r, c):
+        row = st.lists(_MOSTLY_ZERO, min_size=c, max_size=c)
+        return data.draw(st.lists(row, min_size=r, max_size=r))
+
+    a, b = dense(nrows, inner), dense(inner, ncols)
+    v = dense(1, inner)[0]
+    m = RationalMatrix(a)
+    assert m.rows() == a
+    assert all(m.entry(i, j) == a[i][j] for i in range(nrows) for j in range(inner))
+    assert sorted(m.nonzeros()) == [
+        (i, j, a[i][j]) for i in range(nrows) for j in range(inner) if a[i][j] != 0
+    ]
+    assert m.matvec(v) == [sum(a[i][t] * v[t] for t in range(inner)) for i in range(nrows)]
+    product = [
+        [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(ncols)] for i in range(nrows)
+    ]
+    assert m.matmul(RationalMatrix(b)).rows() == product
+    # equality ignores explicit zeros
+    assert RationalMatrix.from_sparse([dict(enumerate(row)) for row in a], inner) == m
+    assert RationalMatrix.from_sparse(
+        [{j: x for j, x in enumerate(row) if x} for row in a], inner
+    ) == m
+
+
+def test_from_sparse_rejects_out_of_range_columns():
+    with pytest.raises(DimensionMismatchError):
+        RationalMatrix.from_sparse([{2: 1}], 2)
+    with pytest.raises(DimensionMismatchError):
+        RationalMatrix.from_sparse([{-1: 1}], 2)
