@@ -1,9 +1,10 @@
 """Command-line entry point: counts, basis listing, matrix exports, exact
 solve, and the verification suite.
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error.
-Results go to stdout, diagnostics to stderr.  Identical invocations produce
-byte-identical output.
+Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or
+domain error, 3 internal error (a broken invariant of the program, reported
+as ``bn2 <command>: internal error: ...``).  Results go to stdout,
+diagnostics to stderr.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from bn2.relations import (
 )
 from bn2 import verify
 
-# the enumerative and solver errors all subclass ValueError
+# the enumerative and solver errors subclass ValueError; a non-integral count
+# is an ArithmeticError.  Internal errors are RuntimeErrors, handled in main.
 _DOMAIN_ERRORS = (ValueError, ArithmeticError)
 
 
@@ -249,7 +251,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--g is required for " + args.command)
     if args.command == "solve" and args.k is None:
         parser.error("--k is required for solve")
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except RuntimeError as exc:
+        print(f"bn2 {args.command}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

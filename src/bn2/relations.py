@@ -46,7 +46,7 @@ from bn2.enumerative import (
     sum_S16,
     sum_T,
 )
-from bn2.solver import RationalMatrix, solve_exact
+from bn2.solver import RationalMatrix, solve_lower_triangular
 
 __all__ = [
     "Rhs",
@@ -499,9 +499,28 @@ def build_rhs_vector(system: RelationSystem, k: int) -> list[Fraction]:
 
 
 def solve_class(k: int) -> ClassExpression:
-    """The degree-k class at genus 2k: the exact solution of Q_g x = b_k."""
+    """The degree-k class at genus 2k: the exact solution of Q_g x = b_k.
+
+    P = Q_g T_g is lower-triangular with a nonzero diagonal, so forward
+    substitution solves P y = b_k and x = T_g y.  The answer is substituted
+    back into every equation of Q_g x = b_k before it is returned; a failure
+    of either the structure or the residual is an internal error.
+    """
+    if k < 3:
+        raise ValueError(
+            f"the class is solved for k >= 3 (Q_g is square for g = 2k >= 6), got k={k}"
+        )
     system = build_relations(2 * k)
-    x = solve_exact(system_matrix(system), build_rhs_vector(system, k))
+    q = system_matrix(system)
+    t = build_T(system.g)
+    b = build_rhs_vector(system, k)
+    try:
+        y = solve_lower_triangular(q.matmul(t), b)
+    except ValueError as exc:
+        raise RuntimeError(f"internal error: Q_g*T_g at g={system.g}: {exc}") from exc
+    x = t.matvec(y)
+    if q.matvec(x) != b:
+        raise RuntimeError(f"internal error: the solution at k={k} has a nonzero residual")
     return ClassExpression.from_vector(system.g, x)
 
 
@@ -623,7 +642,9 @@ def build_T(g: int) -> RationalMatrix:
 
 @dataclass
 class TriangularityReport:
-    """Outcome of the Q_g * T_g product check: diagnostic only."""
+    """Outcome of the Q_g * T_g product check.  ``ok`` is the structure the
+    production solve (``solve_class``) relies on and the certificate that
+    det Q_g != 0."""
 
     order: int
     lower_triangular: bool

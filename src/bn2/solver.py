@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals on sparse matrices.
 
 A matrix stores each row as a mapping from column to its nonzero Fraction.
-Two independent dense elimination strategies are provided: fraction-free
-(Bareiss) elimination on integer rows built straight from the nonzeros, the
-production route, and plain Gaussian elimination on Fraction entries.  The
-test suite uses them as mutual oracles; ``solve_exact`` additionally verifies
-its answer by substitution into every equation before returning.
+``solve_lower_triangular`` is the production solve: forward substitution
+over the sparse rows of a lower-triangular matrix, which rejects any other
+structure.  Two independent dense elimination strategies serve as oracles:
+fraction-free (Bareiss) elimination on integer rows built straight from the
+nonzeros, and plain Gaussian elimination on Fraction entries.  The test
+suite uses them against each other and against the triangular solve;
+``solve_exact`` additionally verifies its answer by substitution into every
+equation before returning.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ __all__ = [
     "RationalMatrix",
     "DimensionMismatchError",
     "SingularMatrixError",
+    "solve_lower_triangular",
     "solve_exact",
     "rank",
     "det",
@@ -275,6 +279,34 @@ def _back_substitute(rows, pivots, ncols: int, rhs_col: int) -> list[Fraction]:
     return x
 
 
+def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
+    """Exact solution of p y = b by forward substitution over the nonzeros.
+
+    p must be square and lower-triangular with a nonzero diagonal; otherwise
+    DimensionMismatchError (shape) or ValueError (structure) names the row
+    and column at fault.
+    """
+    if not p.is_square():
+        raise DimensionMismatchError(
+            f"solve_lower_triangular needs a square matrix, got {p.nrows} rows "
+            f"and {p.ncols} columns"
+        )
+    if len(b) != p.nrows:
+        raise DimensionMismatchError(f"rhs length {len(b)} vs order {p.nrows}")
+    y: list[Fraction] = []
+    for i, row in enumerate(p._rows):
+        acc = Fraction(b[i])
+        for j, a in row.items():
+            if j > i:
+                raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
+            if j < i:
+                acc -= a * y[j]
+        if i not in row:
+            raise ValueError(f"row {i} has a zero diagonal entry, in column {i}")
+        y.append(acc / row[i])
+    return y
+
+
 def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Fraction]:
     """Unique exact solution of a square nonsingular system.
 
@@ -305,7 +337,7 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
         )
     x = _back_substitute(rows, pivots, n, n)
     if matrix.matvec(x) != rhs:
-        raise ArithmeticError("internal error: solution has a nonzero residual")
+        raise RuntimeError("internal error: solution has a nonzero residual")
     return x
 
 

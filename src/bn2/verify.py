@@ -37,7 +37,7 @@ from bn2.relations import (
     system_matrix,
     triangularity_report,
 )
-from bn2.solver import RationalMatrix, det_is_nonzero, nullspace, rank
+from bn2.solver import RationalMatrix, nullspace, rank
 
 __all__ = [
     "CheckReport",
@@ -537,26 +537,38 @@ def check_g5_rank() -> CheckReport:
     )
 
 
+def _triangularity_diff(report) -> list[dict]:
+    """The entries of Q_g * T_g that break the certificate, at most 50 of
+    each kind."""
+    diff = [{"row": r, "col": c, "value": str(v)} for r, c, v in report.violations[:50]]
+    diff.extend({"diagonal": r, "value": "0"} for r in report.zero_diagonal[:50])
+    return diff
+
+
 def check_nonsingular(g: int) -> CheckReport:
-    """det(Q_g) != 0."""
+    """det(Q_g) != 0, certified without a determinant: P = Q_g * T_g is
+    lower-triangular with a nonzero diagonal, so det P = det Q_g det T_g is
+    nonzero and so is det Q_g.  Without that certificate the check fails and
+    names the rows of P at fault."""
     if g < 6:
         raise ValueError(f"Q_g is square only for g >= 6, got g={g}")
-    ok = det_is_nonzero(build_matrix(g))
+    report = triangularity_report(build_matrix(g), build_T(g))
     return CheckReport(
         check=f"nonsingular[g={g}]",
-        status="pass" if ok else "fail",
+        status="pass" if report.ok else "fail",
         expected="det(Q_g) != 0",
-        actual="nonzero" if ok else "ZERO",
+        actual="nonzero" if report.ok else "not certified by Q_g * T_g",
+        diff=_triangularity_diff(report),
     )
 
 
 def check_triangularity(g: int) -> CheckReport:
-    """Diagnostic: Q_g * T_g should be lower-triangular with nonzero diagonal
-    under the documented row/column pairing.  Deviations are reported, not
-    asserted."""
+    """Q_g * T_g should be lower-triangular with nonzero diagonal under the
+    documented row/column pairing.  The production solve (``solve_class``)
+    and the nonsingularity certificate depend on this structure and fail on
+    their own without it; this report lists the deviations and stays at
+    "warn"."""
     report = triangularity_report(build_matrix(g), build_T(g))
-    diff = [{"row": r, "col": c, "value": str(v)} for r, c, v in report.violations[:50]]
-    diff.extend({"diagonal": r, "value": "0"} for r in report.zero_diagonal[:50])
     return CheckReport(
         check=f"triangularity[g={g}]",
         status="pass" if report.ok else "warn",
@@ -566,7 +578,7 @@ def check_triangularity(g: int) -> CheckReport:
             "diagonal_nonzero": report.diagonal_nonzero,
             "order": report.order,
         },
-        diff=diff,
+        diff=_triangularity_diff(report),
         notes=["diagnostic: the pairing order is the documented group order"],
     )
 

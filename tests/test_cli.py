@@ -198,13 +198,35 @@ def test_verify_nonsingular_reports_square_domain(capsys):
     assert "Q_g is square only for g >= 6, got g=5" in err
 
 
-# stdout digests recorded before RationalMatrix became sparse
+def test_solve_reports_degree_domain(capsys):
+    code, out, err = run(capsys, "solve", "--k", "2")
+    assert code == 2 and out == ""
+    assert "the class is solved for k >= 3 (Q_g is square for g = 2k >= 6), got k=2" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    from bn2 import cli
+
+    def broken(k):
+        raise RuntimeError("internal error: the solution at k=3 has a nonzero residual")
+
+    monkeypatch.setattr(cli, "solve_class", broken)
+    code, out, err = run(capsys, "solve", "--k", "3")
+    assert code == 3 and out == ""
+    assert err == "bn2 solve: internal error: the solution at k=3 has a nonzero residual\n"
+
+
+# stdout digests recorded before RationalMatrix became sparse (the first five)
+# and before the solve went through the triangular Q_g*T_g (the last three)
 PINNED_STDOUT_SHA256 = {
     "tmatrix --g 8 --format csv": "a78f2a2385b96726cd600e772260702cf58b1ff1f64181c36b3ffc8b2846e431",
     "tmatrix --g 8 --format json": "a62e01eff6be1ed2a3cb7c56d0cdd3fe6490bdc85edebb578bbfda9ba39bf5c0",
     "matrix --g 8 --format csv": "b7a2505e687bafd953dae84114ad26123098fd4abac85f06f00eb086a67aa484",
     "matrix --g 8 --format json": "2229723b64686b79845620dc53971c480df29cc657928c10274b412f10997240",
     "verify triangularity": "aababc1ed73bbcbc108447d14ab8c859c164f6c56dfcb3829f29c1e92d07d11e",
+    "solve --k 3": "8690cd9b13ee80cd06a46fb9107fe7d36469adb46e6a3112c7d69ca39a436cc1",
+    "solve --k 14": "187e0a54e34bfa4ac8fb468106ce30bf227610b40e336d40a97b46cb0e6e282a",
+    "verify nonsingular": "db177875ecb5596708fd6d8638974bb2c6cb393b881cdb7eacc1d44995ae113a",
 }
 
 

@@ -12,13 +12,15 @@ from bn2.relations import (
     build_T,
     describe_rhs,
     evaluate_rhs,
+    solve_class,
+    system_matrix,
     system_to_csv,
     system_to_json,
     t_column_tags,
     t_matrix_to_csv,
     triangularity_report,
 )
-from bn2.solver import RationalMatrix
+from bn2.solver import RationalMatrix, solve_exact
 
 F = Fraction
 
@@ -129,6 +131,35 @@ def test_structural_counts_are_checked(monkeypatch):
         build_relations(6)
     with pytest.raises(RuntimeError, match=r"built 25 T-columns at g=6, expected 26"):
         build_T(6)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_solve_class_equals_bareiss(k):
+    system = build_relations(2 * k)
+    x = solve_exact(system_matrix(system), build_rhs_vector(system, k))
+    assert list(solve_class(k).coefficients.values()) == x
+
+
+def test_solve_class_rejects_small_k():
+    with pytest.raises(ValueError, match=r"k >= 3 .*got k=2"):
+        solve_class(2)
+
+
+def test_solve_class_without_triangular_structure_is_internal(monkeypatch):
+    import bn2.relations
+
+    # with T_g = I the product is Q_g itself, which has entries above the diagonal
+    monkeypatch.setattr(bn2.relations, "build_T", lambda g: RationalMatrix.identity(25))
+    with pytest.raises(RuntimeError, match=r"internal error: Q_g\*T_g at g=6: row \d+ "):
+        solve_class(3)
+
+
+def test_solve_class_checks_the_residual(monkeypatch):
+    import bn2.relations
+
+    monkeypatch.setattr(bn2.relations, "solve_lower_triangular", lambda p, b: [F(0)] * len(b))
+    with pytest.raises(RuntimeError, match="internal error: the solution at k=3 has a nonzero"):
+        solve_class(3)
 
 
 def test_matrix_shapes():

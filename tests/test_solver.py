@@ -14,6 +14,7 @@ from bn2.solver import (
     nullspace,
     rank,
     solve_exact,
+    solve_lower_triangular,
 )
 
 
@@ -178,3 +179,39 @@ def test_from_sparse_rejects_out_of_range_columns():
         RationalMatrix.from_sparse([{2: 1}], 2)
     with pytest.raises(DimensionMismatchError):
         RationalMatrix.from_sparse([{-1: 1}], 2)
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lower_triangular_solve_matches_bareiss(n, data):
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)
+    rows = [
+        {
+            **{j: data.draw(_MOSTLY_ZERO) for j in range(i)},
+            i: data.draw(nonzero),
+        }
+        for i in range(n)
+    ]
+    p = RationalMatrix.from_sparse(rows, n)
+    b = data.draw(st.lists(st.fractions(max_denominator=9), min_size=n, max_size=n))
+    assert solve_lower_triangular(p, b) == solve_exact(p, b)
+
+
+def test_lower_triangular_rejects_zero_diagonal():
+    p = RationalMatrix([[1, 0, 0], [2, 0, 0], [0, 1, 1]])
+    with pytest.raises(ValueError, match="row 1 has a zero diagonal entry, in column 1"):
+        solve_lower_triangular(p, [1, 1, 1])
+
+
+def test_lower_triangular_rejects_entry_above_diagonal():
+    p = RationalMatrix([[1, 0, 0], [2, 3, Fraction(1, 2)], [0, 1, 1]])
+    message = "row 1 has the nonzero 1/2 above the diagonal, in column 2"
+    with pytest.raises(ValueError, match=message):
+        solve_lower_triangular(p, [1, 1, 1])
+
+
+def test_lower_triangular_rejects_non_square():
+    with pytest.raises(DimensionMismatchError, match="got 2 rows and 3 columns"):
+        solve_lower_triangular(RationalMatrix([[1, 0, 0], [1, 1, 0]]), [1, 1])
+    with pytest.raises(DimensionMismatchError, match="rhs length 3 vs order 2"):
+        solve_lower_triangular(RationalMatrix.identity(2), [1, 2, 3])

@@ -164,6 +164,28 @@ def test_check_nonsingular_g6():
     assert check_nonsingular(6).status == "pass"
 
 
+def test_nonsingular_certificate_agrees_with_determinant():
+    from bn2.relations import build_matrix
+    from bn2.solver import det_is_nonzero
+
+    for g in range(6, 17):
+        assert check_nonsingular(g).status == "pass"
+        assert det_is_nonzero(build_matrix(g))
+
+
+def test_nonsingular_without_certificate_fails(monkeypatch):
+    import bn2.verify
+    from bn2.solver import RationalMatrix
+
+    # with T_g = I the product is Q_g itself, which is not lower-triangular
+    monkeypatch.setattr(bn2.verify, "build_T", lambda g: RationalMatrix.identity(25))
+    rep = check_nonsingular(6)
+    assert rep.status == "fail"
+    assert rep.actual != "nonzero"
+    # each entry names a row of Q_g * T_g: an entry above the diagonal or a zero diagonal
+    assert rep.diff and all("row" in entry or "diagonal" in entry for entry in rep.diff)
+
+
 def test_check_triangularity_g6():
     rep = check_triangularity(6)
     assert rep.status in ("pass", "warn")
