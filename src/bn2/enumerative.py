@@ -6,12 +6,19 @@ The point counts (``count_n``, ``count_m``, ``count_ell``) are exact
 integers.  The reciprocal-factorial determinants (``castelnuovo_general``,
 ``castelnuovo_N``) are exact rationals; they are integers precisely in the
 zero-dimensional counting regime where they count linear series.
+
+The counting layer computes in integers: ``castelnuovo_N`` is
+g! * (C(s,x) - C(s,g-d')) / s!, every term of ``sum_D`` or ``sum_S16`` has
+the same s, so each sum divides once, and one memoized function decides when
+n_{g,d,alpha} is a count.  ``castelnuovo_general``, the raw determinant, is
+the oracle the tests hold this route against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -158,24 +165,52 @@ def castelnuovo_general(g: int, r: int, d: int, alpha, beta) -> Fraction:
     return factorial(g) * _det_small(mat)
 
 
+def _binom(n: int, r: int) -> int:
+    """C(n, r), and 0 outside 0 <= r <= n."""
+    return comb(n, r) if 0 <= r <= n else 0
+
+
+def _castelnuovo_num(gd: int, a1: int, b1: int) -> tuple[int, int]:
+    """(num, s) with N = g! * num / s! for gd = g - d' and the reduced tops
+    a1, b1; C(n, r) = 0 outside 0 <= r <= n is the zero convention for
+    reciprocal factorials of negative arguments, and num = 0 when s < 0."""
+    x = a1 + 1 + gd
+    s = x + b1 + 1 + gd
+    return _binom(s, x) - _binom(s, gd), s
+
+
 def castelnuovo_N(g: int, d: int, alpha, beta=SchubertIndex(0, 0)) -> Fraction:
     """Pencil count with ramification alpha at p and beta at q (r = 1).
 
     Subtracts the base locus a0*p + b0*q and evaluates the two-term
-    reciprocal-factorial expansion; a route independent of the raw
-    determinant in ``castelnuovo_general``, which it must always equal.
-    With beta omitted this is the single-point count.
+    reciprocal-factorial expansion over one denominator s!; a route
+    independent of the raw determinant in ``castelnuovo_general``, which it
+    must always equal.  With beta omitted this is the single-point count.
     """
     a = _index(alpha).check_degree(d)
     b = _index(beta).check_degree(d)
-    dp = d - a.a0 - b.a0
-    a1 = a.a1 - a.a0
-    b1 = b.a1 - b.a0
-    gd = g - dp
-    return factorial(g) * (
-        inv_factorial_or_zero(b1 + 1 + gd) * inv_factorial_or_zero(a1 + 1 + gd)
-        - inv_factorial_or_zero(gd) * inv_factorial_or_zero(a1 + b1 + 2 + gd)
-    )
+    scale = factorial(g)
+    num, s = _castelnuovo_num(g - (d - a.a0 - b.a0), a.a1 - a.a0, b.a1 - b.a0)
+    return Fraction(scale * num, factorial(s)) if num else Fraction(0)
+
+
+# _pencil_count codes for an index whose n_{g,d,alpha} is not a count
+_RHO_MISMATCH = -1
+_BELOW_REGIME = -2
+
+
+@lru_cache(maxsize=None)
+def _pencil_count(g: int, d: int, a0: int, a1: int) -> int:
+    """n_{g,d,(a0,a1)} if it is a count, else the code of the failed
+    condition.  The one home of the counting regime: the sums skip values
+    <= 0 and count_n/count_m raise on them."""
+    if rho(g, 1, d, [(a0, a1)]) != -1:
+        return _RHO_MISMATCH
+    dp = d - a0
+    if 2 * dp - g - 2 < 0:
+        return _BELOW_REGIME
+    lead = 2 * dp - g - 1  # equals a1 - a0, >= 1 here
+    return lead * (lead + 1) * (lead + 2) * comb(g, dp)
 
 
 def count_n(g: int, d: int, alpha) -> int:
@@ -189,16 +224,15 @@ def count_n(g: int, d: int, alpha) -> int:
     on a general curve.
     """
     a = _index(alpha).check_degree(d)
-    value = rho(g, 1, d, [a])
-    if value != -1:
+    value = _pencil_count(g, d, a.a0, a.a1)
+    if value == _RHO_MISMATCH:
         raise RhoMismatchError(
-            f"count_n needs adjusted rho = -1, got rho({g},1,{d},{(a.a0, a.a1)}) = {value}"
+            f"count_n needs adjusted rho = -1, got rho({g},1,{d},{(a.a0, a.a1)}) = "
+            f"{rho(g, 1, d, [a])}"
         )
-    dp = d - a.a0
-    if 2 * dp - g - 2 < 0:
-        raise RegimeError(f"rho({g},1,{dp}) < 0 after base-locus reduction")
-    lead = 2 * dp - g - 1  # equals a1 - a0, >= 1 here
-    return lead * (lead + 1) * (lead + 2) * comb(g, dp)
+    if value == _BELOW_REGIME:
+        raise RegimeError(f"rho({g},1,{d - a.a0}) < 0 after base-locus reduction")
+    return value
 
 
 def count_m(g: int, d: int, alpha) -> int:
@@ -209,10 +243,12 @@ def count_m(g: int, d: int, alpha) -> int:
     factor 3g - 1.
     """
     a = _index(alpha).check_degree(d)
-    value = rho(g, 1, d, [a, SchubertIndex(0, 1)])
-    if value != -2:
+    value = _pencil_count(g, d, a.a0, a.a1)
+    _ram_sequence((0, 1), 1, d)  # the simple ramification needs d >= 2
+    if value == _RHO_MISMATCH:
         raise RhoMismatchError(
-            f"count_m needs adjusted rho = -2, got rho({g},1,{d},{(a.a0, a.a1)},(0,1)) = {value}"
+            f"count_m needs adjusted rho = -2, got rho({g},1,{d},{(a.a0, a.a1)},(0,1)) = "
+            f"{rho(g, 1, d, [a, (0, 1)])}"
         )
     return count_n(g, d, a) * (3 * g - 1)
 
@@ -228,28 +264,14 @@ def count_ell(g: int, k: int) -> int:
     return 2 * comb(2 * k - 3, k - 2)
 
 
-def _indices_with_weight(k: int, w: int) -> list[SchubertIndex]:
+def _pairs_with_weight(k: int, w: int) -> list[tuple[int, int]]:
     """All (a0, a1) with 0 <= a0 <= a1 <= k-1 and a0 + a1 = w."""
-    out = []
-    for a0 in range(k):
-        a1 = w - a0
-        if a0 <= a1 <= k - 1:
-            out.append(SchubertIndex(a0, a1))
-    return out
+    return [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
 
 
-def _n_or_zero(g: int, d: int, alpha: SchubertIndex) -> int:
-    try:
-        return count_n(g, d, alpha)
-    except (RhoMismatchError, RegimeError):
-        return 0
-
-
-def _m_or_zero(g: int, d: int, alpha: SchubertIndex) -> int:
-    try:
-        return count_m(g, d, alpha)
-    except (RhoMismatchError, RegimeError):
-        return 0
+def _over_factorial(numerator: int, s: int) -> Fraction:
+    """numerator / s!; 0 when the numerator is (s < 0 leaves every term 0)."""
+    return Fraction(numerator, factorial(s)) if numerator else Fraction(0)
 
 
 def _as_count(total: Fraction, what: str) -> int:
@@ -269,32 +291,41 @@ def sum_T(i: int, g: int, k: int) -> int:
     if not 2 <= i <= g // 2:
         raise ValueError(f"sum_T needs 2 <= i <= g/2, got i={i}, g={g}")
     total = 0
-    for a in _indices_with_weight(k, 2 * k - i - 1):
-        na = _n_or_zero(i, k, a)
-        if na:
-            total += na * _n_or_zero(g - i, k, a.complement(k))
+    for a0, a1 in _pairs_with_weight(k, 2 * k - i - 1):
+        na = _pencil_count(i, k, a0, a1)
+        if na > 0:
+            total += na * max(_pencil_count(g - i, k, k - 1 - a1, k - 1 - a0), 0)
     return total
 
 
 def sum_D(i: int, j: int, g: int, k: int) -> int:
     """Sum over rho = -1 indices alpha (genus i) and beta (genus j) of
-    n_{i,k,alpha} * n_{j,k,beta} * N_{g-i-j,k,comp(alpha),comp(beta)}."""
+    n_{i,k,alpha} * n_{j,k,beta} * N_{g-i-j,k,comp(alpha),comp(beta)}.
+
+    comp(a0, a1) = (k-1-a1, k-1-a0) has base k-1-a1 and reduced top a1-a0, so
+    the reduced N has g - d' = (g-i-j-1-a1) + (k-1-b1), and every N has
+    s = 2(g-k) - i - j because the weights of alpha and beta are fixed."""
     if not (2 <= i <= j <= g - 3 and i + j <= g - 1):
         raise ValueError(
             f"sum_D needs 2 <= i <= j <= g-3 and i+j <= g-1, got i={i}, j={j}, g={g}"
         )
-    total = Fraction(0)
-    for a in _indices_with_weight(k, 2 * k - i - 1):
-        na = _n_or_zero(i, k, a)
-        if not na:
+    h = g - i - j
+    betas = []
+    for b0, b1 in _pairs_with_weight(k, 2 * k - j - 1):
+        nb = _pencil_count(j, k, b0, b1)
+        if nb > 0:
+            betas.append((nb, b1 - b0, k - 1 - b1))
+    total = 0
+    for a0, a1 in _pairs_with_weight(k, 2 * k - i - 1):
+        na = _pencil_count(i, k, a0, a1)
+        if na <= 0:
             continue
-        for b in _indices_with_weight(k, 2 * k - j - 1):
-            nb = _n_or_zero(j, k, b)
-            if nb:
-                total += na * nb * castelnuovo_N(
-                    g - i - j, k, a.complement(k), b.complement(k)
-                )
-    return _as_count(total, f"sum_D({i},{j},{g},{k})")
+        gd_a = h - 1 - a1
+        for nb, b_top, b_base in betas:
+            total += na * nb * _castelnuovo_num(gd_a + b_base, a1 - a0, b_top)[0]
+    return _as_count(
+        _over_factorial(factorial(h) * total, 2 * (g - k) - i - j), f"sum_D({i},{j},{g},{k})"
+    )
 
 
 def sum_S16(i: int, g: int, k: int) -> int:
@@ -302,12 +333,16 @@ def sum_S16(i: int, g: int, k: int) -> int:
     m_{i,k,(a0,a1)} * N_{g-i-1,k,(k-1-a1,k-1-a0)}.
 
     For i = g - 2 the relation uses m_{g-2,k,(0,1)} directly instead.
+    The reduced N has g - d' = g-i-2-a1 and s = g-i-1 for every term.
     """
     if not g // 2 <= i <= g - 3:
         raise ValueError(f"sum_S16 needs g/2 <= i <= g-3, got i={i}, g={g}")
-    total = Fraction(0)
-    for a in _indices_with_weight(k, g - i - 1):
-        ma = _m_or_zero(i, k, a)
-        if ma:
-            total += ma * castelnuovo_N(g - i - 1, k, a.complement(k))
-    return _as_count(total, f"sum_S16({i},{g},{k})")
+    h = g - i - 1
+    total = 0
+    for a0, a1 in _pairs_with_weight(k, g - i - 1):
+        na = _pencil_count(i, k, a0, a1)
+        if na > 0:
+            total += na * _castelnuovo_num(h - 1 - a1, a1 - a0, 0)[0]
+    return _as_count(
+        _over_factorial(factorial(h) * (3 * i - 1) * total, h), f"sum_S16({i},{g},{k})"
+    )

@@ -688,17 +688,16 @@ def _in_basis_order(coeffs: dict[ClassLabel, int], g: int) -> dict[str, str]:
 
 
 def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
+    labels = system.labels
+    index = basis_index(system.g)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", *map(str, system.labels), "rhs"])
+    writer.writerow(["source", *map(str, labels), "rhs"])
     for rel in system.rows:
-        writer.writerow(
-            [
-                rel.source,
-                *[str(rel.coefficients.get(lab, 0)) for lab in system.labels],
-                _rhs_text(rel, k),
-            ]
-        )
+        cells = ["0"] * len(labels)
+        for lab, v in rel.coefficients.items():
+            cells[index[lab]] = str(v)
+        writer.writerow([rel.source, *cells, _rhs_text(rel, k)])
     return buf.getvalue()
 
 

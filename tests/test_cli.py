@@ -216,8 +216,9 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "bn2 solve: internal error: the solution at k=3 has a nonzero residual\n"
 
 
-# stdout digests recorded before RationalMatrix became sparse (the first five)
-# and before the solve went through the triangular Q_g*T_g (the last three)
+# stdout digests recorded before RationalMatrix became sparse (the first five),
+# before the solve went through the triangular Q_g*T_g (the next three) and
+# before the counting layer became integer-only (the last one)
 PINNED_STDOUT_SHA256 = {
     "tmatrix --g 8 --format csv": "a78f2a2385b96726cd600e772260702cf58b1ff1f64181c36b3ffc8b2846e431",
     "tmatrix --g 8 --format json": "a62e01eff6be1ed2a3cb7c56d0cdd3fe6490bdc85edebb578bbfda9ba39bf5c0",
@@ -227,6 +228,7 @@ PINNED_STDOUT_SHA256 = {
     "solve --k 3": "8690cd9b13ee80cd06a46fb9107fe7d36469adb46e6a3112c7d69ca39a436cc1",
     "solve --k 14": "187e0a54e34bfa4ac8fb468106ce30bf227610b40e336d40a97b46cb0e6e282a",
     "verify nonsingular": "db177875ecb5596708fd6d8638974bb2c6cb393b881cdb7eacc1d44995ae113a",
+    "matrix --g 60 --k 30 --format json": "b2b9c20fecf66ed2f0632e45d8663c3c300a9eef6c4bc0d17e4f419964ce5fcb",
 }
 
 

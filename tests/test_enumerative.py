@@ -1,14 +1,18 @@
+import hashlib
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bn2.enumerative import (
+    _RHO_MISMATCH,
     InvalidIndexError,
     RegimeError,
     RhoMismatchError,
     SchubertIndex,
+    _pencil_count,
     castelnuovo_N,
     castelnuovo_general,
     count_ell,
@@ -297,3 +301,169 @@ def test_coefficient_anchor_ties_sum_T_to_known_class():
     lhs = 2 * Fraction(41, 144) - Fraction(329, 144) - Fraction(-1975, 144)
     assert lhs == 12
     assert Fraction(sum_T(2, 6, 3), (2 * 2 - 2) * (2 * 4 - 2)) == 12
+
+
+# ---------------------------------------------------------------------------
+# the integer counting route against the raw reciprocal-factorial determinant
+# (castelnuovo_general) for N; the counts n come from count_n behind
+# try/except, which test_regime_predicate_matches_count_n_exceptions holds
+# against the regime conditions read off rho
+
+
+def _N_raw(g, d, alpha, beta=(0, 0)):
+    return castelnuovo_general(g, 1, d, alpha, beta)
+
+
+def _comp(k, a0, a1):
+    return (k - 1 - a1, k - 1 - a0)
+
+
+def raw_sum_D(i, j, g, k):
+    total = Fraction(0)
+    for a0 in range(k):
+        for a1 in range(a0, k):
+            if a0 + a1 != 2 * k - i - 1:
+                continue
+            for b0 in range(k):
+                for b1 in range(b0, k):
+                    if b0 + b1 != 2 * k - j - 1:
+                        continue
+                    total += (
+                        _n_quiet(i, k, (a0, a1))
+                        * _n_quiet(j, k, (b0, b1))
+                        * _N_raw(g - i - j, k, _comp(k, a0, a1), _comp(k, b0, b1))
+                    )
+    return total
+
+
+def raw_sum_S16(i, g, k):
+    total = Fraction(0)
+    for a0 in range(k):
+        for a1 in range(a0, k):
+            if a0 + a1 == g - i - 1:
+                total += (
+                    _n_quiet(i, k, (a0, a1)) * (3 * i - 1) * _N_raw(g - i - 1, k, _comp(k, a0, a1))
+                )
+    return total
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_sum_D_matches_raw_determinant(k):
+    g = 2 * k
+    for i in range(2, g - 2):
+        for j in range(i, g - 2):
+            if i + j <= g - 1:
+                assert sum_D(i, j, g, k) == raw_sum_D(i, j, g, k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_sum_S16_matches_raw_determinant(k):
+    g = 2 * k
+    for i in range(g // 2, g - 2):
+        assert sum_S16(i, g, k) == raw_sum_S16(i, g, k)
+
+
+def _index_for(d):
+    return st.integers(0, d - 1).flatmap(lambda a0: st.tuples(st.just(a0), st.integers(a0, d - 1)))
+
+
+_castelnuovo_args = st.integers(1, 16).flatmap(
+    lambda d: st.tuples(st.integers(0, 30), st.just(d), _index_for(d), _index_for(d))
+)
+
+
+@given(_castelnuovo_args)
+@settings(max_examples=300, deadline=None)
+@example((1, 1, (0, 0), (0, 0)))  # 1/2, off the counting regime
+@example((3, 2, (0, 1), (0, 0)))  # 1/4, off the counting regime
+def test_castelnuovo_N_equals_raw_determinant(args):
+    g, d, alpha, beta = args
+    assert castelnuovo_N(g, d, alpha, beta) == _N_raw(g, d, alpha, beta)
+
+
+def _n_from_rho(g, d, a0, a1):
+    """n_{g,d,alpha} straight from the definitions: adjusted rho = -1 and
+    rho(g,1,d') >= 0 after removing the a0-fold base point, else 0."""
+    dp = d - a0
+    if rho(g, 1, d, [(a0, a1)]) != -1 or rho(g, 1, dp) < 0:
+        return 0
+    lead = 2 * dp - g - 1
+    return lead * (lead + 1) * (lead + 2) * comb(g, dp)
+
+
+def test_regime_predicate_matches_count_n_exceptions():
+    for g in range(0, 21):
+        for d in range(1, 13):
+            for a0 in range(d):
+                for a1 in range(a0, d):
+                    value = _pencil_count(g, d, a0, a1)
+                    quiet = _n_quiet(g, d, (a0, a1))
+                    assert max(value, 0) == quiet == _n_from_rho(g, d, a0, a1)
+                    assert (value > 0) == (quiet != 0)
+                    if value <= 0:
+                        kind = RhoMismatchError if value == _RHO_MISMATCH else RegimeError
+                        with pytest.raises(kind):
+                            count_n(g, d, (a0, a1))
+
+
+def _outcome(f, *args):
+    try:
+        return str(f(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}:{exc}"
+
+
+def test_count_n_and_count_m_outcomes_are_pinned():
+    # every value, error type and message of count_n and count_m on
+    # g <= 20, d <= 12 and all alpha, hashed before the memoized regime
+    # predicate replaced the exception-driven one
+    h = hashlib.sha256()
+    for g in range(0, 21):
+        for d in range(1, 13):
+            for a0 in range(d):
+                for a1 in range(a0, d):
+                    n = _outcome(count_n, g, d, (a0, a1))
+                    m = _outcome(count_m, g, d, (a0, a1))
+                    h.update(f"{g},{d},{a0},{a1}:{n};{m}\n".encode())
+    assert h.hexdigest() == "84c62b7f45befbcd1cba5f288b9033d7c6df79fe95c2e58e6dac64355b8fb3c9"
+
+
+def test_count_error_messages():
+    with pytest.raises(
+        RhoMismatchError, match=r"^count_n needs adjusted rho = -1, got rho\(4,1,3,\(0, 0\)\) = 0$"
+    ):
+        count_n(4, 3, (0, 0))
+    with pytest.raises(RegimeError, match=r"^rho\(3,1,2\) < 0 after base-locus reduction$"):
+        count_n(3, 2, (0, 0))
+    with pytest.raises(
+        RhoMismatchError,
+        match=r"^count_m needs adjusted rho = -2, got rho\(4,1,3,\(0, 0\),\(0,1\)\) = -1$",
+    ):
+        count_m(4, 3, (0, 0))
+    with pytest.raises(RegimeError, match=r"^rho\(3,1,2\) < 0 after base-locus reduction$"):
+        count_m(3, 2, (0, 0))
+    with pytest.raises(InvalidIndexError, match=r"^sequence \(0, 1\) invalid for type r=1, d=1$"):
+        count_m(1, 1, (0, 0))
+    with pytest.raises(ValueError, match=r"^need g >= 0 and d >= 1, got g=-1, d=3$"):
+        count_n(-1, 3, (0, 1))
+
+
+def test_sums_match_raw_determinant_off_regime():
+    # with g != 2k the common denominator s! is not (g-i-j)!: sum_D is the raw
+    # value when integral and otherwise names it in the error
+    for k in (2, 3, 4):
+        for g in range(5, 11):
+            if g == 2 * k:
+                continue
+            for i in range(2, g - 2):
+                for j in range(i, g - 2):
+                    if i + j > g - 1:
+                        continue
+                    raw = raw_sum_D(i, j, g, k)
+                    if raw.denominator == 1:
+                        assert sum_D(i, j, g, k) == raw
+                    else:
+                        with pytest.raises(ArithmeticError, match=f"\\({raw}\\)"):
+                            sum_D(i, j, g, k)
+            for i in range(g // 2, g - 2):
+                assert sum_S16(i, g, k) == raw_sum_S16(i, g, k)

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from bn2.relations import (
     t_matrix_to_csv,
     triangularity_report,
 )
+from bn2.enumerative import castelnuovo_general
 from bn2.solver import RationalMatrix, solve_exact
 
 F = Fraction
@@ -251,3 +255,31 @@ def test_json_export_contents():
 def test_build_relations_rejects_small_genus():
     with pytest.raises(ValueError):
         build_relations(4)
+
+
+def test_rhs_vectors_are_pinned():
+    # b_k for k = 3..30, hashed before the counting layer became integer-only
+    h = hashlib.sha256()
+    for k in range(3, 31):
+        values = build_rhs_vector(build_relations(2 * k), k)
+        h.update((f"{k}:" + ",".join(map(str, values)) + "\n").encode())
+    assert h.hexdigest() == "8ee62ea83e80064ffb186845a966d4f530ddeed0dcef6bccfb7d922fe1eabfc9"
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_4N_rhs_matches_raw_determinant(k):
+    g = 2 * k
+    (rel,) = [rel for rel in build_relations(g).rows if rel.rhs.kind == "4N"]
+    assert evaluate_rhs(rel, k) == 4 * castelnuovo_general(g - 4, 1, k, (0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("g", [6, 7, 9, 12])
+def test_csv_cells_match_the_system_matrix(g):
+    system = build_relations(g)
+    q = system_matrix(system)
+    rows = list(csv.reader(io.StringIO(system_to_csv(system))))
+    assert rows[0] == ["source", *map(str, enumerate_basis(g)), "rhs"]
+    for r, (rel, cells) in enumerate(zip(system.rows, rows[1:], strict=True)):
+        assert cells[0] == rel.source
+        assert cells[1:-1] == [str(v) for v in q.row(r)]
+        assert cells[-1] == describe_rhs(rel)
