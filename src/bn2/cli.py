@@ -2,9 +2,11 @@
 solve, and the verification suite.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or
-domain error, 3 internal error (a broken invariant of the program, reported
-as ``bn2 <command>: internal error: ...``).  Results go to stdout,
-diagnostics to stderr.  Identical invocations produce byte-identical output.
+domain error or an ``--out`` path that cannot be written (reported as
+``bn2 <command>: cannot write PATH: reason``), 3 internal error (a broken
+invariant of the program, reported as ``bn2 <command>: internal error:
+...``).  Results go to stdout, diagnostics to stderr.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -48,12 +50,19 @@ def _require(args, parser: argparse.ArgumentParser, *names: str) -> None:
             parser.error(f"--{name} is required for this subcommand")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None, prefix: str) -> int:
+    """Write text to the file out, or to stdout; the exit code: 0, or 2 with
+    a message on stderr when out cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"{prefix}: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_counts(args, parser) -> int:
@@ -86,8 +95,7 @@ def _cmd_counts(args, parser) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"bn2 counts {which}: {exc}", file=sys.stderr)
         return 2
-    _emit(f"{value}\n", args.out)
-    return 0
+    return _emit(f"{value}\n", args.out, f"bn2 counts {which}")
 
 
 def _cmd_basis(args, parser) -> int:
@@ -96,8 +104,7 @@ def _cmd_basis(args, parser) -> int:
     except ValueError as exc:
         print(f"bn2 basis: {exc}", file=sys.stderr)
         return 2
-    _emit("".join(f"{lab}\n" for lab in labels), args.out)
-    return 0
+    return _emit("".join(f"{lab}\n" for lab in labels), args.out, "bn2 basis")
 
 
 def _cmd_matrix(args, parser) -> int:
@@ -113,8 +120,7 @@ def _cmd_matrix(args, parser) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"bn2 matrix: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out, "bn2 matrix")
 
 
 def _cmd_tmatrix(args, parser) -> int:
@@ -123,8 +129,7 @@ def _cmd_tmatrix(args, parser) -> int:
     except ValueError as exc:
         print(f"bn2 tmatrix: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out, "bn2 tmatrix")
 
 
 def _cmd_solve(args, parser) -> int:
@@ -133,8 +138,8 @@ def _cmd_solve(args, parser) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"bn2 solve: {exc}", file=sys.stderr)
         return 2
-    _emit("".join(f"{lab} {value}\n" for lab, value in solved.coefficients.items()), args.out)
-    return 0
+    text = "".join(f"{lab} {value}\n" for lab, value in solved.coefficients.items())
+    return _emit(text, args.out, "bn2 solve")
 
 
 def _cmd_verify(args, parser) -> int:
@@ -165,7 +170,9 @@ def _cmd_verify(args, parser) -> int:
         print(f"bn2 verify {which}: {exc}", file=sys.stderr)
         return 2
     reports = sorted(reports, key=lambda rep: rep.check)
-    _emit(json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n", args.out)
+    text = json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n"
+    if _emit(text, args.out, f"bn2 verify {which}"):
+        return 2
     failures = [rep for rep in reports if rep.failed]
     for rep in failures:
         print(f"FAIL {rep.check}", file=sys.stderr)

@@ -649,7 +649,7 @@ class TriangularityReport:
     order: int
     lower_triangular: bool
     diagonal_nonzero: bool
-    violations: list[tuple[int, int, Fraction]]
+    violations: list[tuple[int, int, int | Fraction]]
     zero_diagonal: list[int]
 
     @property

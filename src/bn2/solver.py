@@ -1,6 +1,12 @@
 """Exact linear algebra over the rationals on sparse matrices.
 
-A matrix stores each row as a mapping from column to its nonzero Fraction.
+A matrix stores each row as a mapping from column to its nonzero entry.  An
+integral entry is stored as an ``int`` and any other as a ``Fraction``, so a
+product of integer matrices such as ``Q_g * T_g`` runs in integer arithmetic
+and a matrix-vector product clears the vector's denominators once.  Dense
+copies (``row``, ``rows``) and every computed vector hand out Fractions.
+No float enters any computation.
+
 ``solve_lower_triangular`` is the production solve: forward substitution
 over the sparse rows of a lower-triangular matrix, which rejects any other
 structure.  Two independent dense elimination strategies serve as oracles:
@@ -32,6 +38,14 @@ __all__ = [
 ZERO = Fraction(0)
 
 
+def _exact(x) -> int | Fraction:
+    """x as an int when it is integral, as a Fraction otherwise."""
+    if type(x) is int:
+        return x
+    value = Fraction(x)
+    return value.numerator if value.denominator == 1 else value
+
+
 class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
 
@@ -45,8 +59,10 @@ class SingularMatrixError(ValueError):
 
 
 class RationalMatrix:
-    """Sparse matrix of Fractions, one {column: nonzero entry} dict per row,
-    immutable by convention."""
+    """Sparse rational matrix, one {column: nonzero entry} dict per row,
+    immutable by convention.  An entry is an int when it is integral and a
+    Fraction otherwise, whatever type it was given as; ``entry`` and
+    ``nonzeros`` hand out the stored value, ``row`` and ``rows`` Fractions."""
 
     __slots__ = ("_rows", "_ncols")
 
@@ -67,13 +83,13 @@ class RationalMatrix:
 
     def _fill(self, rows, ncols: int) -> None:
         self._ncols = ncols
-        self._rows: list[dict[int, Fraction]] = []
+        self._rows: list[dict[int, int | Fraction]] = []
         for row in rows:
             entries = {}
             for j, x in row.items():
                 if not 0 <= j < ncols:
                     raise DimensionMismatchError(f"column {j} outside a matrix of {ncols} columns")
-                value = Fraction(x)
+                value = _exact(x)
                 if value:
                     entries[j] = value
             self._rows.append(entries)
@@ -94,12 +110,12 @@ class RationalMatrix:
     def ncols(self) -> int:
         return self._ncols
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int | Fraction:
         return self._rows[i].get(j, ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         row = self._rows[i]
-        return tuple(row.get(j, ZERO) for j in range(self._ncols))
+        return tuple(Fraction(row[j]) if j in row else ZERO for j in range(self._ncols))
 
     def rows(self) -> list[list[Fraction]]:
         """A mutable dense copy of the entries."""
@@ -115,10 +131,15 @@ class RationalMatrix:
         return self.nrows == self.ncols
 
     def matvec(self, v) -> list[Fraction]:
+        """The exact product with v.  v is brought to integer numerators over
+        the lcm of its denominators, so each row costs integer products and
+        one Fraction."""
         if len(v) != self.ncols:
             raise DimensionMismatchError(f"matvec: {self.ncols} columns vs {len(v)} entries")
         vv = [Fraction(x) for x in v]
-        return [sum((a * vv[j] for j, a in row.items()), ZERO) for row in self._rows]
+        den = lcm(*(x.denominator for x in vv))
+        nums = [x.numerator * (den // x.denominator) for x in vv]
+        return [Fraction(sum(a * nums[j] for j, a in row.items()), den) for row in self._rows]
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -127,10 +148,10 @@ class RationalMatrix:
             )
         out = []
         for row in self._rows:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int | Fraction] = {}
             for t, a in row.items():
                 for j, b in other._rows[t].items():
-                    acc[j] = acc.get(j, ZERO) + a * b
+                    acc[j] = acc.get(j, 0) + a * b
             out.append(acc)
         return RationalMatrix.from_sparse(out, other.ncols)
 
@@ -143,7 +164,7 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
 
-def _scaled_int_rows(rows: list[dict[int, Fraction]], width: int):
+def _scaled_int_rows(rows: list[dict[int, int | Fraction]], width: int):
     """Clear denominators row by row from the nonzeros; returns dense integer
     rows of the given width and the row scales."""
     out, scales = [], []
@@ -300,7 +321,8 @@ def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
             if j > i:
                 raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
             if j < i:
-                acc -= a * y[j]
+                # Fraction on the left: Fraction * int is its fast path
+                acc -= y[j] * a
         if i not in row:
             raise ValueError(f"row {i} has a zero diagonal entry, in column {i}")
         y.append(acc / row[i])

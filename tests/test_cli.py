@@ -204,6 +204,20 @@ def test_solve_reports_degree_domain(capsys):
     assert "the class is solved for k >= 3 (Q_g is square for g = 2k >= 6), got k=2" in err
 
 
+def test_solve_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "solve", "--k", "3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"bn2 solve: cannot write {target}: No such file or directory\n"
+    assert not target.exists()
+
+
+def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "m4", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"bn2 verify m4: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     from bn2 import cli
 

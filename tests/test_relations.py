@@ -2,8 +2,11 @@ import csv
 import hashlib
 import io
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bn2.basis import D1SQ, K1SQ, K2, LD2, basis_dimension, dd, enumerate_basis, om
 from bn2.relations import (
@@ -24,7 +27,7 @@ from bn2.relations import (
     triangularity_report,
 )
 from bn2.enumerative import castelnuovo_general
-from bn2.solver import RationalMatrix, solve_exact
+from bn2.solver import RationalMatrix, solve_exact, solve_lower_triangular
 
 F = Fraction
 
@@ -164,6 +167,36 @@ def test_solve_class_checks_the_residual(monkeypatch):
     monkeypatch.setattr(bn2.relations, "solve_lower_triangular", lambda p, b: [F(0)] * len(b))
     with pytest.raises(RuntimeError, match="internal error: the solution at k=3 has a nonzero"):
         solve_class(3)
+
+
+def test_solve_class_residual_covers_every_row(monkeypatch):
+    import bn2.relations
+
+    # solving P y = b + e_r gives Q_g (T_g y) - b = e_r: a residual in row r alone
+    for r in range(25):
+
+        def off_in_row_r(p, b, r=r):
+            return solve_lower_triangular(p, [v + (i == r) for i, v in enumerate(b)])
+
+        monkeypatch.setattr(bn2.relations, "solve_lower_triangular", off_in_row_r)
+        with pytest.raises(RuntimeError, match="internal error: the solution at k=3 has a nonzero"):
+            solve_class(3)
+
+
+@cache
+def _q_t_p(g):
+    q, t = build_matrix(g), build_T(g)
+    return q, t, q.matmul(t)
+
+
+@given(st.integers(6, 16), st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_triangular_route_equals_bareiss_on_random_rhs(g, rng):
+    q, t, p = _q_t_p(g)
+    b = [F(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(q.nrows)]
+    x = t.matvec(solve_lower_triangular(p, b))
+    assert x == solve_exact(q, b)
+    assert q.matvec(x) == b
 
 
 def test_matrix_shapes():

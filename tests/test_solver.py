@@ -174,6 +174,86 @@ def test_sparse_storage_matches_dense_reference(nrows, inner, ncols, data):
     ) == m
 
 
+def _same_exact(x, y):
+    """x == y with the same type at every level, and only ints and Fractions
+    as numbers."""
+    if isinstance(x, (list, tuple)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_same_exact, x, y))
+    return type(x) is type(y) and type(x) in (int, Fraction) and x == y
+
+
+_SPARSE_INT = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
+_MIXED = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_int_and_fraction_entries_agree(nrows, ncols, data):
+    def draw_ints(r, c):
+        row = st.lists(_SPARSE_INT, min_size=c, max_size=c)
+        return data.draw(st.lists(row, min_size=r, max_size=r))
+
+    def both(rows, width):
+        """The matrix built from ints and from the equal Fractions."""
+        return (
+            RationalMatrix.from_sparse([dict(enumerate(r)) for r in rows], width),
+            RationalMatrix.from_sparse(
+                [{j: Fraction(x) for j, x in enumerate(r)} for r in rows], width
+            ),
+        )
+
+    a = draw_ints(nrows, ncols)
+    m_int, m_frac = both(a, ncols)
+    assert m_int == m_frac
+    if nrows:
+        assert RationalMatrix(a) == m_int
+    for i in range(nrows):
+        assert _same_exact(m_int.row(i), m_frac.row(i))
+        assert all(type(x) is Fraction for x in m_int.row(i))
+        for j in range(ncols):
+            assert _same_exact(m_int.entry(i, j), m_frac.entry(i, j))
+    assert _same_exact(m_int.rows(), m_frac.rows())
+    assert _same_exact(sorted(m_int.nonzeros()), sorted(m_frac.nonzeros()))
+
+    v = data.draw(st.lists(_MIXED, min_size=ncols, max_size=ncols))
+    reference = [
+        sum((Fraction(a[i][t]) * v[t] for t in range(ncols)), Fraction(0)) for i in range(nrows)
+    ]
+    assert _same_exact(m_int.matvec(v), reference)
+    assert _same_exact(m_frac.matvec(v), reference)
+
+    width = data.draw(st.integers(0, 4))
+    b = draw_ints(ncols, width)
+    b_int, b_frac = both(b, width)
+    product_int, product_frac = m_int.matmul(b_int), m_frac.matmul(b_frac)
+    assert product_int == product_frac
+    assert _same_exact(sorted(product_int.nonzeros()), sorted(product_frac.nonzeros()))
+    assert all(type(x) is int for _, _, x in product_int.nonzeros())
+
+    for method in ("bareiss", "gauss"):
+        assert _same_exact(rank(m_int, method=method), rank(m_frac, method=method))
+    assert _same_exact(nullspace(m_int), nullspace(m_frac))
+    if nrows != ncols:
+        return
+    n = nrows
+    assert _same_exact(det(m_int), det(m_frac))
+    rhs = data.draw(st.lists(_MIXED, min_size=n, max_size=n))
+    if det(m_int) != 0:
+        for method in ("bareiss", "gauss"):
+            x = solve_exact(m_int, rhs, method=method)
+            assert _same_exact(x, solve_exact(m_frac, rhs, method=method))
+    # the lower triangle of a, with a nonzero diagonal
+    lower = [[a[i][j] if j < i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        lower[i][i] = a[i][i] or 1
+    l_int, l_frac = both(lower, n)
+    y = solve_lower_triangular(l_int, rhs)
+    assert _same_exact(y, solve_lower_triangular(l_frac, rhs))
+    assert _same_exact(l_int.matvec(y), [Fraction(x) for x in rhs])
+
+
 def test_from_sparse_rejects_out_of_range_columns():
     with pytest.raises(DimensionMismatchError):
         RationalMatrix.from_sparse([{2: 1}], 2)

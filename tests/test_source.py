@@ -1,4 +1,6 @@
-"""Invariants in the package must raise: ``python -O`` strips ``assert``."""
+"""Source rules checked on the syntax tree of every package module:
+invariants must raise, because ``python -O`` strips ``assert``, and the
+arithmetic is exact, so no float appears."""
 
 import ast
 from pathlib import Path
@@ -14,5 +16,16 @@ def test_package_has_no_assert_statements():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES and found == []
+
+
+def test_package_has_no_floats():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
     ]
     assert SOURCES and found == []
