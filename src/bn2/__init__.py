@@ -12,7 +12,6 @@ from bn2.basis import (
 from bn2.enumerative import (
     SchubertIndex,
     castelnuovo_N,
-    castelnuovo_general,
     count_ell,
     count_m,
     count_n,
@@ -32,14 +31,7 @@ from bn2.relations import (
     system_matrix,
     triangularity_report,
 )
-from bn2.solver import (
-    RationalMatrix,
-    det,
-    det_is_nonzero,
-    nullspace,
-    rank,
-    solve_exact,
-)
+from bn2.solver import RationalMatrix, rank
 from bn2.verify import closed_form_class, pullback_image, pullback_matrix, known_trigonal_class
 
 __version__ = "0.1.0"

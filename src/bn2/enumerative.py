@@ -3,15 +3,16 @@ aggregate sums that give the nonzero intersection degrees of the test
 surfaces.
 
 The point counts (``count_n``, ``count_m``, ``count_ell``) are exact
-integers.  The reciprocal-factorial determinants (``castelnuovo_general``,
-``castelnuovo_N``) are exact rationals; they are integers precisely in the
-zero-dimensional counting regime where they count linear series.
+integers.  The reciprocal-factorial determinant ``castelnuovo_N`` is an exact
+rational; it is an integer precisely in the zero-dimensional counting regime
+where it counts linear series.
 
 The counting layer computes in integers: ``castelnuovo_N`` is
 g! * (C(s,x) - C(s,g-d')) / s!, every term of ``sum_D`` or ``sum_S16`` has
 the same s, so each sum divides once, and one memoized function decides when
-n_{g,d,alpha} is a count.  ``castelnuovo_general``, the raw determinant, is
-the oracle the tests hold this route against.
+n_{g,d,alpha} is a count.  The raw determinant of general rank r, the oracle
+the tests hold this route against, is ``castelnuovo_general`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from bn2.exactnum import factorial, inv_factorial_or_zero
+from bn2.exactnum import factorial
 
 __all__ = [
     "SchubertIndex",
@@ -31,7 +32,6 @@ __all__ = [
     "RegimeError",
     "rho",
     "reduce_base_locus",
-    "castelnuovo_general",
     "castelnuovo_N",
     "count_n",
     "count_m",
@@ -132,39 +132,6 @@ def reduce_base_locus(d: int, alpha, beta):
     return dp, SchubertIndex(0, a.a1 - a.a0), SchubertIndex(0, b.a1 - b.a0)
 
 
-def _det_small(m: list[list[Fraction]]) -> Fraction:
-    """Cofactor-expansion determinant; the matrices here are (r+1) x (r+1)."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_small(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-def castelnuovo_general(g: int, r: int, d: int, alpha, beta) -> Fraction:
-    """g! * det( 1/[alpha_i + i + beta_{r-j} + r - j + g - d]! ), 0 <= i,j <= r.
-
-    Reciprocal factorials of negative arguments are 0.  In the rho = 0 regime
-    this is the number of series of type (r, d) with ramification alpha, beta
-    at two general points; the value may vanish, and away from that regime it
-    is an exact rational that need not be integral.
-    """
-    a = _ram_sequence(alpha, r, d)
-    b = _ram_sequence(beta, r, d)
-    n = r + 1
-    mat = [
-        [inv_factorial_or_zero(a[i] + i + b[r - j] + r - j + g - d) for j in range(n)]
-        for i in range(n)
-    ]
-    return factorial(g) * _det_small(mat)
-
-
 def _binom(n: int, r: int) -> int:
     """C(n, r), and 0 outside 0 <= r <= n."""
     return comb(n, r) if 0 <= r <= n else 0
@@ -184,8 +151,9 @@ def castelnuovo_N(g: int, d: int, alpha, beta=SchubertIndex(0, 0)) -> Fraction:
 
     Subtracts the base locus a0*p + b0*q and evaluates the two-term
     reciprocal-factorial expansion over one denominator s!; a route
-    independent of the raw determinant in ``castelnuovo_general``, which it
-    must always equal.  With beta omitted this is the single-point count.
+    independent of the raw determinant (the test oracle
+    ``castelnuovo_general``), which it must always equal.  With beta
+    omitted this is the single-point count.
     """
     a = _index(alpha).check_degree(d)
     b = _index(beta).check_degree(d)

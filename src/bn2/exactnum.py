@@ -1,24 +1,21 @@
-"""Arbitrary-precision integer and rational helpers shared by all formulas.
+"""Arbitrary-precision integer helpers shared by all formulas: the factorial
+family.
 
-Rational values are plain ``fractions.Fraction``: normalized on construction,
-positive denominator, value equality.  They serialize as ``"p/q"`` (``"p"``
-when the denominator is 1), which is exactly ``str(Fraction)``.  Nothing in
-the computation path ever touches floating point.
+Rational values elsewhere are plain ``fractions.Fraction``: normalized on
+construction, positive denominator, value equality.  They serialize as
+``"p/q"`` (``"p"`` when the denominator is 1), which is exactly
+``str(Fraction)``.  Nothing in the computation path ever touches floating
+point.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "factorial",
-    "inv_factorial_or_zero",
     "double_factorial_odd",
 ]
-
-Rational = Fraction
 
 
 def factorial(n: int) -> int:
@@ -26,17 +23,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial is undefined for negative n: {n}")
     return math.factorial(n)
-
-
-def inv_factorial_or_zero(x: int) -> Fraction:
-    """1/x! for x >= 0, and exactly 0 for negative x.
-
-    The zero convention for negative arguments is what makes degenerate terms
-    of the reciprocal-factorial determinants drop out.
-    """
-    if x < 0:
-        return Fraction(0)
-    return Fraction(1, math.factorial(x))
 
 
 def double_factorial_odd(n: int) -> int:

@@ -615,7 +615,7 @@ def _t_columns(g: int):
 
 
 def t_column_tags(g: int) -> list[str]:
-    return [tag for tag, _ in _t_columns(g)]
+    return [tag for tag, _ in _checked_t_columns(g)]
 
 
 def _checked_t_columns(g: int) -> list[tuple[str, dict[ClassLabel, int]]]:

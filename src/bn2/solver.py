@@ -7,14 +7,12 @@ and a matrix-vector product clears the vector's denominators once.  Dense
 copies (``row``, ``rows``) and every computed vector hand out Fractions.
 No float enters any computation.
 
-``solve_lower_triangular`` is the production solve: forward substitution
-over the sparse rows of a lower-triangular matrix, which rejects any other
-structure.  Two independent dense elimination strategies serve as oracles:
-fraction-free (Bareiss) elimination on integer rows built straight from the
-nonzeros, and plain Gaussian elimination on Fraction entries.  The test
-suite uses them against each other and against the triangular solve;
-``solve_exact`` additionally verifies its answer by substitution into every
-equation before returning.
+``solve_lower_triangular`` is the one solve: forward substitution over the
+sparse rows of a lower-triangular matrix, which rejects any other structure.
+``rank`` is the one elimination: fraction-free (Bareiss) on integer rows
+built straight from the nonzeros.  The dense oracles the tests hold these
+against (Gauss, determinants, nullspaces, a general solve) live in the test
+suite, in ``tests/oracles.py``, and reuse this Bareiss kernel.
 """
 
 from __future__ import annotations
@@ -25,13 +23,8 @@ from math import lcm
 __all__ = [
     "RationalMatrix",
     "DimensionMismatchError",
-    "SingularMatrixError",
     "solve_lower_triangular",
-    "solve_exact",
     "rank",
-    "det",
-    "det_is_nonzero",
-    "nullspace",
 ]
 
 # every zero entry a matrix hands out is this one object
@@ -50,14 +43,6 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
 
 
-class SingularMatrixError(ValueError):
-    """The matrix is singular; ``rank`` carries the rank attained."""
-
-    def __init__(self, message: str, rank: int):
-        super().__init__(message)
-        self.rank = rank
-
-
 class RationalMatrix:
     """Sparse rational matrix, one {column: nonzero entry} dict per row,
     immutable by convention.  An entry is an int when it is integral and a
@@ -67,7 +52,9 @@ class RationalMatrix:
     __slots__ = ("_rows", "_ncols")
 
     def __init__(self, entries):
-        """Matrix from dense rows of rationals."""
+        """Matrix from dense rows of rationals.  Its width is that of the
+        rows, so a matrix with no rows has 0 columns; ``from_sparse([], n)``
+        builds an n-column matrix with no rows."""
         rows = [list(r) for r in entries]
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
@@ -178,19 +165,18 @@ def _scaled_int_rows(rows: list[dict[int, int | Fraction]], width: int):
     return out, scales
 
 
-def _bareiss_echelon(int_rows: list[list[int]], pivot_limit: int | None = None):
+def _bareiss_echelon(int_rows: list[list[int]]):
     """Fraction-free row echelon form.  Pivots are chosen inside each column
     by largest bit length.  Returns (rows, pivots, sign) where pivots is a
-    list of (row, col)."""
+    list of (row, col) and sign that of the row permutation."""
     m = [r[:] for r in int_rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    limit = nc if pivot_limit is None else pivot_limit
     pivots: list[tuple[int, int]] = []
     prev = 1
     pr = 0
     sign = 1
-    for c in range(limit):
+    for c in range(nc):
         best, best_bits = -1, -1
         for r in range(pr, nr):
             v = m[r][c]
@@ -219,85 +205,10 @@ def _bareiss_echelon(int_rows: list[list[int]], pivot_limit: int | None = None):
     return m, pivots, sign
 
 
-def _gauss_echelon(rows: list[list[Fraction]], pivot_limit: int | None = None):
-    """Rational row echelon form with the same pivot rule as Bareiss."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    limit = nc if pivot_limit is None else pivot_limit
-    pivots: list[tuple[int, int]] = []
-    pr = 0
-    for c in range(limit):
-        best, best_bits = -1, -1
-        for r in range(pr, nr):
-            if m[r][c] != 0:
-                bits = abs(m[r][c].numerator).bit_length()
-                if bits > best_bits:
-                    best, best_bits = r, bits
-        if best < 0:
-            continue
-        if best != pr:
-            m[pr], m[best] = m[best], m[pr]
-        p = m[pr][c]
-        prow = m[pr]
-        for r in range(pr + 1, nr):
-            f = m[r][c]
-            if f != 0:
-                ratio = f / p
-                row = m[r]
-                for cc in range(c, nc):
-                    row[cc] -= ratio * prow[cc]
-        pivots.append((pr, c))
-        pr += 1
-        if pr == nr:
-            break
-    return m, pivots
-
-
-def rank(matrix: RationalMatrix, method: str = "bareiss") -> int:
-    """Exact rank via the chosen elimination strategy."""
-    if method == "bareiss":
-        int_rows, _ = _scaled_int_rows(matrix._rows, matrix.ncols)
-        _, pivots, _ = _bareiss_echelon(int_rows)
-    elif method == "gauss":
-        _, pivots = _gauss_echelon(matrix.rows())
-    else:
-        raise ValueError(f"unknown elimination method {method!r}")
-    return len(pivots)
-
-
-def det(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
-    if not matrix.is_square():
-        raise DimensionMismatchError(f"det needs a square matrix, got {matrix!r}")
-    n = matrix.nrows
-    if n == 0:
-        return Fraction(1)
-    int_rows, scales = _scaled_int_rows(matrix._rows, n)
-    rows, pivots, sign = _bareiss_echelon(int_rows)
-    if len(pivots) < n:
-        return Fraction(0)
-    pr, pc = pivots[-1]
-    value = Fraction(sign * rows[pr][pc])
-    for s in scales:
-        value /= s
-    return value
-
-
-def det_is_nonzero(matrix: RationalMatrix) -> bool:
-    return det(matrix) != 0
-
-
-def _back_substitute(rows, pivots, ncols: int, rhs_col: int) -> list[Fraction]:
-    x: list[Fraction] = [Fraction(0)] * rhs_col
-    for pr, pc in reversed(pivots):
-        row = rows[pr]
-        acc = Fraction(row[rhs_col])
-        for c in range(pc + 1, rhs_col):
-            if row[c] != 0 and x[c] != 0:
-                acc -= Fraction(row[c]) * x[c]
-        x[pc] = acc / row[pc]
-    return x
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank by fraction-free elimination."""
+    int_rows, _ = _scaled_int_rows(matrix._rows, matrix.ncols)
+    return len(_bareiss_echelon(int_rows)[1])
 
 
 def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
@@ -327,66 +238,3 @@ def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
             raise ValueError(f"row {i} has a zero diagonal entry, in column {i}")
         y.append(acc / row[i])
     return y
-
-
-def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Fraction]:
-    """Unique exact solution of a square nonsingular system.
-
-    The result is substituted back into every original equation before being
-    returned.  Raises SingularMatrixError (with the rank attained) or
-    DimensionMismatchError.
-    """
-    if not matrix.is_square():
-        raise DimensionMismatchError(
-            f"solve_exact needs a square matrix, got {matrix.nrows}x{matrix.ncols}"
-        )
-    n = matrix.nrows
-    if len(b) != n:
-        raise DimensionMismatchError(f"rhs length {len(b)} vs order {n}")
-    rhs = [Fraction(v) for v in b]
-    if method == "bareiss":
-        aug = [{**row, n: v} for row, v in zip(matrix._rows, rhs)]
-        int_rows, _ = _scaled_int_rows(aug, n + 1)
-        rows, pivots, _ = _bareiss_echelon(int_rows, pivot_limit=n)
-    elif method == "gauss":
-        aug = [row + [v] for row, v in zip(matrix.rows(), rhs)]
-        rows, pivots = _gauss_echelon(aug, pivot_limit=n)
-    else:
-        raise ValueError(f"unknown elimination method {method!r}")
-    if len(pivots) < n:
-        raise SingularMatrixError(
-            f"matrix of order {n} is singular (rank {len(pivots)})", rank=len(pivots)
-        )
-    x = _back_substitute(rows, pivots, n, n)
-    if matrix.matvec(x) != rhs:
-        raise RuntimeError("internal error: solution has a nonzero residual")
-    return x
-
-
-def nullspace(matrix: RationalMatrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, each with its
-    first nonzero coordinate normalized to 1."""
-    rows, pivots = _gauss_echelon(matrix.rows())
-    nc = matrix.ncols
-    pivot_cols = {pc for _, pc in pivots}
-    basis: list[list[Fraction]] = []
-    for fc in range(nc):
-        if fc in pivot_cols:
-            continue
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for pr, pc in reversed(pivots):
-            if pc > fc:
-                continue
-            row = rows[pr]
-            acc = Fraction(0)
-            for c in range(pc + 1, nc):
-                if row[c] != 0 and v[c] != 0:
-                    acc -= row[c] * v[c]
-            v[pc] = acc / row[pc]
-        first = next((c for c in range(nc) if v[c] != 0), None)
-        if first is not None and v[first] != 1:
-            scale = v[first]
-            v = [x / scale for x in v]
-        basis.append(v)
-    return basis

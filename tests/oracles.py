@@ -1,0 +1,219 @@
+"""Independent exact routes that the tests hold ``bn2`` against.
+
+The module name does not match ``test_*.py``, so pytest does not collect
+it; test modules import it by name.  Nothing in ``bn2`` calls these routes.
+The runtime solves by forward substitution on ``Q_g * T_g`` and certifies
+``det Q_g != 0`` from that product's diagonal.  Here the same answers come
+from routes that share none of that code:
+
+- dense elimination: ``solve_exact``, ``det``, ``det_is_nonzero`` and
+  ``nullspace``.  Elimination is either fraction-free (Bareiss), on integer
+  rows built from the nonzeros with the one kernel of ``bn2.solver``, or
+  plain Gaussian elimination on Fraction entries (``gauss_rank``).  Both
+  choose pivots by the same rule.
+- the raw reciprocal-factorial determinant ``castelnuovo_general``.  The
+  runtime's ``castelnuovo_N`` is the reduced two-term formula for the same
+  number.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from bn2.enumerative import _ram_sequence
+from bn2.exactnum import factorial
+from bn2.solver import DimensionMismatchError, RationalMatrix, _bareiss_echelon, _scaled_int_rows
+
+
+class SingularMatrixError(ValueError):
+    """The matrix is singular; ``rank`` carries the rank attained."""
+
+    def __init__(self, message: str, rank: int):
+        super().__init__(message)
+        self.rank = rank
+
+
+def _gauss_echelon(rows: list[list[Fraction]]):
+    """Rational row echelon form with the same pivot rule as Bareiss.
+    Returns (rows, pivots) where pivots is a list of (row, col)."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots: list[tuple[int, int]] = []
+    pr = 0
+    for c in range(nc):
+        best, best_bits = -1, -1
+        for r in range(pr, nr):
+            if m[r][c] != 0:
+                bits = abs(m[r][c].numerator).bit_length()
+                if bits > best_bits:
+                    best, best_bits = r, bits
+        if best < 0:
+            continue
+        if best != pr:
+            m[pr], m[best] = m[best], m[pr]
+        p = m[pr][c]
+        prow = m[pr]
+        for r in range(pr + 1, nr):
+            f = m[r][c]
+            if f != 0:
+                ratio = f / p
+                row = m[r]
+                for cc in range(c, nc):
+                    row[cc] -= ratio * prow[cc]
+        pivots.append((pr, c))
+        pr += 1
+        if pr == nr:
+            break
+    return m, pivots
+
+
+def gauss_rank(matrix: RationalMatrix) -> int:
+    """Exact rank by Gaussian elimination on Fractions."""
+    return len(_gauss_echelon(matrix.rows())[1])
+
+
+def det(matrix: RationalMatrix) -> Fraction:
+    """Exact determinant via fraction-free elimination."""
+    if not matrix.is_square():
+        raise DimensionMismatchError(f"det needs a square matrix, got {matrix!r}")
+    n = matrix.nrows
+    if n == 0:
+        return Fraction(1)
+    int_rows, scales = _scaled_int_rows(matrix._rows, n)
+    rows, pivots, sign = _bareiss_echelon(int_rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    pr, pc = pivots[-1]
+    value = Fraction(sign * rows[pr][pc])
+    for s in scales:
+        value /= s
+    return value
+
+
+def det_is_nonzero(matrix: RationalMatrix) -> bool:
+    return det(matrix) != 0
+
+
+def _back_substitute(rows, pivots, n: int) -> list[Fraction]:
+    """x with rows[:n] x = rows[n] for an echelon form of [A | b] whose n
+    pivots all lie in the coefficient columns."""
+    x: list[Fraction] = [Fraction(0)] * n
+    for pr, pc in reversed(pivots):
+        row = rows[pr]
+        acc = Fraction(row[n])
+        for c in range(pc + 1, n):
+            if row[c] != 0 and x[c] != 0:
+                acc -= Fraction(row[c]) * x[c]
+        x[pc] = acc / row[pc]
+    return x
+
+
+def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Fraction]:
+    """Unique exact solution of a square nonsingular system by elimination on
+    the augmented matrix [A | b].
+
+    Only pivots in the coefficient columns count toward the rank; a pivot in
+    the right-hand-side column means A is singular.  The result is
+    substituted back into every original equation before being returned.
+    Raises SingularMatrixError (with the rank attained) or
+    DimensionMismatchError.
+    """
+    if not matrix.is_square():
+        raise DimensionMismatchError(
+            f"solve_exact needs a square matrix, got {matrix.nrows}x{matrix.ncols}"
+        )
+    n = matrix.nrows
+    if len(b) != n:
+        raise DimensionMismatchError(f"rhs length {len(b)} vs order {n}")
+    rhs = [Fraction(v) for v in b]
+    if method == "bareiss":
+        aug = [{**row, n: v} for row, v in zip(matrix._rows, rhs)]
+        rows, pivots, _ = _bareiss_echelon(_scaled_int_rows(aug, n + 1)[0])
+    elif method == "gauss":
+        rows, pivots = _gauss_echelon([row + [v] for row, v in zip(matrix.rows(), rhs)])
+    else:
+        raise ValueError(f"unknown elimination method {method!r}")
+    pivots = [(pr, pc) for pr, pc in pivots if pc < n]
+    if len(pivots) < n:
+        raise SingularMatrixError(
+            f"matrix of order {n} is singular (rank {len(pivots)})", rank=len(pivots)
+        )
+    x = _back_substitute(rows, pivots, n)
+    if matrix.matvec(x) != rhs:
+        raise RuntimeError("internal error: solution has a nonzero residual")
+    return x
+
+
+def nullspace(matrix: RationalMatrix) -> list[list[Fraction]]:
+    """Basis of the right kernel, one vector per free column, each with its
+    first nonzero coordinate normalized to 1."""
+    rows, pivots = _gauss_echelon(matrix.rows())
+    nc = matrix.ncols
+    pivot_cols = {pc for _, pc in pivots}
+    basis: list[list[Fraction]] = []
+    for fc in range(nc):
+        if fc in pivot_cols:
+            continue
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for pr, pc in reversed(pivots):
+            if pc > fc:
+                continue
+            row = rows[pr]
+            acc = Fraction(0)
+            for c in range(pc + 1, nc):
+                if row[c] != 0 and v[c] != 0:
+                    acc -= row[c] * v[c]
+            v[pc] = acc / row[pc]
+        first = next((c for c in range(nc) if v[c] != 0), None)
+        if first is not None and v[first] != 1:
+            scale = v[first]
+            v = [x / scale for x in v]
+        basis.append(v)
+    return basis
+
+
+def inv_factorial_or_zero(x: int) -> Fraction:
+    """1/x! for x >= 0, and exactly 0 for negative x.
+
+    The zero convention for negative arguments is what makes degenerate terms
+    of the reciprocal-factorial determinants drop out.
+    """
+    if x < 0:
+        return Fraction(0)
+    return Fraction(1, math.factorial(x))
+
+
+def _det_small(m: list[list[Fraction]]) -> Fraction:
+    """Cofactor-expansion determinant; the matrices here are (r+1) x (r+1)."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = Fraction(0)
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = m[0][j] * _det_small(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def castelnuovo_general(g: int, r: int, d: int, alpha, beta) -> Fraction:
+    """g! * det( 1/[alpha_i + i + beta_{r-j} + r - j + g - d]! ), 0 <= i,j <= r.
+
+    Reciprocal factorials of negative arguments are 0.  In the rho = 0 regime
+    this is the number of series of type (r, d) with ramification alpha, beta
+    at two general points; the value may vanish, and away from that regime it
+    is an exact rational that need not be integral.
+    """
+    a = _ram_sequence(alpha, r, d)
+    b = _ram_sequence(beta, r, d)
+    n = r + 1
+    mat = [
+        [inv_factorial_or_zero(a[i] + i + b[r - j] + r - j + g - d) for j in range(n)]
+        for i in range(n)
+    ]
+    return factorial(g) * _det_small(mat)

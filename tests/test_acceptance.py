@@ -15,7 +15,6 @@ from bn2.enumerative import (
     RegimeError,
     RhoMismatchError,
     castelnuovo_N,
-    castelnuovo_general,
     count_n,
     sum_D,
 )
@@ -27,7 +26,7 @@ from bn2.relations import (
     system_matrix,
     triangularity_report,
 )
-from bn2.solver import RationalMatrix, det_is_nonzero, nullspace, rank, solve_exact
+from bn2.solver import RationalMatrix, rank
 from bn2.verify import (
     M4_LABELS,
     closed_form_class,
@@ -37,6 +36,7 @@ from bn2.verify import (
     pullback_image,
     known_trigonal_class,
 )
+from oracles import castelnuovo_general, det_is_nonzero, gauss_rank, nullspace, solve_exact
 
 F = Fraction
 
@@ -158,7 +158,7 @@ def test_criterion_7_oracle_suite():
     elim_ok = True
     for g in range(5, 13):
         matrix = build_matrix(g)
-        if rank(matrix, method="bareiss") != rank(matrix, method="gauss"):
+        if rank(matrix) != gauss_rank(matrix):
             elim_ok = False
         if g >= 6 and g % 2 == 0:
             system = build_relations(g)
@@ -176,8 +176,8 @@ def test_criterion_7_oracle_suite():
                 for _ in range(10)
             ]
         )
-        r = rank(matrix, method="bareiss")
-        if r != rank(matrix, method="gauss"):
+        r = rank(matrix)
+        if r != gauss_rank(matrix):
             rand_ok = False
         if r == 10:
             b = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]

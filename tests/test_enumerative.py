@@ -14,7 +14,6 @@ from bn2.enumerative import (
     SchubertIndex,
     _pencil_count,
     castelnuovo_N,
-    castelnuovo_general,
     count_ell,
     count_m,
     count_n,
@@ -24,6 +23,7 @@ from bn2.enumerative import (
     sum_S16,
     sum_T,
 )
+from oracles import castelnuovo_general
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracles: loop over every raw (a0, a1) pair and skip

@@ -24,10 +24,11 @@ from bn2.relations import (
     system_to_json,
     t_column_tags,
     t_matrix_to_csv,
+    t_matrix_to_json,
     triangularity_report,
 )
-from bn2.enumerative import castelnuovo_general
-from bn2.solver import RationalMatrix, solve_exact, solve_lower_triangular
+from bn2.solver import RationalMatrix, solve_lower_triangular
+from oracles import castelnuovo_general, solve_exact
 
 F = Fraction
 
@@ -224,6 +225,15 @@ def test_build_T_columns():
 def test_build_T_rejects_g5():
     with pytest.raises(ValueError):
         build_T(5)
+
+
+@pytest.mark.parametrize("export", [t_column_tags, t_matrix_to_csv, t_matrix_to_json])
+def test_t_exports_reject_g5_like_build_T(export):
+    with pytest.raises(ValueError) as want:
+        build_T(5)
+    with pytest.raises(ValueError) as got:
+        export(5)
+    assert str(got.value) == str(want.value) == "T_g is defined for g >= 6, got g=5"
 
 
 def test_triangularity_identity_cases():

@@ -131,6 +131,37 @@ def test_m4_check_passes():
     assert rep.actual["nullspace_matches"] is True
 
 
+def test_m4_report_is_pinned():
+    assert check_m4().to_dict() == {
+        "check": "m4",
+        "status": "pass",
+        "expected": {
+            "relations": "all satisfied",
+            "rank": 13,
+            "nullspace": "span of the rank relation",
+        },
+        "actual": {"relations_violated": 0, "rank": 13, "nullspace_matches": True},
+        "diff": [],
+        "notes": [],
+    }
+
+
+def test_m4_kernel_proof_rejects_a_wrong_relation(monkeypatch):
+    import bn2.verify
+
+    true = m4_rank_relation()
+    perturbed = list(true)
+    perturbed[4] += 1
+    for wrong in (perturbed, [2 * v for v in true[:-1]] + [true[-1]], [F(0)] * 14):
+        monkeypatch.setattr(bn2.verify, "m4_rank_relation", lambda: wrong)
+        rep = check_m4()
+        assert rep.actual == {"relations_violated": 0, "rank": 13, "nullspace_matches": False}
+        assert rep.status == "fail"
+    # a nonzero multiple spans the same kernel
+    monkeypatch.setattr(bn2.verify, "m4_rank_relation", lambda: [-3 * v for v in true])
+    assert check_m4().status == "pass"
+
+
 def test_m4_rank_relation_is_in_kernel():
     _, matrix, _ = m4_relations()
     v = m4_rank_relation()
@@ -166,7 +197,7 @@ def test_check_nonsingular_g6():
 
 def test_nonsingular_certificate_agrees_with_determinant():
     from bn2.relations import build_matrix
-    from bn2.solver import det_is_nonzero
+    from oracles import det_is_nonzero
 
     for g in range(6, 17):
         assert check_nonsingular(g).status == "pass"
