@@ -9,7 +9,7 @@ Labels serialize as short strings: ``k1^2``, ``k2``, ``d0^2``, ``ld0``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,6 +50,18 @@ class ClassLabel:
     kind: str
     i: int | None = None
     j: int | None = None
+    # labels key every coefficient dict, so the hash is taken once, here
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.i, self.j)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: rebuild, never copy, _hash
+        return ClassLabel, (self.kind, self.i, self.j)
 
     def __str__(self) -> str:
         if self.kind == "d":
@@ -68,18 +80,26 @@ LD1 = ClassLabel("ld1")
 LD2 = ClassLabel("ld2")
 
 
+# The factories intern their labels, so a dict keyed by labels built here
+# finds its keys by identity and never calls __eq__.
+
+
+@lru_cache(maxsize=None)
 def om(i: int) -> ClassLabel:
     return ClassLabel("om", i)
 
 
+@lru_cache(maxsize=None)
 def la(i: int) -> ClassLabel:
     return ClassLabel("la", i)
 
 
+@lru_cache(maxsize=None)
 def dd(i: int, j: int) -> ClassLabel:
     return ClassLabel("d", i, j)
 
 
+@lru_cache(maxsize=None)
 def th(i: int) -> ClassLabel:
     return ClassLabel("th", i)
 

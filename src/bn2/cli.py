@@ -145,7 +145,10 @@ def _cmd_solve(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     which = args.which
     k_max = args.k_max if args.k_max is not None else 6
+    sweeps_k = which == "all" or (which in ("closed-form", "pullback") and args.k is None)
     try:
+        if sweeps_k and k_max < 3:
+            raise ValueError(f"closed formula holds for k >= 3, got --k-max {k_max}")
         if which == "all":
             reports = verify.run_all(k_max=k_max)
         elif which == "closed-form":

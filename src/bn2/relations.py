@@ -16,6 +16,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from bn2.basis import (
     D0SQ,
@@ -504,24 +505,23 @@ def solve_class(k: int) -> ClassExpression:
     P = Q_g T_g is lower-triangular with a nonzero diagonal, so forward
     substitution solves P y = b_k and x = T_g y.  The answer is substituted
     back into every equation of Q_g x = b_k before it is returned; a failure
-    of either the structure or the residual is an internal error.
+    of either the structure or the residual is an internal error.  The rows,
+    Q_g, T_g and P come from the one-genus memo shared with the checks.
     """
     if k < 3:
         raise ValueError(
             f"the class is solved for k >= 3 (Q_g is square for g = 2k >= 6), got k={k}"
         )
-    system = build_relations(2 * k)
-    q = system_matrix(system)
-    t = build_T(system.g)
-    b = build_rhs_vector(system, k)
+    genus = _genus(2 * k)
+    b = build_rhs_vector(genus.system, k)
     try:
-        y = solve_lower_triangular(q.matmul(t), b)
+        y = solve_lower_triangular(genus.p, b)
     except ValueError as exc:
-        raise RuntimeError(f"internal error: Q_g*T_g at g={system.g}: {exc}") from exc
-    x = t.matvec(y)
-    if q.matvec(x) != b:
+        raise RuntimeError(f"internal error: Q_g*T_g at g={2 * k}: {exc}") from exc
+    x = genus.t.matvec(y)
+    if genus.q.matvec(x) != b:
         raise RuntimeError(f"internal error: the solution at k={k} has a nonzero residual")
-    return ClassExpression.from_vector(system.g, x)
+    return ClassExpression.from_vector(2 * k, x)
 
 
 def _t_columns(g: int):
@@ -664,7 +664,10 @@ def triangularity_report(q: RationalMatrix, t: RationalMatrix) -> TriangularityR
         raise ValueError(
             f"need square matrices of equal order, got {q.nrows}x{q.ncols} and {t.nrows}x{t.ncols}"
         )
-    p = q.matmul(t)
+    return _product_report(q.matmul(t))
+
+
+def _product_report(p: RationalMatrix) -> TriangularityReport:
     n = p.nrows
     violations = sorted((r, c, v) for r, c, v in p.nonzeros() if c > r)
     zero_diag = [r for r in range(n) if p.entry(r, r) == 0]
@@ -675,6 +678,29 @@ def triangularity_report(q: RationalMatrix, t: RationalMatrix) -> TriangularityR
         violations=violations,
         zero_diagonal=zero_diag,
     )
+
+
+class _Genus:
+    """One genus's system, built once: the relation rows, Q_g, T_g and
+    P = Q_g * T_g, and P's triangularity report on first use.  Only this
+    module and ``bn2.verify`` read it, and neither changes it."""
+
+    def __init__(self, g: int):
+        self.system = build_relations(g)
+        self.q = system_matrix(self.system)
+        self.t = build_T(g)
+        self.p = self.q.matmul(self.t)
+
+    @cached_property
+    def report(self) -> TriangularityReport:
+        return _product_report(self.p)
+
+
+@lru_cache(maxsize=1)
+def _genus(g: int) -> _Genus:
+    """The system of genus g >= 6.  The memo holds one genus: ``verify.run_all``
+    runs its checks genus by genus, so each genus is built once per run."""
+    return _Genus(g)
 
 
 def _rhs_text(rel: Relation, k: int | None) -> str:

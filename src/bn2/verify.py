@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from bn2.basis import (
     D0SQ,
@@ -29,14 +30,7 @@ from bn2.basis import (
     th,
 )
 from bn2.exactnum import double_factorial_odd, factorial
-from bn2.relations import (
-    build_matrix,
-    build_relations,
-    build_T,
-    solve_class,
-    system_matrix,
-    triangularity_report,
-)
+from bn2.relations import _genus, build_relations, solve_class, system_matrix
 from bn2.solver import RationalMatrix, rank
 
 __all__ = [
@@ -184,6 +178,13 @@ def closed_form_class(k: int) -> ClassExpression:
     c = scale_factor(k)
     g = 2 * k
     return ClassExpression(g, {lab: c * _bracket_coefficient(lab, k) for lab in enumerate_basis(g)})
+
+
+@lru_cache(maxsize=1)
+def _closed_form(k: int) -> ClassExpression:
+    """closed_form_class(k), evaluated once for the checks of degree k, which
+    only read it."""
+    return closed_form_class(k)
 
 
 def known_trigonal_class() -> ClassExpression:
@@ -447,14 +448,14 @@ def check_closed_form(k: int) -> CheckReport:
     """Solve the genus-2k system at degree k and compare with the closed
     formula, label by label.  The closed formula's k >= 3 domain is checked
     first."""
-    expected = closed_form_class(k)
+    expected = _closed_form(k)
     return _compare_expressions(f"closed-form[k={k}]", expected, solve_class(k))
 
 
 def check_pullback(k: int) -> CheckReport:
     """The pull-back of the degree-k class must vanish on D00, (a), (b), (d);
     the (c) coordinate is reported."""
-    image = pullback_image(closed_form_class(k))
+    image = pullback_image(_closed_form(k))
     bad = [
         {"coordinate": PULLBACK_BASIS[t], "value": str(image[t])}
         for t in (0, 1, 2, 4)
@@ -502,7 +503,7 @@ def check_m4() -> CheckReport:
 def check_trigonal_interior() -> CheckReport:
     """The genus-6 closed formula against the known genus-6 table, whose rows
     include the interior coefficients k1^2 -> 41/144 and k2 -> -4."""
-    report = _compare_expressions("trigonal", known_trigonal_class(), closed_form_class(3))
+    report = _compare_expressions("trigonal", known_trigonal_class(), _closed_form(3))
     report.expected = "k1^2 -> 41/144, k2 -> -4, full table match"
     return report
 
@@ -545,7 +546,7 @@ def check_nonsingular(g: int) -> CheckReport:
     names the rows of P at fault."""
     if g < 6:
         raise ValueError(f"Q_g is square only for g >= 6, got g={g}")
-    report = triangularity_report(build_matrix(g), build_T(g))
+    report = _genus(g).report
     return CheckReport(
         check=f"nonsingular[g={g}]",
         status="pass" if report.ok else "fail",
@@ -561,7 +562,7 @@ def check_triangularity(g: int) -> CheckReport:
     and the nonsingularity certificate depend on this structure and fail on
     their own without it; this report lists the deviations and stays at
     "warn"."""
-    report = triangularity_report(build_matrix(g), build_T(g))
+    report = _genus(g).report
     return CheckReport(
         check=f"triangularity[g={g}]",
         status="pass" if report.ok else "warn",
@@ -577,14 +578,21 @@ def check_triangularity(g: int) -> CheckReport:
 
 
 def run_all(k_max: int = 6) -> list[CheckReport]:
-    """Every check, deterministically ordered by check name."""
-    reports = [check_trigonal_table(), check_trigonal_interior(), check_m4(), check_g5_rank()]
-    for k in range(3, k_max + 1):
-        reports.append(check_closed_form(k))
-        reports.append(check_pullback(k))
-    for g in range(6, 17):
-        reports.append(check_nonsingular(g))
-    for g in range(6, 11):
-        reports.append(check_triangularity(g))
+    """Every check, deterministically ordered by check name.
+
+    The checks run genus by genus, so each genus's system and each degree's
+    closed formula are built once, and their memos hold one at a time."""
+    if k_max < 3:
+        raise ValueError(f"closed formula holds for k >= 3, got k_max={k_max}")
+    reports = [check_m4(), check_g5_rank()]
+    for g in sorted(set(range(6, 17)) | set(range(6, 2 * k_max + 1, 2))):
+        if g == 6:
+            reports += [check_trigonal_table(), check_trigonal_interior()]
+        if g % 2 == 0 and g // 2 <= k_max:
+            reports += [check_closed_form(g // 2), check_pullback(g // 2)]
+        if g <= 16:
+            reports.append(check_nonsingular(g))
+        if g <= 10:
+            reports.append(check_triangularity(g))
     reports.sort(key=lambda rep: rep.check)
     return reports

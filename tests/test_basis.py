@@ -118,6 +118,35 @@ def test_label_string_forms():
     assert str(th(2)) == "th(2)"
 
 
+def test_label_is_a_frozen_value_with_a_stable_hash():
+    import copy
+    import dataclasses
+    import pickle
+
+    from bn2.basis import ClassLabel
+
+    for factory_made, constructed, text, shown in [
+        (dd(1, 2), ClassLabel("d", 1, 2), "d(1,2)", "ClassLabel(kind='d', i=1, j=2)"),
+        (om(3), ClassLabel("om", 3), "om(3)", "ClassLabel(kind='om', i=3, j=None)"),
+        (la(4), ClassLabel("la", 4), "la(4)", "ClassLabel(kind='la', i=4, j=None)"),
+        (th(1), ClassLabel("th", 1), "th(1)", "ClassLabel(kind='th', i=1, j=None)"),
+        (K1SQ, ClassLabel("k1^2"), "k1^2", "ClassLabel(kind='k1^2', i=None, j=None)"),
+    ]:
+        parsed = parse_label(text)
+        # str hashes differ between processes, so a pickle must not carry one
+        assert b"_hash" not in pickle.dumps(factory_made)
+        copies = [pickle.loads(pickle.dumps(factory_made)), copy.deepcopy(factory_made)]
+        for other in (constructed, parsed, *copies):
+            assert other == factory_made and hash(other) == hash(factory_made)
+            assert {factory_made: 1}[other] == 1
+        assert str(factory_made) == str(constructed) == text
+        assert repr(factory_made) == repr(parsed) == shown
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            factory_made.i = 7
+    assert dd(1, 2) != dd(2, 1) and om(3) != la(3) and om(3) != "om(3)"
+    assert dd(1, 2) is dd(1, 2)
+
+
 def test_class_expression_basics():
     expr = ClassExpression(6, {K1SQ: Fraction(41, 144), dd(0, 0): Fraction(1)})
     assert expr[K1SQ] == Fraction(41, 144)

@@ -192,6 +192,27 @@ def test_verify_closed_form_reports_formula_domain(capsys):
     assert "closed formula holds for k >= 3, got k=2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "closed-form", "--k-max", "2"),
+        ("verify", "pullback", "--k-max", "0"),
+        ("verify", "all", "--k-max", "1"),
+        ("verify", "all", "--k", "4", "--k-max", "2"),
+    ],
+)
+def test_verify_k_max_below_3_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"bn2 verify {argv[1]}: closed formula holds for k >= 3, got --k-max {argv[-1]}\n"
+
+
+def test_verify_k_overrides_k_max(capsys):
+    code, out, _ = run(capsys, "verify", "closed-form", "--k", "3", "--k-max", "2")
+    assert code == 0
+    assert [rep["check"] for rep in json.loads(out)] == ["closed-form[k=3]"]
+
+
 def test_verify_nonsingular_reports_square_domain(capsys):
     code, out, err = run(capsys, "verify", "nonsingular", "--g", "5")
     assert code == 2 and out == ""
@@ -231,8 +252,9 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
 
 # stdout digests recorded before RationalMatrix became sparse (the first five),
-# before the solve went through the triangular Q_g*T_g (the next three) and
-# before the counting layer became integer-only (the last one)
+# before the solve went through the triangular Q_g*T_g (the next three),
+# before the counting layer became integer-only (the next one) and before
+# verify built each genus once (the last two)
 PINNED_STDOUT_SHA256 = {
     "tmatrix --g 8 --format csv": "a78f2a2385b96726cd600e772260702cf58b1ff1f64181c36b3ffc8b2846e431",
     "tmatrix --g 8 --format json": "a62e01eff6be1ed2a3cb7c56d0cdd3fe6490bdc85edebb578bbfda9ba39bf5c0",
@@ -243,6 +265,8 @@ PINNED_STDOUT_SHA256 = {
     "solve --k 14": "187e0a54e34bfa4ac8fb468106ce30bf227610b40e336d40a97b46cb0e6e282a",
     "verify nonsingular": "db177875ecb5596708fd6d8638974bb2c6cb393b881cdb7eacc1d44995ae113a",
     "matrix --g 60 --k 30 --format json": "b2b9c20fecf66ed2f0632e45d8663c3c300a9eef6c4bc0d17e4f419964ce5fcb",
+    "verify all --k-max 10": "1b8af68aadaa2afe8232295e8876c185cd30943418f3a61189b0b1b1984362a2",
+    "verify all": "ab6aace9949c60ae9cbd1a8fb82ea57431f83817357886c906c99b5a2b21791a",
 }
 
 

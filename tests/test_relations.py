@@ -153,7 +153,7 @@ def test_solve_class_rejects_small_k():
         solve_class(2)
 
 
-def test_solve_class_without_triangular_structure_is_internal(monkeypatch):
+def test_solve_class_without_triangular_structure_is_internal(fresh_memos, monkeypatch):
     import bn2.relations
 
     # with T_g = I the product is Q_g itself, which has entries above the diagonal
@@ -182,6 +182,15 @@ def test_solve_class_residual_covers_every_row(monkeypatch):
         monkeypatch.setattr(bn2.relations, "solve_lower_triangular", off_in_row_r)
         with pytest.raises(RuntimeError, match="internal error: the solution at k=3 has a nonzero"):
             solve_class(3)
+
+
+def test_build_functions_return_fresh_objects():
+    solve_class(3)  # fills the genus memo
+    for build in (build_relations, build_matrix, build_T):
+        assert build(6) is not build(6)
+    assert solve_class(3) is not solve_class(3)
+    system = build_relations(6)
+    assert system.rows[0] is not build_relations(6).rows[0]
 
 
 @cache

@@ -204,12 +204,12 @@ def test_nonsingular_certificate_agrees_with_determinant():
         assert det_is_nonzero(build_matrix(g))
 
 
-def test_nonsingular_without_certificate_fails(monkeypatch):
-    import bn2.verify
+def test_nonsingular_without_certificate_fails(fresh_memos, monkeypatch):
+    import bn2.relations
     from bn2.solver import RationalMatrix
 
     # with T_g = I the product is Q_g itself, which is not lower-triangular
-    monkeypatch.setattr(bn2.verify, "build_T", lambda g: RationalMatrix.identity(25))
+    monkeypatch.setattr(bn2.relations, "build_T", lambda g: RationalMatrix.identity(25))
     rep = check_nonsingular(6)
     assert rep.status == "fail"
     assert rep.actual != "nonzero"
@@ -228,6 +228,61 @@ def test_run_all_is_sorted_and_passes():
     names = [rep.check for rep in reports]
     assert names == sorted(names)
     assert all(rep.status != "fail" for rep in reports)
+
+
+def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
+    import bn2.relations
+    import bn2.verify
+    from bn2.basis import basis_dimension
+    from bn2.solver import RationalMatrix
+
+    built = {"rows": [], "T": [], "P": []}
+
+    def counting(key, fn):
+        def wrapper(g):
+            built[key].append(g)
+            return fn(g)
+
+        return wrapper
+
+    rows = counting("rows", bn2.relations.build_relations)
+    for module in (bn2.relations, bn2.verify):
+        monkeypatch.setattr(module, "build_relations", rows)
+    monkeypatch.setattr(bn2.relations, "build_T", counting("T", bn2.relations.build_T))
+    matmul = RationalMatrix.matmul
+
+    def counting_matmul(self, other):
+        built["P"].append(self.nrows)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "matmul", counting_matmul)
+    assert all(rep.status != "fail" for rep in run_all(k_max=10))
+    genera = [*range(6, 17), 18, 20]
+    assert built["rows"] == [5, *genera]
+    assert built["T"] == genera
+    assert built["P"] == [basis_dimension(g) for g in genera]
+
+
+def test_memos_hold_one_genus(fresh_memos):
+    from bn2.relations import _genus
+    from bn2.verify import _closed_form
+
+    for k in range(3, 13):
+        assert check_closed_form(k).status == "pass"
+        assert check_pullback(k).status == "pass"
+        assert _genus.cache_info().currsize == 1
+        assert _closed_form.cache_info().currsize == 1
+        assert _genus(2 * k).system.g == 2 * k
+
+
+def test_closed_form_class_is_fresh():
+    check_pullback(3)  # fills the closed-formula memo
+    assert closed_form_class(3) is not closed_form_class(3)
+
+
+def test_run_all_rejects_k_max_below_3():
+    with pytest.raises(ValueError, match=r"k >= 3, got k_max=2"):
+        run_all(k_max=2)
 
 
 def test_pullback_basis_order():
