@@ -10,17 +10,18 @@ where it counts linear series.
 The counting layer computes in integers: ``castelnuovo_N`` is
 g! * (C(s,x) - C(s,g-d')) / s!, every term of ``sum_D`` or ``sum_S16`` has
 the same s, so each sum divides once, and one memoized function decides when
-n_{g,d,alpha} is a count.  The raw determinant of general rank r, the oracle
-the tests hold this route against, is ``castelnuovo_general`` in
-``tests/oracles.py``.
+n_{g,d,alpha} is a count.  ``sum_D`` adds its index pairs by Chu-Vandermonde.
+The oracles, the raw determinant ``castelnuovo_general`` and the pairwise
+``sum_D_pairs``, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from bn2.exactnum import factorial
@@ -76,14 +77,6 @@ class SchubertIndex:
                 f"index ({self.a0},{self.a1}) invalid for degree {d}: a1 > d-1"
             )
         return self
-
-    def weight(self) -> int:
-        return self.a0 + self.a1
-
-    def complement(self, k: int) -> "SchubertIndex":
-        """(k-1-a1, k-1-a0): the index forced at the opposite branch point of
-        a degree-k cover."""
-        return SchubertIndex(k - 1 - self.a1, k - 1 - self.a0)
 
 
 def _index(a) -> SchubertIndex:
@@ -232,22 +225,19 @@ def count_ell(g: int, k: int) -> int:
     return 2 * comb(2 * k - 3, k - 2)
 
 
-def _pairs_with_weight(k: int, w: int) -> list[tuple[int, int]]:
-    """All (a0, a1) with 0 <= a0 <= a1 <= k-1 and a0 + a1 = w."""
-    return [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
+def _counted(i: int, k: int, w: int) -> list[tuple[int, int, int]]:
+    """(a0, a1, n_{i,k,(a0,a1)}) for a0 <= a1 <= k-1 of weight w where n counts."""
+    pairs = [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
+    return [(a0, a1, n) for a0, a1 in pairs if (n := _pencil_count(i, k, a0, a1)) > 0]
 
 
-def _over_factorial(numerator: int, s: int) -> Fraction:
-    """numerator / s!; 0 when the numerator is (s < 0 leaves every term 0)."""
-    return Fraction(numerator, factorial(s)) if numerator else Fraction(0)
-
-
-def _as_count(total: Fraction, what: str) -> int:
-    if total.denominator != 1:
-        raise ArithmeticError(
-            f"{what} is not integral ({total}); it only counts points when g = 2k"
-        )
-    return total.numerator
+def _as_count(numerator: int, s: int, what: str) -> int:
+    """numerator / s!, which must be an integer."""
+    count, rest = divmod(numerator, factorial(s))
+    if rest:
+        q = Fraction(numerator, factorial(s))
+        raise ArithmeticError(f"{what} is not integral ({q}); it only counts points when g = 2k")
+    return count
 
 
 def sum_T(i: int, g: int, k: int) -> int:
@@ -259,41 +249,56 @@ def sum_T(i: int, g: int, k: int) -> int:
     if not 2 <= i <= g // 2:
         raise ValueError(f"sum_T needs 2 <= i <= g/2, got i={i}, g={g}")
     total = 0
-    for a0, a1 in _pairs_with_weight(k, 2 * k - i - 1):
-        na = _pencil_count(i, k, a0, a1)
-        if na > 0:
-            total += na * max(_pencil_count(g - i, k, k - 1 - a1, k - 1 - a0), 0)
+    for a0, a1, na in _counted(i, k, 2 * k - i - 1):
+        total += na * max(_pencil_count(g - i, k, k - 1 - a1, k - 1 - a0), 0)
     return total
+
+
+def _genus_vector(i: int, g: int, k: int, alpha: bool) -> list[int]:
+    """F_i if alpha, else G_i (see sum_D), at k-1 <= m < g, index m-k+1, with
+    C(s_i, X-m) = C(s_i, m-2k+1+a0) and the generalized C(q, r) for q < 0."""
+    q = g - k - i
+    row = [comb(q, r) if q >= 0 else (-1) ** r * comb(r - q - 1, r) for r in range(g - k + 1)]
+    vec = [0] * (g - k + 1)
+    for a0, a1, n in _counted(i, k, 2 * k - i - 1):
+        terms = ((n, 2 * k - 1 - a0), (-n, 2 * k - 2 - a1)) if alpha else ((n, i + a1),)
+        for weight, start in terms:  # start >= k-1
+            for m, c in zip(range(start - k + 1, g - k + 1), row):
+                vec[m] += weight * c
+    return vec
+
+
+def _sum_D_table(g: int, k: int):
+    """sum_D(i, j, g, k) for admissible (i, j), building each genus's vector
+    once: the D and D6 rows of one degree cost O(g^3) in all."""
+    vector = cache(lambda i, alpha: _genus_vector(i, g, k, alpha))
+
+    def value(i: int, j: int) -> int:
+        s = 2 * (g - k) - i - j
+        if s < 0:
+            return 0
+        total = sum(map(mul, vector(i, True), vector(j, False)))
+        return _as_count(factorial(g - i - j) * total, s, f"sum_D({i},{j},{g},{k})")
+
+    return value
 
 
 def sum_D(i: int, j: int, g: int, k: int) -> int:
     """Sum over rho = -1 indices alpha (genus i) and beta (genus j) of
     n_{i,k,alpha} * n_{j,k,beta} * N_{g-i-j,k,comp(alpha),comp(beta)}.
 
-    comp(a0, a1) = (k-1-a1, k-1-a0) has base k-1-a1 and reduced top a1-a0, so
-    the reduced N has g - d' = (g-i-j-1-a1) + (k-1-b1), and every N has
-    s = 2(g-k) - i - j because the weights of alpha and beta are fixed."""
+    comp(a0, a1) = (k-1-a1, k-1-a0) gives every N the same s = s_i + s_j,
+    s_i = g-k-i, s_j = g-k-j, and splits x and g - d' into X = g-i+k-1-a0 and
+    X' = X-1-a1+a0 plus Y = -j-b1.  By Chu-Vandermonde C(s, X+Y) = sum_m
+    C(s_i, X-m) C(s_j, Y+m), so the sum is (g-i-j)! <F_i, G_j> / s! with
+    F_i[m] = sum n_alpha (C(s_i, X-m) - C(s_i, X'-m)), G_j[m] = sum n_beta
+    C(s_j, Y+m).  That is the one route: s < 0 makes every binomial vanish,
+    and s >= 0 gives s_i >= 0 as i <= j, so the sum over m is finite."""
     if not (2 <= i <= j <= g - 3 and i + j <= g - 1):
         raise ValueError(
             f"sum_D needs 2 <= i <= j <= g-3 and i+j <= g-1, got i={i}, j={j}, g={g}"
         )
-    h = g - i - j
-    betas = []
-    for b0, b1 in _pairs_with_weight(k, 2 * k - j - 1):
-        nb = _pencil_count(j, k, b0, b1)
-        if nb > 0:
-            betas.append((nb, b1 - b0, k - 1 - b1))
-    total = 0
-    for a0, a1 in _pairs_with_weight(k, 2 * k - i - 1):
-        na = _pencil_count(i, k, a0, a1)
-        if na <= 0:
-            continue
-        gd_a = h - 1 - a1
-        for nb, b_top, b_base in betas:
-            total += na * nb * _castelnuovo_num(gd_a + b_base, a1 - a0, b_top)[0]
-    return _as_count(
-        _over_factorial(factorial(h) * total, 2 * (g - k) - i - j), f"sum_D({i},{j},{g},{k})"
-    )
+    return _sum_D_table(g, k)(i, j)
 
 
 def sum_S16(i: int, g: int, k: int) -> int:
@@ -306,11 +311,5 @@ def sum_S16(i: int, g: int, k: int) -> int:
     if not g // 2 <= i <= g - 3:
         raise ValueError(f"sum_S16 needs g/2 <= i <= g-3, got i={i}, g={g}")
     h = g - i - 1
-    total = 0
-    for a0, a1 in _pairs_with_weight(k, g - i - 1):
-        na = _pencil_count(i, k, a0, a1)
-        if na > 0:
-            total += na * _castelnuovo_num(h - 1 - a1, a1 - a0, 0)[0]
-    return _as_count(
-        _over_factorial(factorial(h) * (3 * i - 1) * total, h), f"sum_S16({i},{g},{k})"
-    )
+    total = sum(n * _castelnuovo_num(h - 1 - a1, a1 - a0, 0)[0] for a0, a1, n in _counted(i, k, h))
+    return _as_count(factorial(h) * (3 * i - 1) * total, h, f"sum_S16({i},{g},{k})")

@@ -39,11 +39,11 @@ from bn2.basis import (
 )
 from bn2.enumerative import (
     SchubertIndex,
+    _sum_D_table,
     castelnuovo_N,
     count_ell,
     count_m,
     count_n,
-    sum_D,
     sum_S16,
     sum_T,
 )
@@ -439,22 +439,26 @@ def build_relations(g: int) -> RelationSystem:
 
 _S01 = SchubertIndex(0, 1)
 
-# kind -> (g, i, j) -> (symbolic count, divisor, the count at degree k); the
-# right-hand side is the count over the divisor.
+# kind -> (g, i, j) -> (symbolic count, divisor, the count at degree k given
+# that degree's sum_D table); the right-hand side is the count over the divisor.
 _RHS_KINDS = {
-    "zero": lambda g, i, j: ("0", 1, lambda k: 0),
-    "T": lambda g, i, j: (f"T({i})", (2 * i - 2) * (2 * (g - i) - 2), lambda k: sum_T(i, g, k)),
-    "D": lambda g, i, j: (f"D({i},{j})", (2 * i - 2) * (2 * j - 2), lambda k: sum_D(i, j, g, k)),
-    "n_over": lambda g, i, j: (f"n({g - 2},(0,1))", g - 3, lambda k: count_n(g - 2, k, _S01)),
-    "D6": lambda g, i, j: (f"D(2,{i})", 6 * (i - 1), lambda k: sum_D(2, i, g, k)),
+    "zero": lambda g, i, j: ("0", 1, lambda k, d: 0),
+    "T": lambda g, i, j: (f"T({i})", (2 * i - 2) * (2 * (g - i) - 2), lambda k, d: sum_T(i, g, k)),
+    "D": lambda g, i, j: (f"D({i},{j})", (2 * i - 2) * (2 * j - 2), lambda k, d: d(i, j)),
+    "n_over": lambda g, i, j: (f"n({g - 2},(0,1))", g - 3, lambda k, d: count_n(g - 2, k, _S01)),
+    "D6": lambda g, i, j: (f"D(2,{i})", 6 * (i - 1), lambda k, d: d(2, i)),
     "4N": lambda g, i, j: (
         f"4*N({g - 4},(0,1),(0,1))",
         1,
-        lambda k: 4 * castelnuovo_N(g - 4, k, _S01, _S01),
+        lambda k, d: 4 * castelnuovo_N(g - 4, k, _S01, _S01),
     ),
-    "2ell": lambda g, i, j: (f"2*ell({g - 2})", 1, lambda k: 2 * count_ell(g - 2, k)),
-    "S16": lambda g, i, j: (f"S16({i})", 2 * i - 2, lambda k: sum_S16(i, g, k)),
-    "S16sp": lambda g, i, j: (f"m({g - 2},(0,1))", 2 * g - 6, lambda k: count_m(g - 2, k, _S01)),
+    "2ell": lambda g, i, j: (f"2*ell({g - 2})", 1, lambda k, d: 2 * count_ell(g - 2, k)),
+    "S16": lambda g, i, j: (f"S16({i})", 2 * i - 2, lambda k, d: sum_S16(i, g, k)),
+    "S16sp": lambda g, i, j: (
+        f"m({g - 2},(0,1))",
+        2 * g - 6,
+        lambda k, d: count_m(g - 2, k, _S01),
+    ),
 }
 
 
@@ -465,15 +469,19 @@ def _rhs_parts(rel: Relation):
     return _RHS_KINDS[r.kind](rel.g, r.i, r.j)
 
 
+def _evaluate(rel: Relation, k: int, d_sums) -> Fraction:
+    _, divisor, count = _rhs_parts(rel)
+    if rel.rhs.kind != "zero" and rel.g != 2 * k:
+        raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={rel.g}, k={k}")
+    return Fraction(count(k, d_sums), divisor)
+
+
 def evaluate_rhs(rel: Relation, k: int) -> Fraction:
     """Exact right-hand side of a relation for the degree-k problem.
 
     Zero descriptors evaluate for any genus; the nonzero ones require
     g = 2k."""
-    _, divisor, count = _rhs_parts(rel)
-    if rel.rhs.kind != "zero" and rel.g != 2 * k:
-        raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={rel.g}, k={k}")
-    return Fraction(count(k), divisor)
+    return _evaluate(rel, k, _sum_D_table(rel.g, k))
 
 
 def describe_rhs(rel: Relation) -> str:
@@ -496,7 +504,10 @@ def build_matrix(g: int) -> RationalMatrix:
 
 
 def build_rhs_vector(system: RelationSystem, k: int) -> list[Fraction]:
-    return [evaluate_rhs(rel, k) for rel in system.rows]
+    """b_k: every right-hand side at degree k.  The D and D6 rows share one
+    sum_D table, which builds each genus's vectors once."""
+    d_sums = _sum_D_table(system.g, k)
+    return [_evaluate(rel, k, d_sums) for rel in system.rows]
 
 
 def solve_class(k: int) -> ClassExpression:
@@ -703,8 +714,10 @@ def _genus(g: int) -> _Genus:
     return _Genus(g)
 
 
-def _rhs_text(rel: Relation, k: int | None) -> str:
-    return str(evaluate_rhs(rel, k)) if k is not None else describe_rhs(rel)
+def _rhs_texts(system: RelationSystem, k: int | None) -> list[str]:
+    if k is None:
+        return [describe_rhs(rel) for rel in system.rows]
+    return [str(v) for v in build_rhs_vector(system, k)]
 
 
 def _in_basis_order(coeffs: dict[ClassLabel, int], g: int) -> dict[str, str]:
@@ -719,11 +732,11 @@ def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source", *map(str, labels), "rhs"])
-    for rel in system.rows:
+    for rel, rhs in zip(system.rows, _rhs_texts(system, k)):
         cells = ["0"] * len(labels)
         for lab, v in rel.coefficients.items():
             cells[index[lab]] = str(v)
-        writer.writerow([rel.source, *cells, _rhs_text(rel, k)])
+        writer.writerow([rel.source, *cells, rhs])
     return buf.getvalue()
 
 
@@ -735,9 +748,9 @@ def system_to_json(system: RelationSystem, k: int | None = None) -> str:
             {
                 "source": rel.source,
                 "coeffs": _in_basis_order(rel.coefficients, system.g),
-                "rhs": _rhs_text(rel, k),
+                "rhs": rhs,
             }
-            for rel in system.rows
+            for rel, rhs in zip(system.rows, _rhs_texts(system, k))
         ],
     }
     return json.dumps(data, indent=2) + "\n"

@@ -187,6 +187,13 @@ def _closed_form(k: int) -> ClassExpression:
     return closed_form_class(k)
 
 
+@lru_cache(maxsize=1)
+def _solved(k: int) -> ClassExpression:
+    """solve_class(k), solved once for the checks of degree k, which only
+    read it."""
+    return solve_class(k)
+
+
 def known_trigonal_class() -> ClassExpression:
     """The 25 known coefficients of the trigonal-locus class at genus 6,
     hard-coded independently of closed_form_class as a mutual check."""
@@ -249,10 +256,9 @@ def pullback_matrix(g: int) -> dict[ClassLabel, tuple[Fraction, ...]]:
         dd(0, g - 2): (F(-1, 6), -1, 0, -2, 0),
         om(2): (F(-1, 120), F(-13, 120), F(1, 120), F(-1, 5), F(-7, 5)),
     }
+    images = {lab: tuple(map(F, row)) for lab, row in table.items()}
     zero = (F(0),) * 5
-    return {
-        lab: tuple(F(x) for x in table.get(lab, zero)) for lab in enumerate_basis(g)
-    }
+    return {lab: images.get(lab, zero) for lab in enumerate_basis(g)}
 
 
 def pullback_image(expr: ClassExpression) -> tuple[Fraction, ...]:
@@ -441,7 +447,7 @@ def _compare_expressions(name: str, expected: ClassExpression, actual: ClassExpr
 
 def check_trigonal_table() -> CheckReport:
     """Solve the genus-6 system at k = 3 and compare with the known table."""
-    return _compare_expressions("trigonal-table", known_trigonal_class(), solve_class(3))
+    return _compare_expressions("trigonal-table", known_trigonal_class(), _solved(3))
 
 
 def check_closed_form(k: int) -> CheckReport:
@@ -449,7 +455,7 @@ def check_closed_form(k: int) -> CheckReport:
     formula, label by label.  The closed formula's k >= 3 domain is checked
     first."""
     expected = _closed_form(k)
-    return _compare_expressions(f"closed-form[k={k}]", expected, solve_class(k))
+    return _compare_expressions(f"closed-form[k={k}]", expected, _solved(k))
 
 
 def check_pullback(k: int) -> CheckReport:
@@ -581,7 +587,8 @@ def run_all(k_max: int = 6) -> list[CheckReport]:
     """Every check, deterministically ordered by check name.
 
     The checks run genus by genus, so each genus's system and each degree's
-    closed formula are built once, and their memos hold one at a time."""
+    closed formula and solution are built once, and their memos hold one at
+    a time."""
     if k_max < 3:
         raise ValueError(f"closed formula holds for k >= 3, got k_max={k_max}")
     reports = [check_m4(), check_g5_rank()]

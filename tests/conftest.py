@@ -5,10 +5,12 @@ from bn2 import relations, verify
 
 @pytest.fixture
 def fresh_memos():
-    """Empty the one-genus system memo and the closed-formula memo before and
-    after the test, so a patched build function is called and its result not kept."""
-    relations._genus.cache_clear()
-    verify._closed_form.cache_clear()
+    """Empty the one-genus system memo and the closed-formula and solution
+    memos before and after the test, so a patched build function is called and
+    its result not kept."""
+    memos = (relations._genus, verify._closed_form, verify._solved)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    relations._genus.cache_clear()
-    verify._closed_form.cache_clear()
+    for memo in memos:
+        memo.cache_clear()

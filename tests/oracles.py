@@ -14,6 +14,9 @@ from routes that share none of that code:
 - the raw reciprocal-factorial determinant ``castelnuovo_general``.  The
   runtime's ``castelnuovo_N`` is the reduced two-term formula for the same
   number.
+- the pairwise ``sum_D_pairs``, one reduced two-term numerator per index
+  pair.  The runtime's ``sum_D`` adds the pairs by Chu-Vandermonde as one
+  dot product of a genus-i and a genus-j vector.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from bn2.enumerative import _ram_sequence
+from bn2.enumerative import _castelnuovo_num, _pencil_count, _ram_sequence
 from bn2.exactnum import factorial
 from bn2.solver import DimensionMismatchError, RationalMatrix, _bareiss_echelon, _scaled_int_rows
 
@@ -217,3 +220,39 @@ def castelnuovo_general(g: int, r: int, d: int, alpha, beta) -> Fraction:
         for i in range(n)
     ]
     return factorial(g) * _det_small(mat)
+
+
+def _weight_pairs(k: int, w: int) -> list[tuple[int, int]]:
+    """All (a0, a1) with 0 <= a0 <= a1 <= k-1 and a0 + a1 = w."""
+    return [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
+
+
+def sum_D_pairs(i: int, j: int, g: int, k: int) -> int:
+    """``sum_D`` by its definition: for every counted pair (alpha, beta) the
+    numerator of N_{g-i-j,k,comp(alpha),comp(beta)} over the common s!, with
+    the same value, range check and ArithmeticError message."""
+    if not (2 <= i <= j <= g - 3 and i + j <= g - 1):
+        raise ValueError(
+            f"sum_D needs 2 <= i <= j <= g-3 and i+j <= g-1, got i={i}, j={j}, g={g}"
+        )
+    h = g - i - j
+    betas = []
+    for b0, b1 in _weight_pairs(k, 2 * k - j - 1):
+        nb = _pencil_count(j, k, b0, b1)
+        if nb > 0:
+            betas.append((nb, b1 - b0, k - 1 - b1))
+    total = 0
+    for a0, a1 in _weight_pairs(k, 2 * k - i - 1):
+        na = _pencil_count(i, k, a0, a1)
+        if na <= 0:
+            continue
+        gd_a = h - 1 - a1
+        for nb, b_top, b_base in betas:
+            total += na * nb * _castelnuovo_num(gd_a + b_base, a1 - a0, b_top)[0]
+    s = 2 * (g - k) - i - j
+    value = Fraction(factorial(h) * total, factorial(s)) if total else Fraction(0)
+    if value.denominator != 1:
+        raise ArithmeticError(
+            f"sum_D({i},{j},{g},{k}) is not integral ({value}); it only counts points when g = 2k"
+        )
+    return value.numerator

@@ -23,7 +23,7 @@ from bn2.enumerative import (
     sum_S16,
     sum_T,
 )
-from oracles import castelnuovo_general
+from oracles import castelnuovo_general, sum_D_pairs
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracles: loop over every raw (a0, a1) pair and skip
@@ -246,6 +246,35 @@ def test_sum_D_matches_brute_force(k):
         for j in range(i, g - 2):
             if i + j <= g - 1:
                 assert sum_D(i, j, g, k) == brute_sum_D(i, j, g, k)
+
+
+def _admissible_D(g):
+    # 2 <= i <= j <= g-3 and i+j <= g-1
+    return st.integers(2, (g - 1) // 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i, min(g - 3, g - 1 - i)))
+    )
+
+
+_D_args = st.tuples(st.integers(6, 40), st.integers(2, 22)).flatmap(
+    lambda gk: st.tuples(_admissible_D(gk[0]), st.just(gk[0]), st.just(gk[1]))
+)
+
+
+@given(_D_args)
+@settings(max_examples=200, deadline=None)
+@example(((2, 2), 6, 5))  # s = 2(g-k)-i-j < 0: every binomial vanishes
+@example(((2, 5), 8, 4))  # s_j = g-k-j < 0 <= s: the generalized binomial
+@example(((2, 2), 8, 2))  # off regime and not integral
+def test_sum_D_equals_pairwise_sum(args):
+    (i, j), g, k = args
+
+    def value_or_message(f):
+        try:
+            return f(i, j, g, k)
+        except ArithmeticError as exc:
+            return str(exc)
+
+    assert value_or_message(sum_D) == value_or_message(sum_D_pairs)
 
 
 def test_sum_S16_values():

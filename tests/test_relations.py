@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import sys
 from fractions import Fraction
 from functools import cache
 
@@ -28,6 +29,7 @@ from bn2.relations import (
     triangularity_report,
 )
 from bn2.solver import RationalMatrix, solve_lower_triangular
+from bn2.verify import closed_form_class
 from oracles import castelnuovo_general, solve_exact
 
 F = Fraction
@@ -316,6 +318,57 @@ def test_rhs_vectors_are_pinned():
         values = build_rhs_vector(build_relations(2 * k), k)
         h.update((f"{k}:" + ",".join(map(str, values)) + "\n").encode())
     assert h.hexdigest() == "8ee62ea83e80064ffb186845a966d4f530ddeed0dcef6bccfb7d922fe1eabfc9"
+
+
+def test_rhs_vectors_are_pinned_to_k40():
+    # b_k for k = 3..40, hashed as above when the counting layer became integer-only
+    h = hashlib.sha256()
+    for k in range(3, 41):
+        values = build_rhs_vector(build_relations(2 * k), k)
+        h.update((f"{k}:" + ",".join(map(str, values)) + "\n").encode())
+    assert h.hexdigest() == "5c43b087fdc3caf913350077d45100760267448e8b2ba5f30fb81a7303bde933"
+
+
+@pytest.mark.parametrize("k", [40, 60])
+def test_rhs_vector_is_Q_times_closed_formula(k):
+    # a second route to b_k: the closed formula solves Q_g x = b_k
+    system = build_relations(2 * k)
+    expected = system_matrix(system).matvec(closed_form_class(k).vector())
+    assert build_rhs_vector(system, k) == expected
+
+
+def test_rhs_vector_builds_each_genus_vector_once(monkeypatch):
+    import bn2.enumerative
+
+    k, g = 28, 56
+    built = []
+
+    def counting(i, g, k, alpha):
+        built.append((i, alpha))
+        return genus_vector(i, g, k, alpha)
+
+    def no_pairwise_kernel(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension or generator
+            frame = frame.f_back
+        caller = frame.f_code.co_name
+        if caller not in ("castelnuovo_N", "sum_S16"):
+            raise AssertionError(f"per-pair kernel called from {caller}")
+        return castelnuovo_num(*args)
+
+    genus_vector, castelnuovo_num = bn2.enumerative._genus_vector, bn2.enumerative._castelnuovo_num
+    monkeypatch.setattr(bn2.enumerative, "_genus_vector", counting)
+    monkeypatch.setattr(bn2.enumerative, "_castelnuovo_num", no_pairwise_kernel)
+    system = build_relations(g)
+    b = build_rhs_vector(system, k)
+    # 754 D and D6 rows from one alpha vector per genus i <= (g-1)/2 and one
+    # beta vector per genus j <= g-3
+    assert sum(rel.rhs.kind in ("D", "D6") for rel in system.rows) == 754
+    assert sorted(built) == sorted(
+        [(i, True) for i in range(2, (g - 1) // 2 + 1)] + [(j, False) for j in range(2, g - 2)]
+    )
+    monkeypatch.undo()
+    assert b == build_rhs_vector(system, k)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])

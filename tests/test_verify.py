@@ -89,6 +89,7 @@ def test_pullback_matrix_rows():
     )
     assert images[th(2)] == (0, 0, 0, 0, 0)
     assert set(images) == set(enumerate_basis(6))
+    assert all(type(x) is F for image in images.values() for x in image)
 
 
 def test_pullback_vanishing_k3_k4():
@@ -236,7 +237,7 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     from bn2.basis import basis_dimension
     from bn2.solver import RationalMatrix
 
-    built = {"rows": [], "T": [], "P": []}
+    built = {"rows": [], "T": [], "P": [], "rhs": []}
 
     def counting(key, fn):
         def wrapper(g):
@@ -249,6 +250,13 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     for module in (bn2.relations, bn2.verify):
         monkeypatch.setattr(module, "build_relations", rows)
     monkeypatch.setattr(bn2.relations, "build_T", counting("T", bn2.relations.build_T))
+    build_rhs_vector = bn2.relations.build_rhs_vector
+
+    def counting_rhs(system, k):
+        built["rhs"].append(k)
+        return build_rhs_vector(system, k)
+
+    monkeypatch.setattr(bn2.relations, "build_rhs_vector", counting_rhs)
     matmul = RationalMatrix.matmul
 
     def counting_matmul(self, other):
@@ -261,17 +269,20 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     assert built["rows"] == [5, *genera]
     assert built["T"] == genera
     assert built["P"] == [basis_dimension(g) for g in genera]
+    # one solve per degree: the table check and closed-form[k=3] share k = 3
+    assert built["rhs"] == list(range(3, 11))
 
 
 def test_memos_hold_one_genus(fresh_memos):
     from bn2.relations import _genus
-    from bn2.verify import _closed_form
+    from bn2.verify import _closed_form, _solved
 
     for k in range(3, 13):
         assert check_closed_form(k).status == "pass"
         assert check_pullback(k).status == "pass"
         assert _genus.cache_info().currsize == 1
         assert _closed_form.cache_info().currsize == 1
+        assert _solved.cache_info().currsize == 1
         assert _genus(2 * k).system.g == 2 * k
 
 
