@@ -1,37 +1,65 @@
 """Exact-arithmetic computation of the codimension-two Brill-Noether class
 on the moduli space of stable curves: enumerative counts, test-surface
-linear system, exact rational solve, and cross-checks."""
+linear system, exact rational solve, and cross-checks.
 
-from bn2.basis import (
-    ClassExpression,
-    ClassLabel,
-    basis_dimension,
-    canonicalize,
-    enumerate_basis,
-)
-from bn2.enumerative import (
-    SchubertIndex,
-    castelnuovo_N,
-    count_ell,
-    count_m,
-    count_n,
-    rho,
-    sum_D,
-    sum_S16,
-    sum_T,
-)
-from bn2.relations import (
-    RelationSystem,
-    build_matrix,
-    build_relations,
-    build_rhs_vector,
-    build_T,
-    evaluate_rhs,
-    solve_class,
-    system_matrix,
-    triangularity_report,
-)
-from bn2.solver import RationalMatrix, rank
-from bn2.verify import closed_form_class, pullback_image, pullback_matrix, known_trigonal_class
+``import bn2`` loads no submodule.  Each exported name is looked up in its
+submodule on first access (PEP 562), so a command pays only for the modules
+it runs, and ``bn2.<name>`` is always the object ``bn2.<module>.<name>``."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("ClassExpression", "ClassLabel", "basis_dimension", "canonicalize", "enumerate_basis"),
+        "basis",
+    ),
+    **dict.fromkeys(
+        (
+            "SchubertIndex",
+            "castelnuovo_N",
+            "count_ell",
+            "count_m",
+            "count_n",
+            "rho",
+            "sum_D",
+            "sum_S16",
+            "sum_T",
+        ),
+        "enumerative",
+    ),
+    **dict.fromkeys(
+        (
+            "RelationSystem",
+            "build_matrix",
+            "build_relations",
+            "build_rhs_vector",
+            "build_T",
+            "evaluate_rhs",
+            "solve_class",
+            "system_matrix",
+            "triangularity_report",
+        ),
+        "relations",
+    ),
+    **dict.fromkeys(("RationalMatrix", "rank"), "solver"),
+    **dict.fromkeys(
+        ("closed_form_class", "pullback_image", "pullback_matrix", "known_trigonal_class"),
+        "verify",
+    ),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -12,9 +12,8 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from bn2 import enumerative
 from bn2.basis import enumerate_basis
@@ -27,7 +26,6 @@ from bn2.relations import (
     t_matrix_to_csv,
     t_matrix_to_json,
 )
-from bn2 import verify
 
 # the enumerative and solver errors subclass ValueError; a non-integral count
 # is an ArithmeticError.  Internal errors are RuntimeErrors, handled in main.
@@ -143,6 +141,11 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    # the checks and the JSON report load only for this command
+    import json
+
+    from bn2 import verify
+
     which = args.which
     k_max = args.k_max if args.k_max is not None else 6
     sweeps_k = which == "all" or (which in ("closed-form", "pullback") and args.k is None)

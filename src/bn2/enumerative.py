@@ -17,12 +17,12 @@ The oracles, the raw determinant ``castelnuovo_general`` and the pairwise
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
 from operator import mul
-from typing import Sequence
 
 from bn2.exactnum import factorial
 

@@ -11,9 +11,6 @@ collapses repeated terms at small g.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -639,16 +636,22 @@ def _checked_t_columns(g: int) -> list[tuple[str, dict[ClassLabel, int]]]:
     return cols
 
 
-def build_T(g: int) -> RationalMatrix:
-    """The triangularizing column matrix: rows indexed by the basis, one
-    column per group entry, built to pair with the rows of Q_g."""
-    cols = _checked_t_columns(g)
+def _t_rows(g: int, cols) -> list[dict[int, int]]:
+    """The rows of T_g, one {column: coefficient} dict per basis label, from
+    its columns."""
     index = basis_index(g)
     rows: list[dict[int, int]] = [{} for _ in index]
     for c, (_, coeffs) in enumerate(cols):
         for lab, v in coeffs.items():
             rows[index[lab]][c] = v
-    return RationalMatrix.from_sparse(rows, len(cols))
+    return rows
+
+
+def build_T(g: int) -> RationalMatrix:
+    """The triangularizing column matrix: rows indexed by the basis, one
+    column per group entry, built to pair with the rows of Q_g."""
+    cols = _checked_t_columns(g)
+    return RationalMatrix.from_sparse(_t_rows(g, cols), len(cols))
 
 
 @dataclass
@@ -726,21 +729,45 @@ def _in_basis_order(coeffs: dict[ClassLabel, int], g: int) -> dict[str, str]:
     return {str(lab): str(v) for lab, v in sorted(coeffs.items(), key=lambda kv: index[kv[0]])}
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field, quoted as ``csv.writer`` quotes it under
+    QUOTE_MINIMAL with the line terminator "\\n": only when it holds a comma,
+    a double quote or a newline, with each double quote doubled."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(head: list[str], nonzeros, width: int, tail: tuple[str, ...] = ()) -> str:
+    """One CSV line: the text fields head, then width numeric cells that are
+    0 except at the (column, value) pairs of nonzeros, sorted by column, then
+    the text fields tail.  The zero runs are written whole, so the cost is
+    that of the nonzeros, not of the width."""
+    parts = [",".join(map(_csv_field, head))]
+    last = -1
+    for column, value in nonzeros:
+        parts.append(",0" * (column - last - 1))
+        parts.append(f",{value}")
+        last = column
+    parts.append(",0" * (width - last - 1))
+    parts.extend("," + _csv_field(text) for text in tail)
+    parts.append("\n")
+    return "".join(parts)
+
+
 def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     labels = system.labels
     index = basis_index(system.g)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", *map(str, labels), "rhs"])
+    lines = [_csv_line(["source", *map(str, labels), "rhs"], (), 0)]
     for rel, rhs in zip(system.rows, _rhs_texts(system, k)):
-        cells = ["0"] * len(labels)
-        for lab, v in rel.coefficients.items():
-            cells[index[lab]] = str(v)
-        writer.writerow([rel.source, *cells, rhs])
-    return buf.getvalue()
+        nonzeros = sorted((index[lab], v) for lab, v in rel.coefficients.items())
+        lines.append(_csv_line([rel.source], nonzeros, len(labels), (rhs,)))
+    return "".join(lines)
 
 
 def system_to_json(system: RelationSystem, k: int | None = None) -> str:
+    import json
+
     data = {
         "g": system.g,
         "labels": [str(lab) for lab in system.labels],
@@ -757,16 +784,16 @@ def system_to_json(system: RelationSystem, k: int | None = None) -> str:
 
 
 def t_matrix_to_csv(g: int) -> str:
-    t = build_T(g)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", *t_column_tags(g)])
-    for r, lab in enumerate(enumerate_basis(g)):
-        writer.writerow([str(lab), *map(str, t.row(r))])
-    return buf.getvalue()
+    cols = _checked_t_columns(g)
+    lines = [_csv_line(["label", *(tag for tag, _ in cols)], (), 0)]
+    for lab, row in zip(enumerate_basis(g), _t_rows(g, cols)):
+        lines.append(_csv_line([str(lab)], sorted(row.items()), len(cols)))
+    return "".join(lines)
 
 
 def t_matrix_to_json(g: int) -> str:
+    import json
+
     data = {
         "g": g,
         "labels": [str(lab) for lab in enumerate_basis(g)],

@@ -4,7 +4,8 @@ A matrix stores each row as a mapping from column to its nonzero entry.  An
 integral entry is stored as an ``int`` and any other as a ``Fraction``, so a
 product of integer matrices such as ``Q_g * T_g`` runs in integer arithmetic
 and a matrix-vector product clears the vector's denominators once.  Dense
-copies (``row``, ``rows``) and every computed vector hand out Fractions.
+copies (``row``, ``rows``), which only the tests' dense oracles read, and
+every computed vector hand out Fractions.
 No float enters any computation.
 
 ``solve_lower_triangular`` is the one solve: forward substitution over the

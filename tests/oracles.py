@@ -17,15 +17,22 @@ from routes that share none of that code:
 - the pairwise ``sum_D_pairs``, one reduced two-term numerator per index
   pair.  The runtime's ``sum_D`` adds the pairs by Chu-Vandermonde as one
   dot product of a genus-i and a genus-j vector.
+- the dense CSV exports ``system_to_csv_dense`` and ``t_matrix_to_csv_dense``:
+  every cell of ``Q_g`` and ``T_g`` written by ``csv.writer``.  The runtime
+  writes each line from the row's nonzeros with its own field quoting.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from fractions import Fraction
 
+from bn2.basis import basis_index, enumerate_basis
 from bn2.enumerative import _castelnuovo_num, _pencil_count, _ram_sequence
 from bn2.exactnum import factorial
+from bn2.relations import build_rhs_vector, build_T, describe_rhs, t_column_tags
 from bn2.solver import DimensionMismatchError, RationalMatrix, _bareiss_echelon, _scaled_int_rows
 
 
@@ -256,3 +263,37 @@ def sum_D_pairs(i: int, j: int, g: int, k: int) -> int:
             f"sum_D({i},{j},{g},{k}) is not integral ({value}); it only counts points when g = 2k"
         )
     return value.numerator
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def system_to_csv_dense(system, k: int | None = None) -> str:
+    """``relations.system_to_csv`` as ``csv.writer`` writes it from dense rows:
+    a header, then per relation its source, every coefficient in basis order
+    (zeros included) and its right-hand side, symbolic or evaluated at k."""
+    labels = system.labels
+    index = basis_index(system.g)
+    if k is None:
+        rhs = [describe_rhs(rel) for rel in system.rows]
+    else:
+        rhs = [str(v) for v in build_rhs_vector(system, k)]
+    rows = [["source", *map(str, labels), "rhs"]]
+    for rel, text in zip(system.rows, rhs, strict=True):
+        cells = ["0"] * len(labels)
+        for lab, v in rel.coefficients.items():
+            cells[index[lab]] = str(v)
+        rows.append([rel.source, *cells, text])
+    return _csv_text(rows)
+
+
+def t_matrix_to_csv_dense(g: int) -> str:
+    """``relations.t_matrix_to_csv`` as ``csv.writer`` writes it from the
+    dense rows of ``build_T(g)``."""
+    t = build_T(g)
+    rows = [["label", *t_column_tags(g)]]
+    rows += [[str(lab), *map(str, t.row(r))] for r, lab in enumerate(enumerate_basis(g))]
+    return _csv_text(rows)

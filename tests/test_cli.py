@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bn2
 from bn2.cli import main
 
 
@@ -162,11 +167,11 @@ def test_verify_nonsingular_single_genus(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    from bn2 import cli
+    from bn2 import verify
     from bn2.verify import CheckReport
 
     monkeypatch.setattr(
-        cli.verify,
+        verify,
         "check_m4",
         lambda: CheckReport(check="m4", status="fail", expected="x", actual="y"),
     )
@@ -253,8 +258,9 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
 # stdout digests recorded before RationalMatrix became sparse (the first five),
 # before the solve went through the triangular Q_g*T_g (the next three),
-# before the counting layer became integer-only (the next one) and before
-# verify built each genus once (the last two)
+# before the counting layer became integer-only (the next one), before
+# verify built each genus once (the next two) and before the CSV exports were
+# written from the sparse rows (the last two)
 PINNED_STDOUT_SHA256 = {
     "tmatrix --g 8 --format csv": "a78f2a2385b96726cd600e772260702cf58b1ff1f64181c36b3ffc8b2846e431",
     "tmatrix --g 8 --format json": "a62e01eff6be1ed2a3cb7c56d0cdd3fe6490bdc85edebb578bbfda9ba39bf5c0",
@@ -267,6 +273,8 @@ PINNED_STDOUT_SHA256 = {
     "matrix --g 60 --k 30 --format json": "b2b9c20fecf66ed2f0632e45d8663c3c300a9eef6c4bc0d17e4f419964ce5fcb",
     "verify all --k-max 10": "1b8af68aadaa2afe8232295e8876c185cd30943418f3a61189b0b1b1984362a2",
     "verify all": "ab6aace9949c60ae9cbd1a8fb82ea57431f83817357886c906c99b5a2b21791a",
+    "matrix --g 56 --k 28 --format csv": "b9f8ccb1948293b6cd30bb73dbf232e67bf514585e3999d26170b5b799715365",
+    "tmatrix --g 20 --format csv": "6583a03b0723776f1dd367bb5d60774e4061e5fc0ff86f2ebd7696a00e12ef8f",
 }
 
 
@@ -275,3 +283,44 @@ def test_stdout_matches_pinned_digest(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+# run in a fresh interpreter: a command, then the names of the modules it
+# must not have loaded that are loaded
+_LOADED_PROBE = """
+import contextlib, io, sys
+from bn2.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+print(code, len(out.getvalue()), *(m for m in ("bn2.verify", "csv", "json") if m in sys.modules))
+"""
+
+
+def _loaded_after(*argv):
+    src = str(Path(bn2.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize(
+    "argv", [("solve", "--k", "3"), ("matrix", "--g", "6", "--format", "csv")]
+)
+def test_command_loads_no_checks_csv_or_json(argv):
+    code, size, *loaded = _loaded_after(*argv)
+    assert code == "0" and int(size) > 0
+    assert loaded == []
+
+
+def test_verify_loads_the_checks():
+    code, _, *loaded = _loaded_after("verify", "m4")
+    assert code == "0"
+    assert loaded == ["bn2.verify", "json"]

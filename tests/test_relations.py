@@ -6,12 +6,13 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bn2.basis import D1SQ, K1SQ, K2, LD2, basis_dimension, dd, enumerate_basis, om
 from bn2.relations import (
     Relation,
+    _csv_line,
     Rhs,
     build_matrix,
     build_relations,
@@ -30,7 +31,12 @@ from bn2.relations import (
 )
 from bn2.solver import RationalMatrix, solve_lower_triangular
 from bn2.verify import closed_form_class
-from oracles import castelnuovo_general, solve_exact
+from oracles import (
+    castelnuovo_general,
+    solve_exact,
+    system_to_csv_dense,
+    t_matrix_to_csv_dense,
+)
 
 F = Fraction
 
@@ -388,3 +394,42 @@ def test_csv_cells_match_the_system_matrix(g):
         assert cells[0] == rel.source
         assert cells[1:-1] == [str(v) for v in q.row(r)]
         assert cells[-1] == describe_rhs(rel)
+
+
+@pytest.mark.parametrize("g", range(5, 31))
+def test_system_csv_equals_the_csv_writer(g):
+    system = build_relations(g)
+    assert system_to_csv(system) == system_to_csv_dense(system)
+    if g >= 6 and g % 2 == 0:
+        assert system_to_csv(system, g // 2) == system_to_csv_dense(system, g // 2)
+
+
+@pytest.mark.parametrize("g", range(6, 21))
+def test_t_matrix_csv_equals_the_csv_writer(g):
+    assert t_matrix_to_csv(g) == t_matrix_to_csv_dense(g)
+
+
+_CSV_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "(", "/"]), max_size=6)
+
+
+@given(
+    st.lists(_CSV_TEXT, min_size=1, max_size=3),
+    st.integers(0, 8),
+    st.dictionaries(st.integers(0, 7), st.integers(-20, 20).filter(bool)),
+    st.lists(_CSV_TEXT, max_size=2),
+)
+@example(["d(0,5)", "a\rb", 'say "x"', " a ", "a\nb"], 3, {1: -1}, ["D(2,3)/6", ""])
+@settings(max_examples=300, deadline=None)
+def test_csv_line_quotes_as_the_csv_writer(head, width, row, tail):
+    """Every line the exports build equals csv.writer's for the dense row, text
+    fields holding commas, quotes, carriage returns, newlines and spaces
+    included.  (csv.writer quotes a line of one empty field; no export builds
+    a line of one field.)"""
+    assume(len(head) + width + len(tail) >= 2)
+    nonzeros = sorted((c, v) for c, v in row.items() if c < width)
+    cells = ["0"] * width
+    for c, v in nonzeros:
+        cells[c] = str(v)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([*head, *cells, *tail])
+    assert _csv_line(head, nonzeros, width, tuple(tail)) == buf.getvalue()

@@ -8,6 +8,8 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import bn2
 
 SOURCES = sorted(Path(bn2.__file__).parent.glob("*.py"))
@@ -49,7 +51,7 @@ def test_package_has_no_floats():
 
 
 def test_every_exported_name_resolves():
-    modules = [
+    modules = [bn2] + [
         importlib.import_module(f"bn2.{info.name}") for info in pkgutil.iter_modules(bn2.__path__)
     ]
     stale = [
@@ -58,7 +60,17 @@ def test_every_exported_name_resolves():
         for name in getattr(mod, "__all__", ())
         if not hasattr(mod, name)
     ]
-    assert sum(hasattr(mod, "__all__") for mod in modules) >= 6 and stale == []
+    assert sum(hasattr(mod, "__all__") for mod in modules) >= 7 and stale == []
+
+
+def test_package_exports_are_the_submodule_objects():
+    for name, module in bn2._EXPORTS.items():
+        assert getattr(bn2, name) is getattr(importlib.import_module(f"bn2.{module}"), name)
+        assert name in getattr(importlib.import_module(f"bn2.{module}"), "__all__", [name])
+    assert sorted(bn2.__all__) == sorted(bn2._EXPORTS)
+    assert set(bn2.__all__) <= set(dir(bn2))
+    with pytest.raises(AttributeError, match="no attribute 'solve_exact'"):
+        bn2.solve_exact
 
 
 def test_package_defines_no_oracle():
