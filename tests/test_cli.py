@@ -285,8 +285,8 @@ def test_stdout_matches_pinned_digest(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT_SHA256[command]
 
 
-# run in a fresh interpreter: a command, then the names of the modules it
-# must not have loaded that are loaded
+# runs one command in a fresh interpreter and prints its exit code, the length
+# of its stdout and which of bn2.verify, csv and json it loaded
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
