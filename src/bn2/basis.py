@@ -9,7 +9,7 @@ Labels serialize as short strings: ``k1^2``, ``k2``, ``d0^2``, ``ld0``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,30 +38,16 @@ __all__ = [
 _SCALAR_KINDS = ("k1^2", "k2", "d0^2", "ld0", "d1^2", "ld1", "ld2")
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(namedtuple("ClassLabel", "kind i j", defaults=(None, None))):
     """One generator: an interior kappa class, a product of divisor classes,
     a pushed-forward omega/lambda class, or a boundary-stratum class.
 
     ``kind`` is one of the scalar kinds above, or ``om``/``la``/``th`` with
-    index ``i``, or ``d`` with a pair ``i <= j``.
+    index ``i``, or ``d`` with a pair ``i <= j``.  A label is a tuple: it
+    equals the plain tuple of its fields.
     """
 
-    kind: str
-    i: int | None = None
-    j: int | None = None
-    # labels key every coefficient dict, so the hash is taken once, here
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.i, self.j)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # str hashes differ between processes: rebuild, never copy, _hash
-        return ClassLabel, (self.kind, self.i, self.j)
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == "d":
@@ -202,7 +188,7 @@ class ClassExpression:
         for lab, value in coefficients.items():
             if not is_valid(lab, genus):
                 raise ValueError(f"label {lab} is invalid for genus {genus}")
-            clean[lab] = Fraction(value)
+            clean[lab] = value if type(value) is Fraction else Fraction(value)
         self.coefficients = clean
 
     def __getitem__(self, label: ClassLabel) -> Fraction:
@@ -221,7 +207,7 @@ class ClassExpression:
         labels = enumerate_basis(genus)
         if len(vec) != len(labels):
             raise ValueError(f"need {len(labels)} coefficients, got {len(vec)}")
-        return cls(genus, dict(zip(labels, map(Fraction, vec))))
+        return cls(genus, dict(zip(labels, vec)))
 
     def diff(self, other: "ClassExpression") -> list[tuple[str, Fraction, Fraction]]:
         """Labels where the two expressions disagree, as (label, self, other)."""

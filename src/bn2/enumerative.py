@@ -17,8 +17,8 @@ The oracles, the raw determinant ``castelnuovo_general`` and the pairwise
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
@@ -57,19 +57,18 @@ class RegimeError(ValueError):
     direct calls get this distinct error."""
 
 
-@dataclass(frozen=True)
-class SchubertIndex:
+class SchubertIndex(namedtuple("SchubertIndex", "a0 a1")):
     """Ramification pair (a0, a1) of a pencil at a point, with 0 <= a0 <= a1.
 
     Validity against a degree d additionally means a1 <= d - 1.
     """
 
-    a0: int
-    a1: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.a0 <= self.a1:
-            raise InvalidIndexError(f"need 0 <= a0 <= a1, got ({self.a0},{self.a1})")
+    def __new__(cls, a0: int, a1: int) -> "SchubertIndex":
+        if not 0 <= a0 <= a1:
+            raise InvalidIndexError(f"need 0 <= a0 <= a1, got ({a0},{a1})")
+        return super().__new__(cls, a0, a1)
 
     def check_degree(self, d: int) -> "SchubertIndex":
         if self.a1 > d - 1:
@@ -87,10 +86,7 @@ def _index(a) -> SchubertIndex:
 
 def _ram_sequence(seq, r: int, d: int) -> tuple[int, ...]:
     """Validate a ramification sequence of type (r, d)."""
-    if isinstance(seq, SchubertIndex):
-        vals: tuple[int, ...] = (seq.a0, seq.a1)
-    else:
-        vals = tuple(int(v) for v in seq)
+    vals = tuple(int(v) for v in seq)
     if len(vals) != r + 1:
         raise InvalidIndexError(f"need {r + 1} ramification entries, got {vals}")
     if vals[0] < 0 or any(vals[t] > vals[t + 1] for t in range(r)) or vals[-1] > d - r:

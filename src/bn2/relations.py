@@ -11,7 +11,7 @@ collapses repeated terms at small g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -67,34 +67,25 @@ __all__ = [
     "t_matrix_to_json",
 ]
 
-@dataclass(frozen=True)
-class Rhs:
+class Rhs(namedtuple("Rhs", "kind i j", defaults=(0, 0))):
     """Right-hand-side descriptor, evaluable once k is fixed.
 
     kinds: zero | T(i) | D(i,j) | n_over (S3) | D6(i) (S4) | 4N (S7) |
     2ell (S13) | S16(i) | S16sp (S16, i = g-2).
     """
 
-    kind: str
-    i: int = 0
-    j: int = 0
+    __slots__ = ()
 
 
-@dataclass
-class Relation:
+class Relation(namedtuple("Relation", "source g coefficients rhs")):
     """One test-surface row: source tag, nonzero integer coefficients, RHS
     descriptor."""
 
-    source: str
-    g: int
-    coefficients: dict[ClassLabel, int]
-    rhs: Rhs
+    __slots__ = ()
 
 
-@dataclass
-class RelationSystem:
-    g: int
-    rows: list[Relation]
+class RelationSystem(namedtuple("RelationSystem", "g rows")):
+    __slots__ = ()
 
     @property
     def labels(self) -> tuple[ClassLabel, ...]:
@@ -654,17 +645,17 @@ def build_T(g: int) -> RationalMatrix:
     return RationalMatrix.from_sparse(_t_rows(g, cols), len(cols))
 
 
-@dataclass
-class TriangularityReport:
+class TriangularityReport(
+    namedtuple(
+        "TriangularityReport",
+        "order lower_triangular diagonal_nonzero violations zero_diagonal",
+    )
+):
     """Outcome of the Q_g * T_g product check.  ``ok`` is the structure the
     production solve (``solve_class``) relies on and the certificate that
     det Q_g != 0."""
 
-    order: int
-    lower_triangular: bool
-    diagonal_nonzero: bool
-    violations: list[tuple[int, int, int | Fraction]]
-    zero_diagonal: list[int]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

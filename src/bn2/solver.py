@@ -124,7 +124,7 @@ class RationalMatrix:
         one Fraction."""
         if len(v) != self.ncols:
             raise DimensionMismatchError(f"matvec: {self.ncols} columns vs {len(v)} entries")
-        vv = [Fraction(x) for x in v]
+        vv = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
         den = lcm(*(x.denominator for x in vv))
         nums = [x.numerator * (den // x.denominator) for x in vv]
         return [Fraction(sum(a * nums[j] for j, a in row.items()), den) for row in self._rows]

@@ -8,7 +8,6 @@ two act as mutual checks; disagreement fails loudly with a per-label diff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -58,16 +57,18 @@ __all__ = [
 F = Fraction
 
 
-@dataclass
 class CheckReport:
     """One verification outcome; serializes to the structured JSON report."""
 
-    check: str
-    status: str  # "pass" | "fail" | "warn"
-    expected: object
-    actual: object
-    diff: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("check", "status", "expected", "actual", "diff", "notes")
+
+    def __init__(self, check: str, status: str, expected, actual, diff=None, notes=None):
+        self.check = check
+        self.status = status  # "pass" | "fail" | "warn"
+        self.expected = expected
+        self.actual = actual
+        self.diff = [] if diff is None else diff
+        self.notes = [] if notes is None else notes
 
     @property
     def failed(self) -> bool:

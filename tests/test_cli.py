@@ -286,13 +286,15 @@ def test_stdout_matches_pinned_digest(capsys, command):
 
 
 # runs one command in a fresh interpreter and prints its exit code, the length
-# of its stdout and which of bn2.verify, csv and json it loaded
+# of its stdout and which of bn2.verify, csv, json, dataclasses and inspect
+# it loaded (typing is not probed: site may load it before bn2 runs)
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-print(code, len(out.getvalue()), *(m for m in ("bn2.verify", "csv", "json") if m in sys.modules))
+probed = ("bn2.verify", "csv", "json", "dataclasses", "inspect")
+print(code, len(out.getvalue()), *(m for m in probed if m in sys.modules))
 """
 
 

@@ -113,6 +113,21 @@ def test_reduce_base_locus_rejects_exhausted_pencil():
         reduce_base_locus(2, (1, 1), (1, 1))  # d' = 0
 
 
+def test_schubert_index_is_a_checked_tuple():
+    import pickle
+    import re
+
+    index = SchubertIndex(0, 1)
+    assert repr(index) == "SchubertIndex(a0=0, a1=1)"
+    assert index == (0, 1) and (index.a0, index.a1) == (0, 1)
+    assert pickle.loads(pickle.dumps(index)) == index
+    assert type(pickle.loads(pickle.dumps(index))) is SchubertIndex
+    with pytest.raises(InvalidIndexError, match=re.escape("need 0 <= a0 <= a1, got (1,0)")):
+        SchubertIndex(1, 0)
+    with pytest.raises(InvalidIndexError, match=re.escape("need 0 <= a0 <= a1, got (-1,2)")):
+        SchubertIndex(-1, 2)
+
+
 def test_castelnuovo_general_values():
     assert castelnuovo_general(2, 1, 2, (0, 0), (0, 0)) == 1
     assert castelnuovo_general(0, 1, 1, (0, 0), (0, 0)) == 1

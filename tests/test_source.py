@@ -1,7 +1,8 @@
 """Source rules checked on the syntax tree of every package module:
 invariants must raise, because ``python -O`` strips ``assert``, and the
-arithmetic is exact, so no float appears.  The package exports only names
-it defines, and the test oracles stay out of it."""
+arithmetic is exact, so no float appears.  No module imports
+``dataclasses`` or ``typing``.  The package exports only names it defines,
+and the test oracles stay out of it."""
 
 import ast
 import importlib
@@ -47,6 +48,25 @@ def test_package_has_no_floats():
         if (isinstance(node, ast.Name) and node.id == "float")
         or (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
     ]
+    assert SOURCES and found == []
+
+
+def test_package_imports_neither_dataclasses_nor_typing():
+    # each would add its import time to every command's start-up
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {n}"
+                for n in names
+                if n.split(".")[0] in ("dataclasses", "typing")
+            ]
     assert SOURCES and found == []
 
 

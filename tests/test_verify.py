@@ -5,6 +5,7 @@ import pytest
 from bn2.basis import D0SQ, K1SQ, K2, ClassExpression, dd, enumerate_basis, om, th
 from bn2.verify import (
     G5_CONVENTION_NOTE,
+    CheckReport,
     M4_LABELS,
     PULLBACK_BASIS,
     check_closed_form,
@@ -145,6 +146,33 @@ def test_m4_report_is_pinned():
         "diff": [],
         "notes": [],
     }
+
+
+def test_check_reports_own_their_lists():
+    first = CheckReport(check="a", status="pass", expected="x", actual="y")
+    second = CheckReport("b", "warn", {"rank": 1}, None)
+    first.diff.append({"row": 0})
+    first.notes.append("note")
+    assert second.diff == [] and second.notes == []
+    assert first.to_dict() == {
+        "check": "a",
+        "status": "pass",
+        "expected": "x",
+        "actual": "y",
+        "diff": [{"row": 0}],
+        "notes": ["note"],
+    }
+    assert second.to_dict() == {
+        "check": "b",
+        "status": "warn",
+        "expected": {"rank": 1},
+        "actual": None,
+        "diff": [],
+        "notes": [],
+    }
+    assert not first.failed and CheckReport("c", "fail", 0, 1).failed
+    diff = [{"row": 1}]
+    assert CheckReport("d", "fail", 0, 1, diff=diff).diff is diff
 
 
 def test_m4_kernel_proof_rejects_a_wrong_relation(monkeypatch):
