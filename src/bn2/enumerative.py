@@ -70,6 +70,11 @@ class SchubertIndex(namedtuple("SchubertIndex", "a0 a1")):
             raise InvalidIndexError(f"need 0 <= a0 <= a1, got ({a0},{a1})")
         return super().__new__(cls, a0, a1)
 
+    @classmethod
+    def _make(cls, iterable) -> "SchubertIndex":
+        # namedtuple's _make, and so _replace, would skip the check
+        return cls(*iterable)
+
     def check_degree(self, d: int) -> "SchubertIndex":
         if self.a1 > d - 1:
             raise InvalidIndexError(

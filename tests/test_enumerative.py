@@ -126,6 +126,9 @@ def test_schubert_index_is_a_checked_tuple():
         SchubertIndex(1, 0)
     with pytest.raises(InvalidIndexError, match=re.escape("need 0 <= a0 <= a1, got (-1,2)")):
         SchubertIndex(-1, 2)
+    assert index._replace(a1=3) == SchubertIndex(0, 3)
+    with pytest.raises(InvalidIndexError, match=re.escape("need 0 <= a0 <= a1, got (2,1)")):
+        index._replace(a0=2)
 
 
 def test_castelnuovo_general_values():
