@@ -227,7 +227,10 @@ def count_ell(g: int, k: int) -> int:
 
 
 def _counted(i: int, k: int, w: int) -> list[tuple[int, int, int]]:
-    """(a0, a1, n_{i,k,(a0,a1)}) for a0 <= a1 <= k-1 of weight w where n counts."""
+    """(a0, a1, n_{i,k,(a0,a1)}) for a0 <= a1 <= k-1 of weight w where n counts.
+    Every sum reads its counts here, so this is where a degree below 1 fails."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     pairs = [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
     return [(a0, a1, n) for a0, a1 in pairs if (n := _pencil_count(i, k, a0, a1)) > 0]
 
@@ -258,10 +261,11 @@ def sum_T(i: int, g: int, k: int) -> int:
 def _genus_vector(i: int, g: int, k: int, alpha: bool) -> list[int]:
     """F_i if alpha, else G_i (see sum_D), at k-1 <= m < g, index m-k+1, with
     C(s_i, X-m) = C(s_i, m-2k+1+a0) and the generalized C(q, r) for q < 0."""
+    counted = _counted(i, k, 2 * k - i - 1)  # rejects k < 1 before g - k grows large
     q = g - k - i
     row = [comb(q, r) if q >= 0 else (-1) ** r * comb(r - q - 1, r) for r in range(g - k + 1)]
     vec = [0] * (g - k + 1)
-    for a0, a1, n in _counted(i, k, 2 * k - i - 1):
+    for a0, a1, n in counted:
         terms = ((n, 2 * k - 1 - a0), (-n, 2 * k - 2 - a1)) if alpha else ((n, i + a1),)
         for weight, start in terms:  # start >= k-1
             for m, c in zip(range(start - k + 1, g - k + 1), row):

@@ -2,18 +2,18 @@
 symbolic right-hand sides, and the triangularizing column matrix T_g.
 
 Each of the eighteen families of test surfaces contributes one group of
-rows; a row stores exact coefficients on the canonical generators plus a
-right-hand-side descriptor that evaluates to an exact rational once the
-pencil degree k (with g = 2k) is fixed.  Raw template labels pass through
-``canonicalize`` and coincident labels accumulate additively, which is what
-collapses repeated terms at small g.
+rows; a row stores exact integer coefficients keyed by column in the frozen
+basis order plus a right-hand-side descriptor that evaluates to an exact
+rational once the pencil degree k (with g = 2k) is fixed.  Raw template
+labels are canonicalized once per build and coincident columns accumulate
+additively, which is what collapses repeated terms at small g.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from bn2.basis import (
     D0SQ,
@@ -44,7 +44,7 @@ from bn2.enumerative import (
     sum_S16,
     sum_T,
 )
-from bn2.solver import RationalMatrix, solve_lower_triangular
+from bn2.solver import RationalMatrix, forward_substitute
 
 __all__ = [
     "Rhs",
@@ -78,8 +78,8 @@ class Rhs(namedtuple("Rhs", "kind i j", defaults=(0, 0))):
 
 
 class Relation(namedtuple("Relation", "source g coefficients rhs")):
-    """One test-surface row: source tag, nonzero integer coefficients, RHS
-    descriptor."""
+    """One test-surface row: source tag, nonzero integer coefficients keyed
+    by column in the frozen basis order, RHS descriptor."""
 
     __slots__ = ()
 
@@ -93,12 +93,12 @@ class RelationSystem(namedtuple("RelationSystem", "g rows")):
         return enumerate_basis(self.g)
 
 
-def _accumulate(g: int, terms) -> dict[ClassLabel, int]:
-    acc: dict[ClassLabel, int] = {}
+def _accumulate(column, terms) -> dict[int, int]:
+    acc: dict[int, int] = {}
     for raw, coeff in terms:
-        lab = canonicalize(raw, g)
-        acc[lab] = acc.get(lab, 0) + coeff
-    return {lab: c for lab, c in acc.items() if c}
+        c = column(raw)
+        acc[c] = acc.get(c, 0) + coeff
+    return {c: v for c, v in acc.items() if v}
 
 
 def build_relations(g: int) -> RelationSystem:
@@ -110,9 +110,11 @@ def build_relations(g: int) -> RelationSystem:
     if g < 5:
         raise ValueError(f"relations are defined for g >= 5, got g={g}")
     rows: list[Relation] = []
+    index = basis_index(g)
+    column = cache(lambda raw: index[canonicalize(raw, g)])  # for this build only
 
     def add(source: str, rhs: Rhs, terms) -> None:
-        rows.append(Relation(source, g, _accumulate(g, terms), rhs))
+        rows.append(Relation(source, g, _accumulate(column, terms), rhs))
 
     # S1: two moving points glued, genus i + (g-i).
     for i in range(2, g // 2 + 1):
@@ -480,10 +482,8 @@ def describe_rhs(rel: Relation) -> str:
 
 def system_matrix(system: RelationSystem) -> RationalMatrix:
     """Rows in system order, columns in the frozen basis order."""
-    index = basis_index(system.g)
     return RationalMatrix.from_sparse(
-        [{index[lab]: v for lab, v in rel.coefficients.items()} for rel in system.rows],
-        len(index),
+        [rel.coefficients for rel in system.rows], basis_dimension(system.g)
     )
 
 
@@ -502,10 +502,10 @@ def solve_class(k: int) -> ClassExpression:
     """The degree-k class at genus 2k: the exact solution of Q_g x = b_k.
 
     P = Q_g T_g is lower-triangular with a nonzero diagonal, so forward
-    substitution solves P y = b_k and x = T_g y.  The answer is substituted
-    back into every equation of Q_g x = b_k before it is returned; a failure
-    of either the structure or the residual is an internal error.  The rows,
-    Q_g, T_g and P come from the one-genus memo shared with the checks.
+    substitution solves P Y = D b_k in integers over one denominator D, and
+    X = T_g Y.  Every equation of Q_g X = D b_k is checked in integers before
+    X/D is returned; a failure of either the structure or the residual is an
+    internal error.  Q_g, T_g and P come from the one-genus memo.
     """
     if k < 3:
         raise ValueError(
@@ -514,13 +514,13 @@ def solve_class(k: int) -> ClassExpression:
     genus = _genus(2 * k)
     b = build_rhs_vector(genus.system, k)
     try:
-        y = solve_lower_triangular(genus.p, b)
+        y, d = forward_substitute(genus.p, b)
     except ValueError as exc:
         raise RuntimeError(f"internal error: Q_g*T_g at g={2 * k}: {exc}") from exc
-    x = genus.t.matvec(y)
-    if genus.q.matvec(x) != b:
+    x = genus.t.int_matvec(y)
+    if genus.q.int_matvec(x) != [v.numerator * (d // v.denominator) for v in b]:
         raise RuntimeError(f"internal error: the solution at k={k} has a nonzero residual")
-    return ClassExpression.from_vector(2 * k, x)
+    return ClassExpression.from_vector(2 * k, [Fraction(v, d) for v in x])
 
 
 def _t_columns(g: int):
@@ -748,10 +748,9 @@ def _csv_line(head: list[str], nonzeros, width: int, tail: tuple[str, ...] = ())
 
 def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     labels = system.labels
-    index = basis_index(system.g)
     lines = [_csv_line(["source", *map(str, labels), "rhs"], (), 0)]
     for rel, rhs in zip(system.rows, _rhs_texts(system, k)):
-        nonzeros = sorted((index[lab], v) for lab, v in rel.coefficients.items())
+        nonzeros = sorted(rel.coefficients.items())
         lines.append(_csv_line([rel.source], nonzeros, len(labels), (rhs,)))
     return "".join(lines)
 
@@ -759,13 +758,14 @@ def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
 def system_to_json(system: RelationSystem, k: int | None = None) -> str:
     import json
 
+    labels = system.labels
     data = {
         "g": system.g,
-        "labels": [str(lab) for lab in system.labels],
+        "labels": [str(lab) for lab in labels],
         "rows": [
             {
                 "source": rel.source,
-                "coeffs": _in_basis_order(rel.coefficients, system.g),
+                "coeffs": {str(labels[c]): str(v) for c, v in sorted(rel.coefficients.items())},
                 "rhs": rhs,
             }
             for rel, rhs in zip(system.rows, _rhs_texts(system, k))

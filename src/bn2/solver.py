@@ -3,34 +3,32 @@
 A matrix stores each row as a mapping from column to its nonzero entry.  An
 integral entry is stored as an ``int`` and any other as a ``Fraction``, so a
 product of integer matrices such as ``Q_g * T_g`` runs in integer arithmetic
-and a matrix-vector product clears the vector's denominators once.  Dense
-copies (``row``, ``rows``), which only the tests' dense oracles read, and
-every computed vector hand out Fractions.
-No float enters any computation.
+and a matrix-vector product clears the vector's denominators once.
+``from_sparse`` is the one constructor.  No float enters any computation.
 
-``solve_lower_triangular`` is the one solve: forward substitution over the
-sparse rows of a lower-triangular matrix, which rejects any other structure.
-``rank`` is the one elimination: fraction-free (Bareiss) on integer rows
-built straight from the nonzeros.  The dense oracles the tests hold these
-against (Gauss, determinants, nullspaces, a general solve) live in the test
-suite, in ``tests/oracles.py``, and reuse this Bareiss kernel.
+``forward_substitute`` is the one solve: fraction-free forward substitution
+over the sparse rows of a lower-triangular matrix, which rejects any other
+structure and returns integer numerators over one running denominator;
+``solve_lower_triangular`` reads its result as Fractions.  ``rank`` is the
+one elimination: fraction-free (Bareiss) on integer rows built straight from
+the nonzeros.  The dense oracles the tests hold these against (Gauss,
+determinants, nullspaces, a general solve, dense constructors) live in the
+test suite, in ``tests/oracles.py``, and reuse this Bareiss kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 __all__ = [
     "RationalMatrix",
     "DimensionMismatchError",
+    "forward_substitute",
     "solve_lower_triangular",
     "rank",
 ]
-
-# every zero entry a matrix hands out is this one object
-ZERO = Fraction(0)
-
 
 def _exact(x) -> int | Fraction:
     """x as an int when it is integral, as a Fraction otherwise."""
@@ -48,19 +46,9 @@ class RationalMatrix:
     """Sparse rational matrix, one {column: nonzero entry} dict per row,
     immutable by convention.  An entry is an int when it is integral and a
     Fraction otherwise, whatever type it was given as; ``entry`` and
-    ``nonzeros`` hand out the stored value, ``row`` and ``rows`` Fractions."""
+    ``nonzeros`` hand out the stored value."""
 
     __slots__ = ("_rows", "_ncols")
-
-    def __init__(self, entries):
-        """Matrix from dense rows of rationals.  Its width is that of the
-        rows, so a matrix with no rows has 0 columns; ``from_sparse([], n)``
-        builds an n-column matrix with no rows."""
-        rows = [list(r) for r in entries]
-        width = len(rows[0]) if rows else 0
-        if any(len(r) != width for r in rows):
-            raise DimensionMismatchError("rows have unequal lengths")
-        self._fill([dict(enumerate(r)) for r in rows], width)
 
     @classmethod
     def from_sparse(cls, rows, ncols: int) -> "RationalMatrix":
@@ -82,14 +70,6 @@ class RationalMatrix:
                     entries[j] = value
             self._rows.append(entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_sparse([{i: 1} for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls.from_sparse([{} for _ in range(nrows)], ncols)
-
     @property
     def nrows(self) -> int:
         return len(self._rows)
@@ -99,15 +79,7 @@ class RationalMatrix:
         return self._ncols
 
     def entry(self, i: int, j: int) -> int | Fraction:
-        return self._rows[i].get(j, ZERO)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        row = self._rows[i]
-        return tuple(Fraction(row[j]) if j in row else ZERO for j in range(self._ncols))
-
-    def rows(self) -> list[list[Fraction]]:
-        """A mutable dense copy of the entries."""
-        return [list(self.row(i)) for i in range(self.nrows)]
+        return self._rows[i].get(j, 0)
 
     def nonzeros(self):
         """(row, column, value) of every nonzero entry, row by row."""
@@ -122,12 +94,16 @@ class RationalMatrix:
         """The exact product with v.  v is brought to integer numerators over
         the lcm of its denominators, so each row costs integer products and
         one Fraction."""
-        if len(v) != self.ncols:
-            raise DimensionMismatchError(f"matvec: {self.ncols} columns vs {len(v)} entries")
         vv = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
         den = lcm(*(x.denominator for x in vv))
         nums = [x.numerator * (den // x.denominator) for x in vv]
-        return [Fraction(sum(a * nums[j] for j, a in row.items()), den) for row in self._rows]
+        return [Fraction(s, den) for s in self.int_matvec(nums)]
+
+    def int_matvec(self, v: list[int]) -> list[int | Fraction]:
+        """The product with a vector of ints: ints when every entry is an int."""
+        if len(v) != self.ncols:
+            raise DimensionMismatchError(f"matvec: {self.ncols} columns vs {len(v)} entries")
+        return [sum(map(mul, row.values(), map(v.__getitem__, row))) for row in self._rows]
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -212,13 +188,14 @@ def rank(matrix: RationalMatrix) -> int:
     return len(_bareiss_echelon(int_rows)[1])
 
 
-def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
-    """Exact solution of p y = b by forward substitution over the nonzeros.
-
-    p must be square and lower-triangular with a nonzero diagonal; otherwise
-    DimensionMismatchError (shape) or ValueError (structure) names the row
-    and column at fault.
-    """
+def forward_substitute(p: RationalMatrix, b) -> tuple[list[int], int]:
+    """Integer numerators y over one denominator d > 0 with p (y/d) = b, for
+    b of ints and Fractions, by fraction-free forward substitution over the
+    nonzeros.  d starts at the lcm of b's denominators; a row whose division
+    is not exact multiplies d and the numerators so far by what makes it
+    exact, after clearing the row's own denominators.  p must be square and
+    lower-triangular with a nonzero diagonal; otherwise DimensionMismatchError
+    (shape) or ValueError (structure) names the row and column at fault."""
     if not p.is_square():
         raise DimensionMismatchError(
             f"solve_lower_triangular needs a square matrix, got {p.nrows} rows "
@@ -226,16 +203,30 @@ def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
         )
     if len(b) != p.nrows:
         raise DimensionMismatchError(f"rhs length {len(b)} vs order {p.nrows}")
-    y: list[Fraction] = []
+    d = lcm(*(v.denominator for v in b))
+    y: list[int] = []
     for i, row in enumerate(p._rows):
-        acc = Fraction(b[i])
-        for j, a in row.items():
-            if j > i:
-                raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
-            if j < i:
-                # Fraction on the left: Fraction * int is its fast path
-                acc -= y[j] * a
+        if row and max(row) > i:
+            j = next(j for j in row if j > i)
+            raise ValueError(f"row {i} has the nonzero {row[j]} above the diagonal, in column {j}")
         if i not in row:
             raise ValueError(f"row {i} has a zero diagonal entry, in column {i}")
-        y.append(acc / row[i])
-    return y
+        scale = lcm(*(a.denominator for a in row.values()))
+        if scale != 1:
+            row = {j: a.numerator * (scale // a.denominator) for j, a in row.items()}
+        y.append(0)  # the diagonal's term in the sum below
+        acc = b[i].numerator * (d // b[i].denominator) * scale
+        acc -= sum(map(mul, row.values(), map(y.__getitem__, row)))
+        y[i], r = divmod(acc, row[i])
+        if r:
+            f = abs(row[i]) // gcd(acc, row[i])
+            d *= f
+            y = [v * f for v in y]
+            y[i] = acc * f // row[i]
+    return y, d
+
+
+def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
+    """Exact solution of p y = b: ``forward_substitute`` read as Fractions."""
+    y, d = forward_substitute(p, b)
+    return [Fraction(v, d) for v in y]

@@ -6,6 +6,9 @@ The runtime solves by forward substitution on ``Q_g * T_g`` and certifies
 ``det Q_g != 0`` from that product's diagonal.  Here the same answers come
 from routes that share none of that code:
 
+- the dense constructors and copies ``dense``, ``identity``, ``zeros``,
+  ``dense_row`` and ``dense_rows``.  The runtime builds every matrix from
+  sparse rows (``RationalMatrix.from_sparse``).
 - dense elimination: ``solve_exact``, ``det``, ``det_is_nonzero`` and
   ``nullspace``.  Elimination is either fraction-free (Bareiss), on integer
   rows built from the nonzeros with the one kernel of ``bn2.solver``, or
@@ -29,11 +32,40 @@ import io
 import math
 from fractions import Fraction
 
-from bn2.basis import basis_index, enumerate_basis
+from bn2.basis import enumerate_basis
 from bn2.enumerative import _castelnuovo_num, _pencil_count, _ram_sequence
 from bn2.exactnum import factorial
 from bn2.relations import build_rhs_vector, build_T, describe_rhs, t_column_tags
 from bn2.solver import DimensionMismatchError, RationalMatrix, _bareiss_echelon, _scaled_int_rows
+
+
+def dense(rows) -> RationalMatrix:
+    """Matrix from dense rows of rationals.  Its width is that of the rows,
+    so a matrix with no rows has 0 columns; ``RationalMatrix.from_sparse([],
+    n)`` builds an n-column matrix with no rows."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise DimensionMismatchError("rows have unequal lengths")
+    return RationalMatrix.from_sparse([dict(enumerate(r)) for r in rows], width)
+
+
+def identity(n: int) -> RationalMatrix:
+    return RationalMatrix.from_sparse([{i: 1} for i in range(n)], n)
+
+
+def zeros(nrows: int, ncols: int) -> RationalMatrix:
+    return RationalMatrix.from_sparse([{} for _ in range(nrows)], ncols)
+
+
+def dense_row(matrix: RationalMatrix, i: int) -> tuple[Fraction, ...]:
+    """Row i with every entry, zeros included, as a Fraction."""
+    return tuple(Fraction(matrix.entry(i, j)) for j in range(matrix.ncols))
+
+
+def dense_rows(matrix: RationalMatrix) -> list[list[Fraction]]:
+    """A mutable dense copy of the entries."""
+    return [list(dense_row(matrix, i)) for i in range(matrix.nrows)]
 
 
 class SingularMatrixError(ValueError):
@@ -81,7 +113,7 @@ def _gauss_echelon(rows: list[list[Fraction]]):
 
 def gauss_rank(matrix: RationalMatrix) -> int:
     """Exact rank by Gaussian elimination on Fractions."""
-    return len(_gauss_echelon(matrix.rows())[1])
+    return len(_gauss_echelon(dense_rows(matrix))[1])
 
 
 def det(matrix: RationalMatrix) -> Fraction:
@@ -142,7 +174,7 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
         aug = [{**row, n: v} for row, v in zip(matrix._rows, rhs)]
         rows, pivots, _ = _bareiss_echelon(_scaled_int_rows(aug, n + 1)[0])
     elif method == "gauss":
-        rows, pivots = _gauss_echelon([row + [v] for row, v in zip(matrix.rows(), rhs)])
+        rows, pivots = _gauss_echelon([row + [v] for row, v in zip(dense_rows(matrix), rhs)])
     else:
         raise ValueError(f"unknown elimination method {method!r}")
     pivots = [(pr, pc) for pr, pc in pivots if pc < n]
@@ -159,7 +191,7 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
 def nullspace(matrix: RationalMatrix) -> list[list[Fraction]]:
     """Basis of the right kernel, one vector per free column, each with its
     first nonzero coordinate normalized to 1."""
-    rows, pivots = _gauss_echelon(matrix.rows())
+    rows, pivots = _gauss_echelon(dense_rows(matrix))
     nc = matrix.ncols
     pivot_cols = {pc for _, pc in pivots}
     basis: list[list[Fraction]] = []
@@ -276,7 +308,6 @@ def system_to_csv_dense(system, k: int | None = None) -> str:
     a header, then per relation its source, every coefficient in basis order
     (zeros included) and its right-hand side, symbolic or evaluated at k."""
     labels = system.labels
-    index = basis_index(system.g)
     if k is None:
         rhs = [describe_rhs(rel) for rel in system.rows]
     else:
@@ -284,8 +315,8 @@ def system_to_csv_dense(system, k: int | None = None) -> str:
     rows = [["source", *map(str, labels), "rhs"]]
     for rel, text in zip(system.rows, rhs, strict=True):
         cells = ["0"] * len(labels)
-        for lab, v in rel.coefficients.items():
-            cells[index[lab]] = str(v)
+        for c, v in rel.coefficients.items():
+            cells[c] = str(v)
         rows.append([rel.source, *cells, text])
     return _csv_text(rows)
 
@@ -295,5 +326,5 @@ def t_matrix_to_csv_dense(g: int) -> str:
     dense rows of ``build_T(g)``."""
     t = build_T(g)
     rows = [["label", *t_column_tags(g)]]
-    rows += [[str(lab), *map(str, t.row(r))] for r, lab in enumerate(enumerate_basis(g))]
+    rows += [[str(lab), *map(str, dense_row(t, r))] for r, lab in enumerate(enumerate_basis(g))]
     return _csv_text(rows)

@@ -26,7 +26,7 @@ from bn2.relations import (
     system_matrix,
     triangularity_report,
 )
-from bn2.solver import RationalMatrix, rank
+from bn2.solver import rank
 from bn2.verify import (
     M4_LABELS,
     closed_form_class,
@@ -36,7 +36,14 @@ from bn2.verify import (
     pullback_image,
     known_trigonal_class,
 )
-from oracles import castelnuovo_general, det_is_nonzero, gauss_rank, nullspace, solve_exact
+from oracles import (
+    castelnuovo_general,
+    dense,
+    det_is_nonzero,
+    gauss_rank,
+    nullspace,
+    solve_exact,
+)
 
 F = Fraction
 
@@ -170,7 +177,7 @@ def test_criterion_7_oracle_suite():
     rng = random.Random(987654321)
     rand_ok = True
     for _ in range(100):
-        matrix = RationalMatrix(
+        matrix = dense(
             [
                 [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(10)]
                 for _ in range(10)

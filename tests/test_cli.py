@@ -56,6 +56,20 @@ def test_counts_domain_error_is_usage(capsys):
     assert "rho" in err
 
 
+@pytest.mark.parametrize(
+    "argv, which, k",
+    [
+        (["T", "--i", "2", "--g", "10", "--k", "0"], "T", 0),
+        (["D", "--i", "2", "--j", "3", "--g", "10", "--k", "-2"], "D", -2),
+        (["s16", "--i", "5", "--g", "10", "--k", "0"], "s16", 0),
+    ],
+)
+def test_counts_sums_reject_a_degree_below_1(capsys, argv, which, k):
+    code, out, err = run(capsys, "counts", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"bn2 counts {which}: need k >= 1, got k={k}\n"
+
+
 def test_counts_missing_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "counts", "n", "--g", "4")

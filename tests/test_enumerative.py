@@ -251,6 +251,16 @@ def test_sum_D_values():
     assert sum_D(3, 3, 8, 2) == 0  # every admissible term falls out of regime
 
 
+@pytest.mark.parametrize(
+    "call", [lambda k: sum_T(2, 10, k), lambda k: sum_D(2, 3, 10, k), lambda k: sum_S16(5, 10, k)]
+)
+@pytest.mark.parametrize("k", [0, -2])
+def test_sums_reject_a_degree_below_1(call, k):
+    # as rho does for d < 1; count_n, count_m and count_ell reject it too
+    with pytest.raises(ValueError, match=rf"^need k >= 1, got k={k}$"):
+        call(k)
+
+
 def test_sum_D_off_regime_is_rejected():
     # with g != 2k the summand determinants need not be integral counts
     with pytest.raises(ArithmeticError):

@@ -29,10 +29,12 @@ from bn2.relations import (
     t_matrix_to_json,
     triangularity_report,
 )
-from bn2.solver import RationalMatrix, solve_lower_triangular
+from bn2.solver import forward_substitute, solve_lower_triangular
 from bn2.verify import closed_form_class
 from oracles import (
     castelnuovo_general,
+    dense_row,
+    identity,
     solve_exact,
     system_to_csv_dense,
     t_matrix_to_csv_dense,
@@ -45,6 +47,14 @@ def _row(system, source):
     return next(rel for rel in system.rows if rel.source == source)
 
 
+def _by_label(rel):
+    """rel's coefficients keyed by label.  Every key must be a column of the
+    genus-g basis."""
+    labels = enumerate_basis(rel.g)
+    assert all(type(c) is int and 0 <= c < len(labels) for c in rel.coefficients)
+    return {labels[c]: v for c, v in rel.coefficients.items()}
+
+
 def test_row_counts():
     assert len(build_relations(6).rows) == 25
     assert len(build_relations(5).rows) == 19
@@ -55,18 +65,18 @@ def test_row_counts():
 
 def test_s1_row_g6():
     rel = _row(build_relations(6), "S1[i=2]")
-    assert rel.coefficients == {K1SQ: F(2), om(2): F(-1), om(4): F(-1)}
+    assert _by_label(rel) == {K1SQ: F(2), om(2): F(-1), om(4): F(-1)}
     assert rel.rhs == Rhs("T", 2)
 
 
 def test_s1_accumulates_at_middle_genus():
     rel = _row(build_relations(6), "S1[i=3]")
-    assert rel.coefficients == {K1SQ: F(2), om(3): F(-2)}
+    assert _by_label(rel) == {K1SQ: F(2), om(3): F(-2)}
 
 
 def test_s10_g6_coefficients():
     rel = _row(build_relations(6), "S10")
-    assert rel.coefficients == {
+    assert _by_label(rel) == {
         K1SQ: F(2),
         D1SQ: F(18),
         dd(1, 1): F(9),
@@ -80,29 +90,29 @@ def test_s10_g6_coefficients():
 
 def test_s10_g7_keeps_base_coefficient():
     rel = _row(build_relations(7), "S10")
-    assert rel.coefficients[D1SQ] == 12
+    assert _by_label(rel)[D1SQ] == 12
 
 
 def test_s9_collision_cancels_at_g6():
     rel = _row(build_relations(6), "S9[j=2]")
-    assert dd(2, 2) not in rel.coefficients
-    assert rel.coefficients[dd(1, 2)] == 2
+    assert dd(2, 2) not in _by_label(rel)
+    assert _by_label(rel)[dd(1, 2)] == 2
 
 
 def test_all_keys_canonical():
     for g in (5, 6, 7, 9, 12):
         labels = set(enumerate_basis(g))
         for rel in build_relations(g).rows:
-            assert set(rel.coefficients) <= labels
+            assert set(_by_label(rel)) <= labels
 
 
 def test_g5_lambda_rows_land_on_ld2():
     system = build_relations(5)
     s11 = _row(system, "S11")
-    assert s11.coefficients[LD2] == F(3) - 1  # 3*ld2 - la(2)
+    assert _by_label(s11)[LD2] == F(3) - 1  # 3*ld2 - la(2)
     s18 = _row(system, "S18[i=3]")
-    assert s18.coefficients[LD2] == F(-2)  # -la(3) - ld2
-    assert s18.coefficients[om(3)] == F(-2)  # om(3) and om(g-2) collide
+    assert _by_label(s18)[LD2] == F(-2)  # -la(3) - ld2
+    assert _by_label(s18)[om(3)] == F(-2)  # om(3) and om(g-2) collide
 
 
 def test_zero_rhs_relations_evaluate_to_zero():
@@ -165,7 +175,7 @@ def test_solve_class_without_triangular_structure_is_internal(fresh_memos, monke
     import bn2.relations
 
     # with T_g = I the product is Q_g itself, which has entries above the diagonal
-    monkeypatch.setattr(bn2.relations, "build_T", lambda g: RationalMatrix.identity(25))
+    monkeypatch.setattr(bn2.relations, "build_T", lambda g: identity(25))
     with pytest.raises(RuntimeError, match=r"internal error: Q_g\*T_g at g=6: row \d+ "):
         solve_class(3)
 
@@ -173,7 +183,7 @@ def test_solve_class_without_triangular_structure_is_internal(fresh_memos, monke
 def test_solve_class_checks_the_residual(monkeypatch):
     import bn2.relations
 
-    monkeypatch.setattr(bn2.relations, "solve_lower_triangular", lambda p, b: [F(0)] * len(b))
+    monkeypatch.setattr(bn2.relations, "forward_substitute", lambda p, b: ([0] * len(b), 1))
     with pytest.raises(RuntimeError, match="internal error: the solution at k=3 has a nonzero"):
         solve_class(3)
 
@@ -185,11 +195,37 @@ def test_solve_class_residual_covers_every_row(monkeypatch):
     for r in range(25):
 
         def off_in_row_r(p, b, r=r):
-            return solve_lower_triangular(p, [v + (i == r) for i, v in enumerate(b)])
+            return forward_substitute(p, [v + (i == r) for i, v in enumerate(b)])
 
-        monkeypatch.setattr(bn2.relations, "solve_lower_triangular", off_in_row_r)
+        monkeypatch.setattr(bn2.relations, "forward_substitute", off_in_row_r)
         with pytest.raises(RuntimeError, match="internal error: the solution at k=3 has a nonzero"):
             solve_class(3)
+
+
+def test_solve_class_at_k60_is_pinned():
+    # sha256 of the `bn2 solve --k 60` lines, recorded before the solve ran in
+    # integers over one denominator
+    text = "".join(f"{lab} {v}\n" for lab, v in solve_class(60).coefficients.items())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "587cfb918c7060d793045e1ec46b539b1913ceb0346cccaabeba7cffd36500d0"
+
+
+def test_solve_class_builds_few_fractions(monkeypatch):
+    # b_k and the answer hold one Fraction per coefficient each; the solve
+    # between them runs in integers
+    solve_class(14)  # fills the genus memo
+    new = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    solve_class(14)
+    monkeypatch.undo()
+    n = basis_dimension(28)
+    assert n == 278 and 0 < len(built) <= 2 * n + 8
 
 
 def test_build_functions_return_fresh_objects():
@@ -256,7 +292,7 @@ def test_t_exports_reject_g5_like_build_T(export):
 def test_triangularity_identity_cases():
     q = build_matrix(6)
     t = build_T(6)
-    ident = RationalMatrix.identity(25)
+    ident = identity(25)
     rep_q = triangularity_report(q, ident)
     assert not rep_q.lower_triangular  # Q itself is not triangular
     rep_t = triangularity_report(ident, t)
@@ -267,7 +303,7 @@ def test_triangularity_identity_cases():
 
 def test_triangularity_dimension_mismatch():
     with pytest.raises(ValueError):
-        triangularity_report(build_matrix(6), RationalMatrix.identity(3))
+        triangularity_report(build_matrix(6), identity(3))
 
 
 def test_describe_rhs_strings():
@@ -392,7 +428,7 @@ def test_csv_cells_match_the_system_matrix(g):
     assert rows[0] == ["source", *map(str, enumerate_basis(g)), "rhs"]
     for r, (rel, cells) in enumerate(zip(system.rows, rows[1:], strict=True)):
         assert cells[0] == rel.source
-        assert cells[1:-1] == [str(v) for v in q.row(r)]
+        assert cells[1:-1] == [str(v) for v in dense_row(q, r)]
         assert cells[-1] == describe_rhs(rel)
 
 

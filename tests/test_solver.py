@@ -5,36 +5,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bn2.solver import DimensionMismatchError, RationalMatrix, rank, solve_lower_triangular
+from bn2.solver import (
+    DimensionMismatchError,
+    RationalMatrix,
+    forward_substitute,
+    rank,
+    solve_lower_triangular,
+)
 from oracles import (
     SingularMatrixError,
+    dense,
+    dense_row,
+    dense_rows,
     det,
     det_is_nonzero,
     gauss_rank,
+    identity,
     nullspace,
     solve_exact,
+    zeros,
 )
 
 
 def test_identity_solve():
-    m = RationalMatrix.identity(4)
+    m = identity(4)
     b = [Fraction(1, 3), Fraction(-2), Fraction(0), Fraction(7, 5)]
     assert solve_exact(m, b) == b
 
 
 def test_two_by_two_solve():
-    m = RationalMatrix([[1, 1], [1, -1]])
+    m = dense([[1, 1], [1, -1]])
     assert solve_exact(m, [2, 0]) == [Fraction(1), Fraction(1)]
 
 
 def test_solve_methods_agree():
-    m = RationalMatrix([[2, 1, -1], [-3, -1, 2], [-2, 1, 2]])
+    m = dense([[2, 1, -1], [-3, -1, 2], [-2, 1, 2]])
     b = [8, -11, -3]
     assert solve_exact(m, b, method="bareiss") == solve_exact(m, b, method="gauss")
 
 
 def test_singular_reports_rank():
-    m = RationalMatrix([[1, 2], [2, 4]])
+    m = dense([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError) as err:
         solve_exact(m, [1, 2])
     assert err.value.rank == 1
@@ -43,48 +54,48 @@ def test_singular_reports_rank():
 @pytest.mark.parametrize("method", ["bareiss", "gauss"])
 def test_inconsistent_singular_system_reports_rank(method):
     # the right-hand side column takes the second pivot; it does not count
-    m = RationalMatrix([[1, 2], [2, 4]])
+    m = dense([[1, 2], [2, 4]])
     with pytest.raises(SingularMatrixError) as err:
         solve_exact(m, [1, 3], method=method)
     assert err.value.rank == 1
 
 
 def test_matrix_without_rows_has_the_stated_width():
-    empty = RationalMatrix([])
+    empty = dense([])
     assert (empty.nrows, empty.ncols) == (0, 0)
     for n in (0, 3):
         m = RationalMatrix.from_sparse([], n)
         assert (m.nrows, m.ncols) == (0, n)
-        assert m == RationalMatrix.zeros(0, n)
+        assert m == zeros(0, n)
         assert rank(m) == 0
     assert RationalMatrix.from_sparse([], 3) != empty
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        solve_exact(RationalMatrix([[1, 2]]), [1])
+        solve_exact(dense([[1, 2]]), [1])
     with pytest.raises(DimensionMismatchError):
-        solve_exact(RationalMatrix.identity(2), [1, 2, 3])
+        solve_exact(identity(2), [1, 2, 3])
     with pytest.raises(DimensionMismatchError):
-        RationalMatrix([[1, 2], [3]])
+        dense([[1, 2], [3]])
 
 
 def test_rank_and_det():
-    m = RationalMatrix([[1, 2], [2, 4]])
+    m = dense([[1, 2], [2, 4]])
     assert rank(m) == 1
     assert det(m) == 0
     assert not det_is_nonzero(m)
-    assert det(RationalMatrix([[Fraction(1, 2), 0], [0, 3]])) == Fraction(3, 2)
+    assert det(dense([[Fraction(1, 2), 0], [0, 3]])) == Fraction(3, 2)
 
 
 def test_nullspace_zero_matrix():
-    vectors = nullspace(RationalMatrix.zeros(2, 2))
+    vectors = nullspace(zeros(2, 2))
     assert len(vectors) == 2
     assert vectors[0][vectors[0].index(1)] == 1
 
 
 def test_nullspace_normalization_and_membership():
-    m = RationalMatrix([[1, 2, 3], [4, 5, 6]])
+    m = dense([[1, 2, 3], [4, 5, 6]])
     basis = nullspace(m)
     assert len(basis) == 1
     v = basis[0]
@@ -94,7 +105,7 @@ def test_nullspace_normalization_and_membership():
 
 
 def _random_matrix(rng, n, density=1.0):
-    return RationalMatrix(
+    return dense(
         [
             [
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -134,8 +145,8 @@ def test_solution_satisfies_every_equation():
 
 
 def test_matmul_and_identity():
-    m = RationalMatrix([[1, 2], [3, 4]])
-    assert m.matmul(RationalMatrix.identity(2)) == m
+    m = dense([[1, 2], [3, 4]])
+    assert m.matmul(identity(2)) == m
     sq = m.matmul(m)
     assert sq.entry(0, 0) == 7 and sq.entry(1, 1) == 22
 
@@ -150,7 +161,7 @@ def test_rank_nullity_property(n, data):
             max_size=n,
         )
     )
-    m = RationalMatrix(entries)
+    m = dense(entries)
     assert rank(m) + len(nullspace(m)) == n
     for v in nullspace(m):
         assert m.matvec(v) == [0] * n
@@ -168,14 +179,14 @@ _MOSTLY_ZERO = st.one_of(
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_sparse_storage_matches_dense_reference(nrows, inner, ncols, data):
-    def dense(r, c):
+    def draw_dense(r, c):
         row = st.lists(_MOSTLY_ZERO, min_size=c, max_size=c)
         return data.draw(st.lists(row, min_size=r, max_size=r))
 
-    a, b = dense(nrows, inner), dense(inner, ncols)
-    v = dense(1, inner)[0]
-    m = RationalMatrix(a)
-    assert m.rows() == a
+    a, b = draw_dense(nrows, inner), draw_dense(inner, ncols)
+    v = draw_dense(1, inner)[0]
+    m = dense(a)
+    assert dense_rows(m) == a
     assert all(m.entry(i, j) == a[i][j] for i in range(nrows) for j in range(inner))
     assert sorted(m.nonzeros()) == [
         (i, j, a[i][j]) for i in range(nrows) for j in range(inner) if a[i][j] != 0
@@ -184,7 +195,7 @@ def test_sparse_storage_matches_dense_reference(nrows, inner, ncols, data):
     product = [
         [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(ncols)] for i in range(nrows)
     ]
-    assert m.matmul(RationalMatrix(b)).rows() == product
+    assert dense_rows(m.matmul(dense(b))) == product
     # equality ignores explicit zeros
     assert RationalMatrix.from_sparse([dict(enumerate(row)) for row in a], inner) == m
     assert RationalMatrix.from_sparse(
@@ -226,13 +237,13 @@ def test_int_and_fraction_entries_agree(nrows, ncols, data):
     m_int, m_frac = both(a, ncols)
     assert m_int == m_frac
     if nrows:
-        assert RationalMatrix(a) == m_int
+        assert dense(a) == m_int
     for i in range(nrows):
-        assert _same_exact(m_int.row(i), m_frac.row(i))
-        assert all(type(x) is Fraction for x in m_int.row(i))
+        assert _same_exact(dense_row(m_int, i), dense_row(m_frac, i))
+        assert all(type(x) is Fraction for x in dense_row(m_int, i))
         for j in range(ncols):
             assert _same_exact(m_int.entry(i, j), m_frac.entry(i, j))
-    assert _same_exact(m_int.rows(), m_frac.rows())
+    assert _same_exact(dense_rows(m_int), dense_rows(m_frac))
     assert _same_exact(sorted(m_int.nonzeros()), sorted(m_frac.nonzeros()))
 
     v = data.draw(st.lists(_MIXED, min_size=ncols, max_size=ncols))
@@ -295,14 +306,44 @@ def test_lower_triangular_solve_matches_bareiss(n, data):
     assert solve_lower_triangular(p, b) == solve_exact(p, b)
 
 
+def test_forward_substitute_grows_one_denominator():
+    # y = (1/2, 1/6, 1/3): the first two rows multiply D by 2 and by 3, and the
+    # third row, cleared to 2 y1 + 5 y2 = 2, divides exactly
+    p = RationalMatrix.from_sparse([{0: 2}, {0: 1, 1: 3}, {1: 1, 2: Fraction(5, 2)}], 3)
+    assert forward_substitute(p, [1, 1, 1]) == ([3, 1, 2], 6)
+    # D starts at 4 for b = (1/4, 0, 0), and y = (1/8, -1/24, 1/60)
+    assert forward_substitute(p, [Fraction(1, 4), 0, 0]) == ([15, -5, 2], 120)
+
+
+# diagonals whose divisions are often not exact, so the denominator grows
+_GROWING_DIAGONAL = st.sampled_from([2, 3, 5, 7, 6, 35]).flatmap(
+    lambda d: st.sampled_from([d, -d, Fraction(d, 4), Fraction(-d, 9)])
+)
+_SPARSE_MIXED = st.one_of(st.just(0), st.just(0), _MIXED)
+
+
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_forward_substitute_matches_bareiss(n, data):
+    rows = [
+        {**{j: data.draw(_SPARSE_MIXED) for j in range(i)}, i: data.draw(_GROWING_DIAGONAL)}
+        for i in range(n)
+    ]
+    p = RationalMatrix.from_sparse(rows, n)
+    b = data.draw(st.lists(_MIXED, min_size=n, max_size=n))
+    y, d = forward_substitute(p, b)
+    assert type(d) is int and d > 0 and all(type(v) is int for v in y)
+    assert [Fraction(v, d) for v in y] == solve_exact(p, b)
+
+
 def test_lower_triangular_rejects_zero_diagonal():
-    p = RationalMatrix([[1, 0, 0], [2, 0, 0], [0, 1, 1]])
+    p = dense([[1, 0, 0], [2, 0, 0], [0, 1, 1]])
     with pytest.raises(ValueError, match="row 1 has a zero diagonal entry, in column 1"):
         solve_lower_triangular(p, [1, 1, 1])
 
 
 def test_lower_triangular_rejects_entry_above_diagonal():
-    p = RationalMatrix([[1, 0, 0], [2, 3, Fraction(1, 2)], [0, 1, 1]])
+    p = dense([[1, 0, 0], [2, 3, Fraction(1, 2)], [0, 1, 1]])
     message = "row 1 has the nonzero 1/2 above the diagonal, in column 2"
     with pytest.raises(ValueError, match=message):
         solve_lower_triangular(p, [1, 1, 1])
@@ -310,6 +351,6 @@ def test_lower_triangular_rejects_entry_above_diagonal():
 
 def test_lower_triangular_rejects_non_square():
     with pytest.raises(DimensionMismatchError, match="got 2 rows and 3 columns"):
-        solve_lower_triangular(RationalMatrix([[1, 0, 0], [1, 1, 0]]), [1, 1])
+        solve_lower_triangular(dense([[1, 0, 0], [1, 1, 0]]), [1, 1])
     with pytest.raises(DimensionMismatchError, match="rhs length 3 vs order 2"):
-        solve_lower_triangular(RationalMatrix.identity(2), [1, 2, 3])
+        solve_lower_triangular(identity(2), [1, 2, 3])

@@ -235,10 +235,10 @@ def test_nonsingular_certificate_agrees_with_determinant():
 
 def test_nonsingular_without_certificate_fails(fresh_memos, monkeypatch):
     import bn2.relations
-    from bn2.solver import RationalMatrix
+    from oracles import identity
 
     # with T_g = I the product is Q_g itself, which is not lower-triangular
-    monkeypatch.setattr(bn2.relations, "build_T", lambda g: RationalMatrix.identity(25))
+    monkeypatch.setattr(bn2.relations, "build_T", lambda g: identity(25))
     rep = check_nonsingular(6)
     assert rep.status == "fail"
     assert rep.actual != "nonzero"
