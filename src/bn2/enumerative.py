@@ -227,9 +227,8 @@ def count_ell(g: int, k: int) -> int:
 
 
 def _counted(i: int, k: int, w: int) -> list[tuple[int, int, int]]:
-    """(a0, a1, n_{i,k,(a0,a1)}) for a0 <= a1 <= k-1 of weight w where n counts.
-    Every sum reads its counts here, so this is where a degree below 1 fails."""
-    if k < 1:
+    """(a0, a1, n_{i,k,(a0,a1)}) for a0 <= a1 <= k-1 of weight w where n counts."""
+    if k < 1:  # the one degree check of sum_T, sum_D and sum_S16
         raise ValueError(f"need k >= 1, got k={k}")
     pairs = [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
     return [(a0, a1, n) for a0, a1 in pairs if (n := _pencil_count(i, k, a0, a1)) > 0]

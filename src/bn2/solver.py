@@ -8,12 +8,11 @@ and a matrix-vector product clears the vector's denominators once.
 
 ``forward_substitute`` is the one solve: fraction-free forward substitution
 over the sparse rows of a lower-triangular matrix, which rejects any other
-structure and returns integer numerators over one running denominator;
-``solve_lower_triangular`` reads its result as Fractions.  ``rank`` is the
-one elimination: fraction-free (Bareiss) on integer rows built straight from
-the nonzeros.  The dense oracles the tests hold these against (Gauss,
-determinants, nullspaces, a general solve, dense constructors) live in the
-test suite, in ``tests/oracles.py``, and reuse this Bareiss kernel.
+structure, to integer numerators over one running denominator.  ``rank`` is
+the one elimination: fraction-free (Bareiss) on integer rows built straight
+from the nonzeros.  The dense oracles the tests hold these against (Gauss,
+determinants, nullspaces, a general solve, dense constructors) live in
+``tests/oracles.py`` and reuse this Bareiss kernel.
 """
 
 from __future__ import annotations
@@ -103,7 +102,8 @@ class RationalMatrix:
         """The product with a vector of ints: ints when every entry is an int."""
         if len(v) != self.ncols:
             raise DimensionMismatchError(f"matvec: {self.ncols} columns vs {len(v)} entries")
-        return [sum(map(mul, row.values(), map(v.__getitem__, row))) for row in self._rows]
+        get = v.__getitem__
+        return [sum(map(mul, row.values(), map(get, row))) for row in self._rows]
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -128,18 +128,20 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
 
+def _cleared(rows: list[dict[int, int | Fraction]]):
+    """Each row times the lcm of its denominators, as integer nonzeros, and
+    those lcms, the row scales."""
+    scales = [lcm(*(x.denominator for x in row.values())) for row in rows]
+    pairs = zip(rows, scales)
+    cleared = [{j: x.numerator * (s // x.denominator) for j, x in r.items()} for r, s in pairs]
+    return cleared, scales
+
+
 def _scaled_int_rows(rows: list[dict[int, int | Fraction]], width: int):
     """Clear denominators row by row from the nonzeros; returns dense integer
     rows of the given width and the row scales."""
-    out, scales = [], []
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row.values()))
-        dense = [0] * width
-        for j, x in row.items():
-            dense[j] = x.numerator * (scale // x.denominator)
-        out.append(dense)
-        scales.append(scale)
-    return out, scales
+    cleared, scales = _cleared(rows)
+    return [[row.get(j, 0) for j in range(width)] for row in cleared], scales
 
 
 def _bareiss_echelon(int_rows: list[list[int]]):
@@ -203,24 +205,26 @@ def forward_substitute(p: RationalMatrix, b) -> tuple[list[int], int]:
         )
     if len(b) != p.nrows:
         raise DimensionMismatchError(f"rhs length {len(b)} vs order {p.nrows}")
+    rows = p._rows
     d = lcm(*(v.denominator for v in b))
+    rhs = [v.numerator * (d // v.denominator) for v in b]  # b = rhs / d
+    if any(type(a) is not int for row in rows for a in row.values()):
+        rows, scales = _cleared(rows)
+        rhs = list(map(mul, rhs, scales))
     y: list[int] = []
-    for i, row in enumerate(p._rows):
-        if row and max(row) > i:
-            j = next(j for j in row if j > i)
-            raise ValueError(f"row {i} has the nonzero {row[j]} above the diagonal, in column {j}")
-        if i not in row:
+    for i, row in enumerate(rows):
+        if max(row, default=-1) != i:
+            j, a = next(((j, a) for j, a in p._rows[i].items() if j > i), (i, 0))
+            if a:
+                raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
             raise ValueError(f"row {i} has a zero diagonal entry, in column {i}")
-        scale = lcm(*(a.denominator for a in row.values()))
-        if scale != 1:
-            row = {j: a.numerator * (scale // a.denominator) for j, a in row.items()}
         y.append(0)  # the diagonal's term in the sum below
-        acc = b[i].numerator * (d // b[i].denominator) * scale
-        acc -= sum(map(mul, row.values(), map(y.__getitem__, row)))
+        acc = rhs[i] - sum(map(mul, row.values(), map(y.__getitem__, row)))
         y[i], r = divmod(acc, row[i])
         if r:
             f = abs(row[i]) // gcd(acc, row[i])
             d *= f
+            rhs = [v * f for v in rhs]
             y = [v * f for v in y]
             y[i] = acc * f // row[i]
     return y, d
