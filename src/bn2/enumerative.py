@@ -8,11 +8,10 @@ rational; it is an integer precisely in the zero-dimensional counting regime
 where it counts linear series.
 
 The counting layer computes in integers: ``castelnuovo_N`` is
-g! * (C(s,x) - C(s,g-d')) / s!, every term of ``sum_D`` or ``sum_S16`` has
-the same s, so each sum divides once, and one memoized function decides when
-n_{g,d,alpha} is a count.  ``sum_D`` adds its index pairs by Chu-Vandermonde.
-The oracles, the raw determinant ``castelnuovo_general`` and the pairwise
-``sum_D_pairs``, are in ``tests/oracles.py``.
+g! * (C(s,x) - C(s,g-d')) / s!, the sums walk the counted indices of one weight
+directly, and ``sum_D`` costs four integer products per index pair at g = 2k.
+The oracles, the raw determinant ``castelnuovo_general``, the pairwise
+``sum_D_pairs`` and the vector route ``sum_D_vectors``, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import comb
-from operator import mul
 
 from bn2.exactnum import factorial
 
@@ -84,9 +82,7 @@ class SchubertIndex(namedtuple("SchubertIndex", "a0 a1")):
 
 
 def _index(a) -> SchubertIndex:
-    if isinstance(a, SchubertIndex):
-        return a
-    return SchubertIndex(*a)
+    return a if isinstance(a, SchubertIndex) else SchubertIndex(*a)
 
 
 def _ram_sequence(seq, r: int, d: int) -> tuple[int, ...]:
@@ -161,11 +157,10 @@ _RHO_MISMATCH = -1
 _BELOW_REGIME = -2
 
 
-@lru_cache(maxsize=None)
 def _pencil_count(g: int, d: int, a0: int, a1: int) -> int:
     """n_{g,d,(a0,a1)} if it is a count, else the code of the failed
-    condition.  The one home of the counting regime: the sums skip values
-    <= 0 and count_n/count_m raise on them."""
+    condition, on which count_n/count_m raise.  The sums walk the same
+    regime in integers (``_counted``), which the tests hold against this."""
     if rho(g, 1, d, [(a0, a1)]) != -1:
         return _RHO_MISMATCH
     dp = d - a0
@@ -227,20 +222,21 @@ def count_ell(g: int, k: int) -> int:
 
 
 def _counted(i: int, k: int, w: int) -> list[tuple[int, int, int]]:
-    """(a0, a1, n_{i,k,(a0,a1)}) for a0 <= a1 <= k-1 of weight w where n counts."""
+    """(a0, a1, n_{i,k,(a0,a1)}) for a0 <= a1 <= k-1 of weight w where n counts.
+    Adjusted rho = -1 means w = 2k-i-1; then n = lead (lead+1)(lead+2) C(i, k-a0)
+    for lead = a1 - a0, which counts for lead >= 1 and k - a0 <= i, that is for
+    max(0, w-k+1) <= a0 <= (w-1)/2."""
     if k < 1:  # the one degree check of sum_T, sum_D and sum_S16
         raise ValueError(f"need k >= 1, got k={k}")
-    pairs = [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
-    return [(a0, a1, n) for a0, a1 in pairs if (n := _pencil_count(i, k, a0, a1)) > 0]
-
-
-def _as_count(numerator: int, s: int, what: str) -> int:
-    """numerator / s!, which must be an integer."""
-    count, rest = divmod(numerator, factorial(s))
-    if rest:
-        q = Fraction(numerator, factorial(s))
-        raise ArithmeticError(f"{what} is not integral ({q}); it only counts points when g = 2k")
-    return count
+    if w != 2 * k - i - 1:
+        return []
+    c = comb(i, min(i, k))  # C(i, k - a0) at the first a0, then each from the last
+    counted = []
+    for a0 in range(max(0, w - k + 1), (w + 1) // 2):
+        lead = w - 2 * a0
+        counted.append((a0, w - a0, lead * (lead + 1) * (lead + 2) * c))
+        c = c * (k - a0) // (i - k + a0 + 1)
+    return counted
 
 
 def sum_T(i: int, g: int, k: int) -> int:
@@ -251,38 +247,34 @@ def sum_T(i: int, g: int, k: int) -> int:
     """
     if not 2 <= i <= g // 2:
         raise ValueError(f"sum_T needs 2 <= i <= g/2, got i={i}, g={g}")
-    total = 0
-    for a0, a1, na in _counted(i, k, 2 * k - i - 1):
-        total += na * max(_pencil_count(g - i, k, k - 1 - a1, k - 1 - a0), 0)
-    return total
+    alphas = _counted(i, k, 2 * k - i - 1)  # the second factor is counted there, or 0
+    other = {(c0, c1): n for c0, c1, n in _counted(g - i, k, 2 * k - g + i - 1)}
+    return sum(n * other.get((k - 1 - a1, k - 1 - a0), 0) for a0, a1, n in alphas)
 
 
-def _genus_vector(i: int, g: int, k: int, alpha: bool) -> list[int]:
-    """F_i if alpha, else G_i (see sum_D), at k-1 <= m < g, index m-k+1, with
-    C(s_i, X-m) = C(s_i, m-2k+1+a0) and the generalized C(q, r) for q < 0."""
-    counted = _counted(i, k, 2 * k - i - 1)  # rejects k < 1 before g - k grows large
-    q = g - k - i
-    row = [comb(q, r) if q >= 0 else (-1) ** r * comb(r - q - 1, r) for r in range(g - k + 1)]
-    vec = [0] * (g - k + 1)
-    for a0, a1, n in counted:
-        terms = ((n, 2 * k - 1 - a0), (-n, 2 * k - 2 - a1)) if alpha else ((n, i + a1),)
-        for weight, start in terms:  # start >= k-1
-            for m, c in zip(range(start - k + 1, g - k + 1), row):
-                vec[m] += weight * c
-    return vec
+def _e_terms(j: int, k: int) -> list[int]:
+    """E_r(j) = sum over counted beta of n_beta C(2k-j-r, b0), r <= 3; each
+    binomial comes from the last by one product and one exact division."""
+    top = 2 * k - j
+    counted = _counted(j, k, top - 1)
+    c = [comb(top - r, counted[0][0]) for r in range(4)] if counted else []
+    e = [0, 0, 0, 0]
+    for b, _, n in counted:
+        for r in range(4):
+            e[r] += n * c[r]
+            c[r] = c[r] * (top - r - b) // (b + 1)
+    return e
 
 
-def _sum_D_table(g: int, k: int):
-    """sum_D(i, j, g, k) for admissible (i, j), building each genus's vector
-    once: the D and D6 rows of one degree cost O(g^3) in all."""
-    vector = cache(lambda i, alpha: _genus_vector(i, g, k, alpha))
+def _sum_D_table(k: int):
+    """sum_D(i, j, 2k, k) = sum_r c_r(i) E_r(j) (see sum_D), with E_r(j) built once
+    per j, so the D and D6 rows cost O(g^2) in all.  Newton's differences at 0 of
+    p_i(u) = x^3 - x, x = 2u-i, make c_r(i) i(i-1) times -(i+1), 6(i-1), -12(i-2), 8(i-2)."""
+    terms = cache(lambda j: _e_terms(j, k))
 
     def value(i: int, j: int) -> int:
-        s = 2 * (g - k) - i - j
-        if s < 0:
-            return 0
-        total = sum(map(mul, vector(i, True), vector(j, False)))
-        return _as_count(factorial(g - i - j) * total, s, f"sum_D({i},{j},{g},{k})")
+        e0, e1, e2, e3 = terms(j)
+        return i * (i - 1) * (6 * (i - 1) * e1 - (i + 1) * e0 - 4 * (i - 2) * (3 * e2 - 2 * e3))
 
     return value
 
@@ -291,18 +283,33 @@ def sum_D(i: int, j: int, g: int, k: int) -> int:
     """Sum over rho = -1 indices alpha (genus i) and beta (genus j) of
     n_{i,k,alpha} * n_{j,k,beta} * N_{g-i-j,k,comp(alpha),comp(beta)}.
 
-    comp(a0, a1) = (k-1-a1, k-1-a0) gives every N the same s = s_i + s_j,
-    s_i = g-k-i, s_j = g-k-j, and splits x and g - d' into X = g-i+k-1-a0 and
-    X' = X-1-a1+a0 plus Y = -j-b1.  By Chu-Vandermonde C(s, X+Y) = sum_m
-    C(s_i, X-m) C(s_j, Y+m), so the sum is (g-i-j)! <F_i, G_j> / s! with
-    F_i[m] = sum n_alpha (C(s_i, X-m) - C(s_i, X'-m)), G_j[m] = sum n_beta
-    C(s_j, Y+m).  That is the one route: s < 0 makes every binomial vanish,
-    and s >= 0 gives s_i >= 0 as i <= j, so the sum over m is finite."""
+    comp(a0, a1) = (k-1-a1, k-1-a0) gives every N the same h = g-i-j and
+    s = 2(g-k)-i-j.  With u = k - a0, n_alpha = p_i(u) C(i, u), where
+    p_i(u) = (2u-i-1)(2u-i)(2u-i+1) is antisymmetric under a0 -> 2k-i-a0, so the
+    two binomials of N join into one sum over u, and Chu-Vandermonde gives h!/s!
+    sum_u p_i(u) C(i, u) sum_beta n_beta C(s, h-1-b1+u), max(0,i-k) <= u <= min(i,k).
+    At g = 2k (h = s, i < k) Newton's expansion of p_i(u) and a second Vandermonde
+    step over u give sum_r c_r(i) E_r(j): four products per pair, no division."""
     if not (2 <= i <= j <= g - 3 and i + j <= g - 1):
         raise ValueError(
             f"sum_D needs 2 <= i <= j <= g-3 and i+j <= g-1, got i={i}, j={j}, g={g}"
         )
-    return _sum_D_table(g, k)(i, j)
+    if g == 2 * k:
+        return _sum_D_table(k)(i, j)
+    betas = _counted(j, k, 2 * k - j - 1)
+    h, s = g - i - j, 2 * (g - k) - i - j
+    if s < 0:
+        return 0
+    total = 0
+    for u in range(max(0, i - k), min(i, k) + 1):
+        inner = sum(n * _binom(s, h - 1 - b1 + u) for _, b1, n in betas)
+        total += (2 * u - i - 1) * (2 * u - i) * (2 * u - i + 1) * comb(i, u) * inner
+    q = Fraction(factorial(h) * total, factorial(s))
+    if q.denominator != 1:
+        raise ArithmeticError(
+            f"sum_D({i},{j},{g},{k}) is not integral ({q}); it only counts points when g = 2k"
+        )
+    return q.numerator
 
 
 def sum_S16(i: int, g: int, k: int) -> int:
@@ -310,10 +317,10 @@ def sum_S16(i: int, g: int, k: int) -> int:
     m_{i,k,(a0,a1)} * N_{g-i-1,k,(k-1-a1,k-1-a0)}.
 
     For i = g - 2 the relation uses m_{g-2,k,(0,1)} directly instead.
-    The reduced N has g - d' = g-i-2-a1 and s = g-i-1 for every term.
+    A counted term (g = 2k) has g - d' = g-i-2-a1 and s = g-i-1: N is its numerator.
     """
     if not g // 2 <= i <= g - 3:
         raise ValueError(f"sum_S16 needs g/2 <= i <= g-3, got i={i}, g={g}")
     h = g - i - 1
     total = sum(n * _castelnuovo_num(h - 1 - a1, a1 - a0, 0)[0] for a0, a1, n in _counted(i, k, h))
-    return _as_count(factorial(h) * (3 * i - 1) * total, h, f"sum_S16({i},{g},{k})")
+    return (3 * i - 1) * total

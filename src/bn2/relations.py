@@ -438,17 +438,11 @@ _RHS_KINDS = {
     "n_over": lambda g, i, j: (f"n({g - 2},(0,1))", g - 3, lambda k, d: count_n(g - 2, k, _S01)),
     "D6": lambda g, i, j: (f"D(2,{i})", 6 * (i - 1), lambda k, d: d(2, i)),
     "4N": lambda g, i, j: (
-        f"4*N({g - 4},(0,1),(0,1))",
-        1,
-        lambda k, d: 4 * castelnuovo_N(g - 4, k, _S01, _S01),
+        f"4*N({g - 4},(0,1),(0,1))", 1, lambda k, d: 4 * castelnuovo_N(g - 4, k, _S01, _S01)
     ),
     "2ell": lambda g, i, j: (f"2*ell({g - 2})", 1, lambda k, d: 2 * count_ell(g - 2, k)),
     "S16": lambda g, i, j: (f"S16({i})", 2 * i - 2, lambda k, d: sum_S16(i, g, k)),
-    "S16sp": lambda g, i, j: (
-        f"m({g - 2},(0,1))",
-        2 * g - 6,
-        lambda k, d: count_m(g - 2, k, _S01),
-    ),
+    "S16sp": lambda g, i, j: (f"m({g - 2},(0,1))", 2 * g - 6, lambda k, d: count_m(g - 2, k, _S01)),
 }
 
 
@@ -459,19 +453,18 @@ def _rhs_parts(rel: Relation):
     return _RHS_KINDS[r.kind](rel.g, r.i, r.j)
 
 
-def _evaluate(rel: Relation, k: int, d_sums) -> Fraction:
+def _evaluate(rel: Relation, k: int, d_sums) -> int | Fraction:
     _, divisor, count = _rhs_parts(rel)
     if rel.rhs.kind != "zero" and rel.g != 2 * k:
         raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={rel.g}, k={k}")
-    return Fraction(count(k, d_sums), divisor)
+    q, r = divmod(value := count(k, d_sums), divisor)  # q is an int for a Fraction value too
+    return Fraction(value, divisor) if r else q
 
 
-def evaluate_rhs(rel: Relation, k: int) -> Fraction:
-    """Exact right-hand side of a relation for the degree-k problem.
-
-    Zero descriptors evaluate for any genus; the nonzero ones require
-    g = 2k."""
-    return _evaluate(rel, k, _sum_D_table(rel.g, k))
+def evaluate_rhs(rel: Relation, k: int) -> int | Fraction:
+    """Exact right-hand side of a relation at degree k, an int when integral.
+    Zero descriptors evaluate for any genus; the nonzero ones need g = 2k."""
+    return _evaluate(rel, k, _sum_D_table(k))
 
 
 def describe_rhs(rel: Relation) -> str:
@@ -491,10 +484,10 @@ def build_matrix(g: int) -> RationalMatrix:
     return system_matrix(build_relations(g))
 
 
-def build_rhs_vector(system: RelationSystem, k: int) -> list[Fraction]:
+def build_rhs_vector(system: RelationSystem, k: int) -> list[int | Fraction]:
     """b_k: every right-hand side at degree k.  The D and D6 rows share one
-    sum_D table, which builds each genus's vectors once."""
-    d_sums = _sum_D_table(system.g, k)
+    sum_D table, which builds each genus j's four terms E_r(j) once."""
+    d_sums = _sum_D_table(k)
     return [_evaluate(rel, k, d_sums) for rel in system.rows]
 
 
@@ -758,14 +751,14 @@ def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
 def system_to_json(system: RelationSystem, k: int | None = None) -> str:
     import json
 
-    labels = system.labels
+    names = [str(lab) for lab in system.labels]
     data = {
         "g": system.g,
-        "labels": [str(lab) for lab in labels],
+        "labels": names,
         "rows": [
             {
                 "source": rel.source,
-                "coeffs": {str(labels[c]): str(v) for c, v in sorted(rel.coefficients.items())},
+                "coeffs": {names[c]: str(v) for c, v in sorted(rel.coefficients.items())},
                 "rhs": rhs,
             }
             for rel, rhs in zip(system.rows, _rhs_texts(system, k))

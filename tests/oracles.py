@@ -18,8 +18,10 @@ from routes that share none of that code:
   runtime's ``castelnuovo_N`` is the reduced two-term formula for the same
   number.
 - the pairwise ``sum_D_pairs``, one reduced two-term numerator per index
-  pair.  The runtime's ``sum_D`` adds the pairs by Chu-Vandermonde as one
-  dot product of a genus-i and a genus-j vector.
+  pair, and the vector route ``sum_D_vectors``, one dot product of a
+  genus-i and a genus-j vector by Chu-Vandermonde.  The runtime's ``sum_D``
+  joins the pairs into four integer products per pair at g = 2k, and into
+  one sum over the full range of the first index off g = 2k.
 - the dense CSV exports ``system_to_csv_dense`` and ``t_matrix_to_csv_dense``:
   every cell of ``Q_g`` and ``T_g`` written by ``csv.writer``.  The runtime
   writes each line from the row's nonzeros with its own field quoting.
@@ -290,6 +292,53 @@ def sum_D_pairs(i: int, j: int, g: int, k: int) -> int:
             total += na * nb * _castelnuovo_num(gd_a + b_base, a1 - a0, b_top)[0]
     s = 2 * (g - k) - i - j
     value = Fraction(factorial(h) * total, factorial(s)) if total else Fraction(0)
+    if value.denominator != 1:
+        raise ArithmeticError(
+            f"sum_D({i},{j},{g},{k}) is not integral ({value}); it only counts points when g = 2k"
+        )
+    return value.numerator
+
+
+def _genus_vector(i: int, g: int, k: int, alpha: bool) -> list[int]:
+    """F_i if alpha, else G_i (see sum_D_vectors), at k-1 <= m < g, index
+    m-k+1, with C(s_i, X-m) = C(s_i, m-2k+1+a0) and the generalized C(q, r)
+    for q < 0.  The counted indices come from the scan over every a0 < k."""
+    q = g - k - i
+    row = [
+        math.comb(q, r) if q >= 0 else (-1) ** r * math.comb(r - q - 1, r) for r in range(g - k + 1)
+    ]
+    vec = [0] * (g - k + 1)
+    for a0, a1 in _weight_pairs(k, 2 * k - i - 1):
+        n = _pencil_count(i, k, a0, a1)
+        if n <= 0:
+            continue
+        terms = ((n, 2 * k - 1 - a0), (-n, 2 * k - 2 - a1)) if alpha else ((n, i + a1),)
+        for weight, start in terms:  # start >= k-1
+            for m, c in zip(range(start - k + 1, g - k + 1), row):
+                vec[m] += weight * c
+    return vec
+
+
+def sum_D_vectors(i: int, j: int, g: int, k: int) -> int:
+    """``sum_D`` as one dot product, with the same value, range check and
+    ArithmeticError message.
+
+    comp(a0, a1) = (k-1-a1, k-1-a0) gives every N the same s = s_i + s_j,
+    s_i = g-k-i, s_j = g-k-j, and splits x and g - d' into X = g-i+k-1-a0 and
+    X' = X-1-a1+a0 plus Y = -j-b1.  By Chu-Vandermonde C(s, X+Y) = sum_m
+    C(s_i, X-m) C(s_j, Y+m), so the sum is (g-i-j)! <F_i, G_j> / s! with
+    F_i[m] = sum n_alpha (C(s_i, X-m) - C(s_i, X'-m)), G_j[m] = sum n_beta
+    C(s_j, Y+m).  s < 0 makes every binomial vanish, and s >= 0 gives
+    s_i >= 0 as i <= j, so the sum over m is finite."""
+    if not (2 <= i <= j <= g - 3 and i + j <= g - 1):
+        raise ValueError(
+            f"sum_D needs 2 <= i <= j <= g-3 and i+j <= g-1, got i={i}, j={j}, g={g}"
+        )
+    s = 2 * (g - k) - i - j
+    if s < 0:
+        return 0
+    total = sum(a * b for a, b in zip(_genus_vector(i, g, k, True), _genus_vector(j, g, k, False)))
+    value = Fraction(factorial(g - i - j) * total, factorial(s))
     if value.denominator != 1:
         raise ArithmeticError(
             f"sum_D({i},{j},{g},{k}) is not integral ({value}); it only counts points when g = 2k"

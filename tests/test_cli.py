@@ -49,6 +49,19 @@ def test_counts_T_and_D_and_s16(capsys):
     assert run(capsys, "counts", "s16", "--i", "3", "--g", "6", "--k", "3")[:2] == (0, "192\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["T", "--i", "2", "--g", "10", "--k", "100000000"],
+        ["s16", "--i", "5", "--g", "10", "--k", "100000000"],
+        ["D", "--i", "2", "--j", "3", "--g", "10", "--k", "100000000"],
+    ],
+)
+def test_counts_sums_at_a_huge_degree_are_immediate(capsys, argv):
+    # the sums walk only the counted indices of one weight, never range(k)
+    assert run(capsys, "counts", *argv) == (0, "0\n", "")
+
+
 def test_counts_domain_error_is_usage(capsys):
     code, out, err = run(capsys, "counts", "n", "--g", "4", "--d", "3", "--alpha", "0,0")
     assert code == 2

@@ -371,6 +371,32 @@ def test_rhs_vectors_are_pinned_to_k40():
     assert h.hexdigest() == "5c43b087fdc3caf913350077d45100760267448e8b2ba5f30fb81a7303bde933"
 
 
+def test_rhs_vectors_are_pinned_to_k60():
+    # b_k for k = 41..60, hashed as above before sum_D became a four-term
+    # closed form at g = 2k
+    h = hashlib.sha256()
+    for k in range(41, 61):
+        values = build_rhs_vector(build_relations(2 * k), k)
+        h.update((f"{k}:" + ",".join(map(str, values)) + "\n").encode())
+    assert h.hexdigest() == "d2380f461483416d07efb6b1a434a3a8abf3f0a5f858a8f7cc06db874373b009"
+
+
+def test_rhs_entries_are_ints_where_integral(monkeypatch):
+    import bn2.relations
+
+    # every entry of these b_k is integral, and each is an int
+    for k in (3, 10, 28):
+        assert {type(v) for v in build_rhs_vector(build_relations(2 * k), k)} == {int}
+    rel = Relation("S1[i=2]", 6, {}, Rhs("T", 2))
+    assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (12, int)
+    # a count that its divisor (2*2-2)(2*4-2) = 12 does not divide stays exact
+    monkeypatch.setattr(bn2.relations, "sum_T", lambda i, g, k: 18)
+    assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (Fraction(3, 2), Fraction)
+    monkeypatch.setattr(bn2.relations, "castelnuovo_N", lambda *args: Fraction(5, 2))
+    (rel,) = [r for r in build_relations(6).rows if r.rhs.kind == "4N"]
+    assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (10, int)
+
+
 @pytest.mark.parametrize("k", [40, 60])
 def test_rhs_vector_is_Q_times_closed_formula(k):
     # a second route to b_k: the closed formula solves Q_g x = b_k
@@ -379,15 +405,15 @@ def test_rhs_vector_is_Q_times_closed_formula(k):
     assert build_rhs_vector(system, k) == expected
 
 
-def test_rhs_vector_builds_each_genus_vector_once(monkeypatch):
+def test_rhs_vector_builds_each_E_term_once(monkeypatch):
     import bn2.enumerative
 
     k, g = 28, 56
     built = []
 
-    def counting(i, g, k, alpha):
-        built.append((i, alpha))
-        return genus_vector(i, g, k, alpha)
+    def counting(j, k):
+        built.append(j)
+        return e_terms(j, k)
 
     def no_pairwise_kernel(*args):
         frame = sys._getframe(1)
@@ -398,17 +424,15 @@ def test_rhs_vector_builds_each_genus_vector_once(monkeypatch):
             raise AssertionError(f"per-pair kernel called from {caller}")
         return castelnuovo_num(*args)
 
-    genus_vector, castelnuovo_num = bn2.enumerative._genus_vector, bn2.enumerative._castelnuovo_num
-    monkeypatch.setattr(bn2.enumerative, "_genus_vector", counting)
+    e_terms, castelnuovo_num = bn2.enumerative._e_terms, bn2.enumerative._castelnuovo_num
+    monkeypatch.setattr(bn2.enumerative, "_e_terms", counting)
     monkeypatch.setattr(bn2.enumerative, "_castelnuovo_num", no_pairwise_kernel)
     system = build_relations(g)
     b = build_rhs_vector(system, k)
-    # 754 D and D6 rows from one alpha vector per genus i <= (g-1)/2 and one
-    # beta vector per genus j <= g-3
+    # 754 D and D6 rows from the four terms E_r(j) of each genus j <= g-3,
+    # each built once
     assert sum(rel.rhs.kind in ("D", "D6") for rel in system.rows) == 754
-    assert sorted(built) == sorted(
-        [(i, True) for i in range(2, (g - 1) // 2 + 1)] + [(j, False) for j in range(2, g - 2)]
-    )
+    assert sorted(built) == list(range(2, g - 2))
     monkeypatch.undo()
     assert b == build_rhs_vector(system, k)
 
