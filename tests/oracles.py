@@ -21,7 +21,10 @@ from routes that share none of that code:
   pair, and the vector route ``sum_D_vectors``, one dot product of a
   genus-i and a genus-j vector by Chu-Vandermonde.  The runtime's ``sum_D``
   joins the pairs into four integer products per pair at g = 2k, and into
-  one sum over the full range of the first index off g = 2k.
+  one sum over the full range of the first index off g = 2k.  Both oracles
+  find the counted indices by scanning every a0 < k through the regime
+  function (``counted_by_scan``); the runtime walks one interval in integers
+  (``_counted``).
 - the dense CSV exports ``system_to_csv_dense`` and ``t_matrix_to_csv_dense``:
   every cell of ``Q_g`` and ``T_g`` written by ``csv.writer``.  The runtime
   writes each line from the row's nonzeros with its own field quoting.
@@ -268,6 +271,12 @@ def _weight_pairs(k: int, w: int) -> list[tuple[int, int]]:
     return [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
 
 
+def counted_by_scan(i: int, k: int, w: int) -> list[tuple[int, int, int]]:
+    """(a0, a1, n_{i,k,(a0,a1)}) where n counts, from the scan over every
+    a0 < k of weight w; the runtime's ``_counted`` walks one interval."""
+    return [(a0, a1, n) for a0, a1 in _weight_pairs(k, w) if (n := _pencil_count(i, k, a0, a1)) > 0]
+
+
 def sum_D_pairs(i: int, j: int, g: int, k: int) -> int:
     """``sum_D`` by its definition: for every counted pair (alpha, beta) the
     numerator of N_{g-i-j,k,comp(alpha),comp(beta)} over the common s!, with
@@ -302,16 +311,13 @@ def sum_D_pairs(i: int, j: int, g: int, k: int) -> int:
 def _genus_vector(i: int, g: int, k: int, alpha: bool) -> list[int]:
     """F_i if alpha, else G_i (see sum_D_vectors), at k-1 <= m < g, index
     m-k+1, with C(s_i, X-m) = C(s_i, m-2k+1+a0) and the generalized C(q, r)
-    for q < 0.  The counted indices come from the scan over every a0 < k."""
+    for q < 0."""
     q = g - k - i
     row = [
         math.comb(q, r) if q >= 0 else (-1) ** r * math.comb(r - q - 1, r) for r in range(g - k + 1)
     ]
     vec = [0] * (g - k + 1)
-    for a0, a1 in _weight_pairs(k, 2 * k - i - 1):
-        n = _pencil_count(i, k, a0, a1)
-        if n <= 0:
-            continue
+    for a0, a1, n in counted_by_scan(i, k, 2 * k - i - 1):
         terms = ((n, 2 * k - 1 - a0), (-n, 2 * k - 2 - a1)) if alpha else ((n, i + a1),)
         for weight, start in terms:  # start >= k-1
             for m, c in zip(range(start - k + 1, g - k + 1), row):

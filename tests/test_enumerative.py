@@ -24,7 +24,7 @@ from bn2.enumerative import (
     sum_S16,
     sum_T,
 )
-from oracles import castelnuovo_general, sum_D_pairs, sum_D_vectors
+from oracles import castelnuovo_general, counted_by_scan, sum_D_pairs, sum_D_vectors
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracles: loop over every raw (a0, a1) pair and skip
@@ -313,9 +313,9 @@ _D_on_2k = st.integers(4, 32).flatmap(
 
 @given(st.one_of(_D_args, _D_on_2k))
 @settings(max_examples=200, deadline=None)
-@example(((6, 6), 20, 4))  # i > k: the Newton expansion of F_i fails here
-@example(((5, 9), 17, 3))  # i > k, s_j < 0 <= s
-@example(((3, 10), 20, 4))  # i < k < j, off g = 2k
+@example(((6, 6), 20, 4))  # i > k, where the Newton expansion of F_i fails: not integral
+@example(((5, 6), 12, 4))  # i > k, integral: 810
+@example(((3, 5), 9, 4))  # i < k < j off g = 2k: 2880
 @example(((14, 40), 60, 30))  # g = 2k, k >= 30
 @example(((29, 30), 60, 30))  # g = 2k, the largest i
 @example(((2, 2), 8, 2))  # off regime and not integral
@@ -331,12 +331,6 @@ def test_sum_D_equals_vector_route(args):
     assert value_or_message(sum_D) == value_or_message(sum_D_vectors)
 
 
-def _counted_by_scan(i, k, w):
-    """_counted as the scan over every a0 < k that it replaced"""
-    pairs = [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
-    return [(a0, a1, n) for a0, a1 in pairs if (n := _pencil_count(i, k, a0, a1)) > 0]
-
-
 @pytest.mark.parametrize("k", range(3, 60))
 def test_counted_walks_the_pairs_of_the_scan(k):
     # every weight w up to k = 30; above it, the weight 2k-i-1 of the sums and
@@ -344,7 +338,7 @@ def test_counted_walks_the_pairs_of_the_scan(k):
     for i in range(2 * k + 2):
         weights = range(-1, 2 * k) if k <= 30 else range(2 * k - i - 2, 2 * k - i + 1)
         for w in weights:
-            assert _counted(i, k, w) == _counted_by_scan(i, k, w)
+            assert _counted(i, k, w) == counted_by_scan(i, k, w)
 
 
 def test_sum_S16_values():
