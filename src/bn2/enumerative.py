@@ -317,10 +317,16 @@ def sum_S16(i: int, g: int, k: int) -> int:
     m_{i,k,(a0,a1)} * N_{g-i-1,k,(k-1-a1,k-1-a0)}.
 
     For i = g - 2 the relation uses m_{g-2,k,(0,1)} directly instead.
-    A counted term (g = 2k) has g - d' = g-i-2-a1 and s = g-i-1: N is its numerator.
+    A counted term (g = 2k) has g - d' = h-1-a1, x = h-a0 and s = h for
+    h = g-i-1, so N's numerator is C(h, a0) - C(h, a0-1).  The counted a0 run
+    from max(0, k-i) = 0, as i >= k, and each C(h, a0) comes from the last by
+    one product and one exact division.
     """
     if not g // 2 <= i <= g - 3:
         raise ValueError(f"sum_S16 needs g/2 <= i <= g-3, got i={i}, g={g}")
     h = g - i - 1
-    total = sum(n * _castelnuovo_num(h - 1 - a1, a1 - a0, 0)[0] for a0, a1, n in _counted(i, k, h))
+    total, prev, cur = 0, 0, 1  # C(h, a0 - 1) and C(h, a0) at a0 = 0
+    for a0, _, n in _counted(i, k, h):
+        total += n * (cur - prev)
+        prev, cur = cur, cur * (h - a0) // (a0 + 1)
     return (3 * i - 1) * total

@@ -429,36 +429,66 @@ def build_relations(g: int) -> RelationSystem:
 
 _S01 = SchubertIndex(0, 1)
 
-# kind -> (g, i, j) -> (symbolic count, divisor, the count at degree k given
-# that degree's sum_D table); the right-hand side is the count over the divisor.
+# kind -> (symbolic count, divisor, count at degree k given that degree's
+# sum_D table), each a function of (g, i, j); the right-hand side is the count
+# over the divisor.  Evaluation builds no text, and describe_rhs evaluates nothing.
 _RHS_KINDS = {
-    "zero": lambda g, i, j: ("0", 1, lambda k, d: 0),
-    "T": lambda g, i, j: (f"T({i})", (2 * i - 2) * (2 * (g - i) - 2), lambda k, d: sum_T(i, g, k)),
-    "D": lambda g, i, j: (f"D({i},{j})", (2 * i - 2) * (2 * j - 2), lambda k, d: d(i, j)),
-    "n_over": lambda g, i, j: (f"n({g - 2},(0,1))", g - 3, lambda k, d: count_n(g - 2, k, _S01)),
-    "D6": lambda g, i, j: (f"D(2,{i})", 6 * (i - 1), lambda k, d: d(2, i)),
-    "4N": lambda g, i, j: (
-        f"4*N({g - 4},(0,1),(0,1))", 1, lambda k, d: 4 * castelnuovo_N(g - 4, k, _S01, _S01)
+    "zero": (lambda g, i, j: "0", lambda g, i, j: 1, lambda g, i, j, k, d: 0),
+    "T": (
+        lambda g, i, j: f"T({i})",
+        lambda g, i, j: (2 * i - 2) * (2 * (g - i) - 2),
+        lambda g, i, j, k, d: sum_T(i, g, k),
     ),
-    "2ell": lambda g, i, j: (f"2*ell({g - 2})", 1, lambda k, d: 2 * count_ell(g - 2, k)),
-    "S16": lambda g, i, j: (f"S16({i})", 2 * i - 2, lambda k, d: sum_S16(i, g, k)),
-    "S16sp": lambda g, i, j: (f"m({g - 2},(0,1))", 2 * g - 6, lambda k, d: count_m(g - 2, k, _S01)),
+    "D": (
+        lambda g, i, j: f"D({i},{j})",
+        lambda g, i, j: (2 * i - 2) * (2 * j - 2),
+        lambda g, i, j, k, d: d(i, j),
+    ),
+    "n_over": (
+        lambda g, i, j: f"n({g - 2},(0,1))",
+        lambda g, i, j: g - 3,
+        lambda g, i, j, k, d: count_n(g - 2, k, _S01),
+    ),
+    "D6": (lambda g, i, j: f"D(2,{i})", lambda g, i, j: 6 * (i - 1), lambda g, i, j, k, d: d(2, i)),
+    "4N": (
+        lambda g, i, j: f"4*N({g - 4},(0,1),(0,1))",
+        lambda g, i, j: 1,
+        lambda g, i, j, k, d: 4 * castelnuovo_N(g - 4, k, _S01, _S01),
+    ),
+    "2ell": (
+        lambda g, i, j: f"2*ell({g - 2})",
+        lambda g, i, j: 1,
+        lambda g, i, j, k, d: 2 * count_ell(g - 2, k),
+    ),
+    "S16": (
+        lambda g, i, j: f"S16({i})",
+        lambda g, i, j: 2 * i - 2,
+        lambda g, i, j, k, d: sum_S16(i, g, k),
+    ),
+    "S16sp": (
+        lambda g, i, j: f"m({g - 2},(0,1))",
+        lambda g, i, j: 2 * g - 6,
+        lambda g, i, j, k, d: count_m(g - 2, k, _S01),
+    ),
 }
 
 
 def _rhs_parts(rel: Relation):
-    r = rel.rhs
-    if r.kind not in _RHS_KINDS:
-        raise ValueError(f"unknown rhs kind {r.kind!r}")
-    return _RHS_KINDS[r.kind](rel.g, r.i, r.j)
+    """The (text, divisor, count) functions of the relation's rhs kind."""
+    parts = _RHS_KINDS.get(rel.rhs.kind)
+    if parts is None:
+        raise ValueError(f"unknown rhs kind {rel.rhs.kind!r}")
+    return parts
 
 
 def _evaluate(rel: Relation, k: int, d_sums) -> int | Fraction:
     _, divisor, count = _rhs_parts(rel)
-    if rel.rhs.kind != "zero" and rel.g != 2 * k:
-        raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={rel.g}, k={k}")
-    q, r = divmod(value := count(k, d_sums), divisor)  # q is an int for a Fraction value too
-    return Fraction(value, divisor) if r else q
+    g, (kind, i, j) = rel.g, rel.rhs
+    if kind != "zero" and g != 2 * k:
+        raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={g}, k={k}")
+    div = divisor(g, i, j)
+    q, r = divmod(value := count(g, i, j, k, d_sums), div)  # q is an int for a Fraction value too
+    return Fraction(value, div) if r else q
 
 
 def evaluate_rhs(rel: Relation, k: int) -> int | Fraction:
@@ -470,7 +500,9 @@ def evaluate_rhs(rel: Relation, k: int) -> int | Fraction:
 def describe_rhs(rel: Relation) -> str:
     """Symbolic form of the right-hand side, for exports without a fixed k."""
     text, divisor, _ = _rhs_parts(rel)
-    return text if divisor == 1 else f"{text}/{divisor}"
+    g, (_, i, j) = rel.g, rel.rhs
+    text, div = text(g, i, j), divisor(g, i, j)
+    return text if div == 1 else f"{text}/{div}"
 
 
 def system_matrix(system: RelationSystem) -> RationalMatrix:
@@ -491,14 +523,14 @@ def build_rhs_vector(system: RelationSystem, k: int) -> list[int | Fraction]:
     return [_evaluate(rel, k, d_sums) for rel in system.rows]
 
 
-def solve_class(k: int) -> ClassExpression:
-    """The degree-k class at genus 2k: the exact solution of Q_g x = b_k.
+def _solve(k: int) -> tuple[list[int], int]:
+    """(X, D) with X / D the exact solution of Q_g x = b_k at g = 2k.
 
     P = Q_g T_g is lower-triangular with a nonzero diagonal, so forward
     substitution solves P Y = D b_k in integers over one denominator D, and
     X = T_g Y.  Every equation of Q_g X = D b_k is checked in integers before
-    X/D is returned; a failure of either the structure or the residual is an
-    internal error.  Q_g, T_g and P come from the one-genus memo.
+    X and D are returned; a failure of either the structure or the residual is
+    an internal error.  Q_g, T_g and P come from the one-genus memo.
     """
     if k < 3:
         raise ValueError(
@@ -513,104 +545,100 @@ def solve_class(k: int) -> ClassExpression:
     x = genus.t.int_matvec(y)
     if genus.q.int_matvec(x) != [v.numerator * (d // v.denominator) for v in b]:
         raise RuntimeError(f"internal error: the solution at k={k} has a nonzero residual")
+    return x, d
+
+
+def solve_class(k: int) -> ClassExpression:
+    """The degree-k class at genus 2k: the exact solution of Q_g x = b_k, as
+    the one Fraction X_i / D per coefficient of ``_solve``'s (X, D)."""
+    x, d = _solve(k)
     return ClassExpression.from_vector(2 * k, [Fraction(v, d) for v in x])
 
 
 def _t_columns(g: int):
-    """(tag, coefficient dict) pairs for the columns of T_g, in group order."""
+    """(tag, {column: coefficient}) pairs for the columns of T_g, in group
+    order; each generator is looked up once in the frozen basis order."""
+    ix = basis_index(g).__getitem__
     fl = g // 2
     for i in range(2, fl + 1):
-        yield f"T1[i={i}]", {om(i): 1}
+        yield f"T1[i={i}]", {ix(om(i)): 1}
     for i in range(2, g - 2):
         for j in range(i, g - 2):
             if i + j > g - 1:
                 break
-            yield f"T2[i={i},j={j}]", {dd(i, j): 1}
-    yield "T3", {dd(1, g - 2): 1}
+            yield f"T2[i={i},j={j}]", {ix(dd(i, j)): 1}
+    yield "T3", {ix(dd(1, g - 2)): 1}
     for i in range(2, g - 2):
-        yield f"T4[i={i}]", {dd(1, i): 1}
-    yield "T5", {dd(0, g - 1): 1}
+        yield f"T4[i={i}]", {ix(dd(1, i)): 1}
+    yield "T5", {ix(dd(0, g - 1)): 1}
     for i in range(3, g - 2):
-        yield f"T6[i={i}]", {la(i): 1}
-    yield "T6[ld2]", {LD2: 1}
-    yield "T7", {dd(1, 1): 1}
-    yield "T8", {LD0: 1}
-    yield "T9[j=2]", {dd(1, 2): 2, dd(0, 2): 1, LD2: -10}
+        yield f"T6[i={i}]", {ix(la(i)): 1}
+    yield "T6[ld2]", {ix(LD2): 1}
+    yield "T7", {ix(dd(1, 1)): 1}
+    yield "T8", {ix(LD0): 1}
+    yield "T9[j=2]", {ix(dd(1, 2)): 2, ix(dd(0, 2)): 1, ix(LD2): -10}
     for j in range(3, g - 2):
-        yield f"T9[j={j}]", {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}
-    yield "T10", {LD1: 60, D1SQ: 12, dd(0, g - 1): -3, dd(0, 1): 8, dd(0, 0): 2}
-    yield "T11", {LD1: 12, LD0: 1, dd(0, g - 1): -1}
-    yield "T12", {dd(0, g - 2): 1, dd(1, g - 2): 2}
-    yield "T13", {LD1: 12, LD0: 6, dd(0, g - 1): -1, dd(0, 1): -1, dd(0, 0): -1}
-    t14: dict[ClassLabel, int] = {K1SQ: 6, LD0: 72, LD1: 144, LD2: 144}
+        yield f"T9[j={j}]", {ix(dd(1, j)): 2, ix(dd(0, j)): 1, ix(la(g - j)): -10}
+    d0g1, d00, d01, k2, d0sq, d1sq, d11 = map(
+        ix, (dd(0, g - 1), dd(0, 0), dd(0, 1), K2, D0SQ, D1SQ, dd(1, 1))
+    )
+    yield "T10", {ix(LD1): 60, d1sq: 12, d0g1: -3, d01: 8, d00: 2}
+    yield "T11", {ix(LD1): 12, ix(LD0): 1, d0g1: -1}
+    yield "T12", {ix(dd(0, g - 2)): 1, ix(dd(1, g - 2)): 2}
+    yield "T13", {ix(LD1): 12, ix(LD0): 6, d0g1: -1, d01: -1, d00: -1}
+    t14: dict[int, int] = {ix(K1SQ): 6, ix(LD0): 72, ix(LD1): 144, ix(LD2): 144}
     if g % 2 == 0:
         # the self-paired middle class; absent for odd g, where every pair
         # {s, g-s} is already covered by the sum below
-        t14[om(fl)] = 6
+        t14[ix(om(fl))] = 6
     for s in range(2, (g + 1) // 2):  # s < g/2
-        t14[om(s)] = t14.get(om(s), 0) + 12
+        c = ix(om(s))
+        t14[c] = t14.get(c, 0) + 12
     for s in range(3, g - 2):
-        t14[la(s)] = 144
-    for lab in enumerate_basis(g):
-        if lab.kind == "d":
-            t14[lab] = -12
-    t14[dd(0, g - 1)] = -11
+        t14[ix(la(s))] = 144
+    for c in range(d00, ix(th(1))):  # the d(i,j) generators are one run of columns
+        t14[c] = -12
+    t14[d0g1] = -11
     yield "T14", t14
-    yield "T15", {K2: 1}
+    yield "T15", {k2: 1}
     for i in range(fl, g - 2):
-        yield f"T16[i={i}]", {om(i + 1): 1, om(g - i - 1): -1}
-    t16: dict[ClassLabel, int] = {
-        D1SQ: 12 * (g - 1),
-        dd(1, 1): -24 * (g - 1),
-        dd(0, g - 1): 2 * (g - 1),
-        D0SQ: 3,
-        dd(0, 0): -6,
-    }
-    for s in range(2, fl + 1):
-        w = 6 * (g - 2 * s)  # = 12 (g/2 - s)
-        if w:
-            t16[om(g - s)] = t16.get(om(g - s), 0) + (g - 1) * w
-            t16[om(s)] = t16.get(om(s), 0) - (g - 1) * w
-    yield "T16[sum]", {lab: v for lab, v in t16.items() if v != 0}
-    t17: dict[ClassLabel, int] = {
-        K2: 6 * g,
-        D1SQ: 12 - 6 * g,
-        dd(1, 1): 12 * (g - 2),
-        D0SQ: -3,
-        dd(0, g - 1): 2 - g,
-        dd(0, 0): 6,
-    }
-    for s in range(2, fl + 1):
-        w = 6 * (g - 2 * s)
-        if w:
-            t17[om(g - s)] = t17.get(om(g - s), 0) + w
-            t17[om(s)] = t17.get(om(s), 0) - w
-    yield "T17", {lab: v for lab, v in t17.items() if v != 0}
+        yield f"T16[i={i}]", {ix(om(i + 1)): 1, ix(om(g - i - 1)): -1}
+
+    def om_pairs(col: dict[int, int], scale: int) -> dict[int, int]:
+        """col plus scale * 6 (g - 2s) (om(g-s) - om(s)) for 2 <= s <= g/2,
+        without its zero entries."""
+        for s in range(2, fl + 1):
+            w = scale * 6 * (g - 2 * s)
+            if w:
+                hi, lo = ix(om(g - s)), ix(om(s))
+                col[hi] = col.get(hi, 0) + w
+                col[lo] = col.get(lo, 0) - w
+        return {c: v for c, v in col.items() if v != 0}
+
+    t16 = {d1sq: 12 * (g - 1), d11: -24 * (g - 1), d0g1: 2 * (g - 1), d0sq: 3, d00: -6}
+    yield "T16[sum]", om_pairs(t16, g - 1)
+    t17 = {k2: 6 * g, d1sq: 12 - 6 * g, d11: 12 * (g - 2), d0sq: -3, d0g1: 2 - g, d00: 6}
+    yield "T17", om_pairs(t17, 1)
     for i in range(4, (g + 1) // 2 + 1):
-        yield f"T18[i={i}]", {th(i - 1): 1}
-    yield "T18[th2]", {th(2): 1}
-    t18: dict[ClassLabel, int] = {
-        K2: -6 * g,
-        D1SQ: 6 * g - 12,
-        dd(1, 1): 12 * (2 - g),
-        D0SQ: 3,
-        dd(0, g - 1): g - 2,
-        dd(0, 0): -6,
-        th(1): 72,
+        yield f"T18[i={i}]", {ix(th(i - 1)): 1}
+    yield "T18[th2]", {ix(th(2)): 1}
+    t18 = {
+        k2: -6 * g,
+        d1sq: 6 * g - 12,
+        d11: 12 * (2 - g),
+        d0sq: 3,
+        d0g1: g - 2,
+        d00: -6,
+        ix(th(1)): 72,
     }
-    for s in range(2, fl + 1):
-        w = 6 * (g - 2 * s)
-        if w:
-            t18[om(s)] = t18.get(om(s), 0) + w
-            t18[om(g - s)] = t18.get(om(g - s), 0) - w
-    yield "T18[final]", {lab: v for lab, v in t18.items() if v != 0}
+    yield "T18[final]", om_pairs(t18, -1)
 
 
 def t_column_tags(g: int) -> list[str]:
     return [tag for tag, _ in _checked_t_columns(g)]
 
 
-def _checked_t_columns(g: int) -> list[tuple[str, dict[ClassLabel, int]]]:
+def _checked_t_columns(g: int) -> list[tuple[str, dict[int, int]]]:
     if g < 6:
         raise ValueError(f"T_g is defined for g >= 6, got g={g}")
     cols = list(_t_columns(g))
@@ -620,14 +648,13 @@ def _checked_t_columns(g: int) -> list[tuple[str, dict[ClassLabel, int]]]:
     return cols
 
 
-def _t_rows(g: int, cols) -> list[dict[int, int]]:
+def _t_rows(cols) -> list[dict[int, int]]:
     """The rows of T_g, one {column: coefficient} dict per basis label, from
     its columns."""
-    index = basis_index(g)
-    rows: list[dict[int, int]] = [{} for _ in index]
+    rows: list[dict[int, int]] = [{} for _ in cols]
     for c, (_, coeffs) in enumerate(cols):
-        for lab, v in coeffs.items():
-            rows[index[lab]][c] = v
+        for r, v in coeffs.items():
+            rows[r][c] = v
     return rows
 
 
@@ -635,7 +662,7 @@ def build_T(g: int) -> RationalMatrix:
     """The triangularizing column matrix: rows indexed by the basis, one
     column per group entry, built to pair with the rows of Q_g."""
     cols = _checked_t_columns(g)
-    return RationalMatrix.from_sparse(_t_rows(g, cols), len(cols))
+    return RationalMatrix.from_sparse(_t_rows(cols), len(cols))
 
 
 class TriangularityReport(
@@ -707,12 +734,6 @@ def _rhs_texts(system: RelationSystem, k: int | None) -> list[str]:
     return [str(v) for v in build_rhs_vector(system, k)]
 
 
-def _in_basis_order(coeffs: dict[ClassLabel, int], g: int) -> dict[str, str]:
-    """Nonzero coefficients as strings, keyed in the frozen basis order."""
-    index = basis_index(g)
-    return {str(lab): str(v) for lab, v in sorted(coeffs.items(), key=lambda kv: index[kv[0]])}
-
-
 def _csv_field(text: str) -> str:
     """text as one CSV field, quoted as ``csv.writer`` quotes it under
     QUOTE_MINIMAL with the line terminator "\\n": only when it holds a comma,
@@ -748,42 +769,60 @@ def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     return "".join(lines)
 
 
-def system_to_json(system: RelationSystem, k: int | None = None) -> str:
-    import json
+def _json_block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON list, or an object for brackets "{}", of already encoded items
+    as ``json.dumps(indent=2)`` writes it at this indent: one item a line, one
+    level deeper, and an empty one as the bare brackets."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
-    names = [str(lab) for lab in system.labels]
-    data = {
-        "g": system.g,
-        "labels": names,
-        "rows": [
-            {
-                "source": rel.source,
-                "coeffs": {names[c]: str(v) for c, v in sorted(rel.coefficients.items())},
-                "rhs": rhs,
-            }
-            for rel, rhs in zip(system.rows, _rhs_texts(system, k))
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
+
+def _json_export(g: int, key: str, entries) -> str:
+    """``json.dumps({"g": g, "labels": labels, key: entries}, indent=2)`` plus
+    a newline for the genus-g labels, written directly.  Each entry is a list
+    of (field, value) pairs, where value is a string or an int-valued
+    {column: coefficient} dict; strings, labels and coefficients are all
+    written as JSON strings."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    names = [quote(str(lab)) for lab in enumerate_basis(g)]
+
+    def entry(fields) -> str:
+        items = []
+        for field, value in fields:
+            if isinstance(value, dict):
+                coeffs = [f'{names[c]}: "{v}"' for c, v in sorted(value.items())]
+                items.append(f'"{field}": {_json_block(coeffs, "      ", "{}")}')
+            else:
+                items.append(f'"{field}": {quote(value)}')
+        return _json_block(items, "    ", "{}")
+
+    fields = [
+        f'"g": {g}',
+        f'"labels": {_json_block(names, "  ")}',
+        f'"{key}": {_json_block(list(map(entry, entries)), "  ")}',
+    ]
+    return _json_block(fields, "", "{}") + "\n"
+
+
+def system_to_json(system: RelationSystem, k: int | None = None) -> str:
+    entries = [
+        (("source", rel.source), ("coeffs", rel.coefficients), ("rhs", rhs))
+        for rel, rhs in zip(system.rows, _rhs_texts(system, k))
+    ]
+    return _json_export(system.g, "rows", entries)
 
 
 def t_matrix_to_csv(g: int) -> str:
     cols = _checked_t_columns(g)
     lines = [_csv_line(["label", *(tag for tag, _ in cols)], (), 0)]
-    for lab, row in zip(enumerate_basis(g), _t_rows(g, cols)):
+    for lab, row in zip(enumerate_basis(g), _t_rows(cols)):
         lines.append(_csv_line([str(lab)], sorted(row.items()), len(cols)))
     return "".join(lines)
 
 
 def t_matrix_to_json(g: int) -> str:
-    import json
-
-    data = {
-        "g": g,
-        "labels": [str(lab) for lab in enumerate_basis(g)],
-        "columns": [
-            {"tag": tag, "coeffs": _in_basis_order(coeffs, g)}
-            for tag, coeffs in _checked_t_columns(g)
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
+    entries = [(("tag", tag), ("coeffs", coeffs)) for tag, coeffs in _checked_t_columns(g)]
+    return _json_export(g, "columns", entries)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count, repeat
+from math import lcm
+from operator import mul, ne
 
 from bn2.basis import (
     D0SQ,
@@ -22,6 +25,7 @@ from bn2.basis import (
     ClassExpression,
     ClassLabel,
     basis_dimension,
+    basis_index,
     dd,
     enumerate_basis,
     la,
@@ -29,7 +33,7 @@ from bn2.basis import (
     th,
 )
 from bn2.exactnum import double_factorial_odd, factorial
-from bn2.relations import _genus, build_relations, solve_class, system_matrix
+from bn2.relations import _genus, _solve, build_relations, system_matrix
 from bn2.solver import RationalMatrix, rank
 
 __all__ = [
@@ -90,109 +94,91 @@ def scale_factor(k: int) -> Fraction:
     return F(2) ** (k - 6) * double_factorial_odd(2 * k - 7) / (3 * factorial(k))
 
 
-def _bracket_coefficient(lab: ClassLabel, k: int) -> Fraction:
-    """Unscaled coefficient of one generator in the degree-k closed formula."""
-    g = 2 * k
-    if lab == K1SQ:
-        return F(3 * k * k + 3 * k + 5)
-    if lab == D0SQ:
-        return -F(3 * k * k + 3 * k + 5)
-    if lab == K2:
-        return F(-24 * k * (k + 5))
-    if lab == D1SQ:
-        return F(-(3 * k * (9 * k + 41) + 5))
-    if lab == LD0:
-        return F(-24 * (3 * (k - 1) * k - 5))
-    if lab == LD1:
-        return F(24 * (-33 * k * k + 39 * k + 65))
-    if lab == LD2:
-        return F(24 * (3 * (37 - 23 * k) * k + 185))
-    if lab.kind == "om":
-        i = lab.i
-        return F(
-            -180 * i**4
-            + 120 * i**3 * (6 * k + 1)
-            - 36 * i * i * (20 * k * k + 24 * k - 5)
-            + 24 * i * (52 * k * k - 16 * k - 5)
-            + 27 * k * k
-            + 123 * k
-            + 5
+def _quadratics(a2: int, a1: int, a0: int, start: int, stop: int) -> list[int]:
+    """a2 j^2 + a1 j + a0 for start <= j < stop."""
+    return [(a2 * j + a1) * j + a0 for j in range(start, stop)]
+
+
+def _closed_form_parts(k: int) -> tuple[list[int], Fraction]:
+    """(B, c) with the degree-k closed formula equal to c * B in the frozen
+    basis order of genus 2k: B is 5 times every bracket coefficient, an
+    integer, because only d(0,g-2) and d(1,g-2) carry a 2/5, and
+    c = scale_factor(k) / 5.  B is evaluated family by family over the
+    families' runs of columns, each bracket polynomial expanded in the
+    family's index; ``closed_form_by_label`` in tests/oracles.py keeps the
+    per-label form."""
+    if k < 3:
+        raise ValueError(f"closed formula holds for k >= 3, got k={k}")
+    g, kk = 2 * k, k * k
+    # k1^2, k2, d0^2, ld0, d1^2, ld1, ld2
+    b = [
+        5 * (3 * kk + 3 * k + 5),
+        -120 * k * (k + 5),
+        -5 * (3 * kk + 3 * k + 5),
+        -120 * (3 * (k - 1) * k - 5),
+        -5 * (3 * k * (9 * k + 41) + 5),
+        120 * (-33 * kk + 39 * k + 65),
+        120 * (3 * (37 - 23 * k) * k + 185),
+    ]
+    # om(i), 2 <= i <= g-2: a quartic in i
+    c3, c2 = 600 * (6 * k + 1), -180 * (20 * kk + 24 * k - 5)
+    c1, c0 = 120 * (52 * kk - 16 * k - 5), 5 * (27 * kk + 123 * k + 5)
+    b += [(((-900 * i + c3) * i + c2) * i + c1) * i + c0 for i in range(2, g - 1)]
+    # la(i), 3 <= i <= g-3
+    b += _quadratics(720 * (3 * k + 5), -720 * (6 * kk + 23 * k + 5), 120 * (159 * kk + 63 * k + 5), 3, g - 2)
+    # d(0,0), d(0,j) for 1 <= j <= g-3, d(0,g-2), d(0,g-1)
+    const = -10 * (3 * kk + 3 * k + 5)  # the j-free term of the d(0,j) and d(i,j) quadratics
+    b.append(120 * k * (k - 1))
+    b += _quadratics(-360 * k, 720 * kk - 1080 * k, const, 1, g - 2)
+    b.append(2 * (3 * k * (187 * k - 389) - 745))
+    b.append(10 * (k * (31 * k - 49) - 65))
+    # d(i,j), 1 <= i <= j <= g-2 and i+j <= g-1, lexicographic: a quadratic in j
+    # for each i, with the special d(1,1) and d(1,g-2); j <= g-1-i for i >= 2
+    for i in range(1, g - 1):
+        a2 = 1800 * i * (i + 1) - 2160 * k * i
+        a1 = 4320 * kk * i - 2160 * k * i * (i + 4) + 1800 * i * (i + 1)
+        if i == 1:
+            b.append(240 * (19 * kk - 49 * k + 30))
+            b += _quadratics(a2, a1, const, 2, g - 2)
+            b.append(2 * (3 * k * (859 * k - 2453) + 2135))
+        else:
+            b += _quadratics(a2, a1, const, i, g - i)
+    # th(i), 1 <= i <= (g-1)/2: a quartic in i
+    c2, c1, c0 = 20 * k - 10, -(20 * kk - 8 * k - 5), 24 * kk - 32 * k + 10
+    b += [60 * i * (((-5 * i + c2) * i + c1) * i + c0) for i in range(1, (g - 1) // 2 + 1)]
+    if len(b) != basis_dimension(g):
+        raise RuntimeError(
+            f"internal error: the closed formula has {len(b)} coefficients at g={g}, "
+            f"expected {basis_dimension(g)}"
         )
-    if lab.kind == "la":
-        i = lab.i
-        return F(
-            24
-            * (
-                6 * i * i * (3 * k + 5)
-                - 6 * i * (6 * k * k + 23 * k + 5)
-                + 159 * k * k
-                + 63 * k
-                + 5
-            )
-        )
-    if lab.kind == "th":
-        i = lab.i
-        return F(
-            -12
-            * i
-            * (
-                5 * i**3
-                + i * i * (10 - 20 * k)
-                + i * (20 * k * k - 8 * k - 5)
-                - 24 * k * k
-                + 32 * k
-                - 10
-            )
-        )
-    if lab.kind == "d":
-        i, j = lab.i, lab.j
-        if (i, j) == (0, 0):
-            return F(24 * k * (k - 1))
-        if i == 0 and j == g - 2:
-            return F(2, 5) * (3 * k * (187 * k - 389) - 745)
-        if i == 0 and j == g - 1:
-            return F(2 * (k * (31 * k - 49) - 65))
-        if i == 0:  # 1 <= j <= 2k-3
-            return F(2 * (-3 * (12 * j * j + 36 * j + 1) * k + (72 * j - 3) * k * k - 5))
-        if (i, j) == (1, 1):
-            return F(48 * (19 * k * k - 49 * k + 30))
-        if i == 1 and j == g - 2:
-            return F(2, 5) * (3 * k * (859 * k - 2453) + 2135)
-        # i >= 1 and 2 <= j <= 2k-3
-        return F(
-            2
-            * (
-                3 * k * k * (144 * i * j - 1)
-                - 3 * k * (72 * i * j * (i + j + 4) + 1)
-                + 180 * i * (i + 1) * j * (j + 1)
-                - 5
-            )
-        )
-    raise ValueError(f"no closed-form coefficient for label {lab}")
+    return b, scale_factor(k) / 5
+
+
+def _fraction_view(g: int, nums: list[int], scale: Fraction) -> ClassExpression:
+    """The genus-g class with coefficients scale * nums, in the frozen order."""
+    p, q = scale.numerator, scale.denominator
+    return ClassExpression.from_vector(g, [F(p * v, q) for v in nums])
 
 
 def closed_form_class(k: int) -> ClassExpression:
     """The degree-k pencil-locus class at genus 2k from the closed formula:
     every bracket coefficient times 2^(k-6) (2k-7)!! / (3 k!)."""
-    if k < 3:
-        raise ValueError(f"closed formula holds for k >= 3, got k={k}")
-    c = scale_factor(k)
-    g = 2 * k
-    return ClassExpression(g, {lab: c * _bracket_coefficient(lab, k) for lab in enumerate_basis(g)})
+    b, c = _closed_form_parts(k)
+    return _fraction_view(2 * k, b, c)
 
 
 @lru_cache(maxsize=1)
-def _closed_form(k: int) -> ClassExpression:
-    """closed_form_class(k), evaluated once for the checks of degree k, which
-    only read it."""
-    return closed_form_class(k)
+def _closed_form(k: int) -> tuple[list[int], Fraction]:
+    """(B, c) of closed_form_class(k), evaluated once for the checks of degree
+    k, which only read it."""
+    return _closed_form_parts(k)
 
 
 @lru_cache(maxsize=1)
-def _solved(k: int) -> ClassExpression:
-    """solve_class(k), solved once for the checks of degree k, which only
-    read it."""
-    return solve_class(k)
+def _solved(k: int) -> tuple[list[int], int]:
+    """(X, D) with X / D = solve_class(k), solved once for the checks of
+    degree k, which only read it."""
+    return _solve(k)
 
 
 def known_trigonal_class() -> ClassExpression:
@@ -231,16 +217,12 @@ def known_trigonal_class() -> ClassExpression:
 PULLBACK_BASIS = ("D00", "(a)", "(b)", "(c)", "(d)")
 
 
-def pullback_matrix(g: int) -> dict[ClassLabel, tuple[Fraction, ...]]:
-    """Images of the genus-g generators under restriction to two-pointed
-    genus-2 curves (attaching a fixed general curve of genus g-2), on the
-    ordered rank-5 basis (D00, (a), (b), (c), (d)).
-
-    The genus-dependent boundary labels are resolved at g; any generator not
-    listed pulls back to zero."""
+def _pullback_images(g: int) -> dict[ClassLabel, tuple]:
+    """The generators of genus g whose pull-back is nonzero, with their
+    images, each entry an int or a Fraction."""
     if g < 6:
         raise ValueError(f"pull-back table needs g >= 6, got g={g}")
-    table: dict[ClassLabel, tuple] = {
+    return {
         dd(0, 1): (0, 1, 0, 0, 0),
         dd(0, g - 1): (0, 0, 1, 0, 0),
         th(1): (0, 0, 0, 1, 0),
@@ -257,21 +239,31 @@ def pullback_matrix(g: int) -> dict[ClassLabel, tuple[Fraction, ...]]:
         dd(0, g - 2): (F(-1, 6), -1, 0, -2, 0),
         om(2): (F(-1, 120), F(-13, 120), F(1, 120), F(-1, 5), F(-7, 5)),
     }
-    images = {lab: tuple(map(F, row)) for lab, row in table.items()}
+
+
+def pullback_matrix(g: int) -> dict[ClassLabel, tuple[Fraction, ...]]:
+    """Images of the genus-g generators under restriction to two-pointed
+    genus-2 curves (attaching a fixed general curve of genus g-2), on the
+    ordered rank-5 basis (D00, (a), (b), (c), (d)).
+
+    The genus-dependent boundary labels are resolved at g; any generator not
+    listed pulls back to zero."""
+    images = {lab: tuple(map(F, row)) for lab, row in _pullback_images(g).items()}
     zero = (F(0),) * 5
     return {lab: images.get(lab, zero) for lab in enumerate_basis(g)}
 
 
 def pullback_image(expr: ClassExpression) -> tuple[Fraction, ...]:
-    """Apply the pull-back generator by generator."""
-    images = pullback_matrix(expr.genus)
-    out = [F(0)] * 5
-    for lab, coeff in expr.coefficients.items():
-        vec = images[lab]
-        for t in range(5):
-            if vec[t] != 0:
-                out[t] += coeff * vec[t]
-    return tuple(out)
+    """Apply the pull-back generator by generator.  Only the generators with a
+    nonzero image are read, and the sums run in integers: the coefficients
+    over the lcm of their denominators, the images over that of the table's."""
+    images = _pullback_images(expr.genus)
+    coeffs = [expr[lab] for lab in images]
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    tden = lcm(*(v.denominator for row in images.values() for v in row))
+    rows = [[v.numerator * (tden // v.denominator) for v in row] for row in images.values()]
+    return tuple(F(sum(map(mul, nums, column)), den * tden) for column in zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -434,35 +426,54 @@ def m4_rank_relation() -> list[Fraction]:
 # Checks.
 
 
-def _compare_expressions(name: str, expected: ClassExpression, actual: ClassExpression) -> CheckReport:
-    mism = actual.diff(expected)
-    diff = [{"label": lab, "actual": str(a), "expected": str(b)} for lab, a, b in mism]
+def _comparison(name: str, g: int, diff: list[dict]) -> CheckReport:
     return CheckReport(
         check=name,
-        status="pass" if not mism else "fail",
-        expected=f"{basis_dimension(expected.genus)} coefficients equal",
-        actual="all equal" if not mism else f"{len(mism)} mismatches",
+        status="pass" if not diff else "fail",
+        expected=f"{basis_dimension(g)} coefficients equal",
+        actual="all equal" if not diff else f"{len(diff)} mismatches",
         diff=diff,
     )
 
 
+def _compare_expressions(name: str, expected: ClassExpression, actual: ClassExpression) -> CheckReport:
+    mism = actual.diff(expected)
+    diff = [{"label": lab, "actual": str(a), "expected": str(b)} for lab, a, b in mism]
+    return _comparison(name, expected.genus, diff)
+
+
 def check_trigonal_table() -> CheckReport:
     """Solve the genus-6 system at k = 3 and compare with the known table."""
-    return _compare_expressions("trigonal-table", known_trigonal_class(), _solved(3))
+    x, d = _solved(3)
+    return _compare_expressions("trigonal-table", known_trigonal_class(), _fraction_view(6, x, F(1, d)))
 
 
 def check_closed_form(k: int) -> CheckReport:
     """Solve the genus-2k system at degree k and compare with the closed
-    formula, label by label.  The closed formula's k >= 3 domain is checked
-    first."""
-    expected = _closed_form(k)
-    return _compare_expressions(f"closed-form[k={k}]", expected, _solved(k))
+    formula, coefficient by coefficient, in integers: X / D = c B exactly
+    when X q = D p B for c = p / q.  Fractions are built only for the labels
+    that differ.  The closed formula's k >= 3 domain is checked first."""
+    b, c = _closed_form(k)
+    x, d = _solved(k)
+    p, q = c.numerator, c.denominator
+    dp = d * p
+    bad = compress(count(), map(ne, map(mul, x, repeat(q)), map(mul, b, repeat(dp))))
+    labels = enumerate_basis(2 * k)
+    diff = [
+        {"label": str(labels[t]), "actual": str(F(x[t], d)), "expected": str(F(p * b[t], q))}
+        for t in bad
+    ]
+    return _comparison(f"closed-form[k={k}]", 2 * k, diff)
 
 
 def check_pullback(k: int) -> CheckReport:
     """The pull-back of the degree-k class must vanish on D00, (a), (b), (d);
-    the (c) coordinate is reported."""
-    image = pullback_image(_closed_form(k))
+    the (c) coordinate is reported.  Only the coefficients the pull-back reads
+    are taken from the closed formula."""
+    b, c = _closed_form(k)
+    index = basis_index(2 * k)
+    coeffs = {lab: c * b[index[lab]] for lab in _pullback_images(2 * k)}
+    image = pullback_image(ClassExpression(2 * k, coeffs))
     bad = [
         {"coordinate": PULLBACK_BASIS[t], "value": str(image[t])}
         for t in (0, 1, 2, 4)
@@ -510,7 +521,7 @@ def check_m4() -> CheckReport:
 def check_trigonal_interior() -> CheckReport:
     """The genus-6 closed formula against the known genus-6 table, whose rows
     include the interior coefficients k1^2 -> 41/144 and k2 -> -4."""
-    report = _compare_expressions("trigonal", known_trigonal_class(), _closed_form(3))
+    report = _compare_expressions("trigonal", known_trigonal_class(), _fraction_view(6, *_closed_form(3)))
     report.expected = "k1^2 -> 41/144, k2 -> -4, full table match"
     return report
 

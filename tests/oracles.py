@@ -28,20 +28,52 @@ from routes that share none of that code:
 - the dense CSV exports ``system_to_csv_dense`` and ``t_matrix_to_csv_dense``:
   every cell of ``Q_g`` and ``T_g`` written by ``csv.writer``.  The runtime
   writes each line from the row's nonzeros with its own field quoting.
+- the JSON exports ``system_to_json_dumps`` and ``t_matrix_to_json_dumps``,
+  written by ``json.dumps(indent=2)``.  The runtime writes the fixed-shape
+  text itself.
+- the per-label closed formula ``closed_form_by_label``: one Fraction per
+  generator, its bracket coefficient chosen by the label's kind.  The
+  runtime evaluates 5 times the brackets in integers, family by family over
+  the columns, and holds one scale ``scale_factor(k) / 5``.
+- the label-keyed columns of ``T_g``, ``t_columns_by_label`` and
+  ``build_T_by_label``.  The runtime keys each column by basis position.
+- ``sum_S16_castelnuovo``, two binomials per counted term through the
+  reduced Castelnuovo numerator.  The runtime's ``sum_S16`` walks one
+  binomial from term to term.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from fractions import Fraction
 
-from bn2.basis import enumerate_basis
-from bn2.enumerative import _castelnuovo_num, _pencil_count, _ram_sequence
+from bn2.basis import (
+    D0SQ,
+    D1SQ,
+    K1SQ,
+    K2,
+    LD0,
+    LD1,
+    LD2,
+    ClassExpression,
+    ClassLabel,
+    basis_index,
+    dd,
+    enumerate_basis,
+    la,
+    om,
+    th,
+)
+from bn2.enumerative import _castelnuovo_num, _counted, _pencil_count, _ram_sequence
 from bn2.exactnum import factorial
 from bn2.relations import build_rhs_vector, build_T, describe_rhs, t_column_tags
 from bn2.solver import DimensionMismatchError, RationalMatrix, _bareiss_echelon, _scaled_int_rows
+from bn2.verify import scale_factor
+
+F = Fraction
 
 
 def dense(rows) -> RationalMatrix:
@@ -383,3 +415,252 @@ def t_matrix_to_csv_dense(g: int) -> str:
     rows = [["label", *t_column_tags(g)]]
     rows += [[str(lab), *map(str, dense_row(t, r))] for r, lab in enumerate(enumerate_basis(g))]
     return _csv_text(rows)
+
+def _bracket_coefficient(lab: ClassLabel, k: int) -> Fraction:
+    """Unscaled coefficient of one generator in the degree-k closed formula."""
+    g = 2 * k
+    if lab == K1SQ:
+        return F(3 * k * k + 3 * k + 5)
+    if lab == D0SQ:
+        return -F(3 * k * k + 3 * k + 5)
+    if lab == K2:
+        return F(-24 * k * (k + 5))
+    if lab == D1SQ:
+        return F(-(3 * k * (9 * k + 41) + 5))
+    if lab == LD0:
+        return F(-24 * (3 * (k - 1) * k - 5))
+    if lab == LD1:
+        return F(24 * (-33 * k * k + 39 * k + 65))
+    if lab == LD2:
+        return F(24 * (3 * (37 - 23 * k) * k + 185))
+    if lab.kind == "om":
+        i = lab.i
+        return F(
+            -180 * i**4
+            + 120 * i**3 * (6 * k + 1)
+            - 36 * i * i * (20 * k * k + 24 * k - 5)
+            + 24 * i * (52 * k * k - 16 * k - 5)
+            + 27 * k * k
+            + 123 * k
+            + 5
+        )
+    if lab.kind == "la":
+        i = lab.i
+        return F(
+            24
+            * (
+                6 * i * i * (3 * k + 5)
+                - 6 * i * (6 * k * k + 23 * k + 5)
+                + 159 * k * k
+                + 63 * k
+                + 5
+            )
+        )
+    if lab.kind == "th":
+        i = lab.i
+        return F(
+            -12
+            * i
+            * (
+                5 * i**3
+                + i * i * (10 - 20 * k)
+                + i * (20 * k * k - 8 * k - 5)
+                - 24 * k * k
+                + 32 * k
+                - 10
+            )
+        )
+    if lab.kind == "d":
+        i, j = lab.i, lab.j
+        if (i, j) == (0, 0):
+            return F(24 * k * (k - 1))
+        if i == 0 and j == g - 2:
+            return F(2, 5) * (3 * k * (187 * k - 389) - 745)
+        if i == 0 and j == g - 1:
+            return F(2 * (k * (31 * k - 49) - 65))
+        if i == 0:  # 1 <= j <= 2k-3
+            return F(2 * (-3 * (12 * j * j + 36 * j + 1) * k + (72 * j - 3) * k * k - 5))
+        if (i, j) == (1, 1):
+            return F(48 * (19 * k * k - 49 * k + 30))
+        if i == 1 and j == g - 2:
+            return F(2, 5) * (3 * k * (859 * k - 2453) + 2135)
+        # i >= 1 and 2 <= j <= 2k-3
+        return F(
+            2
+            * (
+                3 * k * k * (144 * i * j - 1)
+                - 3 * k * (72 * i * j * (i + j + 4) + 1)
+                + 180 * i * (i + 1) * j * (j + 1)
+                - 5
+            )
+        )
+    raise ValueError(f"no closed-form coefficient for label {lab}")
+
+
+def closed_form_by_label(k: int) -> ClassExpression:
+    """``verify.closed_form_class`` label by label in Fractions: each
+    generator's bracket coefficient, found by its kind, times
+    ``scale_factor(k)``.  The runtime evaluates 5 times the brackets as
+    integers over the columns of each family."""
+    if k < 3:
+        raise ValueError(f"closed formula holds for k >= 3, got k={k}")
+    c = scale_factor(k)
+    g = 2 * k
+    return ClassExpression(g, {lab: c * _bracket_coefficient(lab, k) for lab in enumerate_basis(g)})
+
+
+def t_columns_by_label(g: int):
+    """(tag, {label: coefficient}) pairs for the columns of T_g, in group
+    order: the label-keyed templates ``relations._t_columns`` evaluates by
+    column."""
+    fl = g // 2
+    for i in range(2, fl + 1):
+        yield f"T1[i={i}]", {om(i): 1}
+    for i in range(2, g - 2):
+        for j in range(i, g - 2):
+            if i + j > g - 1:
+                break
+            yield f"T2[i={i},j={j}]", {dd(i, j): 1}
+    yield "T3", {dd(1, g - 2): 1}
+    for i in range(2, g - 2):
+        yield f"T4[i={i}]", {dd(1, i): 1}
+    yield "T5", {dd(0, g - 1): 1}
+    for i in range(3, g - 2):
+        yield f"T6[i={i}]", {la(i): 1}
+    yield "T6[ld2]", {LD2: 1}
+    yield "T7", {dd(1, 1): 1}
+    yield "T8", {LD0: 1}
+    yield "T9[j=2]", {dd(1, 2): 2, dd(0, 2): 1, LD2: -10}
+    for j in range(3, g - 2):
+        yield f"T9[j={j}]", {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}
+    yield "T10", {LD1: 60, D1SQ: 12, dd(0, g - 1): -3, dd(0, 1): 8, dd(0, 0): 2}
+    yield "T11", {LD1: 12, LD0: 1, dd(0, g - 1): -1}
+    yield "T12", {dd(0, g - 2): 1, dd(1, g - 2): 2}
+    yield "T13", {LD1: 12, LD0: 6, dd(0, g - 1): -1, dd(0, 1): -1, dd(0, 0): -1}
+    t14: dict[ClassLabel, int] = {K1SQ: 6, LD0: 72, LD1: 144, LD2: 144}
+    if g % 2 == 0:
+        # the self-paired middle class; absent for odd g, where every pair
+        # {s, g-s} is already covered by the sum below
+        t14[om(fl)] = 6
+    for s in range(2, (g + 1) // 2):  # s < g/2
+        t14[om(s)] = t14.get(om(s), 0) + 12
+    for s in range(3, g - 2):
+        t14[la(s)] = 144
+    for lab in enumerate_basis(g):
+        if lab.kind == "d":
+            t14[lab] = -12
+    t14[dd(0, g - 1)] = -11
+    yield "T14", t14
+    yield "T15", {K2: 1}
+    for i in range(fl, g - 2):
+        yield f"T16[i={i}]", {om(i + 1): 1, om(g - i - 1): -1}
+    t16: dict[ClassLabel, int] = {
+        D1SQ: 12 * (g - 1),
+        dd(1, 1): -24 * (g - 1),
+        dd(0, g - 1): 2 * (g - 1),
+        D0SQ: 3,
+        dd(0, 0): -6,
+    }
+    for s in range(2, fl + 1):
+        w = 6 * (g - 2 * s)  # = 12 (g/2 - s)
+        if w:
+            t16[om(g - s)] = t16.get(om(g - s), 0) + (g - 1) * w
+            t16[om(s)] = t16.get(om(s), 0) - (g - 1) * w
+    yield "T16[sum]", {lab: v for lab, v in t16.items() if v != 0}
+    t17: dict[ClassLabel, int] = {
+        K2: 6 * g,
+        D1SQ: 12 - 6 * g,
+        dd(1, 1): 12 * (g - 2),
+        D0SQ: -3,
+        dd(0, g - 1): 2 - g,
+        dd(0, 0): 6,
+    }
+    for s in range(2, fl + 1):
+        w = 6 * (g - 2 * s)
+        if w:
+            t17[om(g - s)] = t17.get(om(g - s), 0) + w
+            t17[om(s)] = t17.get(om(s), 0) - w
+    yield "T17", {lab: v for lab, v in t17.items() if v != 0}
+    for i in range(4, (g + 1) // 2 + 1):
+        yield f"T18[i={i}]", {th(i - 1): 1}
+    yield "T18[th2]", {th(2): 1}
+    t18: dict[ClassLabel, int] = {
+        K2: -6 * g,
+        D1SQ: 6 * g - 12,
+        dd(1, 1): 12 * (2 - g),
+        D0SQ: 3,
+        dd(0, g - 1): g - 2,
+        dd(0, 0): -6,
+        th(1): 72,
+    }
+    for s in range(2, fl + 1):
+        w = 6 * (g - 2 * s)
+        if w:
+            t18[om(s)] = t18.get(om(s), 0) + w
+            t18[om(g - s)] = t18.get(om(g - s), 0) - w
+    yield "T18[final]", {lab: v for lab, v in t18.items() if v != 0}
+
+
+def build_T_by_label(g: int) -> RationalMatrix:
+    """``relations.build_T`` from the label-keyed columns, each label placed
+    through ``basis_index``."""
+    index = basis_index(g)
+    cols = list(t_columns_by_label(g))
+    rows: list[dict[int, int]] = [{} for _ in index]
+    for c, (_, coeffs) in enumerate(cols):
+        for lab, v in coeffs.items():
+            rows[index[lab]][c] = v
+    return RationalMatrix.from_sparse(rows, len(cols))
+
+
+def sum_S16_castelnuovo(i: int, g: int, k: int) -> int:
+    """``sum_S16`` with two binomials per counted term, through the reduced
+    Castelnuovo numerator ``_castelnuovo_num``; the runtime walks one
+    binomial from term to term."""
+    if not g // 2 <= i <= g - 3:
+        raise ValueError(f"sum_S16 needs g/2 <= i <= g-3, got i={i}, g={g}")
+    h = g - i - 1
+    total = sum(n * _castelnuovo_num(h - 1 - a1, a1 - a0, 0)[0] for a0, a1, n in _counted(i, k, h))
+    return (3 * i - 1) * total
+
+
+def system_to_json_dumps(system, k: int | None = None) -> str:
+    """``relations.system_to_json`` as ``json.dumps(indent=2)`` writes it."""
+    if k is None:
+        rhs = [describe_rhs(rel) for rel in system.rows]
+    else:
+        rhs = [str(v) for v in build_rhs_vector(system, k)]
+    names = [str(lab) for lab in system.labels]
+    data = {
+        "g": system.g,
+        "labels": names,
+        "rows": [
+            {
+                "source": rel.source,
+                "coeffs": {names[c]: str(v) for c, v in sorted(rel.coefficients.items())},
+                "rhs": text,
+            }
+            for rel, text in zip(system.rows, rhs, strict=True)
+        ],
+    }
+    return json.dumps(data, indent=2) + "\n"
+
+
+def t_matrix_to_json_dumps(g: int) -> str:
+    """``relations.t_matrix_to_json`` as ``json.dumps(indent=2)`` writes it
+    from the label-keyed columns."""
+    index = basis_index(g)
+    data = {
+        "g": g,
+        "labels": [str(lab) for lab in enumerate_basis(g)],
+        "columns": [
+            {
+                "tag": tag,
+                "coeffs": {
+                    str(lab): str(v) for lab, v in sorted(coeffs.items(), key=lambda kv: index[kv[0]])
+                },
+            }
+            for tag, coeffs in t_columns_by_label(g)
+        ],
+    }
+    return json.dumps(data, indent=2) + "\n"

@@ -286,8 +286,9 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 # stdout digests recorded before RationalMatrix became sparse (the first five),
 # before the solve went through the triangular Q_g*T_g (the next three),
 # before the counting layer became integer-only (the next one), before
-# verify built each genus once (the next two) and before the CSV exports were
-# written from the sparse rows (the last two)
+# verify built each genus once (the next two), before the CSV exports were
+# written from the sparse rows (the next two) and before T_g was built by
+# column and the JSON exports were written without json.dumps (the last two)
 PINNED_STDOUT_SHA256 = {
     "tmatrix --g 8 --format csv": "a78f2a2385b96726cd600e772260702cf58b1ff1f64181c36b3ffc8b2846e431",
     "tmatrix --g 8 --format json": "a62e01eff6be1ed2a3cb7c56d0cdd3fe6490bdc85edebb578bbfda9ba39bf5c0",
@@ -302,6 +303,8 @@ PINNED_STDOUT_SHA256 = {
     "verify all": "ab6aace9949c60ae9cbd1a8fb82ea57431f83817357886c906c99b5a2b21791a",
     "matrix --g 56 --k 28 --format csv": "b9f8ccb1948293b6cd30bb73dbf232e67bf514585e3999d26170b5b799715365",
     "tmatrix --g 20 --format csv": "6583a03b0723776f1dd367bb5d60774e4061e5fc0ff86f2ebd7696a00e12ef8f",
+    "tmatrix --g 41 --format csv": "882e7b084900f3809ace7d43bb9e000d7b633706423d4703afa7e504855a9e22",
+    "tmatrix --g 41 --format json": "ca9cce23f3ca2e3f1cec82a7b438281757391be8fffc0bf5a9d39ddf773cd4ca",
 }
 
 

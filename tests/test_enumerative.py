@@ -24,7 +24,13 @@ from bn2.enumerative import (
     sum_S16,
     sum_T,
 )
-from oracles import castelnuovo_general, counted_by_scan, sum_D_pairs, sum_D_vectors
+from oracles import (
+    castelnuovo_general,
+    counted_by_scan,
+    sum_D_pairs,
+    sum_D_vectors,
+    sum_S16_castelnuovo,
+)
 
 # ---------------------------------------------------------------------------
 # independent brute-force oracles: loop over every raw (a0, a1) pair and skip
@@ -351,6 +357,25 @@ def test_sum_S16_matches_brute_force(k):
     g = 2 * k
     for i in range(g // 2, g - 2):
         assert sum_S16(i, g, k) == brute_sum_S16(i, g, k)
+
+
+_S16_args = st.integers(6, 80).flatmap(
+    lambda g: st.tuples(st.integers(g // 2, g - 3), st.just(g), st.integers(1, 45))
+)
+_S16_on_2k = st.integers(3, 60).flatmap(
+    lambda k: st.tuples(st.integers(k, 2 * k - 3), st.just(2 * k), st.just(k))
+)
+
+
+@given(st.one_of(_S16_args, _S16_on_2k))
+@settings(max_examples=300, deadline=None)
+@example((3, 6, 3))  # the smallest g = 2k: 192
+@example((30, 60, 30))  # g = 2k, the smallest i
+@example((117, 120, 60))  # g = 2k, the largest i
+@example((5, 10, 4))  # off g = 2k: nothing is counted
+def test_sum_S16_equals_castelnuovo_route(args):
+    i, g, k = args
+    assert sum_S16(i, g, k) == sum_S16_castelnuovo(i, g, k)
 
 
 def test_sum_range_validation():

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from bn2.basis import D1SQ, K1SQ, K2, LD2, basis_dimension, dd, enumerate_basis, om
 from bn2.relations import (
     Relation,
+    RelationSystem,
     _csv_line,
+    _solve,
+    _t_columns,
     Rhs,
     build_matrix,
     build_relations,
@@ -32,12 +35,15 @@ from bn2.relations import (
 from bn2.solver import forward_substitute, solve_lower_triangular
 from bn2.verify import closed_form_class
 from oracles import (
+    build_T_by_label,
     castelnuovo_general,
     dense_row,
     identity,
     solve_exact,
     system_to_csv_dense,
+    system_to_json_dumps,
     t_matrix_to_csv_dense,
+    t_matrix_to_json_dumps,
 )
 
 F = Fraction
@@ -202,6 +208,13 @@ def test_solve_class_residual_covers_every_row(monkeypatch):
             solve_class(3)
 
 
+@pytest.mark.parametrize("k", [3, 10])
+def test_solve_is_integers_over_one_denominator(k):
+    x, d = _solve(k)
+    assert type(d) is int and d > 0 and all(type(v) is int for v in x)
+    assert list(solve_class(k).coefficients.values()) == [F(v, d) for v in x]
+
+
 def test_solve_class_at_k60_is_pinned():
     # sha256 of the `bn2 solve --k 60` lines, recorded before the solve ran in
     # integers over one denominator
@@ -273,6 +286,13 @@ def test_build_T_columns():
     col12 = tags.index("T12")
     nonzero = {labels[r]: t.entry(r, col12) for r in range(t.nrows) if t.entry(r, col12) != 0}
     assert nonzero == {dd(0, 4): F(1), dd(1, 4): F(2)}
+
+
+@pytest.mark.parametrize("g", range(6, 61))
+def test_build_T_equals_the_label_keyed_oracle(g):
+    assert build_T(g) == build_T_by_label(g)
+    n = basis_dimension(g)
+    assert all(type(c) is int and 0 <= c < n for _, col in _t_columns(g) for c in col)
 
 
 def test_build_T_rejects_g5():
@@ -420,7 +440,7 @@ def test_rhs_vector_builds_each_E_term_once(monkeypatch):
         while frame.f_code.co_name.startswith("<"):  # a comprehension or generator
             frame = frame.f_back
         caller = frame.f_code.co_name
-        if caller not in ("castelnuovo_N", "sum_S16"):
+        if caller != "castelnuovo_N":
             raise AssertionError(f"per-pair kernel called from {caller}")
         return castelnuovo_num(*args)
 
@@ -467,6 +487,38 @@ def test_system_csv_equals_the_csv_writer(g):
 @pytest.mark.parametrize("g", range(6, 21))
 def test_t_matrix_csv_equals_the_csv_writer(g):
     assert t_matrix_to_csv(g) == t_matrix_to_csv_dense(g)
+
+
+@pytest.mark.parametrize("g", range(5, 31))
+def test_json_exports_equal_json_dumps(g):
+    system = build_relations(g)
+    assert system_to_json(system) == system_to_json_dumps(system)
+    if g >= 6 and g % 2 == 0:
+        assert system_to_json(system, g // 2) == system_to_json_dumps(system, g // 2)
+    if g >= 6:
+        assert t_matrix_to_json(g) == t_matrix_to_json_dumps(g)
+
+
+def test_json_export_writes_an_empty_row_as_json_dumps():
+    rows = [Relation("empty", 6, {}, Rhs("zero")), Relation('a "b"\\', 6, {3: -2}, Rhs("zero"))]
+    system = RelationSystem(6, rows)
+    assert '"coeffs": {},' in system_to_json(system)
+    assert system_to_json(system) == system_to_json_dumps(system)
+
+
+def test_rhs_evaluation_builds_no_text(monkeypatch):
+    import bn2.relations
+
+    def no_text(g, i, j):
+        raise AssertionError("rhs text built during evaluation")
+
+    kinds = {kind: (no_text, *parts[1:]) for kind, parts in bn2.relations._RHS_KINDS.items()}
+    system = build_relations(20)
+    b = build_rhs_vector(system, 10)
+    monkeypatch.setattr(bn2.relations, "_RHS_KINDS", kinds)
+    assert build_rhs_vector(system, 10) == b
+    with pytest.raises(AssertionError, match="rhs text built"):
+        describe_rhs(system.rows[0])
 
 
 _CSV_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "(", "/"]), max_size=6)

@@ -27,6 +27,13 @@ ORACLE_NAMES = {
     "castelnuovo_general",
     "_det_small",
     "inv_factorial_or_zero",
+    "_bracket_coefficient",
+    "closed_form_by_label",
+    "t_columns_by_label",
+    "build_T_by_label",
+    "sum_S16_castelnuovo",
+    "system_to_json_dumps",
+    "t_matrix_to_json_dumps",
 }
 
 

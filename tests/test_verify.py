@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bn2.basis import D0SQ, K1SQ, K2, ClassExpression, dd, enumerate_basis, om, th
+from bn2.basis import D0SQ, K1SQ, K2, ClassExpression, basis_index, dd, enumerate_basis, om, th
 from bn2.verify import (
     G5_CONVENTION_NOTE,
     CheckReport,
@@ -26,6 +26,7 @@ from bn2.verify import (
     scale_factor,
     known_trigonal_class,
 )
+from oracles import closed_form_by_label
 
 F = Fraction
 
@@ -43,6 +44,13 @@ def test_closed_form_k3_spot_values():
     assert cls[dd(1, 4)] == F(3251, 360)
     assert cls[dd(0, 3)] == F(-41, 72)
     assert cls[D0SQ] == -cls[K1SQ]
+
+
+@pytest.mark.parametrize("k", range(3, 61))
+def test_closed_form_equals_the_per_label_oracle(k):
+    assert list(closed_form_class(k).coefficients.items()) == list(
+        closed_form_by_label(k).coefficients.items()
+    )
 
 
 def test_closed_form_rejects_small_k():
@@ -326,3 +334,99 @@ def test_run_all_rejects_k_max_below_3():
 
 def test_pullback_basis_order():
     assert PULLBACK_BASIS == ("D00", "(a)", "(b)", "(c)", "(d)")
+
+
+# to_dict() of the failing reports, recorded before the checks compared
+# integers: the k=5 solution with d(0,8) + 1, then with k1^2 - 1 and th(2) + 2,
+# and the k=4 closed formula with k1^2 + scale_factor(4)/5
+_FAILED_CLOSED_FORM = [
+    {
+        "check": "closed-form[k=5]",
+        "status": "fail",
+        "expected": "53 coefficients equal",
+        "actual": "1 mismatches",
+        "diff": [{"label": "d(0,8)", "actual": "1609/120", "expected": "1489/120"}],
+        "notes": [],
+    },
+    {
+        "check": "closed-form[k=5]",
+        "status": "fail",
+        "expected": "53 coefficients equal",
+        "actual": "2 mismatches",
+        "diff": [
+            {"label": "k1^2", "actual": "-29/48", "expected": "19/48"},
+            {"label": "th(2)", "actual": "-12", "expected": "-14"},
+        ],
+        "notes": [],
+    },
+]
+_FAILED_PULLBACK = {
+    "check": "pullback[k=4]",
+    "status": "fail",
+    "expected": "zero on D00, (a), (b), (d)",
+    "actual": "4 nonzero coordinates",
+    "diff": [
+        {"coordinate": "D00", "value": "17/172800"},
+        {"coordinate": "(a)", "value": "127/172800"},
+        {"coordinate": "(b)", "value": "37/172800"},
+        {"coordinate": "(d)", "value": "7/1440"},
+    ],
+    "notes": [],
+}
+
+
+def test_failed_closed_form_report_is_pinned(monkeypatch):
+    import bn2.verify
+    from bn2.relations import _solve
+
+    x, d = _solve(5)
+    index = basis_index(10)
+    for shifts, want in zip(({dd(0, 8): 1}, {K1SQ: -1, th(2): 2}), _FAILED_CLOSED_FORM):
+        wrong = list(x)
+        for lab, shift in shifts.items():
+            wrong[index[lab]] += shift * d
+        monkeypatch.setattr(bn2.verify, "_solved", lambda k, wrong=wrong: (wrong, d))
+        assert check_closed_form(5).to_dict() == want
+
+
+def test_failed_pullback_report_is_pinned(monkeypatch):
+    import bn2.verify
+
+    b, c = bn2.verify._closed_form_parts(4)
+    wrong = list(b)
+    wrong[basis_index(8)[K1SQ]] += 1
+    monkeypatch.setattr(bn2.verify, "_closed_form", lambda k: (wrong, c))
+    assert check_pullback(4).to_dict() == _FAILED_PULLBACK
+
+
+def test_closed_form_check_builds_no_fraction_when_it_passes(monkeypatch):
+    assert check_closed_form(12).status == "pass"  # fills the memos
+    new = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    report = check_closed_form(12)
+    monkeypatch.undo()
+    assert report.status == "pass" and built == []
+
+
+def test_only_the_k3_checks_build_the_fraction_view(fresh_memos, monkeypatch):
+    import bn2.relations
+    import bn2.verify
+
+    views = []
+    fraction_view = bn2.verify._fraction_view
+
+    def counting(g, nums, scale):
+        views.append(g)
+        return fraction_view(g, nums, scale)
+
+    monkeypatch.setattr(bn2.verify, "_fraction_view", counting)
+    monkeypatch.setattr(bn2.relations, "solve_class", None)
+    monkeypatch.setattr(bn2.verify, "closed_form_class", None)
+    assert all(rep.status != "fail" for rep in run_all(k_max=8))
+    assert views == [6, 6]  # trigonal-table and trigonal
