@@ -429,64 +429,47 @@ def build_relations(g: int) -> RelationSystem:
 
 _S01 = SchubertIndex(0, 1)
 
-# kind -> (symbolic count, divisor, count at degree k given that degree's
-# sum_D table), each a function of (g, i, j); the right-hand side is the count
-# over the divisor.  Evaluation builds no text, and describe_rhs evaluates nothing.
-_RHS_KINDS = {
-    "zero": (lambda g, i, j: "0", lambda g, i, j: 1, lambda g, i, j, k, d: 0),
-    "T": (
-        lambda g, i, j: f"T({i})",
-        lambda g, i, j: (2 * i - 2) * (2 * (g - i) - 2),
-        lambda g, i, j, k, d: sum_T(i, g, k),
-    ),
-    "D": (
-        lambda g, i, j: f"D({i},{j})",
-        lambda g, i, j: (2 * i - 2) * (2 * j - 2),
-        lambda g, i, j, k, d: d(i, j),
-    ),
-    "n_over": (
-        lambda g, i, j: f"n({g - 2},(0,1))",
-        lambda g, i, j: g - 3,
-        lambda g, i, j, k, d: count_n(g - 2, k, _S01),
-    ),
-    "D6": (lambda g, i, j: f"D(2,{i})", lambda g, i, j: 6 * (i - 1), lambda g, i, j, k, d: d(2, i)),
-    "4N": (
-        lambda g, i, j: f"4*N({g - 4},(0,1),(0,1))",
-        lambda g, i, j: 1,
-        lambda g, i, j, k, d: 4 * castelnuovo_N(g - 4, k, _S01, _S01),
-    ),
-    "2ell": (
-        lambda g, i, j: f"2*ell({g - 2})",
-        lambda g, i, j: 1,
-        lambda g, i, j, k, d: 2 * count_ell(g - 2, k),
-    ),
-    "S16": (
-        lambda g, i, j: f"S16({i})",
-        lambda g, i, j: 2 * i - 2,
-        lambda g, i, j, k, d: sum_S16(i, g, k),
-    ),
-    "S16sp": (
-        lambda g, i, j: f"m({g - 2},(0,1))",
-        lambda g, i, j: 2 * g - 6,
-        lambda g, i, j, k, d: count_m(g - 2, k, _S01),
-    ),
+# The right-hand side of a row is a count over a divisor, each a function of
+# the row's (g, i, j) chosen by its kind; the count at degree k reads that
+# degree's sum_D table d.  The symbolic text is kept apart, so evaluation
+# builds none.
+_RHS_DIVISORS = {
+    "zero": lambda g, i, j: 1,
+    "T": lambda g, i, j: (2 * i - 2) * (2 * (g - i) - 2),
+    "D": lambda g, i, j: (2 * i - 2) * (2 * j - 2),
+    "n_over": lambda g, i, j: g - 3,
+    "D6": lambda g, i, j: 6 * (i - 1),
+    "4N": lambda g, i, j: 1,
+    "2ell": lambda g, i, j: 1,
+    "S16": lambda g, i, j: 2 * i - 2,
+    "S16sp": lambda g, i, j: 2 * g - 6,
+}
+_RHS_COUNTS = {
+    "zero": lambda g, i, j, k, d: 0,
+    "T": lambda g, i, j, k, d: sum_T(i, g, k),
+    "D": lambda g, i, j, k, d: d(i, j),
+    "n_over": lambda g, i, j, k, d: count_n(g - 2, k, _S01),
+    "D6": lambda g, i, j, k, d: d(2, i),
+    "4N": lambda g, i, j, k, d: 4 * castelnuovo_N(g - 4, k, _S01, _S01),
+    "2ell": lambda g, i, j, k, d: 2 * count_ell(g - 2, k),
+    "S16": lambda g, i, j, k, d: sum_S16(i, g, k),
+    "S16sp": lambda g, i, j, k, d: count_m(g - 2, k, _S01),
+}
+# the symbolic count, formatted with i, j, g2 = g - 2 and g4 = g - 4
+_RHS_TEXTS = {
+    "zero": "0", "T": "T({i})", "D": "D({i},{j})", "n_over": "n({g2},(0,1))", "D6": "D(2,{i})",
+    "4N": "4*N({g4},(0,1),(0,1))", "2ell": "2*ell({g2})", "S16": "S16({i})", "S16sp": "m({g2},(0,1))",
 }
 
 
-def _rhs_parts(rel: Relation):
-    """The (text, divisor, count) functions of the relation's rhs kind."""
-    parts = _RHS_KINDS.get(rel.rhs.kind)
-    if parts is None:
-        raise ValueError(f"unknown rhs kind {rel.rhs.kind!r}")
-    return parts
-
-
 def _evaluate(rel: Relation, k: int, d_sums) -> int | Fraction:
-    _, divisor, count = _rhs_parts(rel)
     g, (kind, i, j) = rel.g, rel.rhs
+    count = _RHS_COUNTS.get(kind)
+    if count is None:
+        raise ValueError(f"unknown rhs kind {kind!r}")
     if kind != "zero" and g != 2 * k:
         raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={g}, k={k}")
-    div = divisor(g, i, j)
+    div = _RHS_DIVISORS[kind](g, i, j)
     q, r = divmod(value := count(g, i, j, k, d_sums), div)  # q is an int for a Fraction value too
     return Fraction(value, div) if r else q
 
@@ -499,9 +482,11 @@ def evaluate_rhs(rel: Relation, k: int) -> int | Fraction:
 
 def describe_rhs(rel: Relation) -> str:
     """Symbolic form of the right-hand side, for exports without a fixed k."""
-    text, divisor, _ = _rhs_parts(rel)
-    g, (_, i, j) = rel.g, rel.rhs
-    text, div = text(g, i, j), divisor(g, i, j)
+    g, (kind, i, j) = rel.g, rel.rhs
+    if kind not in _RHS_COUNTS:
+        raise ValueError(f"unknown rhs kind {kind!r}")
+    text = _RHS_TEXTS[kind].format(i=i, j=j, g2=g - 2, g4=g - 4)
+    div = _RHS_DIVISORS[kind](g, i, j)
     return text if div == 1 else f"{text}/{div}"
 
 
@@ -769,47 +754,28 @@ def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     return "".join(lines)
 
 
-def _json_block(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """A JSON list, or an object for brackets "{}", of already encoded items
-    as ``json.dumps(indent=2)`` writes it at this indent: one item a line, one
-    level deeper, and an empty one as the bare brackets."""
-    if not items:
-        return brackets
-    inner = indent + "  "
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
-
-
 def _json_export(g: int, key: str, entries) -> str:
     """``json.dumps({"g": g, "labels": labels, key: entries}, indent=2)`` plus
-    a newline for the genus-g labels, written directly.  Each entry is a list
-    of (field, value) pairs, where value is a string or an int-valued
-    {column: coefficient} dict; strings, labels and coefficients are all
-    written as JSON strings."""
+    a newline for the genus-g labels, written directly.  An entry is a field
+    name, its string, a {column: int} dict of coefficients and, optionally, a
+    right-hand side; labels, strings and coefficients are written as JSON
+    strings.  Coefficients may be empty, entries may not."""
     from json.encoder import encode_basestring_ascii as quote
 
     names = [quote(str(lab)) for lab in enumerate_basis(g)]
-
-    def entry(fields) -> str:
-        items = []
-        for field, value in fields:
-            if isinstance(value, dict):
-                coeffs = [f'{names[c]}: "{v}"' for c, v in sorted(value.items())]
-                items.append(f'"{field}": {_json_block(coeffs, "      ", "{}")}')
-            else:
-                items.append(f'"{field}": {quote(value)}')
-        return _json_block(items, "    ", "{}")
-
-    fields = [
-        f'"g": {g}',
-        f'"labels": {_json_block(names, "  ")}',
-        f'"{key}": {_json_block(list(map(entry, entries)), "  ")}',
-    ]
-    return _json_block(fields, "", "{}") + "\n"
+    items = []
+    for field, text, coeffs, *rhs in entries:
+        cells = ",\n        ".join(f'{names[c]}: "{v}"' for c, v in sorted(coeffs.items()))
+        cells = "{\n        " + cells + "\n      }" if cells else "{}"
+        rhs = "".join(f',\n      "rhs": {quote(t)}' for t in rhs)
+        items.append(f'\n      "{field}": {quote(text)},\n      "coeffs": {cells}{rhs}\n    ')
+    labels = ",\n    ".join(names)
+    return f'{{\n  "g": {g},\n  "labels": [\n    {labels}\n  ],\n  "{key}": [\n    {{' + "},\n    {".join(items) + "}\n  ]\n}\n"
 
 
 def system_to_json(system: RelationSystem, k: int | None = None) -> str:
     entries = [
-        (("source", rel.source), ("coeffs", rel.coefficients), ("rhs", rhs))
+        ("source", rel.source, rel.coefficients, rhs)
         for rel, rhs in zip(system.rows, _rhs_texts(system, k))
     ]
     return _json_export(system.g, "rows", entries)
@@ -824,5 +790,5 @@ def t_matrix_to_csv(g: int) -> str:
 
 
 def t_matrix_to_json(g: int) -> str:
-    entries = [(("tag", tag), ("coeffs", coeffs)) for tag, coeffs in _checked_t_columns(g)]
+    entries = [("tag", tag, coeffs) for tag, coeffs in _checked_t_columns(g)]
     return _json_export(g, "columns", entries)

@@ -509,13 +509,13 @@ def test_json_export_writes_an_empty_row_as_json_dumps():
 def test_rhs_evaluation_builds_no_text(monkeypatch):
     import bn2.relations
 
-    def no_text(g, i, j):
-        raise AssertionError("rhs text built during evaluation")
+    class NoText(dict):
+        def __getitem__(self, kind):
+            raise AssertionError("rhs text built during evaluation")
 
-    kinds = {kind: (no_text, *parts[1:]) for kind, parts in bn2.relations._RHS_KINDS.items()}
     system = build_relations(20)
     b = build_rhs_vector(system, 10)
-    monkeypatch.setattr(bn2.relations, "_RHS_KINDS", kinds)
+    monkeypatch.setattr(bn2.relations, "_RHS_TEXTS", NoText())
     assert build_rhs_vector(system, 10) == b
     with pytest.raises(AssertionError, match="rhs text built"):
         describe_rhs(system.rows[0])
