@@ -31,18 +31,12 @@ _EXPORTS = {
         "enumerative",
     ),
     **dict.fromkeys(
-        (
-            "RelationSystem",
-            "build_matrix",
-            "build_relations",
-            "build_rhs_vector",
-            "build_T",
-            "evaluate_rhs",
-            "solve_class",
-            "system_matrix",
-            "triangularity_report",
-        ),
+        ("RelationSystem", "build_relations", "build_rhs_vector", "evaluate_rhs"),
         "relations",
+    ),
+    **dict.fromkeys(
+        ("build_matrix", "build_T", "solve_class", "system_matrix", "triangularity_report"),
+        "triangular",
     ),
     **dict.fromkeys(("RationalMatrix", "rank"), "solver"),
     **dict.fromkeys(

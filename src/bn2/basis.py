@@ -90,14 +90,15 @@ def th(i: int) -> ClassLabel:
     return ClassLabel("th", i)
 
 
-_LABEL_RE = re.compile(r"^(om|la|th)\((\d+)\)$|^d\((\d+),(\d+)\)$")
+# compiled on the first parse_label call, by re's own cache, not at import
+_LABEL_PATTERN = r"^(om|la|th)\((\d+)\)$|^d\((\d+),(\d+)\)$"
 
 
 def parse_label(text: str) -> ClassLabel:
     """Inverse of str(label)."""
     if text in _SCALAR_KINDS:
         return ClassLabel(text)
-    m = _LABEL_RE.match(text)
+    m = re.match(_LABEL_PATTERN, text)
     if m is None:
         raise ValueError(f"cannot parse class label {text!r}")
     if m.group(1):

@@ -14,18 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from math import gcd
 
 from bn2 import enumerative
 from bn2.basis import enumerate_basis
 from bn2.enumerative import SchubertIndex
-from bn2.relations import (
-    build_relations,
-    solve_class,
-    system_to_csv,
-    system_to_json,
-    t_matrix_to_csv,
-    t_matrix_to_json,
-)
+from bn2.relations import build_relations, system_to_csv, system_to_json
 
 # the enumerative and solver errors subclass ValueError; a non-integral count
 # is an ArithmeticError.  Internal errors are RuntimeErrors, handled in main.
@@ -122,8 +116,15 @@ def _cmd_matrix(args, parser) -> int:
 
 
 def _cmd_tmatrix(args, parser) -> int:
+    # T_g and the solver load only for the commands that use them
+    from bn2 import triangular
+
     try:
-        text = t_matrix_to_csv(args.g) if args.format == "csv" else t_matrix_to_json(args.g)
+        text = (
+            triangular.t_matrix_to_csv(args.g)
+            if args.format == "csv"
+            else triangular.t_matrix_to_json(args.g)
+        )
     except ValueError as exc:
         print(f"bn2 tmatrix: {exc}", file=sys.stderr)
         return 2
@@ -131,13 +132,19 @@ def _cmd_tmatrix(args, parser) -> int:
 
 
 def _cmd_solve(args, parser) -> int:
+    from bn2 import triangular
+
     try:
-        solved = solve_class(args.k)
+        x, d = triangular._solve(args.k)
     except _DOMAIN_ERRORS as exc:
         print(f"bn2 solve: {exc}", file=sys.stderr)
         return 2
-    text = "".join(f"{lab} {value}\n" for lab, value in solved.coefficients.items())
-    return _emit(text, args.out, "bn2 solve")
+    # each coefficient X_i / D in lowest terms, written as str(Fraction) writes it
+    lines = []
+    for lab, v in zip(enumerate_basis(2 * args.k), x):
+        c = gcd(v, d)
+        lines.append(f"{lab} {v // c}\n" if c == d else f"{lab} {v // c}/{d // c}\n")
+    return _emit("".join(lines), args.out, "bn2 solve")
 
 
 def _cmd_verify(args, parser) -> int:

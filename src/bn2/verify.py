@@ -32,8 +32,9 @@ from bn2.basis import (
     th,
 )
 from bn2.exactnum import double_factorial_odd, factorial
-from bn2.relations import _genus, _solve, build_relations, system_matrix
+from bn2.relations import build_relations
 from bn2.solver import RationalMatrix, rank
+from bn2.triangular import _genus, _solve, system_matrix
 
 __all__ = [
     "CheckReport",

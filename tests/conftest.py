@@ -1,6 +1,6 @@
 import pytest
 
-from bn2 import relations, verify
+from bn2 import triangular, verify
 
 
 @pytest.fixture
@@ -8,7 +8,7 @@ def fresh_memos():
     """Empty the one-genus system memo and the closed-formula and solution
     memos before and after the test, so a patched build function is called and
     its result not kept."""
-    memos = (relations._genus, verify._closed_form, verify._solved)
+    memos = (triangular._genus, verify._closed_form, verify._solved)
     for memo in memos:
         memo.cache_clear()
     yield

@@ -69,8 +69,9 @@ from bn2.basis import (
 )
 from bn2.enumerative import _castelnuovo_num, _counted, _pencil_count, _ram_sequence
 from bn2.exactnum import factorial
-from bn2.relations import build_rhs_vector, build_T, describe_rhs, t_column_tags
+from bn2.relations import build_rhs_vector, describe_rhs
 from bn2.solver import DimensionMismatchError, RationalMatrix, _bareiss_echelon, _scaled_int_rows
+from bn2.triangular import build_T, t_column_tags
 from bn2.verify import scale_factor
 
 F = Fraction
@@ -409,7 +410,7 @@ def system_to_csv_dense(system, k: int | None = None) -> str:
 
 
 def t_matrix_to_csv_dense(g: int) -> str:
-    """``relations.t_matrix_to_csv`` as ``csv.writer`` writes it from the
+    """``triangular.t_matrix_to_csv`` as ``csv.writer`` writes it from the
     dense rows of ``build_T(g)``."""
     t = build_T(g)
     rows = [["label", *t_column_tags(g)]]
@@ -511,7 +512,7 @@ def closed_form_by_label(k: int) -> ClassExpression:
 
 def t_columns_by_label(g: int):
     """(tag, {label: coefficient}) pairs for the columns of T_g, in group
-    order: the label-keyed templates ``relations._t_columns`` evaluates by
+    order: the label-keyed templates ``triangular._t_columns`` evaluates by
     column."""
     fl = g // 2
     for i in range(2, fl + 1):
@@ -602,7 +603,7 @@ def t_columns_by_label(g: int):
 
 
 def build_T_by_label(g: int) -> RationalMatrix:
-    """``relations.build_T`` from the label-keyed columns, each label placed
+    """``triangular.build_T`` from the label-keyed columns, each label placed
     through ``basis_index``."""
     index = basis_index(g)
     cols = list(t_columns_by_label(g))
@@ -647,7 +648,7 @@ def system_to_json_dumps(system, k: int | None = None) -> str:
 
 
 def t_matrix_to_json_dumps(g: int) -> str:
-    """``relations.t_matrix_to_json`` as ``json.dumps(indent=2)`` writes it
+    """``triangular.t_matrix_to_json`` as ``json.dumps(indent=2)`` writes it
     from the label-keyed columns."""
     index = basis_index(g)
     data = {

@@ -18,15 +18,9 @@ from bn2.enumerative import (
     count_n,
     sum_D,
 )
-from bn2.relations import (
-    build_matrix,
-    build_relations,
-    build_rhs_vector,
-    build_T,
-    system_matrix,
-    triangularity_report,
-)
+from bn2.relations import build_relations, build_rhs_vector
 from bn2.solver import rank
+from bn2.triangular import build_matrix, build_T, system_matrix, triangularity_report
 from bn2.verify import (
     M4_LABELS,
     closed_form_class,

@@ -127,6 +127,17 @@ def test_solve_k4_matches_closed_formula(capsys):
         assert str(expected[parse_label(text)]) == value
 
 
+@pytest.mark.parametrize("k", range(3, 41))
+def test_solve_text_is_the_solve_class_view(capsys, k):
+    # the CLI writes each X_i / D from the integers; solve_class is the
+    # Fraction view of the same solution
+    from bn2.triangular import solve_class
+
+    code, out, _ = run(capsys, "solve", "--k", str(k))
+    assert code == 0
+    assert out == "".join(f"{lab} {v}\n" for lab, v in solve_class(k).coefficients.items())
+
+
 def test_matrix_csv_to_file(tmp_path, capsys):
     target = tmp_path / "q6.csv"
     code, out, _ = run(capsys, "matrix", "--g", "6", "--format", "csv", "--out", str(target))
@@ -272,12 +283,13 @@ def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    from bn2 import cli
+    from bn2 import triangular
 
     def broken(k):
         raise RuntimeError("internal error: the solution at k=3 has a nonzero residual")
 
-    monkeypatch.setattr(cli, "solve_class", broken)
+    monkeypatch.setattr(triangular, "_solve", broken)
+    monkeypatch.setattr(triangular, "solve_class", broken)
     code, out, err = run(capsys, "solve", "--k", "3")
     assert code == 3 and out == ""
     assert err == "bn2 solve: internal error: the solution at k=3 has a nonzero residual\n"
@@ -316,14 +328,16 @@ def test_stdout_matches_pinned_digest(capsys, command):
 
 
 # runs one command in a fresh interpreter and prints its exit code, the length
-# of its stdout and which of bn2.verify, csv, json, dataclasses and inspect
-# it loaded (typing is not probed: site may load it before bn2 runs)
+# of its stdout and which of bn2.solver, bn2.triangular, bn2.verify, csv, json,
+# _json, dataclasses and inspect it loaded (typing is not probed: site may load
+# it before bn2 runs)
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-probed = ("bn2.verify", "csv", "json", "dataclasses", "inspect")
+probed = ("bn2.solver", "bn2.triangular", "bn2.verify", "csv", "json", "_json",
+          "dataclasses", "inspect")
 print(code, len(out.getvalue()), *(m for m in probed if m in sys.modules))
 """
 
@@ -344,15 +358,25 @@ def _loaded_after(*argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [("solve", "--k", "3"), ("matrix", "--g", "6", "--format", "csv")]
+    "argv",
+    [
+        ("solve", "--k", "3"),
+        ("matrix", "--g", "6", "--format", "csv"),
+        ("matrix", "--g", "48", "--k", "24", "--format", "json"),
+        ("matrix", "--g", "56", "--k", "28", "--format", "csv"),
+        ("matrix", "--g", "7", "--format", "json"),
+        ("tmatrix", "--g", "8", "--format", "json"),
+    ],
 )
 def test_command_loads_no_checks_csv_or_json(argv):
+    # the matrix export reads the data layer alone; only solve and tmatrix
+    # load the linear algebra
     code, size, *loaded = _loaded_after(*argv)
     assert code == "0" and int(size) > 0
-    assert loaded == []
+    assert loaded == ([] if argv[0] == "matrix" else ["bn2.solver", "bn2.triangular"])
 
 
 def test_verify_loads_the_checks():
     code, _, *loaded = _loaded_after("verify", "m4")
     assert code == "0"
-    assert loaded == ["bn2.verify", "json"]
+    assert loaded == ["bn2.solver", "bn2.triangular", "bn2.verify", "json", "_json"]

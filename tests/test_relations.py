@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 import sys
 from fractions import Fraction
 from functools import cache
@@ -14,25 +15,27 @@ from bn2.relations import (
     Relation,
     RelationSystem,
     _csv_line,
-    _solve,
-    _t_columns,
     Rhs,
-    build_matrix,
     build_relations,
     build_rhs_vector,
-    build_T,
     describe_rhs,
     evaluate_rhs,
-    solve_class,
-    system_matrix,
     system_to_csv,
     system_to_json,
+)
+from bn2.solver import forward_substitute, solve_lower_triangular
+from bn2.triangular import (
+    _solve,
+    _t_columns,
+    build_matrix,
+    build_T,
+    solve_class,
+    system_matrix,
     t_column_tags,
     t_matrix_to_csv,
     t_matrix_to_json,
     triangularity_report,
 )
-from bn2.solver import forward_substitute, solve_lower_triangular
 from bn2.verify import closed_form_class
 from oracles import (
     build_T_by_label,
@@ -157,8 +160,10 @@ def test_unknown_rhs_kind_is_rejected():
 
 def test_structural_counts_are_checked(monkeypatch):
     import bn2.relations
+    import bn2.triangular
 
     monkeypatch.setattr(bn2.relations, "basis_dimension", lambda g: 26)
+    monkeypatch.setattr(bn2.triangular, "basis_dimension", lambda g: 26)
     with pytest.raises(RuntimeError, match=r"built 25 rows at g=6, expected 26"):
         build_relations(6)
     with pytest.raises(RuntimeError, match=r"built 25 T-columns at g=6, expected 26"):
@@ -178,24 +183,24 @@ def test_solve_class_rejects_small_k():
 
 
 def test_solve_class_without_triangular_structure_is_internal(fresh_memos, monkeypatch):
-    import bn2.relations
+    import bn2.triangular
 
     # with T_g = I the product is Q_g itself, which has entries above the diagonal
-    monkeypatch.setattr(bn2.relations, "build_T", lambda g: identity(25))
+    monkeypatch.setattr(bn2.triangular, "build_T", lambda g: identity(25))
     with pytest.raises(RuntimeError, match=r"internal error: Q_g\*T_g at g=6: row \d+ "):
         solve_class(3)
 
 
 def test_solve_class_checks_the_residual(monkeypatch):
-    import bn2.relations
+    import bn2.triangular
 
-    monkeypatch.setattr(bn2.relations, "forward_substitute", lambda p, b: ([0] * len(b), 1))
+    monkeypatch.setattr(bn2.triangular, "forward_substitute", lambda p, b: ([0] * len(b), 1))
     with pytest.raises(RuntimeError, match="internal error: the solution at k=3 has a nonzero"):
         solve_class(3)
 
 
 def test_solve_class_residual_covers_every_row(monkeypatch):
-    import bn2.relations
+    import bn2.triangular
 
     # solving P y = b + e_r gives Q_g (T_g y) - b = e_r: a residual in row r alone
     for r in range(25):
@@ -203,7 +208,7 @@ def test_solve_class_residual_covers_every_row(monkeypatch):
         def off_in_row_r(p, b, r=r):
             return forward_substitute(p, [v + (i == r) for i, v in enumerate(b)])
 
-        monkeypatch.setattr(bn2.relations, "forward_substitute", off_in_row_r)
+        monkeypatch.setattr(bn2.triangular, "forward_substitute", off_in_row_r)
         with pytest.raises(RuntimeError, match="internal error: the solution at k=3 has a nonzero"):
             solve_class(3)
 
@@ -497,6 +502,43 @@ def test_json_exports_equal_json_dumps(g):
         assert system_to_json(system, g // 2) == system_to_json_dumps(system, g // 2)
     if g >= 6:
         assert t_matrix_to_json(g) == t_matrix_to_json_dumps(g)
+
+
+def _json_strings(value):
+    """Every string of a parsed JSON value, the object keys included."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _json_strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_strings(item)
+
+
+@pytest.mark.parametrize("g", range(5, 61))
+def test_json_exports_quote_only_plain_ascii(g, monkeypatch):
+    # every string the JSON writers quote is printable ASCII with no double
+    # quote or backslash, so writing it between double quotes as it is equals
+    # json.dumps, and json's escaper is never called
+    import json.encoder
+
+    def no_escaping(text):
+        raise AssertionError(f"{text!r} was escaped")
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", no_escaping)
+    system = build_relations(g)
+    texts = [system_to_json(system)]
+    if g >= 6:
+        texts.append(t_matrix_to_json(g))
+    if g >= 6 and g % 2 == 0:
+        texts.append(system_to_json(system, g // 2))
+    for text in texts:
+        assert "\\" not in text
+        strings = set(_json_strings(json.loads(text)))
+        plain = {s for s in strings if s.isascii() and s.isprintable() and '"' not in s}
+        assert len(strings) > g and strings == plain
 
 
 def test_json_export_writes_an_empty_row_as_json_dumps():

@@ -1,7 +1,8 @@
 """Source rules checked on the syntax tree of every package module:
 invariants must raise, because ``python -O`` strips ``assert``, and the
 arithmetic is exact, so no float appears.  No module imports
-``dataclasses`` or ``typing``.  The package exports only names it defines,
+``dataclasses`` or ``typing``, and ``bn2.relations`` imports neither the
+solver nor ``bn2.triangular``.  The package exports only names it defines,
 and the test oracles stay out of it."""
 
 import ast
@@ -75,6 +76,22 @@ def test_package_imports_neither_dataclasses_nor_typing():
                 if n.split(".")[0] in ("dataclasses", "typing")
             ]
     assert SOURCES and found == []
+
+
+def test_relations_imports_no_linear_algebra():
+    # the data layer: bn2 matrix loads it and neither the solver nor T_g
+    path = Path(bn2.__file__).parent / "relations.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found += [f"{node.lineno} {n}" for n in names if n in ("bn2.solver", "bn2.triangular")]
+    assert found == []
 
 
 def test_every_exported_name_resolves():

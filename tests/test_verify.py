@@ -233,7 +233,7 @@ def test_check_nonsingular_g6():
 
 
 def test_nonsingular_certificate_agrees_with_determinant():
-    from bn2.relations import build_matrix
+    from bn2.triangular import build_matrix
     from oracles import det_is_nonzero
 
     for g in range(6, 17):
@@ -242,11 +242,11 @@ def test_nonsingular_certificate_agrees_with_determinant():
 
 
 def test_nonsingular_without_certificate_fails(fresh_memos, monkeypatch):
-    import bn2.relations
+    import bn2.triangular
     from oracles import identity
 
     # with T_g = I the product is Q_g itself, which is not lower-triangular
-    monkeypatch.setattr(bn2.relations, "build_T", lambda g: identity(25))
+    monkeypatch.setattr(bn2.triangular, "build_T", lambda g: identity(25))
     rep = check_nonsingular(6)
     assert rep.status == "fail"
     assert rep.actual != "nonzero"
@@ -269,6 +269,7 @@ def test_run_all_is_sorted_and_passes():
 
 def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     import bn2.relations
+    import bn2.triangular
     import bn2.verify
     from bn2.basis import basis_dimension
     from bn2.solver import RationalMatrix
@@ -283,16 +284,16 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
         return wrapper
 
     rows = counting("rows", bn2.relations.build_relations)
-    for module in (bn2.relations, bn2.verify):
+    for module in (bn2.triangular, bn2.verify):
         monkeypatch.setattr(module, "build_relations", rows)
-    monkeypatch.setattr(bn2.relations, "build_T", counting("T", bn2.relations.build_T))
+    monkeypatch.setattr(bn2.triangular, "build_T", counting("T", bn2.triangular.build_T))
     build_rhs_vector = bn2.relations.build_rhs_vector
 
     def counting_rhs(system, k):
         built["rhs"].append(k)
         return build_rhs_vector(system, k)
 
-    monkeypatch.setattr(bn2.relations, "build_rhs_vector", counting_rhs)
+    monkeypatch.setattr(bn2.triangular, "build_rhs_vector", counting_rhs)
     matmul = RationalMatrix.matmul
 
     def counting_matmul(self, other):
@@ -310,7 +311,7 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
 
 
 def test_memos_hold_one_genus(fresh_memos):
-    from bn2.relations import _genus
+    from bn2.triangular import _genus
     from bn2.verify import _closed_form, _solved
 
     for k in range(3, 13):
@@ -377,7 +378,7 @@ _FAILED_PULLBACK = {
 
 def test_failed_closed_form_report_is_pinned(monkeypatch):
     import bn2.verify
-    from bn2.relations import _solve
+    from bn2.triangular import _solve
 
     x, d = _solve(5)
     index = basis_index(10)
@@ -415,7 +416,7 @@ def test_closed_form_check_builds_no_fraction_when_it_passes(monkeypatch):
 
 
 def test_only_the_k3_checks_build_the_fraction_view(fresh_memos, monkeypatch):
-    import bn2.relations
+    import bn2.triangular
     import bn2.verify
 
     views = []
@@ -426,7 +427,7 @@ def test_only_the_k3_checks_build_the_fraction_view(fresh_memos, monkeypatch):
         return fraction_view(g, nums, scale)
 
     monkeypatch.setattr(bn2.verify, "_fraction_view", counting)
-    monkeypatch.setattr(bn2.relations, "solve_class", None)
+    monkeypatch.setattr(bn2.triangular, "solve_class", None)
     monkeypatch.setattr(bn2.verify, "closed_form_class", None)
     assert all(rep.status != "fail" for rep in run_all(k_max=8))
     assert views == [6, 6]  # trigonal-table and trigonal
