@@ -9,7 +9,7 @@ labels are canonicalized once per build and coincident columns accumulate
 additively, which is what collapses repeated terms at small g.
 
 This is the data layer: it builds no matrix and imports no solver, so
-``bn2 matrix`` loads nothing more.  Q_g, T_g and the solve are in
+``bn2 matrix`` loads no linear algebra.  Q_g, T_g and the solve are in
 ``bn2.triangular``.
 """
 
