@@ -162,16 +162,16 @@ def basis_index(g: int) -> dict[ClassLabel, int]:
 def canonicalize(raw: ClassLabel, g: int) -> ClassLabel:
     """Resolve a raw relation-template label to a canonical generator.
 
-    Sorts boundary pairs ascending.  For g = 5 only, la(2) and la(3) written
-    by the relation templates are identified with ld2, the same identification
-    the i = g-2 elliptic-tail relation uses; the genus-5 rank diagnostic
-    reports this convention.  Coincident labels are accumulated additively by
-    the relation builder, not merged here.
+    Sorts boundary pairs ascending, and identifies la(g-2), which is never a
+    generator, with ld2 at every g: the S6 and S18 templates write it at
+    i = g-2 and i = 3.  At g = 5 only, la(2) = la(g-3) is identified with ld2
+    too; the genus-5 rank diagnostic reports this convention.  Coincident
+    labels are accumulated additively by the relation builder, not merged here.
     """
     lab = raw
     if lab.kind == "d" and lab.i > lab.j:
         lab = dd(lab.j, lab.i)
-    if g == 5 and lab.kind == "la" and lab.i in (2, 3):
+    elif lab.kind == "la" and (lab.i == g - 2 or (g == 5 and lab.i == 2)):
         lab = LD2
     if not is_valid(lab, g):
         raise ValueError(f"label {lab} is invalid for genus {g}")

@@ -19,7 +19,6 @@ from math import gcd
 from bn2 import enumerative
 from bn2.basis import enumerate_basis
 from bn2.enumerative import SchubertIndex
-from bn2.relations import build_relations, system_to_csv, system_to_json
 
 # the enumerative and solver errors subclass ValueError; a non-integral count
 # is an ArithmeticError.  Internal errors are RuntimeErrors, handled in main.
@@ -100,14 +99,17 @@ def _cmd_basis(args, parser) -> int:
 
 
 def _cmd_matrix(args, parser) -> int:
+    # the relation rows load only for the commands that build them
+    from bn2 import relations
+
     try:
-        system = build_relations(args.g)
+        system = relations.build_relations(args.g)
         if args.k is not None and args.g != 2 * args.k:
             raise ValueError(f"--k {args.k} needs --g {2 * args.k}")
         text = (
-            system_to_csv(system, args.k)
+            relations.system_to_csv(system, args.k)
             if args.format == "csv"
-            else system_to_json(system, args.k)
+            else relations.system_to_json(system, args.k)
         )
     except _DOMAIN_ERRORS as exc:
         print(f"bn2 matrix: {exc}", file=sys.stderr)

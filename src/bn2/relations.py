@@ -138,18 +138,14 @@ def build_relations(g: int) -> RelationSystem:
     # S5: pencil of plane cubics glued to a moving point.
     add("S5", Rhs("zero"), [(K1SQ, 2), (dd(0, g - 1), -12), (D1SQ, 2), (LD1, -1)])
 
-    # S6: elliptic pencil tail plus a moving tail on a fixed curve.
-    for i in range(3, g - 2):
+    # S6: elliptic pencil tail plus a moving tail on a fixed curve; at
+    # i = g-2 the label la(g-2) canonicalizes to ld2.
+    for i in range(3, g - 1):
         add(
             f"S6[i={i}]",
             Rhs("zero"),
             [(K1SQ, 2), (la(i), -1), (dd(1, g - i), 1), (dd(0, g - i), -12)],
         )
-    add(
-        f"S6[i={g - 2}]",
-        Rhs("zero"),
-        [(K1SQ, 2), (LD2, -1), (dd(1, 2), 1), (dd(0, 2), -12)],
-    )
 
     # S7: two self-glued elliptic curves on a fixed two-pointed curve.
     add(
@@ -358,8 +354,9 @@ def build_relations(g: int) -> RelationSystem:
         ],
     )
 
-    # S18: central elliptic curve of a two-tailed chain moving in a pencil.
-    for i in range(4, (g + 1) // 2 + 1):
+    # S18: central elliptic curve of a two-tailed chain moving in a pencil;
+    # i = 3 follows the larger i, and its la(g-2) canonicalizes to ld2.
+    for i in (*range(4, (g + 1) // 2 + 1), 3):
         add(
             f"S18[i={i}]",
             Rhs("zero"),
@@ -379,25 +376,6 @@ def build_relations(g: int) -> RelationSystem:
                 (th(i - 1), 12),
             ],
         )
-    add(
-        "S18[i=3]",
-        Rhs("zero"),
-        [
-            (K1SQ, 3),
-            (K2, 1),
-            (om(3), -1),
-            (om(g - 2), -1),
-            (D1SQ, -1),
-            (dd(2, g - 3), 1),
-            (la(3), -1),
-            (LD2, -1),
-            (LD1, 1),
-            (dd(0, 2), -12),
-            (dd(0, g - 3), -12),
-            (dd(0, g - 1), 12),
-            (th(2), 12),
-        ],
-    )
     add(
         "S18[i=2]",
         Rhs("zero"),

@@ -25,7 +25,6 @@ __all__ = [
     "RationalMatrix",
     "DimensionMismatchError",
     "forward_substitute",
-    "solve_lower_triangular",
     "rank",
 ]
 
@@ -200,7 +199,7 @@ def forward_substitute(p: RationalMatrix, b) -> tuple[list[int], int]:
     (shape) or ValueError (structure) names the row and column at fault."""
     if not p.is_square():
         raise DimensionMismatchError(
-            f"solve_lower_triangular needs a square matrix, got {p.nrows} rows "
+            f"forward_substitute needs a square matrix, got {p.nrows} rows "
             f"and {p.ncols} columns"
         )
     if len(b) != p.nrows:
@@ -228,9 +227,3 @@ def forward_substitute(p: RationalMatrix, b) -> tuple[list[int], int]:
             y = [v * f for v in y]
             y[i] = acc * f // row[i]
     return y, d
-
-
-def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
-    """Exact solution of p y = b: ``forward_substitute`` read as Fractions."""
-    y, d = forward_substitute(p, b)
-    return [Fraction(v, d) for v in y]

@@ -45,7 +45,6 @@ __all__ = [
     "system_matrix",
     "solve_class",
     "build_T",
-    "t_column_tags",
     "TriangularityReport",
     "triangularity_report",
     "t_matrix_to_csv",
@@ -143,10 +142,6 @@ def _t_columns(g: int):
     yield "T18[final]", om_pairs(t18, -1)
 
 
-def t_column_tags(g: int) -> list[str]:
-    return [tag for tag, _ in _checked_t_columns(g)]
-
-
 def _checked_t_columns(g: int) -> list[tuple[str, dict[int, int]]]:
     if g < 6:
         raise ValueError(f"T_g is defined for g >= 6, got g={g}")
@@ -181,7 +176,7 @@ class TriangularityReport(
     )
 ):
     """Outcome of the Q_g * T_g product check.  ``ok`` is the structure the
-    production solve (``solve_class``) relies on and the certificate that
+    production solve (``_solve``) relies on and the certificate that
     det Q_g != 0."""
 
     __slots__ = ()

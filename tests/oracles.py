@@ -40,6 +40,10 @@ from routes that share none of that code:
 - ``sum_S16_castelnuovo``, two binomials per counted term through the
   reduced Castelnuovo numerator.  The runtime's ``sum_S16`` walks one
   binomial from term to term.
+
+Two views of runtime code serve only the tests and live here too:
+``solve_lower_triangular``, ``forward_substitute``'s integers read as
+Fractions, and ``t_column_tags``, the tags of the ``T_g`` columns.
 """
 
 from __future__ import annotations
@@ -70,8 +74,14 @@ from bn2.basis import (
 from bn2.enumerative import _castelnuovo_num, _counted, _pencil_count, _ram_sequence
 from bn2.exactnum import factorial
 from bn2.relations import build_rhs_vector, describe_rhs
-from bn2.solver import DimensionMismatchError, RationalMatrix, _bareiss_echelon, _scaled_int_rows
-from bn2.triangular import build_T, t_column_tags
+from bn2.solver import (
+    DimensionMismatchError,
+    RationalMatrix,
+    _bareiss_echelon,
+    _scaled_int_rows,
+    forward_substitute,
+)
+from bn2.triangular import _checked_t_columns, build_T
 from bn2.verify import scale_factor
 
 F = Fraction
@@ -224,6 +234,12 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
     if matrix.matvec(x) != rhs:
         raise RuntimeError("internal error: solution has a nonzero residual")
     return x
+
+
+def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
+    """Exact solution of p y = b: ``forward_substitute`` read as Fractions."""
+    y, d = forward_substitute(p, b)
+    return [Fraction(v, d) for v in y]
 
 
 def nullspace(matrix: RationalMatrix) -> list[list[Fraction]]:
@@ -407,6 +423,11 @@ def system_to_csv_dense(system, k: int | None = None) -> str:
             cells[c] = str(v)
         rows.append([rel.source, *cells, text])
     return _csv_text(rows)
+
+
+def t_column_tags(g: int) -> list[str]:
+    """The tags of the columns of T_g, in column order."""
+    return [tag for tag, _ in _checked_t_columns(g)]
 
 
 def t_matrix_to_csv_dense(g: int) -> str:

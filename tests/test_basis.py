@@ -98,6 +98,20 @@ def test_canonicalize_g5_lambda_convention():
     assert canonicalize(la(3), 6) == la(3)
 
 
+@pytest.mark.parametrize("g", range(5, 61))
+def test_canonicalize_identifies_la_g_minus_2_with_ld2(g):
+    # la(g-2) is never a generator; the S6 and S18 templates write it
+    assert not is_valid(la(g - 2), g)
+    assert canonicalize(la(g - 2), g) == LD2
+
+
+@pytest.mark.parametrize("g", range(6, 61))
+def test_canonicalize_keeps_la2_for_g5_only(g):
+    # test_canonicalize_g5_lambda_convention holds la(2) -> ld2 at g = 5
+    with pytest.raises(ValueError, match=rf"^label la\(2\) is invalid for genus {g}$"):
+        canonicalize(la(2), g)
+
+
 def test_canonicalize_rejects_out_of_range():
     with pytest.raises(ValueError):
         canonicalize(om(5), 6)  # om range at g=6 is 2..4

@@ -300,7 +300,9 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 # before the counting layer became integer-only (the next one), before
 # verify built each genus once (the next two), before the CSV exports were
 # written from the sparse rows (the next two) and before T_g was built by
-# column and the JSON exports were written without json.dumps (the last two)
+# column and the JSON exports were written without json.dumps (the next
+# two) and before S6[i=g-2] and S18[i=3] were built from their families'
+# templates (the last two)
 PINNED_STDOUT_SHA256 = {
     "tmatrix --g 8 --format csv": "a78f2a2385b96726cd600e772260702cf58b1ff1f64181c36b3ffc8b2846e431",
     "tmatrix --g 8 --format json": "a62e01eff6be1ed2a3cb7c56d0cdd3fe6490bdc85edebb578bbfda9ba39bf5c0",
@@ -317,6 +319,8 @@ PINNED_STDOUT_SHA256 = {
     "tmatrix --g 20 --format csv": "6583a03b0723776f1dd367bb5d60774e4061e5fc0ff86f2ebd7696a00e12ef8f",
     "tmatrix --g 41 --format csv": "882e7b084900f3809ace7d43bb9e000d7b633706423d4703afa7e504855a9e22",
     "tmatrix --g 41 --format json": "ca9cce23f3ca2e3f1cec82a7b438281757391be8fffc0bf5a9d39ddf773cd4ca",
+    "matrix --g 5 --format csv": "e556dd06eafc3b6f560073f7bdb971d472ee62fba00170e4a25d6a9c9295c8f2",
+    "matrix --g 7 --format json": "f6bbe6f58dc9e04ed7ee1a69845498f8dd83df4ac9ea131e6d4ff3c0fe9e7b22",
 }
 
 
@@ -328,16 +332,16 @@ def test_stdout_matches_pinned_digest(capsys, command):
 
 
 # runs one command in a fresh interpreter and prints its exit code, the length
-# of its stdout and which of bn2.solver, bn2.triangular, bn2.verify, csv, json,
-# _json, dataclasses and inspect it loaded (typing is not probed: site may load
-# it before bn2 runs)
+# of its stdout and which of bn2.relations, bn2.solver, bn2.triangular,
+# bn2.verify, csv, json, _json, dataclasses and inspect it loaded (typing is not
+# probed: site may load it before bn2 runs)
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-probed = ("bn2.solver", "bn2.triangular", "bn2.verify", "csv", "json", "_json",
-          "dataclasses", "inspect")
+probed = ("bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "csv", "json",
+          "_json", "dataclasses", "inspect")
 print(code, len(out.getvalue()), *(m for m in probed if m in sys.modules))
 """
 
@@ -373,10 +377,22 @@ def test_command_loads_no_checks_csv_or_json(argv):
     # load the linear algebra
     code, size, *loaded = _loaded_after(*argv)
     assert code == "0" and int(size) > 0
-    assert loaded == ([] if argv[0] == "matrix" else ["bn2.solver", "bn2.triangular"])
+    linear_algebra = [] if argv[0] == "matrix" else ["bn2.solver", "bn2.triangular"]
+    assert loaded == ["bn2.relations", *linear_algebra]
+
+
+@pytest.mark.parametrize(
+    "argv", [("basis", "--g", "6"), ("counts", "n", "--g", "4", "--d", "3", "--alpha", "0,1")]
+)
+def test_commands_without_rows_load_no_relations(argv):
+    code, size, *loaded = _loaded_after(*argv)
+    assert code == "0" and int(size) > 0
+    assert loaded == []
 
 
 def test_verify_loads_the_checks():
     code, _, *loaded = _loaded_after("verify", "m4")
     assert code == "0"
-    assert loaded == ["bn2.solver", "bn2.triangular", "bn2.verify", "json", "_json"]
+    assert loaded == [
+        "bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "json", "_json"
+    ]

@@ -10,7 +10,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bn2.basis import D1SQ, K1SQ, K2, LD2, basis_dimension, dd, enumerate_basis, om
+from bn2.basis import (
+    D1SQ,
+    K1SQ,
+    K2,
+    LD1,
+    LD2,
+    basis_dimension,
+    basis_index,
+    canonicalize,
+    dd,
+    enumerate_basis,
+    la,
+    om,
+    th,
+)
 from bn2.relations import (
     Relation,
     RelationSystem,
@@ -23,7 +37,7 @@ from bn2.relations import (
     system_to_csv,
     system_to_json,
 )
-from bn2.solver import forward_substitute, solve_lower_triangular
+from bn2.solver import forward_substitute
 from bn2.triangular import (
     _solve,
     _t_columns,
@@ -31,7 +45,6 @@ from bn2.triangular import (
     build_T,
     solve_class,
     system_matrix,
-    t_column_tags,
     t_matrix_to_csv,
     t_matrix_to_json,
     triangularity_report,
@@ -43,8 +56,10 @@ from oracles import (
     dense_row,
     identity,
     solve_exact,
+    solve_lower_triangular,
     system_to_csv_dense,
     system_to_json_dumps,
+    t_column_tags,
     t_matrix_to_csv_dense,
     t_matrix_to_json_dumps,
 )
@@ -122,6 +137,52 @@ def test_g5_lambda_rows_land_on_ld2():
     s18 = _row(system, "S18[i=3]")
     assert _by_label(s18)[LD2] == F(-2)  # -la(3) - ld2
     assert _by_label(s18)[om(3)] == F(-2)  # om(3) and om(g-2) collide
+
+
+def _hand_written_rows(g):
+    """The rows S6[i=g-2] and S18[i=3] as the builder once wrote them by
+    hand, with ld2 in place of la(g-2), accumulated into columns in the
+    order of their terms."""
+    terms = {
+        f"S6[i={g - 2}]": [(K1SQ, 2), (LD2, -1), (dd(1, 2), 1), (dd(0, 2), -12)],
+        "S18[i=3]": [
+            (K1SQ, 3),
+            (K2, 1),
+            (om(3), -1),
+            (om(g - 2), -1),
+            (D1SQ, -1),
+            (dd(2, g - 3), 1),
+            (la(3), -1),
+            (LD2, -1),
+            (LD1, 1),
+            (dd(0, 2), -12),
+            (dd(0, g - 3), -12),
+            (dd(0, g - 1), 12),
+            (th(2), 12),
+        ],
+    }
+    index = basis_index(g)
+    rows = {}
+    for source, row in terms.items():
+        acc = {}
+        for raw, coeff in row:
+            c = index[canonicalize(raw, g)]
+            acc[c] = acc.get(c, 0) + coeff
+        rows[source] = {c: v for c, v in acc.items() if v}
+    return rows
+
+
+@pytest.mark.parametrize("g", range(5, 61))
+def test_folded_rows_equal_the_hand_written_ones(g):
+    system = build_relations(g)
+    sources = [rel.source for rel in system.rows]
+    # S6[i=g-2] closes its family before S7; S18[i=3] comes before S18[i=2], last
+    assert sources[sources.index("S7") - 1] == f"S6[i={g - 2}]"
+    assert sources[-2:] == ["S18[i=3]", "S18[i=2]"]
+    for source, coeffs in _hand_written_rows(g).items():
+        rel = _row(system, source)
+        assert list(rel.coefficients.items()) == list(coeffs.items())
+        assert rel.rhs == Rhs("zero") and sources.count(source) == 1
 
 
 def test_zero_rhs_relations_evaluate_to_zero():

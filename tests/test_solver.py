@@ -10,7 +10,6 @@ from bn2.solver import (
     RationalMatrix,
     forward_substitute,
     rank,
-    solve_lower_triangular,
 )
 from oracles import (
     SingularMatrixError,
@@ -23,6 +22,7 @@ from oracles import (
     identity,
     nullspace,
     solve_exact,
+    solve_lower_triangular,
     zeros,
 )
 
