@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("ClassExpression", "ClassLabel", "basis_dimension", "canonicalize", "enumerate_basis"),
+        ("ClassExpression", "ClassLabel", "basis_dimension", "enumerate_basis"),
         "basis",
     ),
     **dict.fromkeys(

@@ -31,8 +31,7 @@ __all__ = [
     "is_valid",
     "basis_dimension",
     "enumerate_basis",
-    "basis_index",
-    "canonicalize",
+    "columns",
 ]
 
 _SCALAR_KINDS = ("k1^2", "k2", "d0^2", "ld0", "d1^2", "ld1", "ld2")
@@ -154,28 +153,51 @@ def enumerate_basis(g: int) -> tuple[ClassLabel, ...]:
     return tuple(labels)
 
 
-@lru_cache(maxsize=None)
-def basis_index(g: int) -> dict[ClassLabel, int]:
-    return {lab: pos for pos, lab in enumerate(enumerate_basis(g))}
+def columns(g: int):
+    """The column of every generator at genus g, by arithmetic on its indices.
 
-
-def canonicalize(raw: ClassLabel, g: int) -> ClassLabel:
-    """Resolve a raw relation-template label to a canonical generator.
-
-    Sorts boundary pairs ascending, and identifies la(g-2), which is never a
-    generator, with ld2 at every g: the S6 and S18 templates write it at
-    i = g-2 and i = 3.  At g = 5 only, la(2) = la(g-3) is identified with ld2
-    too; the genus-5 rank diagnostic reports this convention.  Coincident
-    labels are accumulated additively by the relation builder, not merged here.
+    Returns (k1^2, k2, d0^2, ld0, d1^2, ld1, ld2, om, la, dd, th): the seven
+    scalar columns 0..6 and four functions of the indices, om(i) = i + 5,
+    la(i) = g + 1 + i, dd(0, j) = 2g - 1 + j, dd(i, j) = 3g - 1 + (i-1)(g-i)
+    + j - i for 1 <= i <= j, and th(i) = n - (g-1)//2 - 1 + i.  They are the
+    positions in enumerate_basis(g) and take the relation templates' raw
+    indices: dd sorts its pair, and la maps la(g-2), never a generator, to
+    ld2 at every g (the S6 and S18 templates write it at i = g-2 and i = 3),
+    and la(2) = la(g-3) to ld2 at g = 5 only; the genus-5 rank diagnostic
+    reports this convention.  An index out of range raises ValueError.
     """
-    lab = raw
-    if lab.kind == "d" and lab.i > lab.j:
-        lab = dd(lab.j, lab.i)
-    elif lab.kind == "la" and (lab.i == g - 2 or (g == 5 and lab.i == 2)):
-        lab = LD2
-    if not is_valid(lab, g):
-        raise ValueError(f"label {lab} is invalid for genus {g}")
-    return lab
+    th0 = basis_dimension(g) - (g - 1) // 2 - 1
+
+    def invalid(kind: str, *ij: int) -> ValueError:
+        return ValueError(f"label {ClassLabel(kind, *ij)} is invalid for genus {g}")
+
+    def om(i: int) -> int:
+        if not 2 <= i <= g - 2:
+            raise invalid("om", i)
+        return i + 5
+
+    def la(i: int) -> int:
+        if i == g - 2 or (g == 5 and i == 2):
+            return 6
+        if not 3 <= i <= g - 3:
+            raise invalid("la", i)
+        return g + 1 + i
+
+    def dd(i: int, j: int) -> int:
+        if i > j:
+            i, j = j, i
+        if i == 0 and j <= g - 1:
+            return 2 * g - 1 + j
+        if not (1 <= i and i + j <= g - 1):
+            raise invalid("d", i, j)
+        return 3 * g - 1 + (i - 1) * (g - i) + j - i
+
+    def th(i: int) -> int:
+        if not 1 <= i <= (g - 1) // 2:
+            raise invalid("th", i)
+        return th0 + i
+
+    return (*range(7), om, la, dd, th)
 
 
 class ClassExpression:

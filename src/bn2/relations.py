@@ -4,9 +4,11 @@ CSV and JSON exports of the system.
 Each of the eighteen families of test surfaces contributes one group of
 rows; a row stores exact integer coefficients keyed by column in the frozen
 basis order plus a right-hand-side descriptor that evaluates to an exact
-rational once the pencil degree k (with g = 2k) is fixed.  Raw template
-labels are canonicalized once per build and coincident columns accumulate
-additively, which is what collapses repeated terms at small g.
+rational once the pencil degree k (with g = 2k) is fixed.  Each term of a
+family is written as its column, computed from the generator's indices by
+``basis.columns`` (which also sorts a boundary pair and maps la(g-2) to
+ld2), and coincident columns accumulate additively, which is what collapses
+repeated terms at small g.
 
 This is the data layer: it builds no matrix and imports no solver, so
 ``bn2 matrix`` loads no linear algebra.  Q_g, T_g and the solve are in
@@ -17,26 +19,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 
-from bn2.basis import (
-    D0SQ,
-    D1SQ,
-    K1SQ,
-    K2,
-    LD0,
-    LD1,
-    LD2,
-    ClassLabel,
-    basis_dimension,
-    basis_index,
-    canonicalize,
-    dd,
-    enumerate_basis,
-    la,
-    om,
-    th,
-)
+from bn2.basis import ClassLabel, basis_dimension, columns, enumerate_basis
 from bn2.enumerative import (
     SchubertIndex,
     _sum_D_table,
@@ -86,14 +70,6 @@ class RelationSystem(namedtuple("RelationSystem", "g rows")):
         return enumerate_basis(self.g)
 
 
-def _accumulate(column, terms) -> dict[int, int]:
-    acc: dict[int, int] = {}
-    for raw, coeff in terms:
-        c = column(raw)
-        acc[c] = acc.get(c, 0) + coeff
-    return {c: v for c, v in acc.items() if v}
-
-
 def build_relations(g: int) -> RelationSystem:
     """All relation rows for genus g, in the frozen group order.
 
@@ -103,11 +79,16 @@ def build_relations(g: int) -> RelationSystem:
     if g < 5:
         raise ValueError(f"relations are defined for g >= 5, got g={g}")
     rows: list[Relation] = []
-    index = basis_index(g)
-    column = cache(lambda raw: index[canonicalize(raw, g)])  # for this build only
+    # each name is a column of the genus-g basis, or a function to one
+    K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
 
     def add(source: str, rhs: Rhs, terms) -> None:
-        rows.append(Relation(source, g, _accumulate(column, terms), rhs))
+        acc: dict[int, int] = {}
+        for c, coeff in terms:
+            acc[c] = acc.get(c, 0) + coeff
+        if not all(acc.values()):  # only a row whose terms cancel drops a column
+            acc = {c: v for c, v in acc.items() if v}
+        rows.append(Relation(source, g, acc, rhs))
 
     # S1: two moving points glued, genus i + (g-i).
     for i in range(2, g // 2 + 1):
@@ -115,9 +96,7 @@ def build_relations(g: int) -> RelationSystem:
 
     # S2: two moving tails on a fixed two-pointed curve.
     for i in range(2, g - 2):
-        for j in range(i, g - 2):
-            if i + j > g - 1:
-                break
+        for j in range(i, min(g - 3, g - 1 - i) + 1):
             add(f"S2[i={i},j={j}]", Rhs("D", i, j), [(K1SQ, 2), (dd(i, j), 1)])
 
     # S3: elliptic curve glued to itself and to a moving point.
@@ -139,7 +118,7 @@ def build_relations(g: int) -> RelationSystem:
     add("S5", Rhs("zero"), [(K1SQ, 2), (dd(0, g - 1), -12), (D1SQ, 2), (LD1, -1)])
 
     # S6: elliptic pencil tail plus a moving tail on a fixed curve; at
-    # i = g-2 the label la(g-2) canonicalizes to ld2.
+    # i = g-2 the column la(g-2) is ld2.
     for i in range(3, g - 1):
         add(
             f"S6[i={i}]",
@@ -355,7 +334,7 @@ def build_relations(g: int) -> RelationSystem:
     )
 
     # S18: central elliptic curve of a two-tailed chain moving in a pencil;
-    # i = 3 follows the larger i, and its la(g-2) canonicalizes to ld2.
+    # i = 3 follows the larger i, and its column la(g-2) is ld2.
     for i in (*range(4, (g + 1) // 2 + 1), 3):
         add(
             f"S18[i={i}]",

@@ -14,23 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from bn2.basis import (
-    D0SQ,
-    D1SQ,
-    K1SQ,
-    K2,
-    LD0,
-    LD1,
-    LD2,
-    ClassExpression,
-    basis_dimension,
-    basis_index,
-    dd,
-    enumerate_basis,
-    la,
-    om,
-    th,
-)
+from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis
 from bn2.relations import (
     RelationSystem,
     _csv_line,
@@ -65,52 +49,48 @@ def build_matrix(g: int) -> RationalMatrix:
 
 def _t_columns(g: int):
     """(tag, {column: coefficient}) pairs for the columns of T_g, in group
-    order; each generator is looked up once in the frozen basis order."""
-    ix = basis_index(g).__getitem__
+    order; each generator is written as its column (``basis.columns``)."""
+    K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
     fl = g // 2
     for i in range(2, fl + 1):
-        yield f"T1[i={i}]", {ix(om(i)): 1}
+        yield f"T1[i={i}]", {om(i): 1}
     for i in range(2, g - 2):
-        for j in range(i, g - 2):
-            if i + j > g - 1:
-                break
-            yield f"T2[i={i},j={j}]", {ix(dd(i, j)): 1}
-    yield "T3", {ix(dd(1, g - 2)): 1}
+        for j in range(i, min(g - 3, g - 1 - i) + 1):
+            yield f"T2[i={i},j={j}]", {dd(i, j): 1}
+    yield "T3", {dd(1, g - 2): 1}
     for i in range(2, g - 2):
-        yield f"T4[i={i}]", {ix(dd(1, i)): 1}
-    yield "T5", {ix(dd(0, g - 1)): 1}
+        yield f"T4[i={i}]", {dd(1, i): 1}
+    yield "T5", {dd(0, g - 1): 1}
     for i in range(3, g - 2):
-        yield f"T6[i={i}]", {ix(la(i)): 1}
-    yield "T6[ld2]", {ix(LD2): 1}
-    yield "T7", {ix(dd(1, 1)): 1}
-    yield "T8", {ix(LD0): 1}
-    yield "T9[j=2]", {ix(dd(1, 2)): 2, ix(dd(0, 2)): 1, ix(LD2): -10}
+        yield f"T6[i={i}]", {la(i): 1}
+    yield "T6[ld2]", {LD2: 1}
+    yield "T7", {dd(1, 1): 1}
+    yield "T8", {LD0: 1}
+    yield "T9[j=2]", {dd(1, 2): 2, dd(0, 2): 1, LD2: -10}
     for j in range(3, g - 2):
-        yield f"T9[j={j}]", {ix(dd(1, j)): 2, ix(dd(0, j)): 1, ix(la(g - j)): -10}
-    d0g1, d00, d01, k2, d0sq, d1sq, d11 = map(
-        ix, (dd(0, g - 1), dd(0, 0), dd(0, 1), K2, D0SQ, D1SQ, dd(1, 1))
-    )
-    yield "T10", {ix(LD1): 60, d1sq: 12, d0g1: -3, d01: 8, d00: 2}
-    yield "T11", {ix(LD1): 12, ix(LD0): 1, d0g1: -1}
-    yield "T12", {ix(dd(0, g - 2)): 1, ix(dd(1, g - 2)): 2}
-    yield "T13", {ix(LD1): 12, ix(LD0): 6, d0g1: -1, d01: -1, d00: -1}
-    t14: dict[int, int] = {ix(K1SQ): 6, ix(LD0): 72, ix(LD1): 144, ix(LD2): 144}
+        yield f"T9[j={j}]", {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}
+    d0g1, d00, d01, d11 = dd(0, g - 1), dd(0, 0), dd(0, 1), dd(1, 1)
+    yield "T10", {LD1: 60, D1SQ: 12, d0g1: -3, d01: 8, d00: 2}
+    yield "T11", {LD1: 12, LD0: 1, d0g1: -1}
+    yield "T12", {dd(0, g - 2): 1, dd(1, g - 2): 2}
+    yield "T13", {LD1: 12, LD0: 6, d0g1: -1, d01: -1, d00: -1}
+    t14: dict[int, int] = {K1SQ: 6, LD0: 72, LD1: 144, LD2: 144}
     if g % 2 == 0:
         # the self-paired middle class; absent for odd g, where every pair
         # {s, g-s} is already covered by the sum below
-        t14[ix(om(fl))] = 6
+        t14[om(fl)] = 6
     for s in range(2, (g + 1) // 2):  # s < g/2
-        c = ix(om(s))
+        c = om(s)
         t14[c] = t14.get(c, 0) + 12
     for s in range(3, g - 2):
-        t14[ix(la(s))] = 144
-    for c in range(d00, ix(th(1))):  # the d(i,j) generators are one run of columns
+        t14[la(s)] = 144
+    for c in range(d00, th(1)):  # the d(i,j) generators are one run of columns
         t14[c] = -12
     t14[d0g1] = -11
     yield "T14", t14
-    yield "T15", {k2: 1}
+    yield "T15", {K2: 1}
     for i in range(fl, g - 2):
-        yield f"T16[i={i}]", {ix(om(i + 1)): 1, ix(om(g - i - 1)): -1}
+        yield f"T16[i={i}]", {om(i + 1): 1, om(g - i - 1): -1}
 
     def om_pairs(col: dict[int, int], scale: int) -> dict[int, int]:
         """col plus scale * 6 (g - 2s) (om(g-s) - om(s)) for 2 <= s <= g/2,
@@ -118,26 +98,26 @@ def _t_columns(g: int):
         for s in range(2, fl + 1):
             w = scale * 6 * (g - 2 * s)
             if w:
-                hi, lo = ix(om(g - s)), ix(om(s))
+                hi, lo = om(g - s), om(s)
                 col[hi] = col.get(hi, 0) + w
                 col[lo] = col.get(lo, 0) - w
         return {c: v for c, v in col.items() if v != 0}
 
-    t16 = {d1sq: 12 * (g - 1), d11: -24 * (g - 1), d0g1: 2 * (g - 1), d0sq: 3, d00: -6}
+    t16 = {D1SQ: 12 * (g - 1), d11: -24 * (g - 1), d0g1: 2 * (g - 1), D0SQ: 3, d00: -6}
     yield "T16[sum]", om_pairs(t16, g - 1)
-    t17 = {k2: 6 * g, d1sq: 12 - 6 * g, d11: 12 * (g - 2), d0sq: -3, d0g1: 2 - g, d00: 6}
+    t17 = {K2: 6 * g, D1SQ: 12 - 6 * g, d11: 12 * (g - 2), D0SQ: -3, d0g1: 2 - g, d00: 6}
     yield "T17", om_pairs(t17, 1)
     for i in range(4, (g + 1) // 2 + 1):
-        yield f"T18[i={i}]", {ix(th(i - 1)): 1}
-    yield "T18[th2]", {ix(th(2)): 1}
+        yield f"T18[i={i}]", {th(i - 1): 1}
+    yield "T18[th2]", {th(2): 1}
     t18 = {
-        k2: -6 * g,
-        d1sq: 6 * g - 12,
+        K2: -6 * g,
+        D1SQ: 6 * g - 12,
         d11: 12 * (2 - g),
-        d0sq: 3,
+        D0SQ: 3,
         d0g1: g - 2,
         d00: -6,
-        ix(th(1)): 72,
+        th(1): 72,
     }
     yield "T18[final]", om_pairs(t18, -1)
 

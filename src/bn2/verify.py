@@ -580,6 +580,8 @@ def check_triangularity(g: int) -> CheckReport:
     and the nonsingularity certificate depend on this structure and fail on
     their own without it; this report lists the deviations and stays at
     "warn"."""
+    if g < 6:
+        raise ValueError(f"T_g is defined for g >= 6, got g={g}")
     report = _genus(g).report
     return CheckReport(
         check=f"triangularity[g={g}]",

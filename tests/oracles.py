@@ -41,6 +41,11 @@ from routes that share none of that code:
   reduced Castelnuovo numerator.  The runtime's ``sum_S16`` walks one
   binomial from term to term.
 
+- the label route to a column, ``basis_index`` after ``canonicalize``: one
+  dict from label to position per genus, and the relation templates' raw
+  labels resolved to generators.  The runtime computes each column from the
+  indices (``basis.columns``).
+
 Two views of runtime code serve only the tests and live here too:
 ``solve_lower_triangular``, ``forward_substitute``'s integers read as
 Fractions, and ``t_column_tags``, the tags of the ``T_g`` columns.
@@ -53,6 +58,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from bn2.basis import (
     D0SQ,
@@ -64,9 +70,9 @@ from bn2.basis import (
     LD2,
     ClassExpression,
     ClassLabel,
-    basis_index,
     dd,
     enumerate_basis,
+    is_valid,
     la,
     om,
     th,
@@ -85,6 +91,30 @@ from bn2.triangular import _checked_t_columns, build_T
 from bn2.verify import scale_factor
 
 F = Fraction
+
+
+@lru_cache(maxsize=None)
+def basis_index(g: int) -> dict[ClassLabel, int]:
+    return {lab: pos for pos, lab in enumerate(enumerate_basis(g))}
+
+
+def canonicalize(raw: ClassLabel, g: int) -> ClassLabel:
+    """Resolve a raw relation-template label to a canonical generator.
+
+    Sorts boundary pairs ascending, and identifies la(g-2), which is never a
+    generator, with ld2 at every g: the S6 and S18 templates write it at
+    i = g-2 and i = 3.  At g = 5 only, la(2) = la(g-3) is identified with ld2
+    too; the genus-5 rank diagnostic reports this convention.  Coincident
+    labels are accumulated additively by the relation builder, not merged here.
+    """
+    lab = raw
+    if lab.kind == "d" and lab.i > lab.j:
+        lab = dd(lab.j, lab.i)
+    elif lab.kind == "la" and (lab.i == g - 2 or (g == 5 and lab.i == 2)):
+        lab = LD2
+    if not is_valid(lab, g):
+        raise ValueError(f"label {lab} is invalid for genus {g}")
+    return lab
 
 
 def dense(rows) -> RationalMatrix:

@@ -13,8 +13,9 @@ from bn2.basis import (
     LD1,
     LD2,
     ClassExpression,
+    ClassLabel,
     basis_dimension,
-    canonicalize,
+    columns,
     dd,
     enumerate_basis,
     is_valid,
@@ -23,6 +24,7 @@ from bn2.basis import (
     parse_label,
     th,
 )
+from oracles import basis_index, canonicalize
 
 
 def test_basis_dimension_values():
@@ -119,6 +121,59 @@ def test_canonicalize_rejects_out_of_range():
         canonicalize(dd(3, 3), 6)  # 3 + 3 > g - 1
 
 
+@pytest.mark.parametrize("g", [*range(5, 201), 401, 600])
+def test_columns_equal_the_label_route(g):
+    # every generator, and each d pair in both orders, lands where the
+    # oracle puts its canonical label
+    *scalars, col_om, col_la, col_dd, col_th = columns(g)
+    index = basis_index.__wrapped__(g)  # uncached: one dict per genus is large
+    functions = {"om": col_om, "la": col_la, "th": col_th}
+    assert scalars == list(range(7))
+    for lab, pos in index.items():
+        if lab.kind == "d":
+            assert col_dd(lab.i, lab.j) == col_dd(lab.j, lab.i) == pos
+            assert index[canonicalize(ClassLabel("d", lab.j, lab.i), g)] == pos
+        elif lab.kind in functions:
+            assert functions[lab.kind](lab.i) == pos
+        else:
+            assert scalars[pos] == pos
+        assert index[canonicalize(lab, g)] == pos
+
+
+@pytest.mark.parametrize("g", [*range(5, 201), 401, 600])
+def test_columns_identify_la_g_minus_2_with_ld2(g):
+    *_, col_la, _, _ = columns(g)
+    assert col_la(g - 2) == enumerate_basis(g).index(LD2) == 6
+    if g == 5:
+        assert col_la(2) == 6
+    else:
+        with pytest.raises(ValueError, match=rf"^label la\(2\) is invalid for genus {g}$"):
+            col_la(2)
+
+
+@pytest.mark.parametrize("g", range(5, 61))
+def test_columns_reject_what_canonicalize_rejects(g):
+    *_, col_om, col_la, col_dd, col_th = columns(g)
+    cases = [
+        (col_om, om(1)),
+        (col_om, om(g - 1)),
+        (col_dd, dd(0, g)),
+        (col_dd, ClassLabel("d", g, 0)),
+        (col_th, th(0)),
+        (col_th, th((g + 1) // 2)),
+    ]
+    if g >= 6:
+        cases.append((col_la, la(2)))
+    if g == 6:
+        cases.append((col_dd, dd(3, 3)))
+    for column, lab in cases:
+        with pytest.raises(ValueError) as want:
+            canonicalize(lab, g)
+        with pytest.raises(ValueError) as got:
+            column(*(i for i in lab[1:] if i is not None))
+        assert str(got.value) == str(want.value)
+
+
 def test_label_strings_round_trip():
     for g in (5, 6, 10):
         for lab in enumerate_basis(g):
@@ -135,8 +190,6 @@ def test_label_string_forms():
 def test_label_is_a_frozen_value_with_a_stable_hash():
     import copy
     import pickle
-
-    from bn2.basis import ClassLabel
 
     for factory_made, constructed, text, shown in [
         (dd(1, 2), ClassLabel("d", 1, 2), "d(1,2)", "ClassLabel(kind='d', i=1, j=2)"),

@@ -262,6 +262,13 @@ def test_verify_nonsingular_reports_square_domain(capsys):
     assert "Q_g is square only for g >= 6, got g=5" in err
 
 
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_verify_triangularity_reports_the_t_domain(capsys, g):
+    code, out, err = run(capsys, "verify", "triangularity", "--g", str(g))
+    assert code == 2 and out == ""
+    assert err == f"bn2 verify triangularity: T_g is defined for g >= 6, got g={g}\n"
+
+
 def test_solve_reports_degree_domain(capsys):
     code, out, err = run(capsys, "solve", "--k", "2")
     assert code == 2 and out == ""

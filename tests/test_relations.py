@@ -17,8 +17,6 @@ from bn2.basis import (
     LD1,
     LD2,
     basis_dimension,
-    basis_index,
-    canonicalize,
     dd,
     enumerate_basis,
     la,
@@ -39,6 +37,7 @@ from bn2.relations import (
 )
 from bn2.solver import forward_substitute
 from bn2.triangular import (
+    _checked_t_columns,
     _solve,
     _t_columns,
     build_matrix,
@@ -51,7 +50,9 @@ from bn2.triangular import (
 )
 from bn2.verify import closed_form_class
 from oracles import (
+    basis_index,
     build_T_by_label,
+    canonicalize,
     castelnuovo_general,
     dense_row,
     identity,
@@ -183,6 +184,39 @@ def test_folded_rows_equal_the_hand_written_ones(g):
         rel = _row(system, source)
         assert list(rel.coefficients.items()) == list(coeffs.items())
         assert rel.rhs == Rhs("zero") and sources.count(source) == 1
+
+
+# sha256 of every row (source, coefficients in insertion order, rhs) and of
+# every T_g column (tag, coefficients in insertion order), recorded before the
+# builders wrote their columns by arithmetic instead of through labels
+_ROW_DIGESTS = {
+    range(5, 61): "2a4e82072850c8ec27d4e6668e9abc68b58ffb1dc41fa1e2c328edc72adbdf07",
+    range(200, 201): "54c8d02dfc913b0270276e966b06765db4a9b14cd43e587e291cf9aa658b8451",
+    range(401, 402): "640a9e7b995c7be6970331540982c78fe75f6f6c0c3cec43eaf28e57e2c736bd",
+}
+_T_DIGESTS = {
+    range(6, 61): "815899e3a7313728366cb56993dd0d348e4f393ace72cb18d9fa5e2c92a66d8d",
+    range(200, 201): "7e01c477ea37272b4ead063881e294b2030b9d22338a552a5b1397cd7fba3a96",
+    range(401, 402): "74eed0d7c4784b9be5e008f3768c20edb073ad202d95c9ceae32d0e2772a14e6",
+}
+
+
+@pytest.mark.parametrize("genera", list(_ROW_DIGESTS), ids=str)
+def test_rows_are_pinned_in_insertion_order(genera):
+    h = hashlib.sha256()
+    for g in genera:
+        for rel in build_relations(g).rows:
+            h.update(repr((rel.source, list(rel.coefficients.items()), tuple(rel.rhs))).encode())
+    assert h.hexdigest() == _ROW_DIGESTS[genera]
+
+
+@pytest.mark.parametrize("genera", list(_T_DIGESTS), ids=str)
+def test_t_columns_are_pinned_in_insertion_order(genera):
+    h = hashlib.sha256()
+    for g in genera:
+        for tag, coeffs in _checked_t_columns(g):
+            h.update(repr((tag, list(coeffs.items()))).encode())
+    assert h.hexdigest() == _T_DIGESTS[genera]
 
 
 def test_zero_rhs_relations_evaluate_to_zero():

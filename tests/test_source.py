@@ -3,7 +3,8 @@ invariants must raise, because ``python -O`` strips ``assert``, and the
 arithmetic is exact, so no float appears.  No module imports
 ``dataclasses`` or ``typing``, and ``bn2.relations`` imports neither the
 solver nor ``bn2.triangular``.  The package exports only names it defines,
-and the test oracles stay out of it."""
+and the test oracles stay out of it; the relation and T_g builders take
+their columns from ``basis.columns``, not through labels."""
 
 import ast
 import importlib
@@ -98,6 +99,24 @@ def test_relations_imports_no_linear_algebra():
             continue
         found += [f"{node.lineno} {n}" for n in names if n in ("bn2.solver", "bn2.triangular")]
     assert found == []
+
+
+def test_builders_write_columns_not_labels():
+    # the rows and T_g take each column from basis.columns; the label round
+    # trip (a label factory, canonicalize, basis_index) stays in the oracles
+    label_route = {"om", "la", "dd", "th", "canonicalize", "basis_index"}
+    found = []
+    for name in ("relations.py", "triangular.py"):
+        tree = ast.parse((Path(bn2.__file__).parent / name).read_text(encoding="utf-8"))
+        found += [
+            f"{name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in label_route
+        ]
+    assert found == []
+    assert "canonicalize" not in bn2._EXPORTS and not hasattr(bn2, "canonicalize")
 
 
 def test_every_exported_name_resolves():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bn2.basis import D0SQ, K1SQ, K2, ClassExpression, basis_index, dd, enumerate_basis, om, th
+from bn2.basis import D0SQ, K1SQ, K2, ClassExpression, dd, enumerate_basis, om, th
 from bn2.verify import (
     G5_CONVENTION_NOTE,
     CheckReport,
@@ -26,7 +26,7 @@ from bn2.verify import (
     scale_factor,
     known_trigonal_class,
 )
-from oracles import closed_form_by_label
+from oracles import basis_index, closed_form_by_label
 
 F = Fraction
 
