@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
@@ -201,11 +200,14 @@ def columns(g: int):
 
 
 class ClassExpression:
-    """Exact-rational coefficient vector indexed by the genus-g generators."""
+    """Exact-rational coefficient vector indexed by the genus-g generators.
+    ``fractions`` loads with the first expression, not with this module."""
 
     __slots__ = ("genus", "coefficients")
 
     def __init__(self, genus: int, coefficients: dict[ClassLabel, Fraction]):
+        from fractions import Fraction
+
         self.genus = genus
         clean: dict[ClassLabel, Fraction] = {}
         for lab, value in coefficients.items():
@@ -215,6 +217,8 @@ class ClassExpression:
         self.coefficients = clean
 
     def __getitem__(self, label: ClassLabel) -> Fraction:
+        from fractions import Fraction
+
         return self.coefficients.get(label, Fraction(0))
 
     def __eq__(self, other) -> bool:

@@ -103,6 +103,10 @@ def _cmd_matrix(args, parser) -> int:
     from bn2 import relations
 
     try:
+        if args.k is not None and args.k < 3:
+            raise ValueError(
+                f"the right-hand sides are defined for k >= 3 (g = 2k >= 6), got --k {args.k}"
+            )
         system = relations.build_relations(args.g)
         if args.k is not None and args.g != 2 * args.k:
             raise ValueError(f"--k {args.k} needs --g {2 * args.k}")
@@ -226,23 +230,23 @@ def build_parser() -> argparse.ArgumentParser:
         "which", choices=("n", "m", "ell", "castelnuovo", "T", "D", "s16")
     )
     common(p_counts, "g", "k", "d", "alpha", "beta", "ij")
-    p_counts.set_defaults(func=_cmd_counts)
+    p_counts.set_defaults(func=_cmd_counts, parser=p_counts)
 
     p_basis = sub.add_parser("basis", help="list the generators at a genus")
     common(p_basis, "g")
-    p_basis.set_defaults(func=_cmd_basis)
+    p_basis.set_defaults(func=_cmd_basis, parser=p_basis)
 
     p_matrix = sub.add_parser("matrix", help="export the relation matrix Q_g")
     common(p_matrix, "g", "k", "format")
-    p_matrix.set_defaults(func=_cmd_matrix)
+    p_matrix.set_defaults(func=_cmd_matrix, parser=p_matrix)
 
     p_t = sub.add_parser("tmatrix", help="export the triangularizing matrix T_g")
     common(p_t, "g", "format")
-    p_t.set_defaults(func=_cmd_tmatrix)
+    p_t.set_defaults(func=_cmd_tmatrix, parser=p_t)
 
     p_solve = sub.add_parser("solve", help="solve for the degree-k class coefficients")
     common(p_solve, "k")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_cmd_solve, parser=p_solve)
 
     p_verify = sub.add_parser("verify", help="run verification checks (JSON report)")
     p_verify.add_argument(
@@ -259,14 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     common(p_verify, "g", "k", "k-max")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, parser=p_verify)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a missing flag is reported with the subcommand's own usage
+    parser = args.parser
     if args.command == "basis" and args.g is None:
         parser.error("--g is required for basis")
     if args.command in ("matrix", "tmatrix") and args.g is None:

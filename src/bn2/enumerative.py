@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cache
 from math import comb
 
@@ -145,6 +144,8 @@ def castelnuovo_N(g: int, d: int, alpha, beta=SchubertIndex(0, 0)) -> Fraction:
     ``castelnuovo_general``), which it must always equal.  With beta
     omitted this is the single-point count.
     """
+    from fractions import Fraction
+
     a = _index(alpha).check_degree(d)
     b = _index(beta).check_degree(d)
     scale = factorial(g)
@@ -304,12 +305,16 @@ def sum_D(i: int, j: int, g: int, k: int) -> int:
     for u in range(max(0, i - k), min(i, k) + 1):
         inner = sum(n * _binom(s, h - 1 - b1 + u) for _, b1, n in betas)
         total += (2 * u - i - 1) * (2 * u - i) * (2 * u - i + 1) * comb(i, u) * inner
-    q = Fraction(factorial(h) * total, factorial(s))
-    if q.denominator != 1:
+    num, den = factorial(h) * total, factorial(s)
+    q, r = divmod(num, den)
+    if r:
+        from fractions import Fraction
+
         raise ArithmeticError(
-            f"sum_D({i},{j},{g},{k}) is not integral ({q}); it only counts points when g = 2k"
+            f"sum_D({i},{j},{g},{k}) is not integral ({Fraction(num, den)}); "
+            "it only counts points when g = 2k"
         )
-    return q.numerator
+    return q
 
 
 def sum_S16(i: int, g: int, k: int) -> int:

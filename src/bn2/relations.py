@@ -18,13 +18,13 @@ This is the data layer: it builds no matrix and imports no solver, so
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from math import factorial
 
 from bn2.basis import ClassLabel, basis_dimension, columns, enumerate_basis
 from bn2.enumerative import (
     SchubertIndex,
+    _castelnuovo_num,
     _sum_D_table,
-    castelnuovo_N,
     count_ell,
     count_m,
     count_n,
@@ -379,6 +379,25 @@ def build_relations(g: int) -> RelationSystem:
 
 _S01 = SchubertIndex(0, 1)
 
+
+def _quotient(num, den: int):
+    """num / den, for an int or Fraction num, as an int when it is one, else
+    as a Fraction; only a value that is not an integer loads ``fractions``."""
+    q, r = divmod(num, den)  # q is an int for a Fraction num too
+    if not r:
+        return q
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
+def _four_N(g: int, k: int):
+    """4 N_{g-4,k,(0,1),(0,1)}: ``castelnuovo_N``'s (g-4)! num / s!, with no
+    base locus to remove, divided exactly."""
+    num, s = _castelnuovo_num(g - 4 - k, 1, 1)
+    return _quotient(4 * factorial(g - 4) * num, factorial(s)) if num else 0
+
+
 # The right-hand side of a row is a count over a divisor, each a function of
 # the row's (g, i, j) chosen by its kind; the count at degree k reads that
 # degree's sum_D table d.  The symbolic text is kept apart, so evaluation
@@ -400,7 +419,7 @@ _RHS_COUNTS = {
     "D": lambda g, i, j, k, d: d(i, j),
     "n_over": lambda g, i, j, k, d: count_n(g - 2, k, _S01),
     "D6": lambda g, i, j, k, d: d(2, i),
-    "4N": lambda g, i, j, k, d: 4 * castelnuovo_N(g - 4, k, _S01, _S01),
+    "4N": lambda g, i, j, k, d: _four_N(g, k),
     "2ell": lambda g, i, j, k, d: 2 * count_ell(g - 2, k),
     "S16": lambda g, i, j, k, d: sum_S16(i, g, k),
     "S16sp": lambda g, i, j, k, d: count_m(g - 2, k, _S01),
@@ -419,9 +438,7 @@ def _evaluate(rel: Relation, k: int, d_sums) -> int | Fraction:
         raise ValueError(f"unknown rhs kind {kind!r}")
     if kind != "zero" and g != 2 * k:
         raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={g}, k={k}")
-    div = _RHS_DIVISORS[kind](g, i, j)
-    q, r = divmod(value := count(g, i, j, k, d_sums), div)  # q is an int for a Fraction value too
-    return Fraction(value, div) if r else q
+    return _quotient(count(g, i, j, k, d_sums), _RHS_DIVISORS[kind](g, i, j))
 
 
 def evaluate_rhs(rel: Relation, k: int) -> int | Fraction:

@@ -6,25 +6,28 @@ product of integer matrices such as ``Q_g * T_g`` runs in integer arithmetic
 and a matrix-vector product clears the vector's denominators once.
 ``from_sparse`` is the one constructor.  No float enters any computation.
 
-``forward_substitute`` is the one solve: fraction-free forward substitution
-over the sparse rows of a lower-triangular matrix, which rejects any other
-structure, to integer numerators over one running denominator.  ``rank`` is
-the one elimination: fraction-free (Bareiss) on integer rows built straight
-from the nonzeros.  The dense oracles the tests hold these against (Gauss,
-determinants, nullspaces, a general solve, dense constructors) live in
-``tests/oracles.py`` and reuse this Bareiss kernel.
+``rank`` is the one elimination: fraction-free (Bareiss) on integer rows
+built straight from the nonzeros.  The dense oracles the tests hold it
+against (Gauss, determinants, nullspaces, a general solve, dense
+constructors) live in ``tests/oracles.py`` and reuse this Bareiss kernel.
+
+The production solve does not use this module: ``bn2.triangular`` solves on
+integer rows, and ``bn2 solve``, ``bn2 matrix`` and ``bn2 tmatrix`` never load
+it.  ``RationalMatrix`` is built by the public matrix views of
+``bn2.triangular`` (``system_matrix``, ``build_matrix``, ``build_T``,
+``triangularity_report``), by the genus-4 and genus-5 rank checks of
+``bn2.verify``, and by the test oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 __all__ = [
     "RationalMatrix",
     "DimensionMismatchError",
-    "forward_substitute",
     "rank",
 ]
 
@@ -187,43 +190,3 @@ def rank(matrix: RationalMatrix) -> int:
     """Exact rank by fraction-free elimination."""
     int_rows, _ = _scaled_int_rows(matrix._rows, matrix.ncols)
     return len(_bareiss_echelon(int_rows)[1])
-
-
-def forward_substitute(p: RationalMatrix, b) -> tuple[list[int], int]:
-    """Integer numerators y over one denominator d > 0 with p (y/d) = b, for
-    b of ints and Fractions, by fraction-free forward substitution over the
-    nonzeros.  d starts at the lcm of b's denominators; a row whose division
-    is not exact multiplies d and the numerators so far by what makes it
-    exact, after clearing the row's own denominators.  p must be square and
-    lower-triangular with a nonzero diagonal; otherwise DimensionMismatchError
-    (shape) or ValueError (structure) names the row and column at fault."""
-    if not p.is_square():
-        raise DimensionMismatchError(
-            f"forward_substitute needs a square matrix, got {p.nrows} rows "
-            f"and {p.ncols} columns"
-        )
-    if len(b) != p.nrows:
-        raise DimensionMismatchError(f"rhs length {len(b)} vs order {p.nrows}")
-    rows = p._rows
-    d = lcm(*(v.denominator for v in b))
-    rhs = [v.numerator * (d // v.denominator) for v in b]  # b = rhs / d
-    if any(type(a) is not int for row in rows for a in row.values()):
-        rows, scales = _cleared(rows)
-        rhs = list(map(mul, rhs, scales))
-    y: list[int] = []
-    for i, row in enumerate(rows):
-        if max(row, default=-1) != i:
-            j, a = next(((j, a) for j, a in p._rows[i].items() if j > i), (i, 0))
-            if a:
-                raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
-            raise ValueError(f"row {i} has a zero diagonal entry, in column {i}")
-        y.append(0)  # the diagonal's term in the sum below
-        acc = rhs[i] - sum(map(mul, row.values(), map(y.__getitem__, row)))
-        y[i], r = divmod(acc, row[i])
-        if r:
-            f = abs(row[i]) // gcd(acc, row[i])
-            d *= f
-            rhs = [v * f for v in rhs]
-            y = [v * f for v in y]
-            y[i] = acc * f // row[i]
-    return y, d

@@ -1,18 +1,26 @@
-"""The linear-algebra layer over the relation rows: the relation matrix Q_g,
-the triangularizing column matrix T_g, the check that P = Q_g * T_g is
-lower-triangular with a nonzero diagonal, and the exact degree-k solve.
+"""The linear-algebra layer over the relation rows: the rows of the relation
+matrix Q_g and of the triangularizing column matrix T_g, the product
+P = Q_g * T_g and the check that it is lower-triangular with a nonzero
+diagonal, and the exact degree-k solve.
 
-Everything here is a ``RationalMatrix`` or reads one, so this module is
-loaded only by the commands that build one (``bn2 solve``, ``bn2 tmatrix``
-and ``bn2 verify``).  ``bn2 matrix`` reads the rows and right-hand sides of
-``bn2.relations`` alone and loads none of it.
+The solve works on integer rows, one {column: int} dict per row; Q_g's rows
+are the relation rows' own coefficient dicts.  Every S2 row of P (two moving
+tails on a fixed two-pointed curve, 97% of the rows at g = 600) is the unit
+row on the diagonal.  The solve certifies that at each genus, takes those
+entries of the solution from b_k, and substitutes only the other rows of P,
+the core.  So ``bn2 solve`` and ``bn2 tmatrix`` load neither ``bn2.solver``
+nor ``fractions``: the ``RationalMatrix`` views (``system_matrix``,
+``build_matrix``, ``build_T``, ``triangularity_report``) import it when
+called, and ``solve_class`` builds its Fractions when called.  ``bn2 matrix``
+reads ``bn2.relations`` alone and loads none of this module.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import mul
 
 from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis
 from bn2.relations import (
@@ -22,7 +30,6 @@ from bn2.relations import (
     build_relations,
     build_rhs_vector,
 )
-from bn2.solver import RationalMatrix, forward_substitute
 
 __all__ = [
     "build_matrix",
@@ -36,44 +43,44 @@ __all__ = [
 ]
 
 
-def system_matrix(system: RelationSystem) -> RationalMatrix:
-    """Rows in system order, columns in the frozen basis order."""
+def system_matrix(system: RelationSystem):
+    """Rows in system order, columns in the frozen basis order, as a
+    ``RationalMatrix``."""
+    from bn2.solver import RationalMatrix
+
     return RationalMatrix.from_sparse(
         [rel.coefficients for rel in system.rows], basis_dimension(system.g)
     )
 
 
-def build_matrix(g: int) -> RationalMatrix:
+def build_matrix(g: int):
     return system_matrix(build_relations(g))
 
 
 def _t_columns(g: int):
-    """(tag, {column: coefficient}) pairs for the columns of T_g, in group
-    order; each generator is written as its column (``basis.columns``)."""
+    """The columns of T_g as {column: coefficient} dicts, in group order;
+    each generator is written as its column (``basis.columns``).  The tags
+    are ``_t_tags``, which only the exports write."""
     K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
     fl = g // 2
-    for i in range(2, fl + 1):
-        yield f"T1[i={i}]", {om(i): 1}
-    for i in range(2, g - 2):
-        for j in range(i, min(g - 3, g - 1 - i) + 1):
-            yield f"T2[i={i},j={j}]", {dd(i, j): 1}
-    yield "T3", {dd(1, g - 2): 1}
-    for i in range(2, g - 2):
-        yield f"T4[i={i}]", {dd(1, i): 1}
-    yield "T5", {dd(0, g - 1): 1}
-    for i in range(3, g - 2):
-        yield f"T6[i={i}]", {la(i): 1}
-    yield "T6[ld2]", {LD2: 1}
-    yield "T7", {dd(1, 1): 1}
-    yield "T8", {LD0: 1}
-    yield "T9[j=2]", {dd(1, 2): 2, dd(0, 2): 1, LD2: -10}
+    yield from ({om(i): 1} for i in range(2, fl + 1))
+    # T2[i,j] for 2 <= i <= j, i+j <= g-1: the d(i,j) columns from d(2,2) on
+    yield from ({c: 1} for c in range(dd(2, 2), th(1)))
+    yield {dd(1, g - 2): 1}
+    yield from ({c: 1} for c in range(dd(1, 2), dd(1, g - 3) + 1))  # T4: d(1,2..g-3)
+    yield {dd(0, g - 1): 1}
+    yield from ({la(i): 1} for i in range(3, g - 2))
+    yield {LD2: 1}
+    yield {dd(1, 1): 1}
+    yield {LD0: 1}
+    yield {dd(1, 2): 2, dd(0, 2): 1, LD2: -10}
     for j in range(3, g - 2):
-        yield f"T9[j={j}]", {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}
+        yield {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}
     d0g1, d00, d01, d11 = dd(0, g - 1), dd(0, 0), dd(0, 1), dd(1, 1)
-    yield "T10", {LD1: 60, D1SQ: 12, d0g1: -3, d01: 8, d00: 2}
-    yield "T11", {LD1: 12, LD0: 1, d0g1: -1}
-    yield "T12", {dd(0, g - 2): 1, dd(1, g - 2): 2}
-    yield "T13", {LD1: 12, LD0: 6, d0g1: -1, d01: -1, d00: -1}
+    yield {LD1: 60, D1SQ: 12, d0g1: -3, d01: 8, d00: 2}
+    yield {LD1: 12, LD0: 1, d0g1: -1}
+    yield {dd(0, g - 2): 1, dd(1, g - 2): 2}
+    yield {LD1: 12, LD0: 6, d0g1: -1, d01: -1, d00: -1}
     t14: dict[int, int] = {K1SQ: 6, LD0: 72, LD1: 144, LD2: 144}
     if g % 2 == 0:
         # the self-paired middle class; absent for odd g, where every pair
@@ -87,10 +94,10 @@ def _t_columns(g: int):
     for c in range(d00, th(1)):  # the d(i,j) generators are one run of columns
         t14[c] = -12
     t14[d0g1] = -11
-    yield "T14", t14
-    yield "T15", {K2: 1}
+    yield t14
+    yield {K2: 1}
     for i in range(fl, g - 2):
-        yield f"T16[i={i}]", {om(i + 1): 1, om(g - i - 1): -1}
+        yield {om(i + 1): 1, om(g - i - 1): -1}
 
     def om_pairs(col: dict[int, int], scale: int) -> dict[int, int]:
         """col plus scale * 6 (g - 2s) (om(g-s) - om(s)) for 2 <= s <= g/2,
@@ -104,12 +111,11 @@ def _t_columns(g: int):
         return {c: v for c, v in col.items() if v != 0}
 
     t16 = {D1SQ: 12 * (g - 1), d11: -24 * (g - 1), d0g1: 2 * (g - 1), D0SQ: 3, d00: -6}
-    yield "T16[sum]", om_pairs(t16, g - 1)
+    yield om_pairs(t16, g - 1)
     t17 = {K2: 6 * g, D1SQ: 12 - 6 * g, d11: 12 * (g - 2), D0SQ: -3, d0g1: 2 - g, d00: 6}
-    yield "T17", om_pairs(t17, 1)
-    for i in range(4, (g + 1) // 2 + 1):
-        yield f"T18[i={i}]", {th(i - 1): 1}
-    yield "T18[th2]", {th(2): 1}
+    yield om_pairs(t17, 1)
+    yield from ({th(i - 1): 1} for i in range(4, (g + 1) // 2 + 1))
+    yield {th(2): 1}
     t18 = {
         K2: -6 * g,
         D1SQ: 6 * g - 12,
@@ -119,34 +125,86 @@ def _t_columns(g: int):
         d00: -6,
         th(1): 72,
     }
-    yield "T18[final]", om_pairs(t18, -1)
+    yield om_pairs(t18, -1)
 
 
-def _checked_t_columns(g: int) -> list[tuple[str, dict[int, int]]]:
+def _t_tags(g: int):
+    """The tags of the columns of T_g, in ``_t_columns``' order; only the
+    exports write them."""
+    fl = g // 2
+    yield from (f"T1[i={i}]" for i in range(2, fl + 1))
+    for i in range(2, g - 2):
+        yield from (f"T2[i={i},j={j}]" for j in range(i, min(g - 3, g - 1 - i) + 1))
+    yield "T3"
+    yield from (f"T4[i={i}]" for i in range(2, g - 2))
+    yield "T5"
+    yield from (f"T6[i={i}]" for i in range(3, g - 2))
+    yield from ("T6[ld2]", "T7", "T8", "T9[j=2]")
+    yield from (f"T9[j={j}]" for j in range(3, g - 2))
+    yield from ("T10", "T11", "T12", "T13", "T14", "T15")
+    yield from (f"T16[i={i}]" for i in range(fl, g - 2))
+    yield from ("T16[sum]", "T17")
+    yield from (f"T18[i={i}]" for i in range(4, (g + 1) // 2 + 1))
+    yield from ("T18[th2]", "T18[final]")
+
+
+def _checked(g: int, items, what: str) -> list:
+    """The list of items(g), one per column of T_g for g >= 6."""
     if g < 6:
         raise ValueError(f"T_g is defined for g >= 6, got g={g}")
-    cols = list(_t_columns(g))
+    built = list(items(g))
     n = basis_dimension(g)
-    if len(cols) != n:
-        raise RuntimeError(f"internal error: built {len(cols)} T-columns at g={g}, expected {n}")
-    return cols
+    if len(built) != n:
+        raise RuntimeError(f"internal error: built {len(built)} {what} at g={g}, expected {n}")
+    return built
 
 
-def _t_rows(cols) -> list[dict[int, int]]:
+def _checked_t_columns(g: int) -> list[dict[int, int]]:
+    return _checked(g, _t_columns, "T-columns")
+
+
+def _checked_t_tags(g: int) -> list[str]:
+    return _checked(g, _t_tags, "T-column tags")
+
+
+def _t_rows(g: int) -> list[dict[int, int]]:
     """The rows of T_g, one {column: coefficient} dict per basis label, from
     its columns."""
+    cols = _checked_t_columns(g)
     rows: list[dict[int, int]] = [{} for _ in cols]
-    for c, (_, coeffs) in enumerate(cols):
+    for c, coeffs in enumerate(cols):
         for r, v in coeffs.items():
             rows[r][c] = v
     return rows
 
 
-def build_T(g: int) -> RationalMatrix:
-    """The triangularizing column matrix: rows indexed by the basis, one
-    column per group entry, built to pair with the rows of Q_g."""
-    cols = _checked_t_columns(g)
-    return RationalMatrix.from_sparse(_t_rows(cols), len(cols))
+def build_T(g: int):
+    """The triangularizing column matrix as a ``RationalMatrix``: rows
+    indexed by the basis, one column per group entry, built to pair with the
+    rows of Q_g."""
+    from bn2.solver import RationalMatrix
+
+    rows = _t_rows(g)
+    return RationalMatrix.from_sparse(rows, len(rows))
+
+
+def _product(rows: list[dict[int, int]], t: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The rows of A * T for A given by the integer rows ``rows`` and T by
+    its rows t, without zero entries: the one product kernel of the full P
+    and of the solve's core."""
+    out = []
+    for row in rows:
+        acc: dict[int, int] = {}
+        for c, a in row.items():
+            for j, b in t[c].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _matvec(rows: list[dict[int, int]], v: list[int]) -> list[int]:
+    get = v.__getitem__
+    return [sum(map(mul, row.values(), map(get, row))) for row in rows]
 
 
 class TriangularityReport(
@@ -166,22 +224,23 @@ class TriangularityReport(
         return self.lower_triangular and self.diagonal_nonzero
 
 
-def triangularity_report(q: RationalMatrix, t: RationalMatrix) -> TriangularityReport:
-    """Compute P = Q * T and report whether P is lower-triangular with a
-    nonzero diagonal.  Violations are listed, never asserted."""
+def triangularity_report(q, t) -> TriangularityReport:
+    """Compute P = Q * T for two ``RationalMatrix`` and report whether P is
+    lower-triangular with a nonzero diagonal.  Violations are listed, never
+    asserted."""
     if not (q.is_square() and t.is_square() and q.nrows == t.nrows):
         raise ValueError(
             f"need square matrices of equal order, got {q.nrows}x{q.ncols} and {t.nrows}x{t.ncols}"
         )
-    return _product_report(q.matmul(t))
+    return _product_report(q.matmul(t)._rows)
 
 
-def _product_report(p: RationalMatrix) -> TriangularityReport:
-    n = p.nrows
-    violations = sorted((r, c, v) for r, c, v in p.nonzeros() if c > r)
-    zero_diag = [r for r in range(n) if p.entry(r, r) == 0]
+def _product_report(p: list[dict]) -> TriangularityReport:
+    """The report on the square product P given by its rows."""
+    violations = sorted((r, c, v) for r, row in enumerate(p) for c, v in row.items() if c > r)
+    zero_diag = [r for r, row in enumerate(p) if not row.get(r)]
     return TriangularityReport(
-        order=n,
+        order=len(p),
         lower_triangular=not violations,
         diagonal_nonzero=not zero_diag,
         violations=violations,
@@ -190,19 +249,62 @@ def _product_report(p: RationalMatrix) -> TriangularityReport:
 
 
 class _Genus:
-    """One genus's system, built once: the relation rows, Q_g, T_g and
-    P = Q_g * T_g, and P's triangularity report on first use.  Only this
-    module and ``bn2.verify`` read it, and neither changes it."""
+    """One genus's system, built once: the relation rows, the rows of Q_g
+    (the relation rows' coefficient dicts, not copied) and of T_g, and on
+    first use the certified S2 block and the core of P = Q_g * T_g for the
+    solve, or the triangularity report of the full P, the certificate that
+    det Q_g != 0.  Only this module and ``bn2.verify`` read it, and
+    neither changes it."""
 
     def __init__(self, g: int):
+        self.g = g
         self.system = build_relations(g)
-        self.q = system_matrix(self.system)
-        self.t = build_T(g)
-        self.p = self.q.matmul(self.t)
+        self.q = [rel.coefficients for rel in self.system.rows]
+        self.t = _t_rows(g)
 
     @cached_property
     def report(self) -> TriangularityReport:
-        return _product_report(self.p)
+        return _product_report(_product(self.q, self.t))
+
+    @cached_property
+    def s2(self) -> tuple[range, range, int]:
+        """(rows, cols, t14): the S2 rows, certified to be unit rows of P in
+        one pass, their d(i,j) columns and the column of T14.
+
+        The S2 rows run from the first row of a D(i,j) count, one per d(i,j)
+        column with 2 <= i, in the same order.  Row r with column c of Q_g is
+        {k1^2: 2, d(i,j): 1}, the k1^2 row of T_g is {T14: 6}, and the d(i,j)
+        row of T_g is {T2[i,j]: 1, T14: -12} with T2[i,j] = r, so T14's
+        2 * 6 - 12 cancels and row r of P is e_r.  Any other form is an
+        internal error."""
+        g, q, t, rels = self.g, self.q, self.t, self.system.rows
+        K1SQ, *_, dd, th = columns(g)
+        t14 = next(iter(t[K1SQ]), None)
+        if t[K1SQ] != {t14: 6}:
+            raise RuntimeError(f"internal error: T_g at g={g}: row k1^2 is not {{T14: 6}}")
+        r0 = next((r for r, rel in enumerate(rels) if rel.rhs.kind == "D"), 0)
+        cols = range(dd(2, 2), th(1))
+        rows = range(r0, r0 + len(cols))
+        for r, c in zip(rows, cols):
+            if q[r] != {K1SQ: 2, c: 1}:
+                raise RuntimeError(
+                    f"internal error: Q_g at g={g}: row {r} ({rels[r].source}) is not "
+                    "{k1^2: 2, d(i,j): 1}"
+                )
+            if t[c] != {r: 1, t14: -12}:
+                raise RuntimeError(
+                    f"internal error: T_g at g={g}: the d(i,j) row of {rels[r].source} is not "
+                    "{T2[i,j]: 1, T14: -12}"
+                )
+        return rows, cols, t14
+
+    @cached_property
+    def core(self) -> dict[int, dict[int, int]]:
+        """The rows of P other than the S2 rows, by index in increasing
+        order."""
+        rows = self.s2[0]
+        rest = [*range(rows.start), *range(rows.stop, len(self.q))]
+        return dict(zip(rest, _product([self.q[r] for r in rest], self.t)))
 
 
 @lru_cache(maxsize=1)
@@ -212,27 +314,76 @@ def _genus(g: int) -> _Genus:
     return _Genus(g)
 
 
+def forward_substitute(rows: dict[int, dict[int, int]], b) -> tuple[list[int], int]:
+    """Integer numerators y over one denominator d > 0 with P (y/d) = b, for
+    b of ints and Fractions, by fraction-free forward substitution.
+
+    P is square of order len(b), lower-triangular with a nonzero diagonal and
+    of integer entries.  ``rows`` maps the index i of each row of P that is
+    not the unit row e_i to that row, a {column: int} dict, in increasing i;
+    y_i of a unit row is d b_i and is written only at the end.  d starts at
+    the lcm of b's denominators; a row whose division is not exact multiplies
+    d and the numerators so far by what makes it exact.  A row given with an
+    entry above the diagonal or a zero diagonal is a ValueError that names
+    the row and column at fault."""
+    d = lcm(*(v.denominator for v in b))
+    y: dict[int, int] = {}  # the numerators of the rows given, over d
+
+    def at(j: int) -> int:
+        """The numerator of y_j over d; d b_j until row j is substituted."""
+        v = y.get(j)
+        return b[j].numerator * (d // b[j].denominator) if v is None else v
+
+    for i, row in rows.items():
+        if max(row, default=-1) != i:
+            j, a = next(((j, a) for j, a in row.items() if j > i), (i, 0))
+            if a:
+                raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
+            raise ValueError(f"row {i} has a zero diagonal entry, in column {i}")
+        acc = at(i) - sum(a * at(j) for j, a in row.items() if j != i)
+        y[i], r = divmod(acc, row[i])
+        if r:
+            f = abs(row[i]) // gcd(acc, row[i])
+            d *= f
+            y = {j: v * f for j, v in y.items()}
+            y[i] = acc * f // row[i]
+    out = [v.numerator * (d // v.denominator) for v in b]
+    for i, v in y.items():
+        out[i] = v
+    return out, d
+
+
 def _solve(k: int) -> tuple[list[int], int]:
     """(X, D) with X / D the exact solution of Q_g x = b_k at g = 2k.
 
     P = Q_g T_g is lower-triangular with a nonzero diagonal, so forward
     substitution solves P Y = D b_k in integers over one denominator D, and
-    X = T_g Y.  Every equation of Q_g X = D b_k is checked in integers before
-    X and D are returned; a failure of either the structure or the residual is
-    an internal error.  Q_g, T_g and P come from the one-genus memo.
+    X = T_g Y.  The S2 rows of P are unit rows (``_Genus.s2`` certifies
+    them), so Y is D b_k there; only the core rows are substituted, in their
+    order, and D is the one of a substitution over all of P.  Every equation
+    of Q_g X = D b_k is checked in integers before X and D are returned; on
+    the S2 rows, whose form is certified, that is 2 X_k1^2 + X_d(i,j).  A
+    failure of either the structure or the residual is an internal error.
+    The rows come from the one-genus memo.
     """
     if k < 3:
         raise ValueError(
             f"the class is solved for k >= 3 (Q_g is square for g = 2k >= 6), got k={k}"
         )
     genus = _genus(2 * k)
+    (rows, cols, t14), q, t = genus.s2, genus.q, genus.t
     b = build_rhs_vector(genus.system, k)
     try:
-        y, d = forward_substitute(genus.p, b)
+        y, d = forward_substitute(genus.core, b)
     except ValueError as exc:
         raise RuntimeError(f"internal error: Q_g*T_g at g={2 * k}: {exc}") from exc
-    x = genus.t.int_matvec(y)
-    if genus.q.int_matvec(x) != [v.numerator * (d // v.denominator) for v in b]:
+    w = 12 * y[t14]  # X = T_g Y, where T_g's S2 rows are {T2[i,j]: 1, T14: -12}
+    x = _matvec(t[: cols.start], y) + [v - w for v in y[rows.start : rows.stop]]
+    x += _matvec(t[cols.stop :], y)
+    w = 2 * x[0]  # Q_g X, where Q_g's S2 rows are {k1^2: 2, d(i,j): 1}
+    lhs = _matvec(q[: rows.start], x) + [v + w for v in x[cols.start : cols.stop]]
+    lhs += _matvec(q[rows.stop :], x)
+    if lhs != [v.numerator * (d // v.denominator) for v in b]:
         raise RuntimeError(f"internal error: the solution at k={k} has a nonzero residual")
     return x, d
 
@@ -240,18 +391,20 @@ def _solve(k: int) -> tuple[list[int], int]:
 def solve_class(k: int) -> ClassExpression:
     """The degree-k class at genus 2k: the exact solution of Q_g x = b_k, as
     the one Fraction X_i / D per coefficient of ``_solve``'s (X, D)."""
+    from fractions import Fraction
+
     x, d = _solve(k)
     return ClassExpression.from_vector(2 * k, [Fraction(v, d) for v in x])
 
 
 def t_matrix_to_csv(g: int) -> str:
-    cols = _checked_t_columns(g)
-    lines = [_csv_line(["label", *(tag for tag, _ in cols)], (), 0)]
-    for lab, row in zip(enumerate_basis(g), _t_rows(cols)):
-        lines.append(_csv_line([str(lab)], sorted(row.items()), len(cols)))
+    rows = _t_rows(g)
+    lines = [_csv_line(["label", *_checked_t_tags(g)], (), 0)]
+    for lab, row in zip(enumerate_basis(g), rows):
+        lines.append(_csv_line([str(lab)], sorted(row.items()), len(rows)))
     return "".join(lines)
 
 
 def t_matrix_to_json(g: int) -> str:
-    entries = [("tag", tag, coeffs) for tag, coeffs in _checked_t_columns(g)]
-    return _json_export(g, "columns", entries)
+    entries = zip(_checked_t_tags(g), _checked_t_columns(g))
+    return _json_export(g, "columns", [("tag", tag, coeffs) for tag, coeffs in entries])

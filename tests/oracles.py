@@ -46,9 +46,16 @@ from routes that share none of that code:
   labels resolved to generators.  The runtime computes each column from the
   indices (``basis.columns``).
 
+- the full-P solve ``solve_full_p``: P = Q_g * T_g built whole by
+  ``RationalMatrix.matmul`` and every row of it substituted, with no S2
+  certificate.  The runtime's ``triangular._solve`` certifies the S2 rows
+  of P as unit rows, takes their entries from b_k, and substitutes only
+  the other rows.
+
 Two views of runtime code serve only the tests and live here too:
-``solve_lower_triangular``, ``forward_substitute``'s integers read as
-Fractions, and ``t_column_tags``, the tags of the ``T_g`` columns.
+``solve_lower_triangular``, ``forward_substitute`` on a ``RationalMatrix``
+with each row cleared of its denominators, read as Fractions, and
+``t_column_tags``, the tags of the ``T_g`` columns.
 """
 
 from __future__ import annotations
@@ -79,15 +86,15 @@ from bn2.basis import (
 )
 from bn2.enumerative import _castelnuovo_num, _counted, _pencil_count, _ram_sequence
 from bn2.exactnum import factorial
-from bn2.relations import build_rhs_vector, describe_rhs
+from bn2.relations import build_relations, build_rhs_vector, describe_rhs
 from bn2.solver import (
     DimensionMismatchError,
     RationalMatrix,
     _bareiss_echelon,
+    _cleared,
     _scaled_int_rows,
-    forward_substitute,
 )
-from bn2.triangular import _checked_t_columns, build_T
+from bn2.triangular import _checked_t_tags, build_T, forward_substitute, system_matrix
 from bn2.verify import scale_factor
 
 F = Fraction
@@ -267,9 +274,41 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
 
 
 def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
-    """Exact solution of p y = b: ``forward_substitute`` read as Fractions."""
-    y, d = forward_substitute(p, b)
+    """Exact solution of p y = b for a lower-triangular p with a nonzero
+    diagonal: ``forward_substitute`` on every row of p, each row and its
+    entry of b multiplied by the lcm of the row's denominators, read as
+    Fractions.  An entry above the diagonal is named as p holds it."""
+    if not p.is_square():
+        raise DimensionMismatchError(
+            f"forward_substitute needs a square matrix, got {p.nrows} rows "
+            f"and {p.ncols} columns"
+        )
+    if len(b) != p.nrows:
+        raise DimensionMismatchError(f"rhs length {len(b)} vs order {p.nrows}")
+    for i, row in enumerate(p._rows):
+        above = [(j, a) for j, a in row.items() if j > i]
+        if above:
+            j, a = above[0]
+            raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
+    rows, scales = _cleared(p._rows)
+    y, d = forward_substitute(dict(enumerate(rows)), [Fraction(v) * s for v, s in zip(b, scales)])
     return [Fraction(v, d) for v in y]
+
+
+def solve_full_p(k: int) -> tuple[list[int], int]:
+    """(X, D) with X / D the solution of Q_g x = b_k at g = 2k, as the
+    runtime solved before it certified the S2 block: P = Q_g * T_g built
+    whole by ``RationalMatrix.matmul``, forward substitution over every row
+    of P, X = T_g Y, and the residual Q_g X = D b_k over every row."""
+    g = 2 * k
+    system = build_relations(g)
+    q, t = system_matrix(system), build_T(g)
+    b = build_rhs_vector(system, k)
+    y, d = forward_substitute(dict(enumerate(q.matmul(t)._rows)), b)
+    x = t.int_matvec(y)
+    if q.int_matvec(x) != [v.numerator * (d // v.denominator) for v in b]:
+        raise RuntimeError(f"the full-P solution at k={k} has a nonzero residual")
+    return x, d
 
 
 def nullspace(matrix: RationalMatrix) -> list[list[Fraction]]:
@@ -457,7 +496,7 @@ def system_to_csv_dense(system, k: int | None = None) -> str:
 
 def t_column_tags(g: int) -> list[str]:
     """The tags of the columns of T_g, in column order."""
-    return [tag for tag, _ in _checked_t_columns(g)]
+    return _checked_t_tags(g)
 
 
 def t_matrix_to_csv_dense(g: int) -> str:

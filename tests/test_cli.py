@@ -89,6 +89,27 @@ def test_counts_missing_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("counts", "n", "--g", "4", "--d", "3"), "--alpha is required for this subcommand"),
+        (("counts", "T", "--g", "6", "--k", "3"), "--i is required for this subcommand"),
+        (("basis",), "--g is required for basis"),
+        (("matrix", "--k", "3"), "--g is required for matrix"),
+        (("tmatrix", "--format", "json"), "--g is required for tmatrix"),
+        (("solve",), "--k is required for solve"),
+    ],
+)
+def test_missing_flag_prints_the_subcommand_usage(capsys, argv, message):
+    prog = f"bn2 {argv[0]}"
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(f"usage: {prog} [-h]")
+    assert captured.err.endswith(f"\n{prog}: error: {message}\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "frobnicate")
@@ -157,6 +178,17 @@ def test_matrix_json_with_k(capsys):
 def test_matrix_k_genus_mismatch(capsys):
     code, _, err = run(capsys, "matrix", "--g", "6", "--k", "4")
     assert code == 2 and "needs" in err
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2])
+@pytest.mark.parametrize("g", [-2, 0, 4, 6])
+def test_matrix_k_below_3_names_the_domain(capsys, g, k):
+    # checked before the genus, so no --g that the message could suggest works
+    code, out, err = run(capsys, "matrix", "--g", str(g), "--k", str(k))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"bn2 matrix: the right-hand sides are defined for k >= 3 (g = 2k >= 6), got --k {k}\n"
+    )
 
 
 def test_tmatrix_csv(capsys):
@@ -340,15 +372,15 @@ def test_stdout_matches_pinned_digest(capsys, command):
 
 # runs one command in a fresh interpreter and prints its exit code, the length
 # of its stdout and which of bn2.relations, bn2.solver, bn2.triangular,
-# bn2.verify, csv, json, _json, dataclasses and inspect it loaded (typing is not
-# probed: site may load it before bn2 runs)
+# bn2.verify, fractions, decimal, csv, json, _json, dataclasses and inspect it
+# loaded (typing is not probed: site may load it before bn2 runs)
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-probed = ("bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "csv", "json",
-          "_json", "dataclasses", "inspect")
+probed = ("bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "fractions",
+          "decimal", "csv", "json", "_json", "dataclasses", "inspect")
 print(code, len(out.getvalue()), *(m for m in probed if m in sys.modules))
 """
 
@@ -377,14 +409,17 @@ def _loaded_after(*argv):
         ("matrix", "--g", "56", "--k", "28", "--format", "csv"),
         ("matrix", "--g", "7", "--format", "json"),
         ("tmatrix", "--g", "8", "--format", "json"),
+        ("solve", "--k", "14"),
+        ("tmatrix", "--g", "9", "--format", "csv"),
     ],
 )
 def test_command_loads_no_checks_csv_or_json(argv):
-    # the matrix export reads the data layer alone; only solve and tmatrix
-    # load the linear algebra
+    # the matrix export reads the data layer alone; solve and tmatrix add the
+    # integer rows of bn2.triangular, and none loads the RationalMatrix layer
+    # or fractions
     code, size, *loaded = _loaded_after(*argv)
     assert code == "0" and int(size) > 0
-    linear_algebra = [] if argv[0] == "matrix" else ["bn2.solver", "bn2.triangular"]
+    linear_algebra = [] if argv[0] == "matrix" else ["bn2.triangular"]
     assert loaded == ["bn2.relations", *linear_algebra]
 
 
@@ -401,5 +436,6 @@ def test_verify_loads_the_checks():
     code, _, *loaded = _loaded_after("verify", "m4")
     assert code == "0"
     assert loaded == [
-        "bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "json", "_json"
+        "bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "fractions", "decimal",
+        "json", "_json",
     ]

@@ -274,6 +274,22 @@ def test_sum_D_off_regime_is_rejected():
         sum_D(2, 2, 8, 2)
 
 
+@pytest.mark.parametrize("i, j, g, k, value", [(2, 2, 7, 2, "21/5"), (2, 2, 8, 2, "9/10")])
+def test_sum_D_off_g_2k_names_the_exact_value(i, j, g, k, value):
+    # the division by s! is exact or reported as the reduced fraction
+    message = f"sum_D({i},{j},{g},{k}) is not integral ({value}); it only counts points when g = 2k"
+    for route in (sum_D, sum_D_pairs):
+        with pytest.raises(ArithmeticError) as exc:
+            route(i, j, g, k)
+        assert str(exc.value) == message
+
+
+def test_castelnuovo_N_is_a_fraction():
+    for args in ((2, 3, (0, 1), (0, 1)), (1, 1, (0, 0)), (0, 2, (1, 1))):
+        assert type(castelnuovo_N(*args)) is Fraction
+    assert castelnuovo_N(1, 1, (0, 0)) == Fraction(1, 2)
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_sum_D_matches_brute_force(k):
     g = 2 * k

@@ -35,19 +35,25 @@ from bn2.relations import (
     system_to_csv,
     system_to_json,
 )
-from bn2.solver import forward_substitute
+from bn2.solver import RationalMatrix
 from bn2.triangular import (
     _checked_t_columns,
+    _checked_t_tags,
+    _genus,
+    _product,
     _solve,
     _t_columns,
+    _t_rows,
     build_matrix,
     build_T,
+    forward_substitute,
     solve_class,
     system_matrix,
     t_matrix_to_csv,
     t_matrix_to_json,
     triangularity_report,
 )
+from bn2.cli import main
 from bn2.verify import closed_form_class
 from oracles import (
     basis_index,
@@ -57,6 +63,7 @@ from oracles import (
     dense_row,
     identity,
     solve_exact,
+    solve_full_p,
     solve_lower_triangular,
     system_to_csv_dense,
     system_to_json_dumps,
@@ -214,7 +221,7 @@ def test_rows_are_pinned_in_insertion_order(genera):
 def test_t_columns_are_pinned_in_insertion_order(genera):
     h = hashlib.sha256()
     for g in genera:
-        for tag, coeffs in _checked_t_columns(g):
+        for tag, coeffs in zip(_checked_t_tags(g), _checked_t_columns(g), strict=True):
             h.update(repr((tag, list(coeffs.items()))).encode())
     assert h.hexdigest() == _T_DIGESTS[genera]
 
@@ -280,9 +287,22 @@ def test_solve_class_rejects_small_k():
 def test_solve_class_without_triangular_structure_is_internal(fresh_memos, monkeypatch):
     import bn2.triangular
 
-    # with T_g = I the product is Q_g itself, which has entries above the diagonal
-    monkeypatch.setattr(bn2.triangular, "build_T", lambda g: identity(25))
-    with pytest.raises(RuntimeError, match=r"internal error: Q_g\*T_g at g=6: row \d+ "):
+    # with T_g = I the S2 rows of P are not unit rows: T_g's k1^2 row is {k1^2: 1}
+    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda g: [{i: 1} for i in range(25)])
+    with pytest.raises(RuntimeError, match=r"^internal error: T_g at g=6: row k1\^2 is not"):
+        solve_class(3)
+
+
+def test_solve_class_with_a_core_off_the_structure_is_internal(fresh_memos, monkeypatch):
+    import bn2.triangular
+
+    # T_g's k1^2 and S2 d(i,j) rows with I elsewhere: the S2 rows of P are unit
+    # rows, and the core is the rest of Q_g, with entries above the diagonal
+    real = _t_rows(6)
+    s2_columns = {c for rel in build_relations(6).rows if rel.rhs.kind == "D" for c in rel.coefficients}
+    mixed = [real[c] if c in s2_columns else {c: 1} for c in range(25)]
+    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda g: mixed)
+    with pytest.raises(RuntimeError, match=r"^internal error: Q_g\*T_g at g=6: row \d+ has the nonzero"):
         solve_class(3)
 
 
@@ -392,7 +412,7 @@ def test_build_T_columns():
 def test_build_T_equals_the_label_keyed_oracle(g):
     assert build_T(g) == build_T_by_label(g)
     n = basis_dimension(g)
-    assert all(type(c) is int and 0 <= c < n for _, col in _t_columns(g) for c in col)
+    assert all(type(c) is int and 0 <= c < n for col in _t_columns(g) for c in col)
 
 
 def test_build_T_rejects_g5():
@@ -512,9 +532,13 @@ def test_rhs_entries_are_ints_where_integral(monkeypatch):
     # a count that its divisor (2*2-2)(2*4-2) = 12 does not divide stays exact
     monkeypatch.setattr(bn2.relations, "sum_T", lambda i, g, k: 18)
     assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (Fraction(3, 2), Fraction)
-    monkeypatch.setattr(bn2.relations, "castelnuovo_N", lambda *args: Fraction(5, 2))
+    # 4N = 4 (g-4)! num / s!: with (num, s) = (30, 4) at g = 6, N = 2 * 30 / 24
+    # = 5/2 and 4N = 10, and with (30, 5) N = 1/2 and 4N = 2, while (7, 4)
+    # makes 4N = 7/3
     (rel,) = [r for r in build_relations(6).rows if r.rhs.kind == "4N"]
-    assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (10, int)
+    for num_s, want in (((30, 4), 10), ((30, 5), 2), ((7, 4), Fraction(7, 3))):
+        monkeypatch.setattr(bn2.relations, "_castelnuovo_num", lambda *args, v=num_s: v)
+        assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (want, type(want))
 
 
 @pytest.mark.parametrize("k", [40, 60])
@@ -682,3 +706,106 @@ def test_csv_line_quotes_as_the_csv_writer(head, width, row, tail):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([*head, *cells, *tail])
     assert _csv_line(head, nonzeros, width, tuple(tail)) == buf.getvalue()
+
+
+@pytest.mark.parametrize("k", range(3, 61))
+def test_solve_equals_the_full_p_oracle(k):
+    # the S2 block in closed form and the core substituted give the (X, D) of
+    # forward substitution over all of P = Q_g * T_g
+    assert _solve(k) == solve_full_p(k)
+
+
+@pytest.mark.parametrize("g", range(6, 61))
+def test_integer_product_equals_matmul(g):
+    genus = _genus(g)
+    n = basis_dimension(g)
+    p = _product(genus.q, genus.t)
+    assert RationalMatrix.from_sparse(p, n) == system_matrix(genus.system).matmul(build_T(g))
+    assert all(0 not in row.values() for row in p)
+    # the solve's core is the rest of the same product, and its S2 rows are e_r
+    core, s2_rows = genus.core, genus.s2[0]
+    assert list(core) == sorted(core) and all(core[r] == p[r] for r in core)
+    assert all(p[r] == {r: 1} for r in s2_rows)
+    assert len(core) + len(s2_rows) == n
+
+
+def _s2_row(g):
+    """The index, the relation and the d(i,j) column of the first S2 row at
+    genus g."""
+    r, rel = next((r, rel) for r, rel in enumerate(build_relations(g).rows) if rel.rhs.kind == "D")
+    return r, rel, next(c for c in rel.coefficients if c)
+
+
+def _t_rows_with(change):
+    real = _t_rows
+
+    def rows(g):
+        t = real(g)
+        change(g, t)
+        return t
+
+    return rows
+
+
+def _solve_exit(capsys, k):
+    code = main(["solve", "--k", str(k)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("k1sq_row", [{"t14": 7}, {"t14": 6, 1: 1}, {}])
+def test_a_changed_k1sq_row_of_T_is_internal(fresh_memos, monkeypatch, capsys, k, k1sq_row):
+    import bn2.triangular
+
+    def change(g, t):
+        (t14,) = t[0]
+        t[0] = {t14 if c == "t14" else c: v for c, v in k1sq_row.items()}
+
+    monkeypatch.setattr(bn2.triangular, "_t_rows", _t_rows_with(change))
+    code, out, err = _solve_exit(capsys, k)
+    assert (code, out) == (3, "")
+    assert err == f"bn2 solve: internal error: T_g at g={2 * k}: row k1^2 is not {{T14: 6}}\n"
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("extra", [{5: 1}, {"t14": -11}, {"r": 2}])
+def test_a_changed_s2_row_of_T_is_internal(fresh_memos, monkeypatch, capsys, k, extra):
+    import bn2.triangular
+
+    g = 2 * k
+    r, rel, c = _s2_row(g)
+
+    def change(g, t):
+        (t14,) = t[0]
+        t[c] = {**t[c], **{{"t14": t14, "r": r}.get(key, key): v for key, v in extra.items()}}
+
+    monkeypatch.setattr(bn2.triangular, "_t_rows", _t_rows_with(change))
+    code, out, err = _solve_exit(capsys, k)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"bn2 solve: internal error: T_g at g={g}: the d(i,j) row of {rel.source} is not "
+        "{T2[i,j]: 1, T14: -12}\n"
+    )
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("at", ["first", "last"])
+def test_an_s2_row_of_Q_with_an_extra_term_is_internal(
+    fresh_memos, monkeypatch, capsys, k, at
+):
+    import bn2.triangular
+
+    g = 2 * k
+    real = build_relations(g)
+    s2 = [r for r, rel in enumerate(real.rows) if rel.rhs.kind == "D"]
+    r = s2[0] if at == "first" else s2[-1]
+    rows = list(real.rows)
+    rows[r] = rows[r]._replace(coefficients={**rows[r].coefficients, 1: 1})  # + k2
+    monkeypatch.setattr(bn2.triangular, "build_relations", lambda g: real._replace(rows=rows))
+    code, out, err = _solve_exit(capsys, k)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"bn2 solve: internal error: Q_g at g={g}: row {r} ({rows[r].source}) is not "
+        "{k1^2: 2, d(i,j): 1}\n"
+    )

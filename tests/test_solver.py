@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from bn2.solver import (
     DimensionMismatchError,
     RationalMatrix,
-    forward_substitute,
+    _cleared,
     rank,
 )
+from bn2.triangular import forward_substitute
 from oracles import (
     SingularMatrixError,
     dense,
@@ -308,11 +309,36 @@ def test_lower_triangular_solve_matches_bareiss(n, data):
 
 def test_forward_substitute_grows_one_denominator():
     # y = (1/2, 1/6, 1/3): the first two rows multiply D by 2 and by 3, and the
-    # third row, cleared to 2 y1 + 5 y2 = 2, divides exactly
-    p = RationalMatrix.from_sparse([{0: 2}, {0: 1, 1: 3}, {1: 1, 2: Fraction(5, 2)}], 3)
-    assert forward_substitute(p, [1, 1, 1]) == ([3, 1, 2], 6)
+    # third row, y1 + 5/2 y2 = 1 cleared to 2 y1 + 5 y2 = 2, divides exactly
+    p = {0: {0: 2}, 1: {0: 1, 1: 3}, 2: {1: 2, 2: 5}}
+    assert forward_substitute(p, [1, 1, 2]) == ([3, 1, 2], 6)
     # D starts at 4 for b = (1/4, 0, 0), and y = (1/8, -1/24, 1/60)
     assert forward_substitute(p, [Fraction(1, 4), 0, 0]) == ([15, -5, 2], 120)
+
+
+def test_forward_substitute_takes_the_unit_rows_from_b():
+    # rows 0 and 2 are e_0 and e_2, so y_0 = b_0 and y_2 = b_2; row 1,
+    # y_0 + 3 y_1 = 2, gives y_1 = 1/3 and D = 3, which scales the unit rows
+    # before and after it
+    assert forward_substitute({1: {0: 1, 1: 3}}, [1, 2, 5]) == ([3, 1, 15], 3)
+    # D = 4 from b; y_1 = 1/2 from y_0 = 1/2, and row 3, -y_1 + 2 y_2 + 4 y_3
+    # = 1 with y_2 = -3/4, gives y_3 = 3/4
+    p = {1: {0: 1, 1: 3}, 3: {1: -1, 2: 2, 3: 4}}
+    assert forward_substitute(p, [Fraction(1, 2), 2, Fraction(-3, 4), 1]) == ([2, 2, -3, 3], 4)
+    assert forward_substitute({}, [Fraction(1, 6), 5]) == ([1, 30], 6)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({1: {0: 2, 1: 3, 2: -7}}, "row 1 has the nonzero -7 above the diagonal, in column 2"),
+        ({1: {0: 2}}, "row 1 has a zero diagonal entry, in column 1"),
+        ({2: {}}, "row 2 has a zero diagonal entry, in column 2"),
+    ],
+)
+def test_forward_substitute_rejects_rows_off_the_structure(rows, message):
+    with pytest.raises(ValueError, match=message):
+        forward_substitute(rows, [1, 1, 1])
 
 
 # diagonals whose divisions are often not exact, so the denominator grows
@@ -331,7 +357,15 @@ def test_forward_substitute_matches_bareiss(n, data):
     ]
     p = RationalMatrix.from_sparse(rows, n)
     b = data.draw(st.lists(_MIXED, min_size=n, max_size=n))
-    y, d = forward_substitute(p, b)
+    # each row and its entry of b times the lcm of the row's denominators; a
+    # row that is e_i (drawn, or made so) may be left to forward_substitute
+    cleared, scales = _cleared(p._rows)
+    given = {
+        i: row
+        for i, row in enumerate(cleared)
+        if row != {i: 1} or data.draw(st.booleans(), label=f"give e_{i}")
+    }
+    y, d = forward_substitute(given, [Fraction(v) * s for v, s in zip(b, scales)])
     assert type(d) is int and d > 0 and all(type(v) is int for v in y)
     assert [Fraction(v, d) for v in y] == solve_exact(p, b)
 

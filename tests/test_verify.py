@@ -243,10 +243,9 @@ def test_nonsingular_certificate_agrees_with_determinant():
 
 def test_nonsingular_without_certificate_fails(fresh_memos, monkeypatch):
     import bn2.triangular
-    from oracles import identity
 
     # with T_g = I the product is Q_g itself, which is not lower-triangular
-    monkeypatch.setattr(bn2.triangular, "build_T", lambda g: identity(25))
+    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda g: [{i: 1} for i in range(25)])
     rep = check_nonsingular(6)
     assert rep.status == "fail"
     assert rep.actual != "nonzero"
@@ -272,7 +271,6 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     import bn2.triangular
     import bn2.verify
     from bn2.basis import basis_dimension
-    from bn2.solver import RationalMatrix
 
     built = {"rows": [], "T": [], "P": [], "rhs": []}
 
@@ -286,7 +284,7 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     rows = counting("rows", bn2.relations.build_relations)
     for module in (bn2.triangular, bn2.verify):
         monkeypatch.setattr(module, "build_relations", rows)
-    monkeypatch.setattr(bn2.triangular, "build_T", counting("T", bn2.triangular.build_T))
+    monkeypatch.setattr(bn2.triangular, "_t_rows", counting("T", bn2.triangular._t_rows))
     build_rhs_vector = bn2.relations.build_rhs_vector
 
     def counting_rhs(system, k):
@@ -294,18 +292,25 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
         return build_rhs_vector(system, k)
 
     monkeypatch.setattr(bn2.triangular, "build_rhs_vector", counting_rhs)
-    matmul = RationalMatrix.matmul
+    product = bn2.triangular._product
 
-    def counting_matmul(self, other):
-        built["P"].append(self.nrows)
-        return matmul(self, other)
+    def counting_product(rows, t):
+        built["P"].append(("full" if len(rows) == len(t) else "core", len(t)))
+        return product(rows, t)
 
-    monkeypatch.setattr(RationalMatrix, "matmul", counting_matmul)
+    monkeypatch.setattr(bn2.triangular, "_product", counting_product)
     assert all(rep.status != "fail" for rep in run_all(k_max=10))
     genera = [*range(6, 17), 18, 20]
     assert built["rows"] == [5, *genera]
     assert built["T"] == genera
-    assert built["P"] == [basis_dimension(g) for g in genera]
+    # per genus: the solve's core rows of P when g = 2k, then the full P of
+    # the nonsingularity certificate when g <= 16
+    assert built["P"] == [
+        (kind, basis_dimension(g))
+        for g in genera
+        for kind, wanted in (("core", g % 2 == 0), ("full", g <= 16))
+        if wanted
+    ]
     # one solve per degree: the table check and closed-form[k=3] share k = 3
     assert built["rhs"] == list(range(3, 11))
 
