@@ -34,10 +34,7 @@ _EXPORTS = {
         ("RelationSystem", "build_relations", "build_rhs_vector", "evaluate_rhs"),
         "relations",
     ),
-    **dict.fromkeys(
-        ("build_matrix", "build_T", "solve_class", "system_matrix", "triangularity_report"),
-        "triangular",
-    ),
+    "solve_class": "triangular",
     **dict.fromkeys(("RationalMatrix", "rank"), "solver"),
     **dict.fromkeys(
         ("closed_form_class", "pullback_image", "pullback_matrix", "known_trigonal_class"),

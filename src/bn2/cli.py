@@ -122,7 +122,7 @@ def _cmd_matrix(args, parser) -> int:
 
 
 def _cmd_tmatrix(args, parser) -> int:
-    # T_g and the solver load only for the commands that use them
+    # T_g loads only for the commands that use it; this one loads no solver
     from bn2 import triangular
 
     try:

@@ -13,10 +13,10 @@ constructors) live in ``tests/oracles.py`` and reuse this Bareiss kernel.
 
 The production solve does not use this module: ``bn2.triangular`` solves on
 integer rows, and ``bn2 solve``, ``bn2 matrix`` and ``bn2 tmatrix`` never load
-it.  ``RationalMatrix`` is built by the public matrix views of
-``bn2.triangular`` (``system_matrix``, ``build_matrix``, ``build_T``,
-``triangularity_report``), by the genus-4 and genus-5 rank checks of
-``bn2.verify``, and by the test oracles.
+it.  ``RationalMatrix`` is built only by the genus-4 and genus-5 checks of
+``bn2.verify`` and by the test oracles.  ``matmul`` and ``matvec`` stay as
+the tests' reference for the integer-row product of ``bn2.triangular`` and
+as the hooks of the benchmark's tracer.
 """
 
 from __future__ import annotations

@@ -3,16 +3,17 @@ matrix Q_g and of the triangularizing column matrix T_g, the product
 P = Q_g * T_g and the check that it is lower-triangular with a nonzero
 diagonal, and the exact degree-k solve.
 
-The solve works on integer rows, one {column: int} dict per row; Q_g's rows
-are the relation rows' own coefficient dicts.  Every S2 row of P (two moving
-tails on a fixed two-pointed curve, 97% of the rows at g = 600) is the unit
-row on the diagonal.  The solve certifies that at each genus, takes those
-entries of the solution from b_k, and substitutes only the other rows of P,
-the core.  So ``bn2 solve`` and ``bn2 tmatrix`` load neither ``bn2.solver``
-nor ``fractions``: the ``RationalMatrix`` views (``system_matrix``,
-``build_matrix``, ``build_T``, ``triangularity_report``) import it when
-called, and ``solve_class`` builds its Fractions when called.  ``bn2 matrix``
-reads ``bn2.relations`` alone and loads none of this module.
+Q_g, T_g and P are integer rows, one {column: int} dict per row (Q_g's are
+the relation rows' own coefficient dicts), and ``_product`` is the one kernel
+of P, for the solve and the triangularity report alike.  Every S2 row of P
+(two moving tails on a fixed two-pointed curve, 97% of the rows at g = 600)
+is the unit row on the diagonal.  The solve certifies that at each genus,
+takes those entries of the solution from b_k, and substitutes only the other
+rows of P, the core.  No matrix object is built here and ``bn2.solver`` is
+never imported; only the genus-4 and genus-5 checks of ``bn2.verify`` and
+the test oracles build its matrices.  So ``bn2 solve`` and ``bn2 tmatrix``
+load neither ``bn2.solver`` nor ``fractions`` (``solve_class`` builds its
+Fractions when called), and ``bn2 matrix`` loads none of this module.
 """
 
 from __future__ import annotations
@@ -23,38 +24,14 @@ from math import gcd, lcm
 from operator import mul
 
 from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis
-from bn2.relations import (
-    RelationSystem,
-    _csv_line,
-    _json_export,
-    build_relations,
-    build_rhs_vector,
-)
+from bn2.relations import _csv_line, _json_export, build_relations, build_rhs_vector
 
 __all__ = [
-    "build_matrix",
-    "system_matrix",
     "solve_class",
-    "build_T",
     "TriangularityReport",
-    "triangularity_report",
     "t_matrix_to_csv",
     "t_matrix_to_json",
 ]
-
-
-def system_matrix(system: RelationSystem):
-    """Rows in system order, columns in the frozen basis order, as a
-    ``RationalMatrix``."""
-    from bn2.solver import RationalMatrix
-
-    return RationalMatrix.from_sparse(
-        [rel.coefficients for rel in system.rows], basis_dimension(system.g)
-    )
-
-
-def build_matrix(g: int):
-    return system_matrix(build_relations(g))
 
 
 def _t_columns(g: int):
@@ -178,16 +155,6 @@ def _t_rows(g: int) -> list[dict[int, int]]:
     return rows
 
 
-def build_T(g: int):
-    """The triangularizing column matrix as a ``RationalMatrix``: rows
-    indexed by the basis, one column per group entry, built to pair with the
-    rows of Q_g."""
-    from bn2.solver import RationalMatrix
-
-    rows = _t_rows(g)
-    return RationalMatrix.from_sparse(rows, len(rows))
-
-
 def _product(rows: list[dict[int, int]], t: list[dict[int, int]]) -> list[dict[int, int]]:
     """The rows of A * T for A given by the integer rows ``rows`` and T by
     its rows t, without zero entries: the one product kernel of the full P
@@ -222,17 +189,6 @@ class TriangularityReport(
     @property
     def ok(self) -> bool:
         return self.lower_triangular and self.diagonal_nonzero
-
-
-def triangularity_report(q, t) -> TriangularityReport:
-    """Compute P = Q * T for two ``RationalMatrix`` and report whether P is
-    lower-triangular with a nonzero diagonal.  Violations are listed, never
-    asserted."""
-    if not (q.is_square() and t.is_square() and q.nrows == t.nrows):
-        raise ValueError(
-            f"need square matrices of equal order, got {q.nrows}x{q.ncols} and {t.nrows}x{t.ncols}"
-        )
-    return _product_report(q.matmul(t)._rows)
 
 
 def _product_report(p: list[dict]) -> TriangularityReport:

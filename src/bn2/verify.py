@@ -34,7 +34,7 @@ from bn2.basis import (
 from bn2.exactnum import double_factorial_odd, factorial
 from bn2.relations import build_relations
 from bn2.solver import RationalMatrix, rank
-from bn2.triangular import _genus, _solve, system_matrix
+from bn2.triangular import _genus, _solve
 
 __all__ = [
     "CheckReport",
@@ -536,8 +536,8 @@ G5_CONVENTION_NOTE = (
 def check_g5_rank() -> CheckReport:
     """Diagnostic: the 19 x 20 genus-5 system (no S10 row) has rank 19 under
     the documented lambda identification."""
-    system = build_relations(5)
-    matrix = system_matrix(system)
+    rows = [rel.coefficients for rel in build_relations(5).rows]
+    matrix = RationalMatrix.from_sparse(rows, basis_dimension(5))
     r = rank(matrix)
     ok = r == 19 and matrix.nrows == 19 and matrix.ncols == 20
     return CheckReport(
@@ -576,8 +576,8 @@ def check_nonsingular(g: int) -> CheckReport:
 
 def check_triangularity(g: int) -> CheckReport:
     """Q_g * T_g should be lower-triangular with nonzero diagonal under the
-    documented row/column pairing.  The production solve (``solve_class``)
-    and the nonsingularity certificate depend on this structure and fail on
+    documented row/column pairing.  The production solve (``_solve``) and
+    the nonsingularity certificate depend on this structure and fail on
     their own without it; this report lists the deviations and stays at
     "warn"."""
     if g < 6:

@@ -52,10 +52,13 @@ from routes that share none of that code:
   of P as unit rows, takes their entries from b_k, and substitutes only
   the other rows.
 
-Two views of runtime code serve only the tests and live here too:
+Views of runtime code that serve only the tests live here too:
+``system_matrix`` and ``build_matrix``, the rows of ``Q_g`` as a
+``RationalMatrix`` for the elimination oracles above;
 ``solve_lower_triangular``, ``forward_substitute`` on a ``RationalMatrix``
-with each row cleared of its denominators, read as Fractions, and
-``t_column_tags``, the tags of the ``T_g`` columns.
+with each row cleared of its denominators, read as Fractions; and
+``t_column_tags``, the tags of the ``T_g`` columns.  The runtime keeps
+``Q_g`` and ``T_g`` as integer rows and builds no matrix object from them.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from bn2.basis import (
     LD2,
     ClassExpression,
     ClassLabel,
+    basis_dimension,
     dd,
     enumerate_basis,
     is_valid,
@@ -94,7 +98,7 @@ from bn2.solver import (
     _cleared,
     _scaled_int_rows,
 )
-from bn2.triangular import _checked_t_tags, build_T, forward_substitute, system_matrix
+from bn2.triangular import _checked_t_tags, forward_substitute
 from bn2.verify import scale_factor
 
 F = Fraction
@@ -137,6 +141,16 @@ def dense(rows) -> RationalMatrix:
 
 def identity(n: int) -> RationalMatrix:
     return RationalMatrix.from_sparse([{i: 1} for i in range(n)], n)
+
+
+def system_matrix(system) -> RationalMatrix:
+    """Rows in system order, columns in the frozen basis order."""
+    rows = [rel.coefficients for rel in system.rows]
+    return RationalMatrix.from_sparse(rows, basis_dimension(system.g))
+
+
+def build_matrix(g: int) -> RationalMatrix:
+    return system_matrix(build_relations(g))
 
 
 def zeros(nrows: int, ncols: int) -> RationalMatrix:
@@ -302,7 +316,7 @@ def solve_full_p(k: int) -> tuple[list[int], int]:
     of P, X = T_g Y, and the residual Q_g X = D b_k over every row."""
     g = 2 * k
     system = build_relations(g)
-    q, t = system_matrix(system), build_T(g)
+    q, t = system_matrix(system), build_T_by_label(g)
     b = build_rhs_vector(system, k)
     y, d = forward_substitute(dict(enumerate(q.matmul(t)._rows)), b)
     x = t.int_matvec(y)
@@ -501,8 +515,8 @@ def t_column_tags(g: int) -> list[str]:
 
 def t_matrix_to_csv_dense(g: int) -> str:
     """``triangular.t_matrix_to_csv`` as ``csv.writer`` writes it from the
-    dense rows of ``build_T(g)``."""
-    t = build_T(g)
+    dense rows of ``build_T_by_label(g)``."""
+    t = build_T_by_label(g)
     rows = [["label", *t_column_tags(g)]]
     rows += [[str(lab), *map(str, dense_row(t, r))] for r, lab in enumerate(enumerate_basis(g))]
     return _csv_text(rows)
@@ -693,8 +707,8 @@ def t_columns_by_label(g: int):
 
 
 def build_T_by_label(g: int) -> RationalMatrix:
-    """``triangular.build_T`` from the label-keyed columns, each label placed
-    through ``basis_index``."""
+    """T_g as a ``RationalMatrix``, rows indexed by the basis, from the
+    label-keyed columns, each label placed through ``basis_index``."""
     index = basis_index(g)
     cols = list(t_columns_by_label(g))
     rows: list[dict[int, int]] = [{} for _ in index]

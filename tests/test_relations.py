@@ -41,30 +41,28 @@ from bn2.triangular import (
     _checked_t_tags,
     _genus,
     _product,
+    _product_report,
     _solve,
     _t_columns,
     _t_rows,
-    build_matrix,
-    build_T,
     forward_substitute,
     solve_class,
-    system_matrix,
     t_matrix_to_csv,
     t_matrix_to_json,
-    triangularity_report,
 )
 from bn2.cli import main
 from bn2.verify import closed_form_class
 from oracles import (
     basis_index,
+    build_matrix,
     build_T_by_label,
     canonicalize,
     castelnuovo_general,
     dense_row,
-    identity,
     solve_exact,
     solve_full_p,
     solve_lower_triangular,
+    system_matrix,
     system_to_csv_dense,
     system_to_json_dumps,
     t_column_tags,
@@ -269,7 +267,7 @@ def test_structural_counts_are_checked(monkeypatch):
     with pytest.raises(RuntimeError, match=r"built 25 rows at g=6, expected 26"):
         build_relations(6)
     with pytest.raises(RuntimeError, match=r"built 25 T-columns at g=6, expected 26"):
-        build_T(6)
+        _t_rows(6)
 
 
 @pytest.mark.parametrize("k", range(3, 13))
@@ -363,16 +361,21 @@ def test_solve_class_builds_few_fractions(monkeypatch):
 
 def test_build_functions_return_fresh_objects():
     solve_class(3)  # fills the genus memo
-    for build in (build_relations, build_matrix, build_T):
+    for build in (build_relations, _t_rows):
         assert build(6) is not build(6)
     assert solve_class(3) is not solve_class(3)
     system = build_relations(6)
     assert system.rows[0] is not build_relations(6).rows[0]
 
 
+def _t_matrix(g):
+    """The runtime's rows of T_g as a ``RationalMatrix``."""
+    return RationalMatrix.from_sparse(_t_rows(g), basis_dimension(g))
+
+
 @cache
 def _q_t_p(g):
-    q, t = build_matrix(g), build_T(g)
+    q, t = build_matrix(g), _t_matrix(g)
     return q, t, q.matmul(t)
 
 
@@ -395,7 +398,7 @@ def test_matrix_shapes():
 
 def test_build_T_columns():
     g = 6
-    t = build_T(g)
+    t = _t_matrix(g)
     tags = t_column_tags(g)
     labels = list(enumerate_basis(g))
     assert t.ncols == basis_dimension(g) == len(tags)
@@ -410,40 +413,42 @@ def test_build_T_columns():
 
 @pytest.mark.parametrize("g", range(6, 61))
 def test_build_T_equals_the_label_keyed_oracle(g):
-    assert build_T(g) == build_T_by_label(g)
+    assert _t_matrix(g) == build_T_by_label(g)
     n = basis_dimension(g)
     assert all(type(c) is int and 0 <= c < n for col in _t_columns(g) for c in col)
 
 
 def test_build_T_rejects_g5():
     with pytest.raises(ValueError):
-        build_T(5)
+        _t_rows(5)
 
 
 @pytest.mark.parametrize("export", [t_column_tags, t_matrix_to_csv, t_matrix_to_json])
 def test_t_exports_reject_g5_like_build_T(export):
     with pytest.raises(ValueError) as want:
-        build_T(5)
+        _t_rows(5)
     with pytest.raises(ValueError) as got:
         export(5)
     assert str(got.value) == str(want.value) == "T_g is defined for g >= 6, got g=5"
 
 
 def test_triangularity_identity_cases():
-    q = build_matrix(6)
-    t = build_T(6)
-    ident = identity(25)
-    rep_q = triangularity_report(q, ident)
+    q = [rel.coefficients for rel in build_relations(6).rows]
+    t = _t_rows(6)
+    ident = [{i: 1} for i in range(25)]
+
+    def above(rows):
+        return sorted((r, c, v) for r, row in enumerate(rows) for c, v in row.items() if c > r)
+
+    rep_q = _product_report(_product(q, ident))
     assert not rep_q.lower_triangular  # Q itself is not triangular
-    rep_t = triangularity_report(ident, t)
+    assert rep_q.violations == above(q)
+    rep_t = _product_report(_product(ident, t))
     assert rep_t.order == 25
-    rep = triangularity_report(q, t)
+    assert rep_t.violations == above(t)
+    assert rep_t.zero_diagonal == [r for r, row in enumerate(t) if not row.get(r)]
+    rep = _product_report(_product(q, t))
     assert rep.lower_triangular and rep.diagonal_nonzero
-
-
-def test_triangularity_dimension_mismatch():
-    with pytest.raises(ValueError):
-        triangularity_report(build_matrix(6), identity(3))
 
 
 def test_describe_rhs_strings():
@@ -720,7 +725,8 @@ def test_integer_product_equals_matmul(g):
     genus = _genus(g)
     n = basis_dimension(g)
     p = _product(genus.q, genus.t)
-    assert RationalMatrix.from_sparse(p, n) == system_matrix(genus.system).matmul(build_T(g))
+    t = RationalMatrix.from_sparse(genus.t, n)
+    assert RationalMatrix.from_sparse(p, n) == system_matrix(genus.system).matmul(t)
     assert all(0 not in row.values() for row in p)
     # the solve's core is the rest of the same product, and its S2 rows are e_r
     core, s2_rows = genus.core, genus.s2[0]

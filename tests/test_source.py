@@ -1,8 +1,8 @@
 """Source rules checked on the syntax tree of every package module:
 invariants must raise, because ``python -O`` strips ``assert``, and the
 arithmetic is exact, so no float appears.  No module imports
-``dataclasses`` or ``typing``, and ``bn2.relations`` imports neither the
-solver nor ``bn2.triangular``.  The package exports only names it defines,
+``dataclasses`` or ``typing``; ``bn2.relations`` imports neither the
+solver nor ``bn2.triangular``, and ``bn2.triangular`` not the solver.  The package exports only names it defines,
 and the test oracles stay out of it; the relation and T_g builders take
 their columns from ``basis.columns``, not through labels."""
 
@@ -85,9 +85,19 @@ def test_package_imports_neither_dataclasses_nor_typing():
     assert SOURCES and found == []
 
 
-def test_relations_imports_no_linear_algebra():
-    # the data layer: bn2 matrix loads it and neither the solver nor T_g
-    path = Path(bn2.__file__).parent / "relations.py"
+@pytest.mark.parametrize(
+    "name, forbidden",
+    [
+        # the data layer: bn2 matrix loads it and neither the solver nor T_g
+        ("relations.py", ("bn2.solver", "bn2.triangular")),
+        # the integer rows of Q_g, T_g and P: bn2 solve and bn2 tmatrix load
+        # no RationalMatrix
+        ("triangular.py", ("bn2.solver",)),
+    ],
+    ids=["relations.py", "triangular.py"],
+)
+def test_relations_imports_no_linear_algebra(name, forbidden):
+    path = Path(bn2.__file__).parent / name
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -97,7 +107,7 @@ def test_relations_imports_no_linear_algebra():
             names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
         else:
             continue
-        found += [f"{node.lineno} {n}" for n in names if n in ("bn2.solver", "bn2.triangular")]
+        found += [f"{node.lineno} {n}" for n in names if n in forbidden]
     assert found == []
 
 
@@ -138,8 +148,9 @@ def test_package_exports_are_the_submodule_objects():
         assert name in getattr(importlib.import_module(f"bn2.{module}"), "__all__", [name])
     assert sorted(bn2.__all__) == sorted(bn2._EXPORTS)
     assert set(bn2.__all__) <= set(dir(bn2))
-    with pytest.raises(AttributeError, match="no attribute 'solve_exact'"):
-        bn2.solve_exact
+    for name in ("solve_exact", "build_T", "build_matrix", "system_matrix", "triangularity_report"):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(bn2, name)
 
 
 def test_package_defines_no_oracle():
