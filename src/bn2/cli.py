@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from math import gcd
 
 from bn2 import enumerative
 from bn2.basis import enumerate_basis
 from bn2.enumerative import SchubertIndex
+from bn2.exactnum import fraction_text
 
 # the enumerative and solver errors subclass ValueError; a non-integral count
 # is an ArithmeticError.  Internal errors are RuntimeErrors, handled in main.
@@ -146,17 +146,12 @@ def _cmd_solve(args, parser) -> int:
         print(f"bn2 solve: {exc}", file=sys.stderr)
         return 2
     # each coefficient X_i / D in lowest terms, written as str(Fraction) writes it
-    lines = []
-    for lab, v in zip(enumerate_basis(2 * args.k), x):
-        c = gcd(v, d)
-        lines.append(f"{lab} {v // c}\n" if c == d else f"{lab} {v // c}/{d // c}\n")
+    lines = [f"{lab} {fraction_text(v, d)}\n" for lab, v in zip(enumerate_basis(2 * args.k), x)]
     return _emit("".join(lines), args.out, "bn2 solve")
 
 
 def _cmd_verify(args, parser) -> int:
-    # the checks and the JSON report load only for this command
-    import json
-
+    # the checks load only for this command
     from bn2 import verify
 
     which = args.which
@@ -189,7 +184,7 @@ def _cmd_verify(args, parser) -> int:
         print(f"bn2 verify {which}: {exc}", file=sys.stderr)
         return 2
     reports = sorted(reports, key=lambda rep: rep.check)
-    text = json.dumps([rep.to_dict() for rep in reports], indent=2) + "\n"
+    text = verify.reports_to_json(reports)
     if _emit(text, args.out, f"bn2 verify {which}"):
         return 2
     failures = [rep for rep in reports if rep.failed]

@@ -14,14 +14,15 @@ constructors) live in ``tests/oracles.py`` and reuse this Bareiss kernel.
 The production solve does not use this module: ``bn2.triangular`` solves on
 integer rows, and ``bn2 solve``, ``bn2 matrix`` and ``bn2 tmatrix`` never load
 it.  ``RationalMatrix`` is built only by the genus-4 and genus-5 checks of
-``bn2.verify`` and by the test oracles.  ``matmul`` and ``matvec`` stay as
-the tests' reference for the integer-row product of ``bn2.triangular`` and
-as the hooks of the benchmark's tracer.
+``bn2.verify``, on integer rows, and by the test oracles.  ``fractions`` is
+imported only where a non-integral entry is stored or a vector is passed to
+``matvec``, so ``rank`` on integer rows and ``int_matvec`` load none of it.
+``matmul`` and ``matvec`` stay as the tests' reference for the integer-row
+product of ``bn2.triangular`` and as the hooks of the benchmark's tracer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -35,6 +36,8 @@ def _exact(x) -> int | Fraction:
     """x as an int when it is integral, as a Fraction otherwise."""
     if type(x) is int:
         return x
+    from fractions import Fraction
+
     value = Fraction(x)
     return value.numerator if value.denominator == 1 else value
 
@@ -88,13 +91,12 @@ class RationalMatrix:
             for j, value in row.items():
                 yield i, j, value
 
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def matvec(self, v) -> list[Fraction]:
         """The exact product with v.  v is brought to integer numerators over
         the lcm of its denominators, so each row costs integer products and
         one Fraction."""
+        from fractions import Fraction
+
         vv = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
         den = lcm(*(x.denominator for x in vv))
         nums = [x.numerator * (den // x.denominator) for x in vv]

@@ -4,35 +4,31 @@ hyperelliptic subsystem, and every cross-check wired around them.
 
 The genus-6 table is hard-coded independently of the closed formula so the
 two act as mutual checks; disagreement fails loudly with a per-label diff.
+
+Every check runs in integers.  The tables are integer data, keyed by
+column: each row of the genus-6 table, the pull-back and the genus-4
+subsystem is integer numerators over its own denominator.  A class is
+compared as integer numerators times one scale p / q, so each comparison
+cross-multiplies, and each rational text of a report is
+``exactnum.fraction_text``.  ``reports_to_json`` writes the report as
+``json.dumps(..., indent=2)`` does.  So a run whose checks pass loads
+neither ``fractions`` nor ``json``.  ``closed_form_class``,
+``scale_factor``, ``known_trigonal_class``, ``pullback_matrix``,
+``pullback_image``, ``m4_relations``, ``m4_class`` and ``m4_rank_relation``
+are the library views: each builds its Fractions from the same integer
+data when it is called.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import mul, ne
 
-from bn2.basis import (
-    D0SQ,
-    D1SQ,
-    K1SQ,
-    K2,
-    LD0,
-    LD1,
-    LD2,
-    ClassExpression,
-    ClassLabel,
-    basis_dimension,
-    dd,
-    enumerate_basis,
-    la,
-    om,
-    th,
-)
-from bn2.exactnum import double_factorial_odd, factorial
-from bn2.relations import build_relations
+from bn2.basis import ClassExpression, ClassLabel, basis_dimension, columns, enumerate_basis
+from bn2.exactnum import double_factorial_odd, factorial, fraction_text
+from bn2.relations import _json_quote, build_relations
 from bn2.solver import RationalMatrix, rank
 from bn2.triangular import _genus, _solve
 
@@ -56,9 +52,8 @@ __all__ = [
     "check_nonsingular",
     "check_triangularity",
     "run_all",
+    "reports_to_json",
 ]
-
-F = Fraction
 
 
 class CheckReport:
@@ -89,9 +84,55 @@ class CheckReport:
         }
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` from the column of indent, for nested
+    dicts with string keys, lists, tuples, strings, ints, bools and None,
+    written directly; any other value is a TypeError, as json.dumps raises
+    for an object.  Each string is quoted by ``relations._json_quote``,
+    which loads ``json``'s encoder only for a string that needs escaping."""
+    if isinstance(value, str):
+        return _json_quote([value])(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("a report key must be a str")
+        items = [f"{_json_text(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def reports_to_json(reports) -> str:
+    """The JSON report of ``bn2 verify``: ``json.dumps`` of the reports'
+    dicts at indent=2, and a newline."""
+    return _json_text([rep.to_dict() for rep in reports]) + "\n"
+
+
+def _scale(k: int) -> tuple[int, int]:
+    """(p, q) with p / q = 2^(k-6) (2k-7)!! / (3 k!), the common factor of
+    the closed formula."""
+    return double_factorial_odd(2 * k - 7) << max(k - 6, 0), 3 * factorial(k) << max(6 - k, 0)
+
+
 def scale_factor(k: int) -> Fraction:
     """2^(k-6) (2k-7)!! / (3 k!), the common factor of the closed formula."""
-    return F(2) ** (k - 6) * double_factorial_odd(2 * k - 7) / (3 * factorial(k))
+    from fractions import Fraction
+
+    return Fraction(*_scale(k))
 
 
 def _quadratics(a2: int, a1: int, a0: int, start: int, stop: int) -> list[int]:
@@ -99,14 +140,14 @@ def _quadratics(a2: int, a1: int, a0: int, start: int, stop: int) -> list[int]:
     return [(a2 * j + a1) * j + a0 for j in range(start, stop)]
 
 
-def _closed_form_parts(k: int) -> tuple[list[int], Fraction]:
-    """(B, c) with the degree-k closed formula equal to c * B in the frozen
-    basis order of genus 2k: B is 5 times every bracket coefficient, an
-    integer, because only d(0,g-2) and d(1,g-2) carry a 2/5, and
-    c = scale_factor(k) / 5.  B is evaluated family by family over the
-    families' runs of columns, each bracket polynomial expanded in the
-    family's index; ``closed_form_by_label`` in tests/oracles.py keeps the
-    per-label form."""
+def _closed_form_parts(k: int) -> tuple[list[int], tuple[int, int]]:
+    """(B, (p, q)) with the degree-k closed formula equal to p B / q in the
+    frozen basis order of genus 2k: B is 5 times every bracket coefficient,
+    an integer, because only d(0,g-2) and d(1,g-2) carry a 2/5, and
+    p / q = scale_factor(k) / 5 in lowest terms.  B is evaluated family by
+    family over the families' runs of columns, each bracket polynomial
+    expanded in the family's index; ``closed_form_by_label`` in
+    tests/oracles.py keeps the per-label form."""
     if k < 3:
         raise ValueError(f"closed formula holds for k >= 3, got k={k}")
     g, kk = 2 * k, k * k
@@ -151,26 +192,29 @@ def _closed_form_parts(k: int) -> tuple[list[int], Fraction]:
             f"internal error: the closed formula has {len(b)} coefficients at g={g}, "
             f"expected {basis_dimension(g)}"
         )
-    return b, scale_factor(k) / 5
+    p, q = _scale(k)
+    c = gcd(p, 5 * q)
+    return b, (p // c, 5 * q // c)
 
 
-def _fraction_view(g: int, nums: list[int], scale: Fraction) -> ClassExpression:
-    """The genus-g class with coefficients scale * nums, in the frozen order."""
-    p, q = scale.numerator, scale.denominator
-    return ClassExpression.from_vector(g, [F(p * v, q) for v in nums])
+def _fraction_view(g: int, nums: list[int], p: int, q: int) -> ClassExpression:
+    """The genus-g class with coefficients p * nums / q, in the frozen order."""
+    from fractions import Fraction
+
+    return ClassExpression.from_vector(g, [Fraction(p * v, q) for v in nums])
 
 
 def closed_form_class(k: int) -> ClassExpression:
     """The degree-k pencil-locus class at genus 2k from the closed formula:
     every bracket coefficient times 2^(k-6) (2k-7)!! / (3 k!)."""
-    b, c = _closed_form_parts(k)
-    return _fraction_view(2 * k, b, c)
+    b, (p, q) = _closed_form_parts(k)
+    return _fraction_view(2 * k, b, p, q)
 
 
 @lru_cache(maxsize=1)
-def _closed_form(k: int) -> tuple[list[int], Fraction]:
-    """(B, c) of closed_form_class(k), evaluated once for the checks of degree
-    k, which only read it."""
+def _closed_form(k: int) -> tuple[list[int], tuple[int, int]]:
+    """(B, (p, q)) of closed_form_class(k), evaluated once for the checks of
+    degree k, which only read it."""
     return _closed_form_parts(k)
 
 
@@ -181,64 +225,99 @@ def _solved(k: int) -> tuple[list[int], int]:
     return _solve(k)
 
 
+def _trigonal_table() -> list[tuple[int, int, int]]:
+    """The 25 known coefficients of the trigonal-locus class at genus 6, as
+    (column, numerator, denominator), hard-coded independently of the closed
+    formula as a mutual check."""
+    K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(6)
+    return [
+        (K1SQ, 41, 144),
+        (K2, -4, 1),
+        (om(2), 329, 144),
+        (om(3), -2551, 144),
+        (om(4), -1975, 144),
+        (la(3), 77, 6),
+        (LD0, -13, 6),
+        (LD1, -115, 6),
+        (LD2, -103, 6),
+        (D0SQ, -41, 144),
+        (D1SQ, -617, 144),
+        (dd(1, 1), 18, 1),
+        (dd(1, 2), 823, 72),
+        (dd(1, 3), 391, 72),
+        (dd(1, 4), 3251, 360),
+        (dd(2, 2), 1255, 72),
+        (dd(2, 3), 1255, 72),
+        (dd(0, 0), 1, 1),
+        (dd(0, 1), 175, 72),
+        (dd(0, 2), 175, 72),
+        (dd(0, 3), -41, 72),
+        (dd(0, 4), 803, 360),
+        (dd(0, 5), 67, 72),
+        (th(1), 2, 1),
+        (th(2), -2, 1),
+    ]
+
+
+def _trigonal_vector() -> tuple[list[int], int]:
+    """The genus-6 table as integer numerators in the frozen order over the
+    lcm of its denominators."""
+    table = _trigonal_table()
+    den = lcm(*(d for _, _, d in table))
+    nums = [0] * basis_dimension(6)
+    for column, n, d in table:
+        nums[column] = n * (den // d)
+    return nums, den
+
+
 def known_trigonal_class() -> ClassExpression:
     """The 25 known coefficients of the trigonal-locus class at genus 6,
     hard-coded independently of closed_form_class as a mutual check."""
-    coeffs = {
-        K1SQ: F(41, 144),
-        K2: F(-4),
-        om(2): F(329, 144),
-        om(3): F(-2551, 144),
-        om(4): F(-1975, 144),
-        la(3): F(77, 6),
-        LD0: F(-13, 6),
-        LD1: F(-115, 6),
-        LD2: F(-103, 6),
-        D0SQ: F(-41, 144),
-        D1SQ: F(-617, 144),
-        dd(1, 1): F(18),
-        dd(1, 2): F(823, 72),
-        dd(1, 3): F(391, 72),
-        dd(1, 4): F(3251, 360),
-        dd(2, 2): F(1255, 72),
-        dd(2, 3): F(1255, 72),
-        dd(0, 0): F(1),
-        dd(0, 1): F(175, 72),
-        dd(0, 2): F(175, 72),
-        dd(0, 3): F(-41, 72),
-        dd(0, 4): F(803, 360),
-        dd(0, 5): F(67, 72),
-        th(1): F(2),
-        th(2): F(-2),
-    }
-    return ClassExpression(6, coeffs)
+    from fractions import Fraction
+
+    labels = enumerate_basis(6)
+    return ClassExpression(6, {labels[c]: Fraction(n, d) for c, n, d in _trigonal_table()})
 
 
 PULLBACK_BASIS = ("D00", "(a)", "(b)", "(c)", "(d)")
 
 
-def _pullback_images(g: int) -> dict[ClassLabel, tuple]:
-    """The generators of genus g whose pull-back is nonzero, with their
-    images, each entry an int or a Fraction."""
+def _pullback_rows(g: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """The generators of genus g whose pull-back is nonzero, as (column,
+    numerators, denominator): the image on (D00, (a), (b), (c), (d)) is the
+    numerators over the denominator."""
     if g < 6:
         raise ValueError(f"pull-back table needs g >= 6, got g={g}")
-    return {
-        dd(0, 1): (0, 1, 0, 0, 0),
-        dd(0, g - 1): (0, 0, 1, 0, 0),
-        th(1): (0, 0, 0, 1, 0),
-        dd(1, 1): (0, 0, 0, 0, 1),
-        dd(0, 0): (1, 0, 0, 0, 0),
-        D0SQ: (F(5, 3), -2, -2, 0, 0),
-        D1SQ: (0, F(-1, 12), F(-1, 12), 0, 0),
-        LD0: (F(1, 6), 0, 0, 0, 0),
-        LD1: (0, F(1, 12), F(1, 12), 0, 0),
-        LD2: (F(-1, 60), F(-7, 60), 0, F(-1, 5), F(-2, 5)),
-        K1SQ: (F(17, 120), F(127, 120), F(37, 120), 1, 7),
-        K2: (F(1, 40), F(5, 24), F(11, 120), F(1, 5), F(7, 5)),
-        dd(1, g - 2): (0, F(-1, 12), 0, 0, -2),
-        dd(0, g - 2): (F(-1, 6), -1, 0, -2, 0),
-        om(2): (F(-1, 120), F(-13, 120), F(1, 120), F(-1, 5), F(-7, 5)),
-    }
+    K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
+    return [
+        (dd(0, 1), (0, 1, 0, 0, 0), 1),
+        (dd(0, g - 1), (0, 0, 1, 0, 0), 1),
+        (th(1), (0, 0, 0, 1, 0), 1),
+        (dd(1, 1), (0, 0, 0, 0, 1), 1),
+        (dd(0, 0), (1, 0, 0, 0, 0), 1),
+        (D0SQ, (5, -6, -6, 0, 0), 3),
+        (D1SQ, (0, -1, -1, 0, 0), 12),
+        (LD0, (1, 0, 0, 0, 0), 6),
+        (LD1, (0, 1, 1, 0, 0), 12),
+        (LD2, (-1, -7, 0, -12, -24), 60),
+        (K1SQ, (17, 127, 37, 120, 840), 120),
+        (K2, (3, 25, 11, 24, 168), 120),
+        (dd(1, g - 2), (0, -1, 0, 0, -24), 12),
+        (dd(0, g - 2), (-1, -6, 0, -12, 0), 6),
+        (om(2), (-1, -13, 1, -24, -168), 120),
+    ]
+
+
+def _pulled_back(rows, nums) -> tuple[list[int], int]:
+    """(S, den): the pull-back of the class with integer coefficients nums,
+    indexed by column, is S / den on (D00, (a), (b), (c), (d)), with den
+    the lcm of the rows' denominators.  Only the rows' columns are read."""
+    den = lcm(*(d for _, _, d in rows))
+    sums = [0] * len(PULLBACK_BASIS)
+    for column, image, d in rows:
+        v = nums[column] * (den // d)
+        sums = [s + v * n for s, n in zip(sums, image)]
+    return sums, den
 
 
 def pullback_matrix(g: int) -> dict[ClassLabel, tuple[Fraction, ...]]:
@@ -248,22 +327,27 @@ def pullback_matrix(g: int) -> dict[ClassLabel, tuple[Fraction, ...]]:
 
     The genus-dependent boundary labels are resolved at g; any generator not
     listed pulls back to zero."""
-    images = {lab: tuple(map(F, row)) for lab, row in _pullback_images(g).items()}
-    zero = (F(0),) * 5
-    return {lab: images.get(lab, zero) for lab in enumerate_basis(g)}
+    from fractions import Fraction
+
+    labels = enumerate_basis(g)
+    images = {labels[c]: tuple(Fraction(n, d) for n in row) for c, row, d in _pullback_rows(g)}
+    zero = (Fraction(0),) * len(PULLBACK_BASIS)
+    return {lab: images.get(lab, zero) for lab in labels}
 
 
 def pullback_image(expr: ClassExpression) -> tuple[Fraction, ...]:
     """Apply the pull-back generator by generator.  Only the generators with a
     nonzero image are read, and the sums run in integers: the coefficients
     over the lcm of their denominators, the images over that of the table's."""
-    images = _pullback_images(expr.genus)
-    coeffs = [expr[lab] for lab in images]
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    tden = lcm(*(v.denominator for row in images.values() for v in row))
-    rows = [[v.numerator * (tden // v.denominator) for v in row] for row in images.values()]
-    return tuple(F(sum(map(mul, nums, column)), den * tden) for column in zip(*rows))
+    from fractions import Fraction
+
+    rows = _pullback_rows(expr.genus)
+    labels = enumerate_basis(expr.genus)
+    coeffs = {c: expr[labels[c]] for c, _, _ in rows}
+    den = lcm(*(v.denominator for v in coeffs.values()))
+    nums = {c: v.numerator * (den // v.denominator) for c, v in coeffs.items()}
+    sums, tden = _pulled_back(rows, nums)
+    return tuple(Fraction(s, den * tden) for s in sums)
 
 
 # ---------------------------------------------------------------------------
@@ -287,146 +371,128 @@ M4_LABELS = (
     "d1_1",
 )
 
-_M4_ROWS: list[tuple[str, dict[str, Fraction], Fraction]] = [
-    ("S1", {"d2^2": F(8)}, F(36)),
-    ("S3", {"d2^2": F(4), "d1d2": F(-2)}, F(12)),
-    ("S5", {"ld1": F(-4), "d0d1": F(-48), "d1^2": F(8), "d01a": F(-48)}, F(0)),
-    ("S6", {"ld2": F(1), "d1d2": F(-1)}, F(0)),
+# Each relation as (tag, coefficients, right-hand side) in integers; the
+# pull-back row is written times the scale in _M4_ROW_SCALE, which clears its
+# denominators.
+_M4_ROWS: list[tuple[str, dict[str, int], int]] = [
+    ("S1", {"d2^2": 8}, 36),
+    ("S3", {"d2^2": 4, "d1d2": -2}, 12),
+    ("S5", {"ld1": -4, "d0d1": -48, "d1^2": 8, "d01a": -48}, 0),
+    ("S6", {"ld2": 1, "d1d2": -1}, 0),
     (
         "S8",
-        {
-            "l^2": F(2),
-            "ld0": F(24),
-            "ld1": F(-2),
-            "d0^2": F(288),
-            "d0d1": F(-24),
-            "d1^2": F(2),
-            "d00": F(144),
-            "d1_1": F(1),
-        },
-        F(0),
+        {"l^2": 2, "ld0": 24, "ld1": -2, "d0^2": 288, "d0d1": -24, "d1^2": 2, "d00": 144, "d1_1": 1},
+        0,
     ),
     (
         "S12",
-        {
-            "ld1": F(-4),
-            "ld2": F(3),
-            "d0d1": F(-48),
-            "d1^2": F(8),
-            "d1d2": F(-3),
-            "d01a": F(-12),
-            "d1_1": F(3),
-        },
-        F(0),
+        {"ld1": -4, "ld2": 3, "d0d1": -48, "d1^2": 8, "d1d2": -3, "d01a": -12, "d1_1": 3},
+        0,
     ),
-    (
-        "S13",
-        {
-            "d0^2": F(8),
-            "d0d1": F(-4),
-            "d1^2": F(2),
-            "d1d2": F(-2),
-            "d2^2": F(2),
-            "d00": F(4),
-            "d1_1": F(1),
-        },
-        F(4),
-    ),
-    (
-        "S14",
-        {
-            "ld0": F(-4),
-            "d0^2": F(-96),
-            "d0d1": F(4),
-            "d00": F(-48),
-            "d1_1": F(-1),
-            "d01a": F(-12),
-        },
-        F(0),
-    ),
-    ("S15", {"d0^2": F(48), "d1^2": F(-4), "k2": F(4)}, F(0)),
-    ("S16", {"d1^2": F(16), "d2^2": F(-2), "k2": F(2), "d1_1": F(6)}, F(30)),
+    ("S13", {"d0^2": 8, "d0d1": -4, "d1^2": 2, "d1d2": -2, "d2^2": 2, "d00": 4, "d1_1": 1}, 4),
+    ("S14", {"ld0": -4, "d0^2": -96, "d0d1": 4, "d00": -48, "d1_1": -1, "d01a": -12}, 0),
+    ("S15", {"d0^2": 48, "d1^2": -4, "k2": 4}, 0),
+    ("S16", {"d1^2": 16, "d2^2": -2, "k2": 2, "d1_1": 6}, 30),
     (
         "S17",
         {
-            "ld0": F(-2),
-            "ld1": F(1),
-            "d0^2": F(-44),
-            "d0d1": F(12),
-            "d1^2": F(-1),
-            "k2": F(1),
-            "d00": F(-12),
-            "d01a": F(12),
-            "g1": F(1),
+            "ld0": -2,
+            "ld1": 1,
+            "d0^2": -44,
+            "d0d1": 12,
+            "d1^2": -1,
+            "k2": 1,
+            "d00": -12,
+            "d01a": 12,
+            "g1": 1,
         },
-        F(0),
+        0,
     ),
-    (
-        "S18",
-        {"d1d2": F(1), "ld2": F(-1), "d2^2": F(1), "k2": F(1), "d01a": F(12), "g1": F(12)},
-        F(0),
-    ),
+    ("S18", {"d1d2": 1, "ld2": -1, "d2^2": 1, "k2": 1, "d01a": 12, "g1": 12}, 0),
     (
         "pullback[D00]",
-        {
-            "d00": F(1),
-            "d0^2": F(5, 3),
-            "ld0": F(1, 6),
-            "ld2": F(-1, 60),
-            "k2": F(1, 40),
-            "l^2": F(1, 60),
-            "d2^2": F(1, 120),
-        },
-        F(0),
+        {"d00": 120, "d0^2": 200, "ld0": 20, "ld2": -2, "k2": 3, "l^2": 2, "d2^2": 1},
+        0,
     ),
 ]
+_M4_ROW_SCALE = {"pullback[D00]": 120}
+
+# twice the coefficients of the genus-4 hyperelliptic class, in integers
+_M4_TWICE_CLASS = {
+    "k2": 27,
+    "l^2": -339,
+    "ld0": 64,
+    "ld1": 90,
+    "ld2": 6,
+    "d0^2": -1,
+    "d0d1": -8,
+    "d1^2": 15,
+    "d1d2": 6,
+    "d2^2": 9,
+    "d00": -4,
+    "g1": -6,
+    "d01a": 3,
+    "d1_1": -36,
+}
+
+# the unique linear relation among the 14 generators, in the M4_LABELS order
+_M4_RANK_RELATION = (60, -810, 156, 252, 0, -3, -24, 24, 0, 0, -9, -12, 7, -84)
+
+
+def _m4_rows() -> list[dict[int, int]]:
+    """The integer rows of _M4_ROWS, keyed by position in M4_LABELS."""
+    pos = {name: t for t, name in enumerate(M4_LABELS)}
+    return [{pos[name]: v for name, v in coeffs.items()} for _, coeffs, _ in _M4_ROWS]
 
 
 def m4_relations() -> tuple[list[str], RationalMatrix, list[Fraction]]:
     """The 13 genus-4 relations: source tags, 13 x 14 coefficient matrix in
     the M4_LABELS order, and the right-hand sides."""
-    pos = {name: t for t, name in enumerate(M4_LABELS)}
-    rows = [{pos[name]: v for name, v in coeffs.items()} for _, coeffs, _ in _M4_ROWS]
+    from fractions import Fraction
+
+    scales = [_M4_ROW_SCALE.get(tag, 1) for tag, _, _ in _M4_ROWS]
+    rows = [{j: Fraction(v, s) for j, v in row.items()} for row, s in zip(_m4_rows(), scales)]
     tags = [tag for tag, _, _ in _M4_ROWS]
-    rhs = [b for _, _, b in _M4_ROWS]
+    rhs = [Fraction(b, s) for (_, _, b), s in zip(_M4_ROWS, scales)]
     return tags, RationalMatrix.from_sparse(rows, len(M4_LABELS)), rhs
 
 
 def m4_class() -> dict[str, Fraction]:
     """Coefficients of the genus-4 hyperelliptic class; doubling them clears
     every denominator."""
-    return {
-        "k2": F(27, 2),
-        "l^2": F(-339, 2),
-        "ld0": F(32),
-        "ld1": F(45),
-        "ld2": F(3),
-        "d0^2": F(-1, 2),
-        "d0d1": F(-4),
-        "d1^2": F(15, 2),
-        "d1d2": F(3),
-        "d2^2": F(9, 2),
-        "d00": F(-2),
-        "g1": F(-3),
-        "d01a": F(3, 2),
-        "d1_1": F(-18),
-    }
+    from fractions import Fraction
+
+    return {name: Fraction(v, 2) for name, v in _M4_TWICE_CLASS.items()}
 
 
 def m4_rank_relation() -> list[Fraction]:
     """The unique linear relation among the 14 genus-4 generators, in the
     M4_LABELS order."""
-    return [
-        F(v)
-        for v in (60, -810, 156, 252, 0, -3, -24, 24, 0, 0, -9, -12, 7, -84)
-    ]
+    from fractions import Fraction
+
+    return [Fraction(v) for v in _M4_RANK_RELATION]
 
 
 # ---------------------------------------------------------------------------
 # Checks.
 
 
-def _comparison(name: str, g: int, diff: list[dict]) -> CheckReport:
+def _compare(name: str, g: int, expected, actual) -> CheckReport:
+    """Compare two genus-g classes coefficient by coefficient, in integers.
+    Each is (nums, p, q), the class with coefficients p nums / q in the
+    frozen order; a p' / q' equals e p / q exactly when a p' q == e p q'.
+    The report texts are built only for the labels that differ."""
+    (e, ep, eq), (a, ap, aq) = expected, actual
+    bad = compress(count(), map(ne, map(mul, a, repeat(ap * eq)), map(mul, e, repeat(ep * aq))))
+    labels = enumerate_basis(g)
+    diff = [
+        {
+            "label": str(labels[t]),
+            "actual": fraction_text(ap * a[t], aq),
+            "expected": fraction_text(ep * e[t], eq),
+        }
+        for t in bad
+    ]
     return CheckReport(
         check=name,
         status="pass" if not diff else "fail",
@@ -436,54 +502,43 @@ def _comparison(name: str, g: int, diff: list[dict]) -> CheckReport:
     )
 
 
-def _compare_expressions(name: str, expected: ClassExpression, actual: ClassExpression) -> CheckReport:
-    mism = actual.diff(expected)
-    diff = [{"label": lab, "actual": str(a), "expected": str(b)} for lab, a, b in mism]
-    return _comparison(name, expected.genus, diff)
-
-
 def check_trigonal_table() -> CheckReport:
     """Solve the genus-6 system at k = 3 and compare with the known table."""
+    table, den = _trigonal_vector()
     x, d = _solved(3)
-    return _compare_expressions("trigonal-table", known_trigonal_class(), _fraction_view(6, x, F(1, d)))
+    return _compare("trigonal-table", 6, (table, 1, den), (x, 1, d))
 
 
 def check_closed_form(k: int) -> CheckReport:
     """Solve the genus-2k system at degree k and compare with the closed
-    formula, coefficient by coefficient, in integers: X / D = c B exactly
-    when X q = D p B for c = p / q.  Fractions are built only for the labels
-    that differ.  The closed formula's k >= 3 domain is checked first."""
-    b, c = _closed_form(k)
+    formula, coefficient by coefficient, in integers: X / D = p B / q
+    exactly when X q = D p B.  The closed formula's k >= 3 domain is checked
+    first."""
+    b, (p, q) = _closed_form(k)
     x, d = _solved(k)
-    p, q = c.numerator, c.denominator
-    dp = d * p
-    bad = compress(count(), map(ne, map(mul, x, repeat(q)), map(mul, b, repeat(dp))))
-    labels = enumerate_basis(2 * k)
-    diff = [
-        {"label": str(labels[t]), "actual": str(F(x[t], d)), "expected": str(F(p * b[t], q))}
-        for t in bad
-    ]
-    return _comparison(f"closed-form[k={k}]", 2 * k, diff)
+    return _compare(f"closed-form[k={k}]", 2 * k, (b, p, q), (x, 1, d))
 
 
 def check_pullback(k: int) -> CheckReport:
     """The pull-back of the degree-k class must vanish on D00, (a), (b), (d);
     the (c) coordinate is reported.  Only the coefficients the pull-back reads
-    are taken from the closed formula."""
-    b, c = _closed_form(k)
-    images = _pullback_images(2 * k)
-    coeffs = {lab: c * b[t] for t, lab in enumerate(enumerate_basis(2 * k)) if lab in images}
-    image = pullback_image(ClassExpression(2 * k, coeffs))
+    are taken from the closed formula, and the image p S / (q den) is
+    tested and written from its integer sums S."""
+    b, (p, q) = _closed_form(k)
+    sums, den = _pulled_back(_pullback_rows(2 * k), b)
+    den *= q
     bad = [
-        {"coordinate": PULLBACK_BASIS[t], "value": str(image[t])}
+        {"coordinate": PULLBACK_BASIS[t], "value": fraction_text(p * sums[t], den)}
         for t in (0, 1, 2, 4)
-        if image[t] != 0
+        if sums[t]
     ]
     return CheckReport(
         check=f"pullback[k={k}]",
         status="pass" if not bad else "fail",
         expected="zero on D00, (a), (b), (d)",
-        actual={"(c)": str(image[3])} if not bad else f"{len(bad)} nonzero coordinates",
+        actual={"(c)": fraction_text(p * sums[3], den)}
+        if not bad
+        else f"{len(bad)} nonzero coordinates",
         diff=bad,
     )
 
@@ -492,18 +547,21 @@ def check_m4() -> CheckReport:
     """Genus-4 hyperelliptic verification: the known class satisfies the 13
     relations, the system has rank 13, and its kernel is spanned by the known
     rank relation.  Rank 13 on 14 columns leaves a one-dimensional kernel,
-    so a nonzero r with M r = 0 spans it."""
-    tags, matrix, rhs = m4_relations()
-    cls = m4_class()
-    x = [cls[name] for name in M4_LABELS]
-    residues = [
-        {"relation": tags[t], "lhs": str(lhs), "rhs": str(rhs[t])}
-        for t, lhs in enumerate(matrix.matvec(x))
-        if lhs != rhs[t]
-    ]
+    so a nonzero r with M r = 0 spans it.  All in integers: a row written
+    times s holds for the class x = X / 2 exactly when its product with X is
+    2 b, and a scaled row has the same kernel."""
+    matrix = RationalMatrix.from_sparse(_m4_rows(), len(M4_LABELS))
+    twice = [_M4_TWICE_CLASS[name] for name in M4_LABELS]
+    residues = []
+    for (tag, _, b), lhs in zip(_M4_ROWS, matrix.int_matvec(twice)):
+        if lhs != 2 * b:
+            s = _M4_ROW_SCALE.get(tag, 1)
+            residues.append(
+                {"relation": tag, "lhs": fraction_text(lhs, 2 * s), "rhs": fraction_text(b, s)}
+            )
     r = rank(matrix)
-    stated = m4_rank_relation()
-    kernel_ok = matrix.ncols - r == 1 and any(stated) and not any(matrix.matvec(stated))
+    stated = list(_M4_RANK_RELATION)
+    kernel_ok = matrix.ncols - r == 1 and any(stated) and not any(matrix.int_matvec(stated))
     ok = not residues and r == 13 and kernel_ok
     return CheckReport(
         check="m4",
@@ -521,7 +579,9 @@ def check_m4() -> CheckReport:
 def check_trigonal_interior() -> CheckReport:
     """The genus-6 closed formula against the known genus-6 table, whose rows
     include the interior coefficients k1^2 -> 41/144 and k2 -> -4."""
-    report = _compare_expressions("trigonal", known_trigonal_class(), _fraction_view(6, *_closed_form(3)))
+    table, den = _trigonal_vector()
+    b, (p, q) = _closed_form(3)
+    report = _compare("trigonal", 6, (table, 1, den), (b, p, q))
     report.expected = "k1^2 -> 41/144, k2 -> -4, full table match"
     return report
 

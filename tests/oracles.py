@@ -7,8 +7,9 @@ The runtime solves by forward substitution on ``Q_g * T_g`` and certifies
 from routes that share none of that code:
 
 - the dense constructors and copies ``dense``, ``identity``, ``zeros``,
-  ``dense_row`` and ``dense_rows``.  The runtime builds every matrix from
-  sparse rows (``RationalMatrix.from_sparse``).
+  ``dense_row`` and ``dense_rows``, and the shape test ``is_square`` of the
+  dense eliminations.  The runtime builds every matrix from sparse rows
+  (``RationalMatrix.from_sparse``).
 - dense elimination: ``solve_exact``, ``det``, ``det_is_nonzero`` and
   ``nullspace``.  Elimination is either fraction-free (Bareiss), on integer
   rows built from the nonzeros with the one kernel of ``bn2.solver``, or
@@ -157,6 +158,10 @@ def zeros(nrows: int, ncols: int) -> RationalMatrix:
     return RationalMatrix.from_sparse([{} for _ in range(nrows)], ncols)
 
 
+def is_square(matrix: RationalMatrix) -> bool:
+    return matrix.nrows == matrix.ncols
+
+
 def dense_row(matrix: RationalMatrix, i: int) -> tuple[Fraction, ...]:
     """Row i with every entry, zeros included, as a Fraction."""
     return tuple(Fraction(matrix.entry(i, j)) for j in range(matrix.ncols))
@@ -217,7 +222,7 @@ def gauss_rank(matrix: RationalMatrix) -> int:
 
 def det(matrix: RationalMatrix) -> Fraction:
     """Exact determinant via fraction-free elimination."""
-    if not matrix.is_square():
+    if not is_square(matrix):
         raise DimensionMismatchError(f"det needs a square matrix, got {matrix!r}")
     n = matrix.nrows
     if n == 0:
@@ -261,7 +266,7 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
     Raises SingularMatrixError (with the rank attained) or
     DimensionMismatchError.
     """
-    if not matrix.is_square():
+    if not is_square(matrix):
         raise DimensionMismatchError(
             f"solve_exact needs a square matrix, got {matrix.nrows}x{matrix.ncols}"
         )
@@ -292,7 +297,7 @@ def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
     diagonal: ``forward_substitute`` on every row of p, each row and its
     entry of b multiplied by the lcm of the row's denominators, read as
     Fractions.  An entry above the diagonal is named as p holds it."""
-    if not p.is_square():
+    if not is_square(p):
         raise DimensionMismatchError(
             f"forward_substitute needs a square matrix, got {p.nrows} rows "
             f"and {p.ncols} columns"

@@ -432,10 +432,32 @@ def test_commands_without_rows_load_no_relations(argv):
     assert loaded == []
 
 
-def test_verify_loads_the_checks():
-    code, _, *loaded = _loaded_after("verify", "m4")
+VERIFY_CHECKS = (
+    "all", "closed-form", "g5", "m4", "nonsingular", "pullback", "triangularity", "trigonal",
+)
+
+
+@pytest.mark.parametrize("which", VERIFY_CHECKS)
+def test_verify_loads_the_checks(which):
+    # every check runs in integers and the report is written without json, so
+    # a verify whose checks pass loads neither fractions (nor decimal) nor json
+    code, _, *loaded = _loaded_after("verify", which)
     assert code == "0"
-    assert loaded == [
-        "bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "fractions", "decimal",
-        "json", "_json",
-    ]
+    assert loaded == ["bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify"]
+
+
+@pytest.mark.parametrize("which", VERIFY_CHECKS)
+def test_verify_report_is_json_dumps(capsys, monkeypatch, which):
+    from bn2 import verify
+
+    dicts = []
+    write = verify.reports_to_json
+
+    def recording(reports):
+        dicts.append([rep.to_dict() for rep in reports])
+        return write(reports)
+
+    monkeypatch.setattr(verify, "reports_to_json", recording)
+    code, out, _ = run(capsys, "verify", which)
+    assert code == 0 and len(dicts) == 1
+    assert out == json.dumps(dicts[0], indent=2) + "\n"

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bn2.exactnum import double_factorial_odd, factorial
+from bn2.exactnum import double_factorial_odd, factorial, fraction_text
 from oracles import inv_factorial_or_zero
 
 
@@ -57,3 +57,19 @@ def test_rational_arithmetic_is_exact(a, b, c, d):
     x, y = Fraction(a, b), Fraction(c, d)
     assert (x + y) - y == x
     assert x.denominator > 0
+
+
+@given(st.integers(), st.integers().filter(bool))
+@example(0, 7)
+@example(0, -7)
+@example(-6, 4)
+@example(6, -4)
+@example(-5, -1)
+@example(12, 12)
+def test_fraction_text_is_str_fraction(n, d):
+    assert fraction_text(n, d) == str(Fraction(n, d))
+
+
+def test_fraction_text_rejects_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        fraction_text(1, 0)

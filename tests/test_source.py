@@ -2,7 +2,9 @@
 invariants must raise, because ``python -O`` strips ``assert``, and the
 arithmetic is exact, so no float appears.  No module imports
 ``dataclasses`` or ``typing``; ``bn2.relations`` imports neither the
-solver nor ``bn2.triangular``, and ``bn2.triangular`` not the solver.  The package exports only names it defines,
+solver nor ``bn2.triangular``, ``bn2.triangular`` not the solver, and
+neither ``bn2.verify`` nor ``bn2.solver`` imports ``fractions`` or ``json``
+at load.  The package exports only names it defines,
 and the test oracles stay out of it; the relation and T_g builders take
 their columns from ``basis.columns``, not through labels."""
 
@@ -85,21 +87,40 @@ def test_package_imports_neither_dataclasses_nor_typing():
     assert SOURCES and found == []
 
 
+def _load_time_nodes(tree):
+    """The nodes that run when the module loads: every node outside a
+    function body."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
+
+
 @pytest.mark.parametrize(
-    "name, forbidden",
+    "name, forbidden, at_load_only",
     [
         # the data layer: bn2 matrix loads it and neither the solver nor T_g
-        ("relations.py", ("bn2.solver", "bn2.triangular")),
+        ("relations.py", ("bn2.solver", "bn2.triangular"), False),
         # the integer rows of Q_g, T_g and P: bn2 solve and bn2 tmatrix load
         # no RationalMatrix
-        ("triangular.py", ("bn2.solver",)),
+        ("triangular.py", ("bn2.solver",), False),
+        # the checks run in integers and write their report directly: a view
+        # that builds a Fraction imports fractions when it is called
+        ("verify.py", ("fractions", "json"), True),
+        ("solver.py", ("fractions", "json"), True),
     ],
-    ids=["relations.py", "triangular.py"],
+    ids=["relations.py", "triangular.py", "verify.py", "solver.py"],
 )
-def test_relations_imports_no_linear_algebra(name, forbidden):
+def test_relations_imports_no_linear_algebra(name, forbidden, at_load_only):
     path = Path(bn2.__file__).parent / name
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in _load_time_nodes(tree) if at_load_only else ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -107,7 +128,9 @@ def test_relations_imports_no_linear_algebra(name, forbidden):
             names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
         else:
             continue
-        found += [f"{node.lineno} {n}" for n in names if n in forbidden]
+        found += [
+            f"{node.lineno} {n}" for n in names for f in forbidden if n == f or n.startswith(f + ".")
+        ]
     assert found == []
 
 

@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bn2.basis import D0SQ, K1SQ, K2, ClassExpression, dd, enumerate_basis, om, th
 from bn2.verify import (
@@ -22,9 +25,11 @@ from bn2.verify import (
     m4_relations,
     pullback_image,
     pullback_matrix,
+    reports_to_json,
     run_all,
     scale_factor,
     known_trigonal_class,
+    _json_text,
 )
 from oracles import basis_index, closed_form_by_label
 
@@ -186,16 +191,18 @@ def test_check_reports_own_their_lists():
 def test_m4_kernel_proof_rejects_a_wrong_relation(monkeypatch):
     import bn2.verify
 
-    true = m4_rank_relation()
+    # the check reads the integer relation that m4_rank_relation views
+    true = list(bn2.verify._M4_RANK_RELATION)
+    assert m4_rank_relation() == true
     perturbed = list(true)
     perturbed[4] += 1
-    for wrong in (perturbed, [2 * v for v in true[:-1]] + [true[-1]], [F(0)] * 14):
-        monkeypatch.setattr(bn2.verify, "m4_rank_relation", lambda: wrong)
+    for wrong in (perturbed, [2 * v for v in true[:-1]] + [true[-1]], [0] * 14):
+        monkeypatch.setattr(bn2.verify, "_M4_RANK_RELATION", wrong)
         rep = check_m4()
         assert rep.actual == {"relations_violated": 0, "rank": 13, "nullspace_matches": False}
         assert rep.status == "fail"
     # a nonzero multiple spans the same kernel
-    monkeypatch.setattr(bn2.verify, "m4_rank_relation", lambda: [-3 * v for v in true])
+    monkeypatch.setattr(bn2.verify, "_M4_RANK_RELATION", [-3 * v for v in true])
     assert check_m4().status == "pass"
 
 
@@ -404,8 +411,8 @@ def test_failed_pullback_report_is_pinned(monkeypatch):
     assert check_pullback(4).to_dict() == _FAILED_PULLBACK
 
 
-def test_closed_form_check_builds_no_fraction_when_it_passes(monkeypatch):
-    assert check_closed_form(12).status == "pass"  # fills the memos
+def test_run_all_builds_no_fraction(fresh_memos, monkeypatch):
+    # every check compares, and writes its report texts, in integers
     new = Fraction.__new__
     built = []
 
@@ -414,24 +421,67 @@ def test_closed_form_check_builds_no_fraction_when_it_passes(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    report = check_closed_form(12)
+    reports = run_all(k_max=8)
     monkeypatch.undo()
-    assert report.status == "pass" and built == []
+    assert all(rep.status != "fail" for rep in reports) and built == []
 
 
-def test_only_the_k3_checks_build_the_fraction_view(fresh_memos, monkeypatch):
+# the report writer against json.dumps(indent=2)
+
+
+def _written_as_json_dumps(value) -> bool:
+    return _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_failed_reports_are_written_as_json_dumps(fresh_memos, monkeypatch):
+    # the pinned closed-form and pull-back failures, and nonsingular[g=6]
+    # with T_g = I
     import bn2.triangular
     import bn2.verify
+    from bn2.triangular import _solve
 
-    views = []
-    fraction_view = bn2.verify._fraction_view
+    x, d = _solve(5)
+    wrong = list(x)
+    wrong[basis_index(10)[dd(0, 8)]] += d
+    monkeypatch.setattr(bn2.verify, "_solved", lambda k: (wrong, d))
+    reports = [check_closed_form(5)]
+    b, c = bn2.verify._closed_form_parts(4)
+    off = list(b)
+    off[basis_index(8)[K1SQ]] += 1
+    monkeypatch.setattr(bn2.verify, "_closed_form", lambda k: (off, c))
+    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda g: [{i: 1} for i in range(25)])
+    reports += [check_pullback(4), check_nonsingular(6)]
+    assert [rep.to_dict() for rep in reports[:2]] == [_FAILED_CLOSED_FORM[0], _FAILED_PULLBACK]
+    assert reports[2].status == "fail" and reports[2].diff
+    dicts = [rep.to_dict() for rep in reports]
+    assert reports_to_json(reports) == json.dumps(dicts, indent=2) + "\n"
+    assert all(map(_written_as_json_dumps, dicts))
 
-    def counting(g, nums, scale):
-        views.append(g)
-        return fraction_view(g, nums, scale)
 
-    monkeypatch.setattr(bn2.verify, "_fraction_view", counting)
-    monkeypatch.setattr(bn2.triangular, "solve_class", None)
-    monkeypatch.setattr(bn2.verify, "closed_form_class", None)
-    assert all(rep.status != "fail" for rep in run_all(k_max=8))
-    assert views == [6, 6]  # trigonal-table and trigonal
+def test_report_without_actual_is_written_as_json_dumps():
+    report = CheckReport("b", "warn", {"rank": 1}, None, diff=[{}], notes=[[], ""])
+    assert reports_to_json([report]) == json.dumps([report.to_dict()], indent=2) + "\n"
+    assert reports_to_json([]) == "[]\n"
+
+
+_JSON_ESCAPED = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "\u00e9", "\u2028", "\ud800"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | _JSON_ESCAPED,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text() | _JSON_ESCAPED, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@example({"check": "a\"b", "notes": ["\\", "\u00e9"], "diff": [], "actual": None})
+@example([{"rank": True, "k": -12, "": {}}])
+def test_nested_values_are_written_as_json_dumps(value):
+    assert _written_as_json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [{"x": object()}, [1, {2: "a"}]])
+def test_values_outside_the_report_types_are_type_errors(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
