@@ -411,6 +411,43 @@ def test_failed_pullback_report_is_pinned(monkeypatch):
     assert check_pullback(4).to_dict() == _FAILED_PULLBACK
 
 
+def test_closed_form_check_builds_no_fraction_when_it_passes(monkeypatch):
+    assert check_closed_form(12).status == "pass"  # fills the memos
+    new = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    report = check_closed_form(12)
+    monkeypatch.undo()
+    assert report.status == "pass" and built == []
+
+
+def test_only_the_k3_checks_build_the_fraction_view(fresh_memos, monkeypatch):
+    # the k = 3 checks (trigonal-table and trigonal) compare the integer
+    # genus-6 table too, so no check builds the fraction view or calls a
+    # public Fraction view
+    import bn2.triangular
+    import bn2.verify
+
+    views = []
+    fraction_view = bn2.verify._fraction_view
+
+    def counting(g, nums, p, q):
+        views.append(g)
+        return fraction_view(g, nums, p, q)
+
+    monkeypatch.setattr(bn2.verify, "_fraction_view", counting)
+    monkeypatch.setattr(bn2.triangular, "solve_class", None)
+    monkeypatch.setattr(bn2.verify, "closed_form_class", None)
+    monkeypatch.setattr(bn2.verify, "known_trigonal_class", None)
+    assert all(rep.status != "fail" for rep in run_all(k_max=8))
+    assert views == []
+
+
 def test_run_all_builds_no_fraction(fresh_memos, monkeypatch):
     # every check compares, and writes its report texts, in integers
     new = Fraction.__new__
