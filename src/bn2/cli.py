@@ -6,14 +6,16 @@ domain error or an ``--out`` path that cannot be written (reported as
 ``bn2 <command>: cannot write PATH: reason``), 3 internal error (a broken
 invariant of the program, reported as ``bn2 <command>: internal error:
 ...``).  Results go to stdout, diagnostics to stderr.  Identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  The subcommands and flags are
+one table; ``argparse`` is loaded only for help, a usage error or a command
+line that is not of the table's canonical form.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from bn2 import enumerative
 from bn2.basis import enumerate_basis
@@ -35,10 +37,17 @@ def _parse_pair(text: str, flag: str) -> SchubertIndex:
         raise ValueError(f"{flag}: {exc}") from exc
 
 
-def _require(args, parser: argparse.ArgumentParser, *names: str) -> None:
+def _usage_error(args, message: str) -> None:
+    """Exit 2 with the subcommand's argparse usage and message on stderr; the
+    parser is built only here."""
+    head = [args.command, *([args.which] if hasattr(args, "which") else ())]
+    build_parser().parse_args(head).parser.error(message)
+
+
+def _require(args, *names: str) -> None:
     for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            parser.error(f"--{name} is required for this subcommand")
+        if getattr(args, name) is None:
+            _usage_error(args, f"--{name} is required for this subcommand")
 
 
 def _emit(text: str, out: str | None, prefix: str) -> int:
@@ -56,32 +65,32 @@ def _emit(text: str, out: str | None, prefix: str) -> int:
     return 0
 
 
-def _cmd_counts(args, parser) -> int:
+def _cmd_counts(args) -> int:
     which = args.which
     try:
         if which == "n":
-            _require(args, parser, "g", "d", "alpha")
+            _require(args, "g", "d", "alpha")
             value = enumerative.count_n(args.g, args.d, _parse_pair(args.alpha, "--alpha"))
         elif which == "m":
-            _require(args, parser, "g", "d", "alpha")
+            _require(args, "g", "d", "alpha")
             value = enumerative.count_m(args.g, args.d, _parse_pair(args.alpha, "--alpha"))
         elif which == "ell":
-            _require(args, parser, "g", "k")
+            _require(args, "g", "k")
             value = enumerative.count_ell(args.g, args.k)
         elif which == "castelnuovo":
-            _require(args, parser, "g", "d", "alpha")
+            _require(args, "g", "d", "alpha")
             beta = _parse_pair(args.beta, "--beta") if args.beta else SchubertIndex(0, 0)
             value = enumerative.castelnuovo_N(
                 args.g, args.d, _parse_pair(args.alpha, "--alpha"), beta
             )
         elif which == "T":
-            _require(args, parser, "i", "g", "k")
+            _require(args, "i", "g", "k")
             value = enumerative.sum_T(args.i, args.g, args.k)
         elif which == "D":
-            _require(args, parser, "i", "j", "g", "k")
+            _require(args, "i", "j", "g", "k")
             value = enumerative.sum_D(args.i, args.j, args.g, args.k)
         else:  # s16
-            _require(args, parser, "i", "g", "k")
+            _require(args, "i", "g", "k")
             value = enumerative.sum_S16(args.i, args.g, args.k)
     except _DOMAIN_ERRORS as exc:
         print(f"bn2 counts {which}: {exc}", file=sys.stderr)
@@ -89,7 +98,7 @@ def _cmd_counts(args, parser) -> int:
     return _emit(f"{value}\n", args.out, f"bn2 counts {which}")
 
 
-def _cmd_basis(args, parser) -> int:
+def _cmd_basis(args) -> int:
     try:
         labels = enumerate_basis(args.g)
     except ValueError as exc:
@@ -98,7 +107,7 @@ def _cmd_basis(args, parser) -> int:
     return _emit("".join(f"{lab}\n" for lab in labels), args.out, "bn2 basis")
 
 
-def _cmd_matrix(args, parser) -> int:
+def _cmd_matrix(args) -> int:
     # the relation rows load only for the commands that build them
     from bn2 import relations
 
@@ -121,7 +130,7 @@ def _cmd_matrix(args, parser) -> int:
     return _emit(text, args.out, "bn2 matrix")
 
 
-def _cmd_tmatrix(args, parser) -> int:
+def _cmd_tmatrix(args) -> int:
     # T_g loads only for the commands that use it; this one loads no solver
     from bn2 import triangular
 
@@ -137,7 +146,7 @@ def _cmd_tmatrix(args, parser) -> int:
     return _emit(text, args.out, "bn2 tmatrix")
 
 
-def _cmd_solve(args, parser) -> int:
+def _cmd_solve(args) -> int:
     from bn2 import triangular
 
     try:
@@ -150,7 +159,7 @@ def _cmd_solve(args, parser) -> int:
     return _emit("".join(lines), args.out, "bn2 solve")
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     # the checks load only for this command
     from bn2 import verify
 
@@ -193,88 +202,110 @@ def _cmd_verify(args, parser) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each flag of the subcommands, once: its type (int, str or a tuple of
+# choices), default and help
+_FLAGS = {
+    "g": (int, None, "genus"),
+    "k": (int, None, "pencil degree (g = 2k)"),
+    "k-max": (int, None, "largest k to test"),
+    "d": (int, None, "degree of the pencil"),
+    "alpha": (str, None, "ramification pair a0,a1"),
+    "beta": (str, None, "second ramification pair b0,b1"),
+    "i": (int, None, "first index"),
+    "j": (int, None, "second index"),
+    "format": (("csv", "json"), "csv", None),
+    "out": (str, None, "write output to PATH instead of stdout"),
+}
+
+# each subcommand: its function, help, its flags in usage order and the
+# flag main requires
+_COMMANDS = {
+    "counts": (_cmd_counts, "evaluate one enumerative count", "g k d alpha beta i j out", None),
+    "basis": (_cmd_basis, "list the generators at a genus", "g out", "g"),
+    "matrix": (_cmd_matrix, "export the relation matrix Q_g", "g k format out", "g"),
+    "tmatrix": (_cmd_tmatrix, "export the triangularizing matrix T_g", "g format out", "g"),
+    "solve": (_cmd_solve, "solve for the degree-k class coefficients", "k out", "k"),
+    "verify": (_cmd_verify, "run verification checks (JSON report)", "g k k-max out", None),
+}
+
+# the choices of the positional ``which`` of the subcommands that take one
+_WHICH = {
+    "counts": "n m ell castelnuovo T D s16".split(),
+    "verify": "closed-form pullback m4 trigonal nonsingular g5 triangularity all".split(),
+}
+
+
+def build_parser():
+    """The argparse parser of ``_COMMANDS``: the one parser of help, usage
+    and argument errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bn2",
         description="Exact computation of the codimension-two Brill-Noether class",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *flags: str) -> None:
-        if "g" in flags:
-            p.add_argument("--g", type=int, help="genus")
-        if "k" in flags:
-            p.add_argument("--k", type=int, help="pencil degree (g = 2k)")
-        if "k-max" in flags:
-            p.add_argument("--k-max", dest="k_max", type=int, help="largest k to test")
-        if "d" in flags:
-            p.add_argument("--d", type=int, help="degree of the pencil")
-        if "alpha" in flags:
-            p.add_argument("--alpha", help="ramification pair a0,a1")
-        if "beta" in flags:
-            p.add_argument("--beta", help="second ramification pair b0,b1")
-        if "ij" in flags:
-            p.add_argument("--i", type=int, help="first index")
-            p.add_argument("--j", type=int, help="second index")
-        if "format" in flags:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="write output to PATH instead of stdout")
-
-    p_counts = sub.add_parser("counts", help="evaluate one enumerative count")
-    p_counts.add_argument(
-        "which", choices=("n", "m", "ell", "castelnuovo", "T", "D", "s16")
-    )
-    common(p_counts, "g", "k", "d", "alpha", "beta", "ij")
-    p_counts.set_defaults(func=_cmd_counts, parser=p_counts)
-
-    p_basis = sub.add_parser("basis", help="list the generators at a genus")
-    common(p_basis, "g")
-    p_basis.set_defaults(func=_cmd_basis, parser=p_basis)
-
-    p_matrix = sub.add_parser("matrix", help="export the relation matrix Q_g")
-    common(p_matrix, "g", "k", "format")
-    p_matrix.set_defaults(func=_cmd_matrix, parser=p_matrix)
-
-    p_t = sub.add_parser("tmatrix", help="export the triangularizing matrix T_g")
-    common(p_t, "g", "format")
-    p_t.set_defaults(func=_cmd_tmatrix, parser=p_t)
-
-    p_solve = sub.add_parser("solve", help="solve for the degree-k class coefficients")
-    common(p_solve, "k")
-    p_solve.set_defaults(func=_cmd_solve, parser=p_solve)
-
-    p_verify = sub.add_parser("verify", help="run verification checks (JSON report)")
-    p_verify.add_argument(
-        "which",
-        choices=(
-            "closed-form",
-            "pullback",
-            "m4",
-            "trigonal",
-            "nonsingular",
-            "g5",
-            "triangularity",
-            "all",
-        ),
-    )
-    common(p_verify, "g", "k", "k-max")
-    p_verify.set_defaults(func=_cmd_verify, parser=p_verify)
-
+    for command, (func, help_text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command in _WHICH:
+            p.add_argument("which", choices=_WHICH[command])
+        for flag in flags.split():
+            kind, default, text = _FLAGS[flag]
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument(f"--{flag}", default=default, help=text, **typed)
+        p.set_defaults(func=func, parser=p)
     return parser
 
 
+def _parse(argv: list[str]):
+    """The namespace of ``build_parser().parse_args(argv)`` without its
+    ``parser``, for an argv of the form ``<command> [<which>] --flag value
+    ...`` with each flag of the command at most once, an int of ASCII digits,
+    a choice of the table and no value that starts with ``-``; None for any
+    other argv, which argparse parses."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, flags, _ = _COMMANDS[argv[0]]
+    flags = flags.split()
+    args = {"command": argv[0], "func": func}
+    rest = argv[1:]
+    if argv[0] in _WHICH:
+        if not rest or rest[0] not in _WHICH[argv[0]]:
+            return None
+        args["which"], rest = rest[0], rest[1:]
+    names = rest[::2]
+    if len(rest) % 2 or len(set(names)) != len(names):
+        return None
+    args.update((flag.replace("-", "_"), _FLAGS[flag][1]) for flag in flags)
+    for name, value in zip(names, rest[1::2]):
+        flag = name[2:]
+        if name[:2] != "--" or flag not in flags or value[:1] == "-":
+            return None
+        kind = _FLAGS[flag][0]
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            value = int(value)
+        elif kind is not str and value not in kind:
+            return None
+        args[flag.replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # a missing flag is reported with the subcommand's own usage
-    parser = args.parser
-    if args.command == "basis" and args.g is None:
-        parser.error("--g is required for basis")
-    if args.command in ("matrix", "tmatrix") and args.g is None:
-        parser.error("--g is required for " + args.command)
-    if args.command == "solve" and args.k is None:
-        parser.error("--k is required for solve")
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.func(args, parser)
+        args = _parse(argv)
+    except ValueError:  # an int longer than int() converts
+        args = None
+    if args is None:
+        args = build_parser().parse_args(argv)
+    # a missing flag is reported with the subcommand's own usage
+    required = _COMMANDS[args.command][3]
+    if required and getattr(args, required) is None:
+        _usage_error(args, f"--{required} is required for {args.command}")
+    try:
+        return args.func(args)
     except RuntimeError as exc:
         print(f"bn2 {args.command}: {exc}", file=sys.stderr)
         return 3

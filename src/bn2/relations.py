@@ -82,12 +82,14 @@ def build_relations(g: int) -> RelationSystem:
     # each name is a column of the genus-g basis, or a function to one
     K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
 
-    def add(source: str, rhs: Rhs, terms) -> None:
-        acc: dict[int, int] = {}
-        for c, coeff in terms:
-            acc[c] = acc.get(c, 0) + coeff
-        if not all(acc.values()):  # only a row whose terms cancel drops a column
-            acc = {c: v for c, v in acc.items() if v}
+    def add(source: str, rhs: Rhs, terms: list) -> None:
+        acc = dict(terms)
+        if len(acc) != len(terms):  # two terms share a column: sum them
+            acc = {}
+            for c, coeff in terms:
+                acc[c] = acc.get(c, 0) + coeff
+            if not all(acc.values()):  # only a row whose terms cancel drops a column
+                acc = {c: v for c, v in acc.items() if v}
         rows.append(Relation(source, g, acc, rhs))
 
     # S1: two moving points glued, genus i + (g-i).

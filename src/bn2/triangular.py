@@ -220,7 +220,12 @@ class _Genus:
 
     @cached_property
     def report(self) -> TriangularityReport:
-        return _product_report(_product(self.q, self.t))
+        # the rows of P the solve's core already holds are not multiplied
+        # again; without a core (never built, or a broken S2 form) all are
+        p = dict(self.__dict__.get("core", {}))
+        rest = [r for r in range(len(self.q)) if r not in p]
+        p.update(zip(rest, _product([self.q[r] for r in rest], self.t)))
+        return _product_report([p[r] for r in range(len(self.q))])
 
     @cached_property
     def s2(self) -> tuple[range, range, int]:

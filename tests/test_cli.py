@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bn2
-from bn2.cli import main
+from bn2.cli import _COMMANDS, _FLAGS, _WHICH, _parse, build_parser, main
 
 
 def run(capsys, *argv):
@@ -108,6 +112,102 @@ def test_missing_flag_prints_the_subcommand_usage(capsys, argv, message):
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.startswith(f"usage: {prog} [-h]")
     assert captured.err.endswith(f"\n{prog}: error: {message}\n")
+
+
+SOLVE_HELP = """usage: bn2 solve [-h] [--k K] [--out OUT]
+
+options:
+  -h, --help  show this help message and exit
+  --k K       pencil degree (g = 2k)
+  --out OUT   write output to PATH instead of stdout
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (("solve", "--help"), 0, SOLVE_HELP, ""),
+        (
+            ("solve",),
+            2,
+            "",
+            SOLVE_HELP.splitlines(True)[0] + "bn2 solve: error: --k is required for solve\n",
+        ),
+    ],
+)
+def test_help_and_usage_errors_come_from_argparse(capsys, argv, code, out, err):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_an_int_too_long_to_convert_goes_to_argparse(capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int() reads every length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--k", "9" * 641])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"bn2 solve: error: argument --k: invalid int value: '{'9' * 641}'\n")
+
+
+# the table's words, and the forms only argparse parses: an =-joined or
+# abbreviated flag, a signed, zero-led or non-ASCII int, help and "--"
+_WORDS = sorted(
+    {*_COMMANDS, *(f"--{flag}" for flag in _FLAGS), "--k=8", "--fo", "-h", "--"}
+    | {w for which in _WHICH.values() for w in which}
+    | {v for kind, _, _ in _FLAGS.values() if isinstance(kind, tuple) for v in kind}
+    | {"0", "8", "08", "\u0668", "-3", "0,1", ""}
+)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of a command, its ``which`` if it has one and some of its
+    flags, each with a value of its kind, and then at most one change: a
+    word replaced or inserted, the last two words repeated, or the words in
+    another order."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command, *([draw(st.sampled_from(_WHICH[command]))] if command in _WHICH else [])]
+    flags = _COMMANDS[command][2].split()
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)):
+        kind = _FLAGS[flag][0]
+        fits = kind if isinstance(kind, tuple) else ("0", "8", "12") if kind is int else ("0,1",)
+        argv += [f"--{flag}", draw(st.sampled_from(fits))]
+    change = draw(st.sampled_from(["none", "replace", "insert", "repeat", "permute"]))
+    if change == "permute":
+        return draw(st.permutations(argv))
+    if change == "repeat":
+        return argv + argv[-2:]
+    if change != "none":
+        at = draw(st.integers(0, len(argv) - (change == "replace")))
+        argv[at : at + (change == "replace")] = [draw(st.sampled_from(_WORDS))]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argvs())
+@example(["solve", "--k", "8"])
+@example(["verify", "all", "--k-max", "10"])
+@example(["matrix", "--g", "48", "--k", "24", "--format", "json", "--out", "q.json"])
+@example(["counts", "castelnuovo", "--g", "2", "--d", "3", "--alpha", "0,1", "--beta", "0,1"])
+def test_the_table_parse_agrees_with_argparse(argv):
+    # an argv the table parses gives argparse's namespace; any other goes to
+    # argparse whole
+    fast = _parse(argv)
+    if fast is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            slow = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the table parses {argv!r}, argparse rejects it: {err.getvalue()}")
+    assert vars(fast) == {name: v for name, v in vars(slow).items() if name != "parser"}
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -372,15 +472,17 @@ def test_stdout_matches_pinned_digest(capsys, command):
 
 # runs one command in a fresh interpreter and prints its exit code, the length
 # of its stdout and which of bn2.relations, bn2.solver, bn2.triangular,
-# bn2.verify, fractions, decimal, csv, json, _json, dataclasses and inspect it
-# loaded (typing is not probed: site may load it before bn2 runs)
+# bn2.verify, fractions, decimal, csv, json, _json, dataclasses, inspect,
+# argparse, gettext and locale it loaded (typing is not probed: site may load
+# it before bn2 runs); no command that succeeds loads argparse
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
 probed = ("bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "fractions",
-          "decimal", "csv", "json", "_json", "dataclasses", "inspect")
+          "decimal", "csv", "json", "_json", "dataclasses", "inspect", "argparse", "gettext",
+          "locale")
 print(code, len(out.getvalue()), *(m for m in probed if m in sys.modules))
 """
 

@@ -38,6 +38,7 @@ from bn2.relations import (
 from bn2.solver import RationalMatrix
 from bn2.triangular import (
     _checked_t_columns,
+    _Genus,
     _checked_t_tags,
     _genus,
     _product,
@@ -733,6 +734,30 @@ def test_integer_product_equals_matmul(g):
     assert list(core) == sorted(core) and all(core[r] == p[r] for r in core)
     assert all(p[r] == {r: 1} for r in s2_rows)
     assert len(core) + len(s2_rows) == n
+
+
+@pytest.mark.parametrize("g", [6, 9, 16])
+def test_report_reuses_the_core_rows_it_finds(g):
+    # the full P's report is the same whether the solve's core was built
+    # first, and its rows taken, or not, and every row multiplied; the
+    # report alone builds neither the S2 certificate nor the core
+    cold, warm = _Genus(g), _Genus(g)
+    warm.core
+    assert warm.report == cold.report == _product_report(_product(cold.q, cold.t))
+    assert cold.report.ok and not {"s2", "core"} & set(vars(cold))
+
+
+def test_report_after_a_broken_s2_form_is_the_full_product():
+    # a broken S2 row leaves no core: the solve raises and the report, a
+    # diagnostic, still multiplies every row and does not raise
+    g = 8
+    r, rel, c = _s2_row(g)
+    genus = _Genus(g)
+    genus.t[c] = {**genus.t[c], 5: 1}
+    with pytest.raises(RuntimeError, match="is not"):
+        genus.core
+    assert "core" not in vars(genus)
+    assert genus.report == _product_report(_product(genus.q, genus.t))
 
 
 def _s2_row(g):

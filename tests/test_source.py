@@ -4,9 +4,10 @@ arithmetic is exact, so no float appears.  No module imports
 ``dataclasses`` or ``typing``; ``bn2.relations`` imports neither the
 solver nor ``bn2.triangular``, ``bn2.triangular`` not the solver, and
 neither ``bn2.verify`` nor ``bn2.solver`` imports ``fractions`` or ``json``
-at load.  The package exports only names it defines,
-and the test oracles stay out of it; the relation and T_g builders take
-their columns from ``basis.columns``, not through labels."""
+at load; only ``bn2.cli.build_parser`` imports ``argparse``.  The package
+exports only names it defines, and the test oracles stay out of it; the
+relation and T_g builders take their columns from ``basis.columns``, not
+through labels."""
 
 import ast
 import importlib
@@ -130,6 +131,28 @@ def test_relations_imports_no_linear_algebra(name, forbidden, at_load_only):
             continue
         found += [
             f"{node.lineno} {n}" for n in names for f in forbidden if n == f or n.startswith(f + ".")
+        ]
+    assert found == []
+
+
+def test_only_build_parser_imports_argparse():
+    # bn2 parses a command line of the table's form without argparse, and
+    # builds the argparse parser only for help and usage errors
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for fn in tree.body
+            if path.name == "cli.py" and isinstance(fn, ast.FunctionDef)
+            if fn.name == "build_parser"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in allowed
+            if "argparse" in {alias.name for alias in node.names} | {getattr(node, "module", None)}
         ]
     assert found == []
 

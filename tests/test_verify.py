@@ -278,6 +278,9 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     import bn2.verify
     from bn2.basis import basis_dimension
 
+    genera = [*range(6, 17), 18, 20]
+    # the S2 rows of each genus, which the solve's core leaves out
+    s2 = {g: sum(r.rhs.kind == "D" for r in bn2.relations.build_relations(g).rows) for g in genera}
     built = {"rows": [], "T": [], "P": [], "rhs": []}
 
     def counting(key, fn):
@@ -301,22 +304,24 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     product = bn2.triangular._product
 
     def counting_product(rows, t):
-        built["P"].append(("full" if len(rows) == len(t) else "core", len(t)))
+        built["P"].append((len(t), len(rows)))
         return product(rows, t)
 
     monkeypatch.setattr(bn2.triangular, "_product", counting_product)
     assert all(rep.status != "fail" for rep in run_all(k_max=10))
-    genera = [*range(6, 17), 18, 20]
     assert built["rows"] == [5, *genera]
     assert built["T"] == genera
-    # per genus: the solve's core rows of P when g = 2k, then the full P of
-    # the nonsingularity certificate when g <= 16
-    assert built["P"] == [
-        (kind, basis_dimension(g))
-        for g in genera
-        for kind, wanted in (("core", g % 2 == 0), ("full", g <= 16))
-        if wanted
-    ]
+    # per genus: the solve's core rows of P when g = 2k, then the rows of P
+    # the nonsingularity certificate still needs when g <= 16, the S2 rows
+    # after a core and all of P without one; no row is multiplied twice
+    expected = []
+    for g in genera:
+        n = basis_dimension(g)
+        if g % 2 == 0:
+            expected.append((n, n - s2[g]))
+        if g <= 16:
+            expected.append((n, s2[g] if g % 2 == 0 else n))
+    assert built["P"] == expected
     # one solve per degree: the table check and closed-form[k=3] share k = 3
     assert built["rhs"] == list(range(3, 11))
 
