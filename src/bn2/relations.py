@@ -61,13 +61,34 @@ class Relation(namedtuple("Relation", "source g coefficients rhs")):
     __slots__ = ()
 
 
-class RelationSystem(namedtuple("RelationSystem", "g rows")):
+def _s2_pairs(g: int):
+    """The (i, j) of the S2 rows, 2 <= i <= j and i + j <= g - 1, in column order."""
+    return ((i, j) for i in range(2, (g + 1) // 2) for j in range(i, g - i))
+
+
+class RelationSystem(namedtuple("RelationSystem", "g core s2", defaults=(range(0),))):
+    """The core rows of genus g, and at the index range s2 the S2 rows, one
+    {k1^2: 2, d(i,j): 1} with rhs D(i,j) per pair of ``_s2_pairs``."""
+
     __slots__ = ()
 
     @property
     def labels(self) -> tuple[ClassLabel, ...]:
         """The columns: the genus-g generators in the frozen order."""
         return enumerate_basis(self.g)
+
+    @property
+    def rows(self) -> list[Relation]:
+        """Every row in group order, the S2 rows written in at s2."""
+        g, core, at = self.g, self.core, self.s2.start
+        if not self.s2:
+            return core
+        K1SQ, *_, dd, _ = columns(g)
+        s2 = (
+            Relation(f"S2[i={i},j={j}]", g, {K1SQ: 2, dd(i, j): 1}, Rhs("D", i, j))
+            for i, j in _s2_pairs(g)
+        )
+        return [*core[:at], *s2, *core[at:]]
 
 
 def build_relations(g: int) -> RelationSystem:
@@ -96,10 +117,8 @@ def build_relations(g: int) -> RelationSystem:
     for i in range(2, g // 2 + 1):
         add(f"S1[i={i}]", Rhs("T", i), [(K1SQ, 2), (om(i), -1), (om(g - i), -1)])
 
-    # S2: two moving tails on a fixed two-pointed curve.
-    for i in range(2, g - 2):
-        for j in range(i, min(g - 3, g - 1 - i) + 1):
-            add(f"S2[i={i},j={j}]", Rhs("D", i, j), [(K1SQ, 2), (dd(i, j), 1)])
+    # S2: two moving tails on a fixed two-pointed curve (RelationSystem).
+    s2 = range(len(rows), len(rows) + th(1) - dd(2, 2))
 
     # S3: elliptic curve glued to itself and to a moving point.
     add(
@@ -373,10 +392,10 @@ def build_relations(g: int) -> RelationSystem:
         ],
     )
 
-    expected = basis_dimension(g) - (1 if g == 5 else 0)
-    if len(rows) != expected:
-        raise RuntimeError(f"internal error: built {len(rows)} rows at g={g}, expected {expected}")
-    return RelationSystem(g, rows)
+    built, expected = len(rows) + len(s2), basis_dimension(g) - (1 if g == 5 else 0)
+    if built != expected:
+        raise RuntimeError(f"internal error: built {built} rows at g={g}, expected {expected}")
+    return RelationSystem(g, rows, s2)
 
 
 _S01 = SchubertIndex(0, 1)
@@ -460,16 +479,21 @@ def describe_rhs(rel: Relation) -> str:
 
 
 def build_rhs_vector(system: RelationSystem, k: int) -> list[int | Fraction]:
-    """b_k: every right-hand side at degree k.  The D and D6 rows share one
-    sum_D table, which builds each genus j's four terms E_r(j) once."""
-    d_sums = _sum_D_table(k)
-    return [_evaluate(rel, k, d_sums) for rel in system.rows]
+    """b_k: every right-hand side at degree k, the S2 rows' in one loop.  The
+    D and D6 counts share one sum_D table, which builds each E_r(j) once."""
+    g, at, d_sums = system.g, system.s2.start, _sum_D_table(k)
+    b = [_evaluate(rel, k, d_sums) for rel in system.core]
+    if system.s2:
+        if g != 2 * k:
+            raise ValueError(f"rhs of the S2 rows needs g = 2k, got g={g}, k={k}")
+        b[at:at] = (_quotient(d_sums(i, j), (2 * i - 2) * (2 * j - 2)) for i, j in _s2_pairs(g))
+    return b
 
 
-def _rhs_texts(system: RelationSystem, k: int | None) -> list[str]:
-    if k is None:
-        return [describe_rhs(rel) for rel in system.rows]
-    return [str(v) for v in build_rhs_vector(system, k)]
+def _rows_with_rhs(system: RelationSystem, k: int | None):
+    """Each row with the text of its right-hand side, symbolic or at k."""
+    rows = system.rows
+    return zip(rows, map(describe_rhs, rows) if k is None else map(str, build_rhs_vector(system, k)))
 
 
 def _csv_field(text: str) -> str:
@@ -501,7 +525,7 @@ def _csv_line(head: list[str], nonzeros, width: int, tail: tuple[str, ...] = ())
 def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     labels = system.labels
     lines = [_csv_line(["source", *map(str, labels), "rhs"], (), 0)]
-    for rel, rhs in zip(system.rows, _rhs_texts(system, k)):
+    for rel, rhs in _rows_with_rhs(system, k):
         nonzeros = sorted(rel.coefficients.items())
         lines.append(_csv_line([rel.source], nonzeros, len(labels), (rhs,)))
     return "".join(lines)
@@ -543,8 +567,5 @@ def _json_export(g: int, key: str, entries: list) -> str:
 
 
 def system_to_json(system: RelationSystem, k: int | None = None) -> str:
-    entries = [
-        ("source", rel.source, rel.coefficients, rhs)
-        for rel, rhs in zip(system.rows, _rhs_texts(system, k))
-    ]
+    entries = [("source", rel.source, rel.coefficients, rhs) for rel, rhs in _rows_with_rhs(system, k)]
     return _json_export(system.g, "rows", entries)

@@ -7,9 +7,9 @@ Q_g, T_g and P are integer rows, one {column: int} dict per row (Q_g's are
 the relation rows' own coefficient dicts), and ``_product`` is the one kernel
 of P, for the solve and the triangularity report alike.  Every S2 row of P
 (two moving tails on a fixed two-pointed curve, 97% of the rows at g = 600)
-is the unit row on the diagonal.  The solve certifies that at each genus,
-takes those entries of the solution from b_k, and substitutes only the other
-rows of P, the core.  No matrix object is built here and ``bn2.solver`` is
+is the unit row on the diagonal.  The solve takes those entries of the
+solution from b_k and substitutes only the other rows of P, the core; it
+builds no S2 row of Q_g.  No matrix object is built here and ``bn2.solver`` is
 never imported; only the genus-4 and genus-5 checks of ``bn2.verify`` and
 the test oracles build its matrices.  So ``bn2 solve`` and ``bn2 tmatrix``
 load neither ``bn2.solver`` nor ``fractions`` (``solve_class`` builds its
@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 
 from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis
-from bn2.relations import _csv_line, _json_export, build_relations, build_rhs_vector
+from bn2.relations import _csv_line, _json_export, _s2_pairs, build_relations, build_rhs_vector
 
 __all__ = [
     "solve_class",
@@ -110,8 +110,7 @@ def _t_tags(g: int):
     exports write them."""
     fl = g // 2
     yield from (f"T1[i={i}]" for i in range(2, fl + 1))
-    for i in range(2, g - 2):
-        yield from (f"T2[i={i},j={j}]" for j in range(i, min(g - 3, g - 1 - i) + 1))
+    yield from (f"T2[i={i},j={j}]" for i, j in _s2_pairs(g))
     yield "T3"
     yield from (f"T4[i={i}]" for i in range(2, g - 2))
     yield "T5"
@@ -205,9 +204,9 @@ def _product_report(p: list[dict]) -> TriangularityReport:
 
 
 class _Genus:
-    """One genus's system, built once: the relation rows, the rows of Q_g
-    (the relation rows' coefficient dicts, not copied) and of T_g, and on
-    first use the certified S2 block and the core of P = Q_g * T_g for the
+    """One genus's system, built once: the relation rows, the core rows of
+    Q_g (the core relations' coefficient dicts, not copied) and the rows of
+    T_g, and on first use the S2 block and the core of P = Q_g * T_g for the
     solve, or the triangularity report of the full P, the certificate that
     det Q_g != 0.  Only this module and ``bn2.verify`` read it, and
     neither changes it."""
@@ -215,57 +214,40 @@ class _Genus:
     def __init__(self, g: int):
         self.g = g
         self.system = build_relations(g)
-        self.q = [rel.coefficients for rel in self.system.rows]
+        self.q = [rel.coefficients for rel in self.system.core]
         self.t = _t_rows(g)
 
     @cached_property
     def report(self) -> TriangularityReport:
         # the rows of P the solve's core already holds are not multiplied
-        # again; without a core (never built, or a broken S2 form) all are
+        # again; without a core (never built, or a broken k1^2 row) all are
+        q = [rel.coefficients for rel in self.system.rows]
         p = dict(self.__dict__.get("core", {}))
-        rest = [r for r in range(len(self.q)) if r not in p]
-        p.update(zip(rest, _product([self.q[r] for r in rest], self.t)))
-        return _product_report([p[r] for r in range(len(self.q))])
+        rest = [r for r in range(len(q)) if r not in p]
+        p.update(zip(rest, _product([q[r] for r in rest], self.t)))
+        return _product_report([p[r] for r in range(len(q))])
 
     @cached_property
     def s2(self) -> tuple[range, range, int]:
-        """(rows, cols, t14): the S2 rows, certified to be unit rows of P in
-        one pass, their d(i,j) columns and the column of T14.
-
-        The S2 rows run from the first row of a D(i,j) count, one per d(i,j)
-        column with 2 <= i, in the same order.  Row r with column c of Q_g is
-        {k1^2: 2, d(i,j): 1}, the k1^2 row of T_g is {T14: 6}, and the d(i,j)
-        row of T_g is {T2[i,j]: 1, T14: -12} with T2[i,j] = r, so T14's
-        2 * 6 - 12 cancels and row r of P is e_r.  Any other form is an
-        internal error."""
-        g, q, t, rels = self.g, self.q, self.t, self.system.rows
+        """(rows, cols, t14): the S2 rows, their d(i,j) columns in the same
+        order and the column of T14.  Row r, column c of Q_g is {k1^2: 2,
+        d(i,j): 1}, the k1^2 row of T_g {T14: 6} (checked here) and its
+        d(i,j) row {T2[i,j]: 1, T14: -12} with T2[i,j] = r, so row r of P
+        is e_r; the solve's residual checks every row."""
+        g, t = self.g, self.t
         K1SQ, *_, dd, th = columns(g)
         t14 = next(iter(t[K1SQ]), None)
         if t[K1SQ] != {t14: 6}:
             raise RuntimeError(f"internal error: T_g at g={g}: row k1^2 is not {{T14: 6}}")
-        r0 = next((r for r, rel in enumerate(rels) if rel.rhs.kind == "D"), 0)
-        cols = range(dd(2, 2), th(1))
-        rows = range(r0, r0 + len(cols))
-        for r, c in zip(rows, cols):
-            if q[r] != {K1SQ: 2, c: 1}:
-                raise RuntimeError(
-                    f"internal error: Q_g at g={g}: row {r} ({rels[r].source}) is not "
-                    "{k1^2: 2, d(i,j): 1}"
-                )
-            if t[c] != {r: 1, t14: -12}:
-                raise RuntimeError(
-                    f"internal error: T_g at g={g}: the d(i,j) row of {rels[r].source} is not "
-                    "{T2[i,j]: 1, T14: -12}"
-                )
-        return rows, cols, t14
+        return self.system.s2, range(dd(2, 2), th(1)), t14
 
     @cached_property
     def core(self) -> dict[int, dict[int, int]]:
         """The rows of P other than the S2 rows, by index in increasing
         order."""
         rows = self.s2[0]
-        rest = [*range(rows.start), *range(rows.stop, len(self.q))]
-        return dict(zip(rest, _product([self.q[r] for r in rest], self.t)))
+        rest = [*range(rows.start), *range(rows.stop, len(self.t))]
+        return dict(zip(rest, _product(self.q, self.t)))
 
 
 @lru_cache(maxsize=1)
@@ -319,13 +301,13 @@ def _solve(k: int) -> tuple[list[int], int]:
 
     P = Q_g T_g is lower-triangular with a nonzero diagonal, so forward
     substitution solves P Y = D b_k in integers over one denominator D, and
-    X = T_g Y.  The S2 rows of P are unit rows (``_Genus.s2`` certifies
-    them), so Y is D b_k there; only the core rows are substituted, in their
-    order, and D is the one of a substitution over all of P.  Every equation
-    of Q_g X = D b_k is checked in integers before X and D are returned; on
-    the S2 rows, whose form is certified, that is 2 X_k1^2 + X_d(i,j).  A
-    failure of either the structure or the residual is an internal error.
-    The rows come from the one-genus memo.
+    X = T_g Y.  The S2 rows of P are unit rows (``_Genus.s2``), so Y is
+    D b_k there; only the core rows are substituted, in their order, and D
+    is the one of a substitution over all of P.  Every equation of
+    Q_g X = D b_k is checked in integers before X and D are returned, which
+    proves X; on the S2 rows that is 2 X_k1^2 + X_d(i,j).  A failure of the
+    structure or of the residual is an internal error.  The rows come from
+    the one-genus memo.
     """
     if k < 3:
         raise ValueError(
@@ -343,7 +325,7 @@ def _solve(k: int) -> tuple[list[int], int]:
     x += _matvec(t[cols.stop :], y)
     w = 2 * x[0]  # Q_g X, where Q_g's S2 rows are {k1^2: 2, d(i,j): 1}
     lhs = _matvec(q[: rows.start], x) + [v + w for v in x[cols.start : cols.stop]]
-    lhs += _matvec(q[rows.stop :], x)
+    lhs += _matvec(q[rows.start :], x)
     if lhs != [v.numerator * (d // v.denominator) for v in b]:
         raise RuntimeError(f"internal error: the solution at k={k} has a nonzero residual")
     return x, d

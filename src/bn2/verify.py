@@ -483,8 +483,8 @@ def _compare(name: str, g: int, expected, actual) -> CheckReport:
     frozen order; a p' / q' equals e p / q exactly when a p' q == e p q'.
     The report texts are built only for the labels that differ."""
     (e, ep, eq), (a, ap, aq) = expected, actual
-    bad = compress(count(), map(ne, map(mul, a, repeat(ap * eq)), map(mul, e, repeat(ep * aq))))
-    labels = enumerate_basis(g)
+    bad = [*compress(count(), map(ne, map(mul, a, repeat(ap * eq)), map(mul, e, repeat(ep * aq))))]
+    labels = enumerate_basis(g) if bad else ()
     diff = [
         {
             "label": str(labels[t]),

@@ -223,6 +223,19 @@ def test_check_closed_form(k):
     assert check_closed_form(k).status == "pass"
 
 
+@pytest.mark.parametrize("k", [3, 9])
+def test_a_passing_closed_form_check_builds_no_labels(monkeypatch, k):
+    # the label texts are built only for the coefficients that differ, so a
+    # sweep keeps no genus's labels in enumerate_basis's memo
+    import bn2.verify
+
+    def no_labels(g):
+        raise AssertionError(f"the genus-{g} labels were built")
+
+    monkeypatch.setattr(bn2.verify, "enumerate_basis", no_labels)
+    assert check_closed_form(k).status == "pass"
+
+
 def test_check_trigonal_interior():
     rep = check_trigonal_interior()
     assert rep.status == "pass"
