@@ -2,17 +2,19 @@
 solve, and the verification suite.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or
-domain error or an ``--out`` path that cannot be written (reported as
-``bn2 <command>: cannot write PATH: reason``), 3 internal error (a broken
-invariant of the program, reported as ``bn2 <command>: internal error:
-...``).  Results go to stdout, diagnostics to stderr.  Identical
-invocations produce byte-identical output.  The subcommands and flags are
-one table; ``argparse`` is loaded only for help, a usage error or a command
-line that is not of the table's canonical form.
+domain error or output that cannot be written (``bn2 <command>: cannot
+write PATH: reason``, PATH being ``stdout`` or the ``--out`` path), 3
+internal error (``bn2 <command>: internal error: ...``).  Results go to
+stdout, diagnostics to stderr; identical invocations produce byte-identical
+output.  The subcommands, their flags and their work are one table, and
+``main`` alone writes each result and sets the exit code; ``argparse`` is
+loaded only for help, a usage error or a command line that is not of the
+table's canonical form.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
@@ -23,7 +25,7 @@ from bn2.enumerative import SchubertIndex
 from bn2.exactnum import fraction_text
 
 # the enumerative and solver errors subclass ValueError; a non-integral count
-# is an ArithmeticError.  Internal errors are RuntimeErrors, handled in main.
+# is an ArithmeticError.  Internal errors are RuntimeErrors; main handles both.
 _DOMAIN_ERRORS = (ValueError, ArithmeticError)
 
 
@@ -44,162 +46,116 @@ def _usage_error(args, message: str) -> None:
     build_parser().parse_args(head).parser.error(message)
 
 
-def _require(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            _usage_error(args, f"--{name} is required for this subcommand")
-
-
-def _emit(text: str, out: str | None, prefix: str) -> int:
-    """Write text to the file out, or to stdout; the exit code: 0, or 2 with
-    a message on stderr when out cannot be written."""
-    if not out:
-        sys.stdout.write(text)
-        return 0
-    try:
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout and flush it."""
+    if out:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    except OSError as exc:
-        print(f"{prefix}: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
-    return 0
+    else:
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
-def _cmd_counts(args) -> int:
-    which = args.which
-    try:
-        if which == "n":
-            _require(args, "g", "d", "alpha")
-            value = enumerative.count_n(args.g, args.d, _parse_pair(args.alpha, "--alpha"))
-        elif which == "m":
-            _require(args, "g", "d", "alpha")
-            value = enumerative.count_m(args.g, args.d, _parse_pair(args.alpha, "--alpha"))
-        elif which == "ell":
-            _require(args, "g", "k")
-            value = enumerative.count_ell(args.g, args.k)
-        elif which == "castelnuovo":
-            _require(args, "g", "d", "alpha")
-            beta = _parse_pair(args.beta, "--beta") if args.beta else SchubertIndex(0, 0)
-            value = enumerative.castelnuovo_N(
-                args.g, args.d, _parse_pair(args.alpha, "--alpha"), beta
-            )
-        elif which == "T":
-            _require(args, "i", "g", "k")
-            value = enumerative.sum_T(args.i, args.g, args.k)
-        elif which == "D":
-            _require(args, "i", "j", "g", "k")
-            value = enumerative.sum_D(args.i, args.j, args.g, args.k)
-        else:  # s16
-            _require(args, "i", "g", "k")
-            value = enumerative.sum_S16(args.i, args.g, args.k)
-    except _DOMAIN_ERRORS as exc:
-        print(f"bn2 counts {which}: {exc}", file=sys.stderr)
-        return 2
-    return _emit(f"{value}\n", args.out, f"bn2 counts {which}")
+def _castelnuovo(args):
+    beta = _parse_pair(args.beta, "--beta") if args.beta else SchubertIndex(0, 0)
+    return enumerative.castelnuovo_N(args.g, args.d, _parse_pair(args.alpha, "--alpha"), beta)
 
 
-def _cmd_basis(args) -> int:
-    try:
-        labels = enumerate_basis(args.g)
-    except ValueError as exc:
-        print(f"bn2 basis: {exc}", file=sys.stderr)
-        return 2
-    return _emit("".join(f"{lab}\n" for lab in labels), args.out, "bn2 basis")
+# each count of ``bn2 counts``: its required flags, in report order, and its call
+_COUNTS = {
+    "n": ("g d alpha", lambda a: enumerative.count_n(a.g, a.d, _parse_pair(a.alpha, "--alpha"))),
+    "m": ("g d alpha", lambda a: enumerative.count_m(a.g, a.d, _parse_pair(a.alpha, "--alpha"))),
+    "ell": ("g k", lambda a: enumerative.count_ell(a.g, a.k)),
+    "castelnuovo": ("g d alpha", _castelnuovo),
+    "T": ("i g k", lambda a: enumerative.sum_T(a.i, a.g, a.k)),
+    "D": ("i j g k", lambda a: enumerative.sum_D(a.i, a.j, a.g, a.k)),
+    "s16": ("i g k", lambda a: enumerative.sum_S16(a.i, a.g, a.k)),
+}
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_counts(args) -> str:
+    required, count = _COUNTS[args.which]
+    for name in required.split():
+        if getattr(args, name) is None:
+            _usage_error(args, f"--{name} is required for this subcommand")
+    return f"{count(args)}\n"
+
+
+def _cmd_basis(args) -> str:
+    return "".join(f"{lab}\n" for lab in enumerate_basis(args.g))
+
+
+def _cmd_matrix(args) -> str:
     # the relation rows load only for the commands that build them
     from bn2 import relations
 
-    try:
-        if args.k is not None and args.k < 3:
-            raise ValueError(
-                f"the right-hand sides are defined for k >= 3 (g = 2k >= 6), got --k {args.k}"
-            )
-        system = relations.build_relations(args.g)
-        if args.k is not None and args.g != 2 * args.k:
-            raise ValueError(f"--k {args.k} needs --g {2 * args.k}")
-        text = (
-            relations.system_to_csv(system, args.k)
-            if args.format == "csv"
-            else relations.system_to_json(system, args.k)
+    if args.k is not None and args.k < 3:
+        raise ValueError(
+            f"the right-hand sides are defined for k >= 3 (g = 2k >= 6), got --k {args.k}"
         )
-    except _DOMAIN_ERRORS as exc:
-        print(f"bn2 matrix: {exc}", file=sys.stderr)
-        return 2
-    return _emit(text, args.out, "bn2 matrix")
+    system = relations.build_relations(args.g)
+    if args.k is not None and args.g != 2 * args.k:
+        raise ValueError(f"--k {args.k} needs --g {2 * args.k}")
+    return (
+        relations.system_to_csv(system, args.k)
+        if args.format == "csv"
+        else relations.system_to_json(system, args.k)
+    )
 
 
-def _cmd_tmatrix(args) -> int:
+def _cmd_tmatrix(args) -> str:
     # T_g loads only for the commands that use it; this one loads no solver
     from bn2 import triangular
 
-    try:
-        text = (
-            triangular.t_matrix_to_csv(args.g)
-            if args.format == "csv"
-            else triangular.t_matrix_to_json(args.g)
-        )
-    except ValueError as exc:
-        print(f"bn2 tmatrix: {exc}", file=sys.stderr)
-        return 2
-    return _emit(text, args.out, "bn2 tmatrix")
+    return (
+        triangular.t_matrix_to_csv(args.g)
+        if args.format == "csv"
+        else triangular.t_matrix_to_json(args.g)
+    )
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> str:
     from bn2 import triangular
 
-    try:
-        x, d = triangular._solve(args.k)
-    except _DOMAIN_ERRORS as exc:
-        print(f"bn2 solve: {exc}", file=sys.stderr)
-        return 2
+    x, d = triangular._solve(args.k)
     # each coefficient X_i / D in lowest terms, written as str(Fraction) writes it
     lines = [f"{lab} {fraction_text(v, d)}\n" for lab, v in zip(enumerate_basis(2 * args.k), x)]
-    return _emit("".join(lines), args.out, "bn2 solve")
+    return "".join(lines)
 
 
-def _cmd_verify(args) -> int:
+# each check of ``bn2 verify``: its function in bn2.verify, the flag of its one
+# value, and what it sweeps without it: 3..--k-max or a range of bn2.verify
+_CHECKS = {
+    "closed-form": ("check_closed_form", "k", "degrees"),
+    "pullback": ("check_pullback", "k", "degrees"),
+    "m4": ("check_m4", None, None),
+    "trigonal": ("check_trigonal_interior", None, None),
+    "nonsingular": ("check_nonsingular", "g", "NONSINGULAR_GENERA"),
+    "g5": ("check_g5_rank", None, None),
+    "triangularity": ("check_triangularity", "g", "TRIANGULARITY_GENERA"),
+    "all": ("run_all", None, "degrees"),
+}
+
+
+def _cmd_verify(args) -> tuple[str, list[str]]:
+    """The JSON report of the checks, and the names of those that failed."""
     # the checks load only for this command
     from bn2 import verify
 
-    which = args.which
-    k_max = args.k_max if args.k_max is not None else 6
-    sweeps_k = which == "all" or (which in ("closed-form", "pullback") and args.k is None)
-    try:
-        if sweeps_k and k_max < 3:
+    name, flag, sweep = _CHECKS[args.which]
+    check = getattr(verify, name)
+    value = getattr(args, flag) if flag else None
+    if value is not None:
+        reports = [check(value)]
+    elif sweep == "degrees":
+        k_max = args.k_max if args.k_max is not None else 6
+        if k_max < 3:
             raise ValueError(f"closed formula holds for k >= 3, got --k-max {k_max}")
-        if which == "all":
-            reports = verify.run_all(k_max=k_max)
-        elif which == "closed-form":
-            ks = [args.k] if args.k is not None else range(3, k_max + 1)
-            reports = [verify.check_closed_form(k) for k in ks]
-        elif which == "pullback":
-            ks = [args.k] if args.k is not None else range(3, k_max + 1)
-            reports = [verify.check_pullback(k) for k in ks]
-        elif which == "m4":
-            reports = [verify.check_m4()]
-        elif which == "trigonal":
-            reports = [verify.check_trigonal_interior()]
-        elif which == "g5":
-            reports = [verify.check_g5_rank()]
-        elif which == "nonsingular":
-            gs = [args.g] if args.g is not None else range(6, 17)
-            reports = [verify.check_nonsingular(g) for g in gs]
-        else:  # triangularity
-            gs = [args.g] if args.g is not None else range(6, 11)
-            reports = [verify.check_triangularity(g) for g in gs]
-    except _DOMAIN_ERRORS as exc:
-        print(f"bn2 verify {which}: {exc}", file=sys.stderr)
-        return 2
+        reports = check(k_max) if args.which == "all" else [check(k) for k in range(3, k_max + 1)]
+    else:
+        reports = [check(g) for g in getattr(verify, sweep)] if sweep else [check()]
     reports = sorted(reports, key=lambda rep: rep.check)
-    text = verify.reports_to_json(reports)
-    if _emit(text, args.out, f"bn2 verify {which}"):
-        return 2
-    failures = [rep for rep in reports if rep.failed]
-    for rep in failures:
-        print(f"FAIL {rep.check}", file=sys.stderr)
-    return 1 if failures else 0
+    return verify.reports_to_json(reports), [rep.check for rep in reports if rep.failed]
 
 
 # each flag of the subcommands, once: its type (int, str or a tuple of
@@ -229,10 +185,7 @@ _COMMANDS = {
 }
 
 # the choices of the positional ``which`` of the subcommands that take one
-_WHICH = {
-    "counts": "n m ell castelnuovo T D s16".split(),
-    "verify": "closed-form pullback m4 trigonal nonsingular g5 triangularity all".split(),
-}
+_WHICH = {"counts": list(_COUNTS), "verify": list(_CHECKS)}
 
 
 def build_parser():
@@ -304,11 +257,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     required = _COMMANDS[args.command][3]
     if required and getattr(args, required) is None:
         _usage_error(args, f"--{required} is required for {args.command}")
+    prefix = " ".join(["bn2", args.command, *([args.which] if hasattr(args, "which") else ())])
     try:
-        return args.func(args)
+        text = args.func(args)
+    except _DOMAIN_ERRORS as exc:
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"bn2 {args.command}: {exc}", file=sys.stderr)
         return 3
+    text, failed = (text, []) if isinstance(text, str) else text
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        where = args.out or "stdout"
+        print(f"{prefix}: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        if not args.out:  # what stdout still buffers goes nowhere: the flush at exit passes
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    for check in failed:
+        print(f"FAIL {check}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

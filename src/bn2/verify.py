@@ -51,6 +51,8 @@ __all__ = [
     "check_g5_rank",
     "check_nonsingular",
     "check_triangularity",
+    "NONSINGULAR_GENERA",
+    "TRIANGULARITY_GENERA",
     "run_all",
     "reports_to_json",
 ]
@@ -657,6 +659,12 @@ def check_triangularity(g: int) -> CheckReport:
     )
 
 
+# the genera of the nonsingular and triangularity checks in run_all, and in
+# ``bn2 verify nonsingular`` and ``bn2 verify triangularity`` without --g
+NONSINGULAR_GENERA = range(6, 17)
+TRIANGULARITY_GENERA = range(6, 11)
+
+
 def run_all(k_max: int = 6) -> list[CheckReport]:
     """Every check, deterministically ordered by check name.
 
@@ -666,14 +674,14 @@ def run_all(k_max: int = 6) -> list[CheckReport]:
     if k_max < 3:
         raise ValueError(f"closed formula holds for k >= 3, got k_max={k_max}")
     reports = [check_m4(), check_g5_rank()]
-    for g in sorted(set(range(6, 17)) | set(range(6, 2 * k_max + 1, 2))):
+    for g in sorted({*NONSINGULAR_GENERA, *TRIANGULARITY_GENERA, *range(6, 2 * k_max + 1, 2)}):
         if g == 6:
             reports += [check_trigonal_table(), check_trigonal_interior()]
         if g % 2 == 0 and g // 2 <= k_max:
             reports += [check_closed_form(g // 2), check_pullback(g // 2)]
-        if g <= 16:
+        if g in NONSINGULAR_GENERA:
             reports.append(check_nonsingular(g))
-        if g <= 10:
+        if g in TRIANGULARITY_GENERA:
             reports.append(check_triangularity(g))
     reports.sort(key=lambda rep: rep.check)
     return reports

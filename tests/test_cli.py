@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -139,6 +140,76 @@ def test_help_and_usage_errors_come_from_argparse(capsys, argv, code, out, err):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+# the help texts that the command, flag and which tables feed, as argparse
+# wrote them before the subcommands were dispatched from those tables
+TOP_HELP = """usage: bn2 [-h] {counts,basis,matrix,tmatrix,solve,verify} ...
+
+Exact computation of the codimension-two Brill-Noether class
+
+positional arguments:
+  {counts,basis,matrix,tmatrix,solve,verify}
+    counts              evaluate one enumerative count
+    basis               list the generators at a genus
+    matrix              export the relation matrix Q_g
+    tmatrix             export the triangularizing matrix T_g
+    solve               solve for the degree-k class coefficients
+    verify              run verification checks (JSON report)
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+COUNTS_HELP = """usage: bn2 counts [-h] [--g G] [--k K] [--d D] [--alpha ALPHA] [--beta BETA]
+                  [--i I] [--j J] [--out OUT]
+                  {n,m,ell,castelnuovo,T,D,s16}
+
+positional arguments:
+  {n,m,ell,castelnuovo,T,D,s16}
+
+options:
+  -h, --help            show this help message and exit
+  --g G                 genus
+  --k K                 pencil degree (g = 2k)
+  --d D                 degree of the pencil
+  --alpha ALPHA         ramification pair a0,a1
+  --beta BETA           second ramification pair b0,b1
+  --i I                 first index
+  --j J                 second index
+  --out OUT             write output to PATH instead of stdout
+"""
+
+VERIFY_HELP = """usage: bn2 verify [-h] [--g G] [--k K] [--k-max K_MAX] [--out OUT]
+                  {closed-form,pullback,m4,trigonal,nonsingular,g5,triangularity,all}
+
+positional arguments:
+  {closed-form,pullback,m4,trigonal,nonsingular,g5,triangularity,all}
+
+options:
+  -h, --help            show this help message and exit
+  --g G                 genus
+  --k K                 pencil degree (g = 2k)
+  --k-max K_MAX         largest k to test
+  --out OUT             write output to PATH instead of stdout
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("--help",), TOP_HELP),
+        (("counts", "--help"), COUNTS_HELP),
+        (("verify", "--help"), VERIFY_HELP),
+    ],
+    ids=["bn2", "counts", "verify"],
+)
+def test_help_texts_are_pinned(capsys, monkeypatch, argv, text):
+    # argparse wraps its help to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert (exc.value.code, *capsys.readouterr()) == (0, text, "")
 
 
 def test_an_int_too_long_to_convert_goes_to_argparse(capsys):
@@ -432,6 +503,76 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "--k", "3")
     assert code == 3 and out == ""
     assert err == "bn2 solve: internal error: the solution at k=3 has a nonzero residual\n"
+
+
+# an argv of each subcommand and a callee that main reaches through it
+RUNNER_CASES = [
+    (("counts", "ell", "--g", "4", "--k", "3"), "bn2.enumerative.count_ell"),
+    (("basis", "--g", "6"), "bn2.cli.enumerate_basis"),
+    (("matrix", "--g", "6"), "bn2.relations.build_relations"),
+    (("tmatrix", "--g", "6"), "bn2.triangular.t_matrix_to_csv"),
+    (("solve", "--k", "3"), "bn2.triangular._solve"),
+    (("verify", "m4"), "bn2.verify.check_m4"),
+]
+
+
+def _words(argv) -> str:
+    """``bn2 <command>[ <which>]`` of an argv."""
+    return " ".join(["bn2", *argv[: 2 if argv[0] in _WHICH else 1]])
+
+
+@pytest.mark.parametrize("argv, callee", RUNNER_CASES, ids=[case[0][0] for case in RUNNER_CASES])
+@pytest.mark.parametrize(
+    "error, code",
+    [(RuntimeError, 3), (ValueError, 2), (ArithmeticError, 2)],
+    ids=["RuntimeError", "ValueError", "ArithmeticError"],
+)
+def test_main_sets_each_exit_code(capsys, monkeypatch, argv, callee, error, code):
+    # an internal error is reported under the command, a domain error under
+    # the command and its which
+    def broken(*args, **kwargs):
+        raise error("the callee broke")
+
+    monkeypatch.setattr(callee, broken)
+    prefix = f"bn2 {argv[0]}" if code == 3 else _words(argv)
+    assert run(capsys, *argv) == (code, "", f"{prefix}: the callee broke\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [case[0] for case in RUNNER_CASES[:4]], ids=[case[0][0] for case in RUNNER_CASES[:4]]
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"{_words(argv)}: cannot write {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("basis", "--g", "6"), ("verify", "m4"), ("solve", "--k", "100")],
+    ids=["basis", "verify", "solve"],
+)
+def test_a_full_stdout_is_reported_once(argv, buffered):
+    # a failed write to stdout exits 2 with one line, and the interpreter's
+    # own flush at exit finds nothing left to write
+    env = {name: v for name, v in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(bn2.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bn2.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    message = f"{_words(argv)}: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert (proc.returncode, proc.stderr) == (2, message)
 
 
 # stdout digests recorded before RationalMatrix became sparse (the first five),

@@ -4,10 +4,11 @@ arithmetic is exact, so no float appears.  No module imports
 ``dataclasses`` or ``typing``; ``bn2.relations`` imports neither the
 solver nor ``bn2.triangular``, ``bn2.triangular`` not the solver, and
 neither ``bn2.verify`` nor ``bn2.solver`` imports ``fractions`` or ``json``
-at load; only ``bn2.cli.build_parser`` imports ``argparse``.  The package
-exports only names it defines, and the test oracles stay out of it; the
-relation and T_g builders take their columns from ``basis.columns``, not
-through labels."""
+at load; only ``bn2.cli.build_parser`` imports ``argparse``, and
+``bn2.cli.main`` is the one place that catches a subcommand's errors and
+writes its output.  The package exports only names it defines, and the
+test oracles stay out of it; the relation and T_g builders take their
+columns from ``basis.columns``, not through labels."""
 
 import ast
 import importlib
@@ -155,6 +156,27 @@ def test_only_build_parser_imports_argparse():
             if "argparse" in {alias.name for alias in node.names} | {getattr(node, "module", None)}
         ]
     assert found == []
+
+
+def test_main_is_the_one_runner_of_the_cli():
+    # each _cmd_* only computes its text: main alone catches its errors,
+    # writes the text and sets the exit code
+    tree = ast.parse((Path(bn2.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    commands = [fn for fn in functions if fn.name.startswith("_cmd_")]
+    tries = [
+        f"{fn.name}:{node.lineno}"
+        for fn in commands
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Try, getattr(ast, "TryStar", ast.Try)))
+    ]
+    emitters = {
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_emit"
+    }
+    assert len(commands) == 6 and tries == [] and emitters == {"main"}
 
 
 def test_builders_write_columns_not_labels():
