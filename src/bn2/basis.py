@@ -9,6 +9,7 @@ Labels serialize as short strings: ``k1^2``, ``k2``, ``d0^2``, ``ld0``,
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from functools import lru_cache
 
@@ -64,26 +65,18 @@ LD1 = ClassLabel("ld1")
 LD2 = ClassLabel("ld2")
 
 
-# The factories intern their labels, so a dict keyed by labels built here
-# finds its keys by identity and never calls __eq__.
-
-
-@lru_cache(maxsize=None)
 def om(i: int) -> ClassLabel:
     return ClassLabel("om", i)
 
 
-@lru_cache(maxsize=None)
 def la(i: int) -> ClassLabel:
     return ClassLabel("la", i)
 
 
-@lru_cache(maxsize=None)
 def dd(i: int, j: int) -> ClassLabel:
     return ClassLabel("d", i, j)
 
 
-@lru_cache(maxsize=None)
 def th(i: int) -> ClassLabel:
     return ClassLabel("th", i)
 
@@ -123,18 +116,21 @@ def is_valid(label: ClassLabel, g: int) -> bool:
 
 
 def basis_dimension(g: int) -> int:
-    """floor((g^2 - 1)/4) + 3g - 1, the number of generators for g >= 5."""
+    """floor((g^2 - 1)/4) + 3g - 1, the number of generators for g >= 5; a
+    count that no list can index is a ValueError."""
     if g < 5:
         raise ValueError(f"the generating set is modeled for g >= 5, got g={g}")
-    return (g * g - 1) // 4 + 3 * g - 1
+    n = (g * g - 1) // 4 + 3 * g - 1
+    if n > sys.maxsize:
+        raise ValueError(f"the generating set at g={g} has more generators than a list can index")
+    return n
 
 
 @lru_cache(maxsize=None)
 def enumerate_basis(g: int) -> tuple[ClassLabel, ...]:
     """The generators in the frozen order: the seven scalar classes, om(2..g-2),
     la(3..g-3), d(0,0), d(0,1..g-1), d(i,j) lexicographic, th(1..(g-1)/2)."""
-    if g < 5:
-        raise ValueError(f"the generating set is modeled for g >= 5, got g={g}")
+    n = basis_dimension(g)
     labels: list[ClassLabel] = [K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2]
     labels.extend(om(i) for i in range(2, g - 1))
     labels.extend(la(i) for i in range(3, g - 2))
@@ -144,7 +140,6 @@ def enumerate_basis(g: int) -> tuple[ClassLabel, ...]:
         for j in range(i, min(g - 2, g - 1 - i) + 1):
             labels.append(dd(i, j))
     labels.extend(th(i) for i in range(1, (g - 1) // 2 + 1))
-    n = basis_dimension(g)
     if len(labels) != n:
         raise RuntimeError(
             f"internal error: enumerated {len(labels)} generators at g={g}, expected {n}"

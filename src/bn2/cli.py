@@ -14,6 +14,7 @@ table's canonical form.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from collections.abc import Sequence
@@ -51,6 +52,8 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -272,7 +275,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         where = args.out or "stdout"
         print(f"{prefix}: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
-        if not args.out:  # what stdout still buffers goes nowhere: the flush at exit passes
+        if not args.out and sys.stdout is not None:
+            # what stdout still buffers goes nowhere: the flush at exit passes
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     for check in failed:

@@ -160,7 +160,7 @@ _BELOW_REGIME = -2
 
 def _pencil_count(g: int, d: int, a0: int, a1: int) -> int:
     """n_{g,d,(a0,a1)} if it is a count, else the code of the failed
-    condition, on which count_n/count_m raise.  The sums walk the same
+    condition, on which count_n raises.  The sums walk the same
     regime in integers (``_counted``), which the tests hold against this."""
     if rho(g, 1, d, [(a0, a1)]) != -1:
         return _RHO_MISMATCH
@@ -201,12 +201,10 @@ def count_m(g: int, d: int, alpha) -> int:
     factor 3g - 1.
     """
     a = _index(alpha).check_degree(d)
-    value = _pencil_count(g, d, a.a0, a.a1)
-    _ram_sequence((0, 1), 1, d)  # the simple ramification needs d >= 2
-    if value == _RHO_MISMATCH:
+    value = rho(g, 1, d, [a, (0, 1)])  # the simple ramification needs d >= 2
+    if value != -2:
         raise RhoMismatchError(
-            f"count_m needs adjusted rho = -2, got rho({g},1,{d},{(a.a0, a.a1)},(0,1)) = "
-            f"{rho(g, 1, d, [a, (0, 1)])}"
+            f"count_m needs adjusted rho = -2, got rho({g},1,{d},{(a.a0, a.a1)},(0,1)) = {value}"
         )
     return count_n(g, d, a) * (3 * g - 1)
 

@@ -486,7 +486,8 @@ def build_rhs_vector(system: RelationSystem, k: int) -> list[int | Fraction]:
     if system.s2:
         if g != 2 * k:
             raise ValueError(f"rhs of the S2 rows needs g = 2k, got g={g}, k={k}")
-        b[at:at] = (_quotient(d_sums(i, j), (2 * i - 2) * (2 * j - 2)) for i, j in _s2_pairs(g))
+        div = _RHS_DIVISORS["D"]
+        b[at:at] = (_quotient(d_sums(i, j), div(g, i, j)) for i, j in _s2_pairs(g))
     return b
 
 

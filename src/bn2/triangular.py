@@ -36,7 +36,9 @@ __all__ = [
 
 def _t_columns(g: int):
     """The columns of T_g as {column: coefficient} dicts, in group order;
-    each generator is written as its column (``basis.columns``).  The tags
+    each generator is written as its column (``basis.columns``).  Every
+    column comes from its family's formula: la(g-2) is ld2 (T6[ld2] and
+    T9[j=2]), and T18's th(2) is its i = 3 column, last as in S18.  The tags
     are ``_t_tags``, which only the exports write."""
     K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
     fl = g // 2
@@ -46,12 +48,10 @@ def _t_columns(g: int):
     yield {dd(1, g - 2): 1}
     yield from ({c: 1} for c in range(dd(1, 2), dd(1, g - 3) + 1))  # T4: d(1,2..g-3)
     yield {dd(0, g - 1): 1}
-    yield from ({la(i): 1} for i in range(3, g - 2))
-    yield {LD2: 1}
+    yield from ({la(i): 1} for i in range(3, g - 1))
     yield {dd(1, 1): 1}
     yield {LD0: 1}
-    yield {dd(1, 2): 2, dd(0, 2): 1, LD2: -10}
-    for j in range(3, g - 2):
+    for j in range(2, g - 2):
         yield {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}
     d0g1, d00, d01, d11 = dd(0, g - 1), dd(0, 0), dd(0, 1), dd(1, 1)
     yield {LD1: 60, D1SQ: 12, d0g1: -3, d01: 8, d00: 2}
@@ -91,8 +91,7 @@ def _t_columns(g: int):
     yield om_pairs(t16, g - 1)
     t17 = {K2: 6 * g, D1SQ: 12 - 6 * g, d11: 12 * (g - 2), D0SQ: -3, d0g1: 2 - g, d00: 6}
     yield om_pairs(t17, 1)
-    yield from ({th(i - 1): 1} for i in range(4, (g + 1) // 2 + 1))
-    yield {th(2): 1}
+    yield from ({th(i - 1): 1} for i in (*range(4, (g + 1) // 2 + 1), 3))
     t18 = {
         K2: -6 * g,
         D1SQ: 6 * g - 12,
@@ -115,8 +114,8 @@ def _t_tags(g: int):
     yield from (f"T4[i={i}]" for i in range(2, g - 2))
     yield "T5"
     yield from (f"T6[i={i}]" for i in range(3, g - 2))
-    yield from ("T6[ld2]", "T7", "T8", "T9[j=2]")
-    yield from (f"T9[j={j}]" for j in range(3, g - 2))
+    yield from ("T6[ld2]", "T7", "T8")
+    yield from (f"T9[j={j}]" for j in range(2, g - 2))
     yield from ("T10", "T11", "T12", "T13", "T14", "T15")
     yield from (f"T16[i={i}]" for i in range(fl, g - 2))
     yield from ("T16[sum]", "T17")
@@ -128,8 +127,8 @@ def _checked(g: int, items, what: str) -> list:
     """The list of items(g), one per column of T_g for g >= 6."""
     if g < 6:
         raise ValueError(f"T_g is defined for g >= 6, got g={g}")
-    built = list(items(g))
     n = basis_dimension(g)
+    built = list(items(g))
     if len(built) != n:
         raise RuntimeError(f"internal error: built {len(built)} {what} at g={g}, expected {n}")
     return built
@@ -206,10 +205,10 @@ def _product_report(p: list[dict]) -> TriangularityReport:
 class _Genus:
     """One genus's system, built once: the relation rows, the core rows of
     Q_g (the core relations' coefficient dicts, not copied) and the rows of
-    T_g, and on first use the S2 block and the core of P = Q_g * T_g for the
-    solve, or the triangularity report of the full P, the certificate that
-    det Q_g != 0.  Only this module and ``bn2.verify`` read it, and
-    neither changes it."""
+    T_g, and on first use the core of P = Q_g * T_g, the S2 block's check
+    that the solve reads, and the triangularity report of the full P, the
+    certificate that det Q_g != 0, which adds the S2 rows of P to the core.
+    Only this module and ``bn2.verify`` read it, and neither changes it."""
 
     def __init__(self, g: int):
         self.g = g
@@ -219,13 +218,10 @@ class _Genus:
 
     @cached_property
     def report(self) -> TriangularityReport:
-        # the rows of P the solve's core already holds are not multiplied
-        # again; without a core (never built, or a broken k1^2 row) all are
-        q = [rel.coefficients for rel in self.system.rows]
-        p = dict(self.__dict__.get("core", {}))
-        rest = [r for r in range(len(q)) if r not in p]
-        p.update(zip(rest, _product([q[r] for r in rest], self.t)))
-        return _product_report([p[r] for r in range(len(q))])
+        # the core's rows and the S2 rows of P: each row is multiplied once
+        rows, core = self.system.s2, list(self.core.values())
+        q = [rel.coefficients for rel in self.system.rows[rows.start : rows.stop]]
+        return _product_report(core[: rows.start] + _product(q, self.t) + core[rows.start :])
 
     @cached_property
     def s2(self) -> tuple[range, range, int]:
@@ -245,7 +241,7 @@ class _Genus:
     def core(self) -> dict[int, dict[int, int]]:
         """The rows of P other than the S2 rows, by index in increasing
         order."""
-        rows = self.s2[0]
+        rows = self.system.s2
         rest = [*range(rows.start), *range(rows.stop, len(self.t))]
         return dict(zip(rest, _product(self.q, self.t)))
 

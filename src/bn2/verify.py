@@ -153,6 +153,7 @@ def _closed_form_parts(k: int) -> tuple[list[int], tuple[int, int]]:
     if k < 3:
         raise ValueError(f"closed formula holds for k >= 3, got k={k}")
     g, kk = 2 * k, k * k
+    n = basis_dimension(g)
     # k1^2, k2, d0^2, ld0, d1^2, ld1, ld2
     b = [
         5 * (3 * kk + 3 * k + 5),
@@ -189,10 +190,9 @@ def _closed_form_parts(k: int) -> tuple[list[int], tuple[int, int]]:
     # th(i), 1 <= i <= (g-1)/2: a quartic in i
     c2, c1, c0 = 20 * k - 10, -(20 * kk - 8 * k - 5), 24 * kk - 32 * k + 10
     b += [60 * i * (((-5 * i + c2) * i + c1) * i + c0) for i in range(1, (g - 1) // 2 + 1)]
-    if len(b) != basis_dimension(g):
+    if len(b) != n:
         raise RuntimeError(
-            f"internal error: the closed formula has {len(b)} coefficients at g={g}, "
-            f"expected {basis_dimension(g)}"
+            f"internal error: the closed formula has {len(b)} coefficients at g={g}, expected {n}"
         )
     p, q = _scale(k)
     c = gcd(p, 5 * q)

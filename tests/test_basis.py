@@ -39,6 +39,19 @@ def test_basis_dimension_rejects_small_genus():
         basis_dimension(4)
 
 
+def test_basis_dimension_rejects_a_count_no_list_can_index():
+    # about g^2/4 generators: 2^62 and more at g = 2^32, past sys.maxsize at
+    # g = 2^33; the builders check the count before they build anything
+    import sys
+
+    from bn2.verify import _closed_form_parts
+
+    assert 2**62 < basis_dimension(2**32) <= sys.maxsize
+    for build in (basis_dimension, enumerate_basis, columns, lambda g: _closed_form_parts(g // 2)):
+        with pytest.raises(ValueError, match=r"g=8589934592 has more generators than a list"):
+            build(2**33)
+
+
 def test_enumerate_basis_g6():
     labels = enumerate_basis(6)
     assert len(labels) == 25
@@ -212,7 +225,6 @@ def test_label_is_a_frozen_value_with_a_stable_hash():
             factory_made.i = 7
         assert factory_made.i == i
     assert dd(1, 2) != dd(2, 1) and om(3) != la(3) and om(3) != "om(3)"
-    assert dd(1, 2) is dd(1, 2)
 
 
 def test_class_expression_basics():

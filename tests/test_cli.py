@@ -575,6 +575,48 @@ def test_a_full_stdout_is_reported_once(argv, buffered):
     assert (proc.returncode, proc.stderr) == (2, message)
 
 
+def _fresh(argv, **kwargs):
+    """bn2 run on argv in a fresh interpreter, with this checkout's src."""
+    env = dict(os.environ)
+    src = str(Path(bn2.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "bn2.cli", *argv], text=True, env=env, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("basis", "--g", "6"), ("verify", "m4"), ("solve", "--k", "8")],
+    ids=["basis", "verify", "solve"],
+)
+def test_a_closed_stdout_is_reported_once(argv):
+    # with fd 1 closed the interpreter sets sys.stdout to None: the write is
+    # a failed write to stdout like any other, exit 2 with one line
+    proc = _fresh(argv, stderr=subprocess.PIPE, timeout=120, preexec_fn=lambda: os.close(1))
+    message = f"{_words(argv)}: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+    assert (proc.returncode, proc.stderr) == (2, message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--k", "9" * 641),
+        ("basis", "--g", "9" * 641),
+        ("matrix", "--g", "9" * 641),
+        ("tmatrix", "--g", "9" * 641, "--format", "json"),
+        ("verify", "closed-form", "--k", "9" * 641),
+    ],
+    ids=["solve", "basis", "matrix", "tmatrix", "verify"],
+)
+def test_a_genus_no_list_can_index_is_a_domain_error(argv):
+    # the count of generators is checked before anything is built, so the
+    # command fails at once instead of running until memory is gone
+    proc = _fresh(argv, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"{_words(argv)}: the generating set at g=")
+    assert proc.stderr.endswith(" has more generators than a list can index\n")
+    assert proc.stderr.count("\n") == 1
+
+
 # stdout digests recorded before RationalMatrix became sparse (the first five),
 # before the solve went through the triangular Q_g*T_g (the next three),
 # before the counting layer became integer-only (the next one), before
@@ -609,6 +651,27 @@ def test_stdout_matches_pinned_digest(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT_SHA256[command]
+
+
+# stdout digests recorded before T_g's lone T6, T9 and T18 columns were
+# folded into their families and the label factories stopped interning: the
+# genera where those families are shortest (T18's loop is empty at g = 6, 7)
+FAMILY_STDOUT_SHA256 = {
+    "basis --g 5": "fb97db293ee99935d0bf21b00340d35619b3374e27e4924059054ecd78528ebb",
+    "basis --g 6": "e69c7161c20f554818fa87b4156b29b6e9fdfa250becc957fc81b4b0f3143a25",
+    "basis --g 41": "0e1ccf97fa0c0c991f859e863229345df14bdbe08310345c57ada18bc11ff8e2",
+    "tmatrix --g 6 --format csv": "157c60eb362bf15884480955c6ebcc5f6e4472a7c959a4dcaf38d540c2b0b0e1",
+    "tmatrix --g 6 --format json": "54b07e9f2c175351b61a53a37c7f155cf29ababc14c6185d245b3423ad3340e9",
+    "tmatrix --g 7 --format csv": "4ad6fbeb7f6e120a59da0652d2907f18967fd1b01f98cdc6a6201e86f825db21",
+    "tmatrix --g 7 --format json": "47f2bc8a89d62be671948922b8bacac2454b0fc39abeb53ed140cb29134171f5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAMILY_STDOUT_SHA256))
+def test_short_families_match_pinned_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAMILY_STDOUT_SHA256[command]
 
 
 # runs one command in a fresh interpreter and prints its exit code, the length

@@ -783,28 +783,42 @@ def test_integer_product_equals_matmul(g):
 
 
 @pytest.mark.parametrize("g", [6, 9, 16])
-def test_report_reuses_the_core_rows_it_finds(g):
-    # the full P's report is the same whether the solve's core was built
-    # first, and its rows taken, or not, and every row multiplied; the
-    # report alone builds neither the S2 certificate nor the core
+def test_report_reuses_the_core_rows_it_finds(g, monkeypatch):
+    # the full P's report is the core's rows plus the S2 rows of P, the same
+    # whether the solve's core was built first or by the report: it multiplies
+    # the S2 rows alone after a core, and builds no S2 certificate
+    import bn2.triangular
+
+    multiplied = []
+
+    def counting(rows, t):
+        multiplied.append(len(rows))
+        return _product(rows, t)
+
     cold, warm = _Genus(g), _Genus(g)
     warm.core
+    monkeypatch.setattr(bn2.triangular, "_product", counting)
     q = [rel.coefficients for rel in cold.system.rows]
+    s2 = len(cold.system.s2)
     assert warm.report == cold.report == _product_report(_product(q, cold.t))
-    assert cold.report.ok and not {"s2", "core"} & set(vars(cold))
+    assert multiplied == [s2, len(q) - s2, s2]  # warm: S2 rows; cold: core, then S2 rows
+    assert cold.report.ok and "s2" not in vars(cold) and "core" in vars(cold)
 
 
-def test_report_after_a_broken_s2_form_is_the_full_product():
-    # a broken k1^2 row of T_g, on which every S2 row of P rests, leaves no
-    # core: the solve raises and the report, a diagnostic, still multiplies
-    # every row and does not raise
+def test_report_after_a_broken_s2_form_is_the_full_product(monkeypatch):
+    # a broken k1^2 row of T_g, on which every S2 row of P rests: the solve,
+    # which checks that row first, raises, and the report, a diagnostic, is
+    # still the full product and does not raise
+    import bn2.triangular
+
     genus = _Genus(8)
     genus.t[0] = {**genus.t[0], 5: 1}
+    monkeypatch.setattr(bn2.triangular, "_genus", lambda g: genus)
     with pytest.raises(RuntimeError, match="is not"):
-        genus.core
-    assert "core" not in vars(genus)
+        _solve(4)
     q = [rel.coefficients for rel in genus.system.rows]
     assert genus.report == _product_report(_product(q, genus.t))
+    assert not genus.report.ok
 
 
 def _s2_row(g):

@@ -8,7 +8,8 @@ at load; only ``bn2.cli.build_parser`` imports ``argparse``, and
 ``bn2.cli.main`` is the one place that catches a subcommand's errors and
 writes its output.  The package exports only names it defines, and the
 test oracles stay out of it; the relation and T_g builders take their
-columns from ``basis.columns``, not through labels."""
+columns from ``basis.columns``, not through labels, and no module-level
+function but ``enumerate_basis`` keeps an unbounded memo."""
 
 import ast
 import importlib
@@ -195,6 +196,47 @@ def test_builders_write_columns_not_labels():
         ]
     assert found == []
     assert "canonicalize" not in bn2._EXPORTS and not hasattr(bn2, "canonicalize")
+
+
+def _unbounded_memo(decorator) -> bool:
+    """Whether a decorator is ``cache`` or ``lru_cache`` with maxsize None,
+    plain or as an attribute of ``functools``."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    func = call.func if call else decorator
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if call is None or name != "lru_cache":
+        return call is None and name == "cache"
+    maxsize = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    return bool(maxsize) and isinstance(maxsize[0], ast.Constant) and maxsize[0].value is None
+
+
+@pytest.mark.parametrize(
+    "source, unbounded",
+    [
+        ("@lru_cache(maxsize=None)\ndef f(): pass", True),
+        ("@functools.lru_cache(None)\ndef f(): pass", True),
+        ("@functools.cache\ndef f(): pass", True),
+        ("@cache\ndef f(): pass", True),
+        ("@lru_cache(maxsize=1)\ndef f(): pass", False),
+        ("@lru_cache\ndef f(): pass", False),
+        ("@cached_property\ndef f(): pass", False),
+    ],
+)
+def test_unbounded_memo_rule_reads_each_form(source, unbounded):
+    (decorator,) = ast.parse(source).body[0].decorator_list
+    assert _unbounded_memo(decorator) is unbounded
+
+
+def test_only_enumerate_basis_keeps_an_unbounded_memo():
+    # labels compare by value: a factory that interned them would grow its
+    # memo with every index a run builds, so only the basis itself is kept
+    found = [
+        f"{path.name} {fn.name}"
+        for path in SOURCES
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(fn, ast.FunctionDef) and any(map(_unbounded_memo, fn.decorator_list))
+    ]
+    assert found == ["basis.py enumerate_basis"]
 
 
 def test_every_exported_name_resolves():

@@ -324,17 +324,20 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     assert all(rep.status != "fail" for rep in run_all(k_max=10))
     assert built["rows"] == [5, *genera]
     assert built["T"] == genera
-    # per genus: the solve's core rows of P when g = 2k, then the rows of P
-    # the nonsingularity certificate still needs when g <= 16, the S2 rows
-    # after a core and all of P without one; no row is multiplied twice
+    # per genus: the core rows of P, for the solve when g = 2k and for the
+    # nonsingularity certificate when g <= 16, then the S2 rows the
+    # certificate adds to them; no row is multiplied twice
     expected = []
     for g in genera:
         n = basis_dimension(g)
-        if g % 2 == 0:
-            expected.append((n, n - s2[g]))
+        expected.append((n, n - s2[g]))
         if g <= 16:
-            expected.append((n, s2[g] if g % 2 == 0 else n))
+            expected.append((n, s2[g]))
     assert built["P"] == expected
+    # so every row of P is multiplied exactly once per certified genus
+    for g in range(6, 17):
+        n = basis_dimension(g)
+        assert sum(rows for order, rows in built["P"] if order == n) == n
     # one solve per degree: the table check and closed-form[k=3] share k = 3
     assert built["rhs"] == list(range(3, 11))
 
