@@ -2,7 +2,8 @@
 solve, and the verification suite.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or
-domain error or output that cannot be written (``bn2 <command>: cannot
+domain error, a command that runs out of memory (``bn2 <command>: not
+enough memory``) or output that cannot be written (``bn2 <command>: cannot
 write PATH: reason``, PATH being ``stdout`` or the ``--out`` path), 3
 internal error (``bn2 <command>: internal error: ...``).  Results go to
 stdout, diagnostics to stderr; identical invocations produce byte-identical
@@ -269,6 +270,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"bn2 {args.command}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        text = None  # reported once the handler has let go of the frames that hold the memory
+    if text is None:
+        print(f"{prefix}: not enough memory", file=sys.stderr)
+        return 2
     text, failed = (text, []) if isinstance(text, str) else text
     try:
         _emit(text, args.out)

@@ -12,10 +12,16 @@ g! * (C(s,x) - C(s,g-d')) / s!, the sums walk the counted indices of one weight
 directly, and ``sum_D`` costs four integer products per index pair at g = 2k.
 The oracles, the raw determinant ``castelnuovo_general``, the pairwise
 ``sum_D_pairs`` and the vector route ``sum_D_vectors``, are in ``tests/oracles.py``.
+
+A count that needs a factorial of an argument, or a binomial of a smaller
+index, beyond ``sys.maxsize`` (``math.factorial`` and ``math.comb`` refuse
+both, and no memory holds the value) raises a ValueError that names the count
+and its argument (``_in_reach``).
 """
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cache
@@ -121,9 +127,23 @@ def reduce_base_locus(d: int, alpha, beta):
     return dp, SchubertIndex(0, a.a1 - a.a0), SchubertIndex(0, b.a1 - b.a0)
 
 
-def _binom(n: int, r: int) -> int:
-    """C(n, r), and 0 outside 0 <= r <= n."""
-    return comb(n, r) if 0 <= r <= n else 0
+def _in_reach(index: int, count: str, name: str) -> None:
+    """Raise the ValueError of count, naming its argument name, when index,
+    the argument of a factorial or the smaller index of a binomial that the
+    count needs, exceeds sys.maxsize: math.factorial and math.comb refuse it,
+    and the value would have more digits than any memory holds."""
+    if index > sys.maxsize:
+        raise ValueError(
+            f"{count}: {name} is too large, a factorial or binomial index exceeds {sys.maxsize}"
+        )
+
+
+def _binom(n: int, r: int, count: str, name: str) -> int:
+    """C(n, r), and 0 outside 0 <= r <= n; count and name as in ``_in_reach``."""
+    if not 0 <= r <= n:
+        return 0
+    _in_reach(min(r, n - r), count, name)
+    return comb(n, r)
 
 
 def _castelnuovo_num(gd: int, a1: int, b1: int) -> tuple[int, int]:
@@ -132,7 +152,7 @@ def _castelnuovo_num(gd: int, a1: int, b1: int) -> tuple[int, int]:
     reciprocal factorials of negative arguments, and num = 0 when s < 0."""
     x = a1 + 1 + gd
     s = x + b1 + 1 + gd
-    return _binom(s, x) - _binom(s, gd), s
+    return _binom(s, x, "castelnuovo_N", "d") - _binom(s, gd, "castelnuovo_N", "d"), s
 
 
 def castelnuovo_N(g: int, d: int, alpha, beta=SchubertIndex(0, 0)) -> Fraction:
@@ -148,8 +168,10 @@ def castelnuovo_N(g: int, d: int, alpha, beta=SchubertIndex(0, 0)) -> Fraction:
 
     a = _index(alpha).check_degree(d)
     b = _index(beta).check_degree(d)
+    _in_reach(g, "castelnuovo_N", "g")
     scale = factorial(g)
     num, s = _castelnuovo_num(g - (d - a.a0 - b.a0), a.a1 - a.a0, b.a1 - b.a0)
+    _in_reach(s if num else 0, "castelnuovo_N", "d")  # s! is taken for a nonzero num only
     return Fraction(scale * num, factorial(s)) if num else Fraction(0)
 
 
@@ -168,6 +190,7 @@ def _pencil_count(g: int, d: int, a0: int, a1: int) -> int:
     if 2 * dp - g - 2 < 0:
         return _BELOW_REGIME
     lead = 2 * dp - g - 1  # equals a1 - a0, >= 1 here
+    _in_reach(g - dp, "count_n", "g")  # the smaller index of C(g, dp), as dp > g/2
     return lead * (lead + 1) * (lead + 2) * comb(g, dp)
 
 
@@ -217,21 +240,28 @@ def count_ell(g: int, k: int) -> int:
         raise ValueError(f"count_ell needs g = 2k-2 with k >= 2, got g={g}, k={k}")
     if k == 2:
         return 2
+    _in_reach(k - 2, "count_ell", "k")
     return 2 * comb(2 * k - 3, k - 2)
 
 
-def _counted(i: int, k: int, w: int) -> list[tuple[int, int, int]]:
+def _counted(i: int, k: int, w: int, count: str, name: str) -> list[tuple[int, int, int]]:
     """(a0, a1, n_{i,k,(a0,a1)}) for a0 <= a1 <= k-1 of weight w where n counts.
     Adjusted rho = -1 means w = 2k-i-1; then n = lead (lead+1)(lead+2) C(i, k-a0)
     for lead = a1 - a0, which counts for lead >= 1 and k - a0 <= i, that is for
-    max(0, w-k+1) <= a0 <= (w-1)/2."""
+    max(0, w-k+1) <= a0 <= (w-1)/2.  count and name are those of the caller,
+    for ``_in_reach``."""
     if k < 1:  # the one degree check of sum_T, sum_D and sum_S16
         raise ValueError(f"need k >= 1, got k={k}")
     if w != 2 * k - i - 1:
         return []
-    c = comb(i, min(i, k))  # C(i, k - a0) at the first a0, then each from the last
+    first, last = max(0, w - k + 1), (w - 1) // 2
+    if first > last:
+        return []
+    # k - a0 > i/2, so the smaller index of C(i, k - a0) is largest at the last a0
+    _in_reach(i - k + last, count, name)
+    c = comb(i, k - first)  # C(i, k - a0) at the first a0, then each from the last
     counted = []
-    for a0 in range(max(0, w - k + 1), (w + 1) // 2):
+    for a0 in range(first, last + 1):
         lead = w - 2 * a0
         counted.append((a0, w - a0, lead * (lead + 1) * (lead + 2) * c))
         c = c * (k - a0) // (i - k + a0 + 1)
@@ -246,8 +276,8 @@ def sum_T(i: int, g: int, k: int) -> int:
     """
     if not 2 <= i <= g // 2:
         raise ValueError(f"sum_T needs 2 <= i <= g/2, got i={i}, g={g}")
-    alphas = _counted(i, k, 2 * k - i - 1)  # the second factor is counted there, or 0
-    other = {(c0, c1): n for c0, c1, n in _counted(g - i, k, 2 * k - g + i - 1)}
+    alphas = _counted(i, k, 2 * k - i - 1, "sum_T", "i")  # the second factor is counted there, or 0
+    other = {(c0, c1): n for c0, c1, n in _counted(g - i, k, 2 * k - g + i - 1, "sum_T", "g")}
     return sum(n * other.get((k - 1 - a1, k - 1 - a0), 0) for a0, a1, n in alphas)
 
 
@@ -255,8 +285,10 @@ def _e_terms(j: int, k: int) -> list[int]:
     """E_r(j) = sum over counted beta of n_beta C(2k-j-r, b0), r <= 3; each
     binomial comes from the last by one product and one exact division."""
     top = 2 * k - j
-    counted = _counted(j, k, top - 1)
-    c = [comb(top - r, counted[0][0]) for r in range(4)] if counted else []
+    counted = _counted(j, k, top - 1, "sum_D", "j")
+    b0 = counted[0][0] if counted else 0
+    _in_reach(min(b0, top - b0), "sum_D", "k")  # the largest smaller index of the C(top-r, b0)
+    c = [comb(top - r, b0) for r in range(4)] if counted else []
     e = [0, 0, 0, 0]
     for b, _, n in counted:
         for r in range(4):
@@ -295,14 +327,15 @@ def sum_D(i: int, j: int, g: int, k: int) -> int:
         )
     if g == 2 * k:
         return _sum_D_table(k)(i, j)
-    betas = _counted(j, k, 2 * k - j - 1)
+    betas = _counted(j, k, 2 * k - j - 1, "sum_D", "j")
     h, s = g - i - j, 2 * (g - k) - i - j
-    if s < 0:
+    if s < 0 or not betas:
         return 0
     total = 0
     for u in range(max(0, i - k), min(i, k) + 1):
-        inner = sum(n * _binom(s, h - 1 - b1 + u) for _, b1, n in betas)
+        inner = sum(n * _binom(s, h - 1 - b1 + u, "sum_D", "g") for _, b1, n in betas)
         total += (2 * u - i - 1) * (2 * u - i) * (2 * u - i + 1) * comb(i, u) * inner
+    _in_reach(max(h, s), "sum_D", "g")
     num, den = factorial(h) * total, factorial(s)
     q, r = divmod(num, den)
     if r:
@@ -329,7 +362,7 @@ def sum_S16(i: int, g: int, k: int) -> int:
         raise ValueError(f"sum_S16 needs g/2 <= i <= g-3, got i={i}, g={g}")
     h = g - i - 1
     total, prev, cur = 0, 0, 1  # C(h, a0 - 1) and C(h, a0) at a0 = 0
-    for a0, _, n in _counted(i, k, h):
+    for a0, _, n in _counted(i, k, h, "sum_S16", "i"):
         total += n * (cur - prev)
         prev, cur = cur, cur * (h - a0) // (a0 + 1)
     return (3 * i - 1) * total

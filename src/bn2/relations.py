@@ -45,11 +45,8 @@ __all__ = [
 ]
 
 class Rhs(namedtuple("Rhs", "kind i j", defaults=(0, 0))):
-    """Right-hand-side descriptor, evaluable once k is fixed.
-
-    kinds: zero | T(i) | D(i,j) | n_over (S3) | D6(i) (S4) | 4N (S7) |
-    2ell (S13) | S16(i) | S16sp (S16, i = g-2).
-    """
+    """Right-hand-side descriptor, evaluable once k is fixed; its kind is a
+    key of ``_RHS``, which gives its count, divisor and text."""
 
     __slots__ = ()
 
@@ -419,47 +416,37 @@ def _four_N(g: int, k: int):
     return _quotient(4 * factorial(g - 4) * num, factorial(s)) if num else 0
 
 
-# The right-hand side of a row is a count over a divisor, each a function of
-# the row's (g, i, j) chosen by its kind; the count at degree k reads that
-# degree's sum_D table d.  The symbolic text is kept apart, so evaluation
-# builds none.
-_RHS_DIVISORS = {
-    "zero": lambda g, i, j: 1,
-    "T": lambda g, i, j: (2 * i - 2) * (2 * (g - i) - 2),
-    "D": lambda g, i, j: (2 * i - 2) * (2 * j - 2),
-    "n_over": lambda g, i, j: g - 3,
-    "D6": lambda g, i, j: 6 * (i - 1),
-    "4N": lambda g, i, j: 1,
-    "2ell": lambda g, i, j: 1,
-    "S16": lambda g, i, j: 2 * i - 2,
-    "S16sp": lambda g, i, j: 2 * g - 6,
-}
-_RHS_COUNTS = {
-    "zero": lambda g, i, j, k, d: 0,
-    "T": lambda g, i, j, k, d: sum_T(i, g, k),
-    "D": lambda g, i, j, k, d: d(i, j),
-    "n_over": lambda g, i, j, k, d: count_n(g - 2, k, _S01),
-    "D6": lambda g, i, j, k, d: d(2, i),
-    "4N": lambda g, i, j, k, d: _four_N(g, k),
-    "2ell": lambda g, i, j, k, d: 2 * count_ell(g - 2, k),
-    "S16": lambda g, i, j, k, d: sum_S16(i, g, k),
-    "S16sp": lambda g, i, j, k, d: count_m(g - 2, k, _S01),
-}
-# the symbolic count, formatted with i, j, g2 = g - 2 and g4 = g - 4
-_RHS_TEXTS = {
-    "zero": "0", "T": "T({i})", "D": "D({i},{j})", "n_over": "n({g2},(0,1))", "D6": "D(2,{i})",
-    "4N": "4*N({g4},(0,1),(0,1))", "2ell": "2*ell({g2})", "S16": "S16({i})", "S16sp": "m({g2},(0,1))",
+# The right-hand side of a row, by its kind: a count over a divisor, each a
+# function of the row's (g, i, j), the count at degree k reading that degree's
+# sum_D table d, and the symbolic text, formatted with i, j, g2 = g - 2 and
+# g4 = g - 4.  Only describe_rhs reads the text, so evaluation builds none.
+_RHS = {
+    "zero": (lambda g, i, j, k, d: 0, lambda g, i, j: 1, "0"),
+    "T": (
+        lambda g, i, j, k, d: sum_T(i, g, k), lambda g, i, j: 4 * (i - 1) * (g - i - 1), "T({i})"
+    ),
+    "D": (lambda g, i, j, k, d: d(i, j), lambda g, i, j: 4 * (i - 1) * (j - 1), "D({i},{j})"),
+    "n_over": (
+        lambda g, i, j, k, d: count_n(g - 2, k, _S01), lambda g, i, j: g - 3, "n({g2},(0,1))"
+    ),
+    "D6": (lambda g, i, j, k, d: d(2, i), lambda g, i, j: 6 * (i - 1), "D(2,{i})"),
+    "4N": (lambda g, i, j, k, d: _four_N(g, k), lambda g, i, j: 1, "4*N({g4},(0,1),(0,1))"),
+    "2ell": (lambda g, i, j, k, d: 2 * count_ell(g - 2, k), lambda g, i, j: 1, "2*ell({g2})"),
+    "S16": (lambda g, i, j, k, d: sum_S16(i, g, k), lambda g, i, j: 2 * i - 2, "S16({i})"),
+    "S16sp": (
+        lambda g, i, j, k, d: count_m(g - 2, k, _S01), lambda g, i, j: 2 * g - 6, "m({g2},(0,1))"
+    ),
 }
 
 
 def _evaluate(rel: Relation, k: int, d_sums) -> int | Fraction:
     g, (kind, i, j) = rel.g, rel.rhs
-    count = _RHS_COUNTS.get(kind)
-    if count is None:
+    if kind not in _RHS:
         raise ValueError(f"unknown rhs kind {kind!r}")
+    count, divisor, _ = _RHS[kind]
     if kind != "zero" and g != 2 * k:
         raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={g}, k={k}")
-    return _quotient(count(g, i, j, k, d_sums), _RHS_DIVISORS[kind](g, i, j))
+    return _quotient(count(g, i, j, k, d_sums), divisor(g, i, j))
 
 
 def evaluate_rhs(rel: Relation, k: int) -> int | Fraction:
@@ -471,10 +458,11 @@ def evaluate_rhs(rel: Relation, k: int) -> int | Fraction:
 def describe_rhs(rel: Relation) -> str:
     """Symbolic form of the right-hand side, for exports without a fixed k."""
     g, (kind, i, j) = rel.g, rel.rhs
-    if kind not in _RHS_COUNTS:
+    if kind not in _RHS:
         raise ValueError(f"unknown rhs kind {kind!r}")
-    text = _RHS_TEXTS[kind].format(i=i, j=j, g2=g - 2, g4=g - 4)
-    div = _RHS_DIVISORS[kind](g, i, j)
+    _, divisor, template = _RHS[kind]
+    text = template.format(i=i, j=j, g2=g - 2, g4=g - 4)
+    div = divisor(g, i, j)
     return text if div == 1 else f"{text}/{div}"
 
 
@@ -486,7 +474,7 @@ def build_rhs_vector(system: RelationSystem, k: int) -> list[int | Fraction]:
     if system.s2:
         if g != 2 * k:
             raise ValueError(f"rhs of the S2 rows needs g = 2k, got g={g}, k={k}")
-        div = _RHS_DIVISORS["D"]
+        _, div, _ = _RHS["D"]
         b[at:at] = (_quotient(d_sums(i, j), div(g, i, j)) for i, j in _s2_pairs(g))
     return b
 

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 
 from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis
-from bn2.relations import _csv_line, _json_export, _s2_pairs, build_relations, build_rhs_vector
+from bn2.relations import _csv_line, _json_export, build_relations, build_rhs_vector
 
 __all__ = [
     "solve_class",
@@ -104,42 +104,30 @@ def _t_columns(g: int):
     yield om_pairs(t18, -1)
 
 
-def _t_tags(g: int):
-    """The tags of the columns of T_g, in ``_t_columns``' order; only the
-    exports write them."""
-    fl = g // 2
-    yield from (f"T1[i={i}]" for i in range(2, fl + 1))
-    yield from (f"T2[i={i},j={j}]" for i, j in _s2_pairs(g))
-    yield "T3"
-    yield from (f"T4[i={i}]" for i in range(2, g - 2))
-    yield "T5"
-    yield from (f"T6[i={i}]" for i in range(3, g - 2))
-    yield from ("T6[ld2]", "T7", "T8")
-    yield from (f"T9[j={j}]" for j in range(2, g - 2))
-    yield from ("T10", "T11", "T12", "T13", "T14", "T15")
-    yield from (f"T16[i={i}]" for i in range(fl, g - 2))
-    yield from ("T16[sum]", "T17")
-    yield from (f"T18[i={i}]" for i in range(4, (g + 1) // 2 + 1))
-    yield from ("T18[th2]", "T18[final]")
-
-
-def _checked(g: int, items, what: str) -> list:
-    """The list of items(g), one per column of T_g for g >= 6."""
+def _t_order(g: int) -> int:
+    """The order of T_g, which is defined for g >= 6."""
     if g < 6:
         raise ValueError(f"T_g is defined for g >= 6, got g={g}")
-    n = basis_dimension(g)
-    built = list(items(g))
-    if len(built) != n:
-        raise RuntimeError(f"internal error: built {len(built)} {what} at g={g}, expected {n}")
-    return built
+    return basis_dimension(g)
 
 
 def _checked_t_columns(g: int) -> list[dict[int, int]]:
-    return _checked(g, _t_columns, "T-columns")
+    """The list of the columns of T_g, one per basis label."""
+    n = _t_order(g)
+    cols = list(_t_columns(g))
+    if len(cols) != n:
+        raise RuntimeError(f"internal error: built {len(cols)} T-columns at g={g}, expected {n}")
+    return cols
 
 
-def _checked_t_tags(g: int) -> list[str]:
-    return _checked(g, _t_tags, "T-column tags")
+def _t_tags(g: int) -> list[str]:
+    """The tags of the columns of T_g: column r pairs with row r of Q_g and is
+    tagged with its source, T for S, but T6[ld2], T16[sum], T18[th2] and
+    T18[final] for S6[i=g-2], S16[i=g-2], S18[i=3] and S18[i=2]."""
+    _t_order(g)
+    named = {f"S6[i={g - 2}]": "T6[ld2]", f"S16[i={g - 2}]": "T16[sum]"}
+    named.update({"S18[i=3]": "T18[th2]", "S18[i=2]": "T18[final]"})
+    return [named.get(rel.source, "T" + rel.source[1:]) for rel in build_relations(g).rows]
 
 
 def _t_rows(g: int) -> list[dict[int, int]]:
@@ -338,12 +326,12 @@ def solve_class(k: int) -> ClassExpression:
 
 def t_matrix_to_csv(g: int) -> str:
     rows = _t_rows(g)
-    lines = [_csv_line(["label", *_checked_t_tags(g)], (), 0)]
+    lines = [_csv_line(["label", *_t_tags(g)], (), 0)]
     for lab, row in zip(enumerate_basis(g), rows):
         lines.append(_csv_line([str(lab)], sorted(row.items()), len(rows)))
     return "".join(lines)
 
 
 def t_matrix_to_json(g: int) -> str:
-    entries = zip(_checked_t_tags(g), _checked_t_columns(g))
-    return _json_export(g, "columns", [("tag", tag, coeffs) for tag, coeffs in entries])
+    cols = _checked_t_columns(g)
+    return _json_export(g, "columns", [("tag", tag, col) for tag, col in zip(_t_tags(g), cols)])

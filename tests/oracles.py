@@ -99,7 +99,7 @@ from bn2.solver import (
     _cleared,
     _scaled_int_rows,
 )
-from bn2.triangular import _checked_t_tags, forward_substitute
+from bn2.triangular import _t_tags, forward_substitute
 from bn2.verify import scale_factor
 
 F = Fraction
@@ -515,7 +515,7 @@ def system_to_csv_dense(system, k: int | None = None) -> str:
 
 def t_column_tags(g: int) -> list[str]:
     """The tags of the columns of T_g, in column order."""
-    return _checked_t_tags(g)
+    return _t_tags(g)
 
 
 def t_matrix_to_csv_dense(g: int) -> str:
@@ -730,7 +730,8 @@ def sum_S16_castelnuovo(i: int, g: int, k: int) -> int:
     if not g // 2 <= i <= g - 3:
         raise ValueError(f"sum_S16 needs g/2 <= i <= g-3, got i={i}, g={g}")
     h = g - i - 1
-    total = sum(n * _castelnuovo_num(h - 1 - a1, a1 - a0, 0)[0] for a0, a1, n in _counted(i, k, h))
+    counted = _counted(i, k, h, "sum_S16", "i")
+    total = sum(n * _castelnuovo_num(h - 1 - a1, a1 - a0, 0)[0] for a0, a1, n in counted)
     return (3 * i - 1) * total
 
 

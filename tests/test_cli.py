@@ -524,18 +524,20 @@ def _words(argv) -> str:
 @pytest.mark.parametrize("argv, callee", RUNNER_CASES, ids=[case[0][0] for case in RUNNER_CASES])
 @pytest.mark.parametrize(
     "error, code",
-    [(RuntimeError, 3), (ValueError, 2), (ArithmeticError, 2)],
-    ids=["RuntimeError", "ValueError", "ArithmeticError"],
+    [(RuntimeError, 3), (ValueError, 2), (ArithmeticError, 2), (MemoryError, 2)],
+    ids=["RuntimeError", "ValueError", "ArithmeticError", "MemoryError"],
 )
 def test_main_sets_each_exit_code(capsys, monkeypatch, argv, callee, error, code):
     # an internal error is reported under the command, a domain error under
-    # the command and its which
+    # the command and its which, and so is running out of memory, not as the
+    # exit 1 of a failed check
     def broken(*args, **kwargs):
         raise error("the callee broke")
 
     monkeypatch.setattr(callee, broken)
     prefix = f"bn2 {argv[0]}" if code == 3 else _words(argv)
-    assert run(capsys, *argv) == (code, "", f"{prefix}: the callee broke\n")
+    message = "not enough memory" if error is MemoryError else "the callee broke"
+    assert run(capsys, *argv) == (code, "", f"{prefix}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -615,6 +617,82 @@ def test_a_genus_no_list_can_index_is_a_domain_error(argv):
     assert proc.stderr.startswith(f"{_words(argv)}: the generating set at g=")
     assert proc.stderr.endswith(" has more generators than a list can index\n")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--k", "100000"),
+        ("basis", "--g", "200000"),
+        ("matrix", "--g", "200000"),
+        ("tmatrix", "--g", "200000"),
+        ("verify", "closed-form", "--k", "100000"),
+    ],
+    ids=["solve", "basis", "matrix", "tmatrix", "verify"],
+)
+def test_running_out_of_memory_is_reported_once(argv):
+    # a genus whose generator count fits in sys.maxsize but not in memory: in
+    # a child whose address space is capped at 96 MiB the build runs out in
+    # under a second, and main reports it as exit 2, not the 1 of a failed check
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (96 * 2**20, hard))
+
+    proc = _fresh(argv, capture_output=True, timeout=60, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"{_words(argv)}: not enough memory\n"
+
+
+_H = 10**640  # a 641-digit value
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("n", "--g", 2 * _H, "--d", _H + 1, "--alpha", "0,1"), "count_n: g"),
+        (("m", "--g", 2 * _H, "--d", _H + 1, "--alpha", "0,1"), "count_n: g"),
+        (("ell", "--g", 2 * _H - 2, "--k", _H), "count_ell: k"),
+        (("castelnuovo", "--g", _H, "--d", 3, "--alpha", "0,1"), "castelnuovo_N: g"),
+        (("T", "--i", _H, "--g", 2 * _H, "--k", _H), "sum_T: i"),
+        (("D", "--i", 2, "--j", 2, "--g", 2 * _H, "--k", _H), "sum_D: k"),
+        (("D", "--i", 2, "--j", 2, "--g", 2 * _H + 1, "--k", _H), "sum_D: g"),
+        (("s16", "--i", _H, "--g", 2 * _H, "--k", _H), "sum_S16: i"),
+    ],
+    ids=["n", "m", "ell", "castelnuovo", "T", "D", "D-off-2k", "s16"],
+)
+def test_a_count_beyond_exact_arithmetic_names_its_argument(argv, message):
+    # a factorial or binomial that math.factorial and math.comb refuse is the
+    # count's own domain error, not math's OverflowError text
+    argv = ("counts", *map(str, argv))
+    proc = _fresh(argv, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    bound = f"a factorial or binomial index exceeds {sys.maxsize}"
+    assert proc.stderr == f"{_words(argv)}: {message} is too large, {bound}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("n", "--g", _H, "--d", _H, "--alpha", f"0,{_H - 1}"), (_H - 1) * _H * (_H + 1)),
+        (
+            ("m", "--g", _H, "--d", _H, "--alpha", f"0,{_H - 1}"),
+            (_H - 1) * _H * (_H + 1) * (3 * _H - 1),
+        ),
+        (("castelnuovo", "--g", 2, "--d", _H + 3, "--alpha", f"{_H},{_H + 1}"), 2),
+        (("castelnuovo", "--g", 2, "--d", _H, "--alpha", "0,1"), 0),
+        (("T", "--i", 5, "--g", 10, "--k", _H), 0),
+        (("s16", "--i", 3, "--g", 6, "--k", _H), 0),
+    ],
+    ids=["n", "m", "castelnuovo", "castelnuovo-zero", "T", "s16"],
+)
+def test_a_count_of_a_641_digit_value_prints_it(argv, value):
+    # a count whose factorials and binomials stay in reach is computed: here
+    # C(g, d) = 1 for n and m, and N = 2!/1! once the base locus is removed
+    argv = ("counts", *map(str, argv))
+    proc = _fresh(argv, capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{value}\n", "")
 
 
 # stdout digests recorded before RationalMatrix became sparse (the first five),

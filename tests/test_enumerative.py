@@ -360,7 +360,7 @@ def test_counted_walks_the_pairs_of_the_scan(k):
     for i in range(2 * k + 2):
         weights = range(-1, 2 * k) if k <= 30 else range(2 * k - i - 2, 2 * k - i + 1)
         for w in weights:
-            assert _counted(i, k, w) == counted_by_scan(i, k, w)
+            assert _counted(i, k, w, "sum_T", "i") == counted_by_scan(i, k, w)
 
 
 def test_sum_S16_values():

@@ -39,13 +39,13 @@ from bn2.solver import RationalMatrix
 from bn2.triangular import (
     _checked_t_columns,
     _Genus,
-    _checked_t_tags,
     _genus,
     _product,
     _product_report,
     _solve,
     _t_columns,
     _t_rows,
+    _t_tags,
     forward_substitute,
     solve_class,
     t_matrix_to_csv,
@@ -220,7 +220,7 @@ def test_rows_are_pinned_in_insertion_order(genera):
 def test_t_columns_are_pinned_in_insertion_order(genera):
     h = hashlib.sha256()
     for g in genera:
-        for tag, coeffs in zip(_checked_t_tags(g), _checked_t_columns(g), strict=True):
+        for tag, coeffs in zip(_t_tags(g), _checked_t_columns(g), strict=True):
             h.update(repr((tag, list(coeffs.items()))).encode())
     assert h.hexdigest() == _T_DIGESTS[genera]
 
@@ -722,13 +722,15 @@ def test_json_export_writes_an_empty_row_as_json_dumps():
 def test_rhs_evaluation_builds_no_text(monkeypatch):
     import bn2.relations
 
-    class NoText(dict):
-        def __getitem__(self, kind):
+    class NoText(str):
+        def format(self, *args, **kwargs):
             raise AssertionError("rhs text built during evaluation")
 
     system = build_relations(20)
     b = build_rhs_vector(system, 10)
-    monkeypatch.setattr(bn2.relations, "_RHS_TEXTS", NoText())
+    table = bn2.relations._RHS
+    no_text = {kind: (count, div, NoText(text)) for kind, (count, div, text) in table.items()}
+    monkeypatch.setattr(bn2.relations, "_RHS", no_text)
     assert build_rhs_vector(system, 10) == b
     with pytest.raises(AssertionError, match="rhs text built"):
         describe_rhs(system.rows[0])

@@ -9,7 +9,8 @@ at load; only ``bn2.cli.build_parser`` imports ``argparse``, and
 writes its output.  The package exports only names it defines, and the
 test oracles stay out of it; the relation and T_g builders take their
 columns from ``basis.columns``, not through labels, and no module-level
-function but ``enumerate_basis`` keeps an unbounded memo."""
+function but ``enumerate_basis`` keeps an unbounded memo.  No module keeps
+two module-level dict tables keyed by the same constants."""
 
 import ast
 import importlib
@@ -276,4 +277,24 @@ def test_package_defines_no_oracle():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ORACLE_NAMES]
+    assert SOURCES and found == []
+
+
+def test_no_module_keeps_parallel_tables():
+    # two module-level dicts keyed by the same three or more constants hold
+    # one fact in two tables that must agree key by key: one table whose
+    # values are tuples states it once
+    found = []
+    for path in SOURCES:
+        seen: dict[frozenset, int] = {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if not isinstance(value, ast.Dict) or len(value.keys) < 3:
+                continue
+            if not all(isinstance(key, ast.Constant) for key in value.keys):
+                continue
+            keys = frozenset(key.value for key in value.keys)
+            if keys in seen:
+                found.append(f"{path.name}:{seen[keys]} and {node.lineno}")
+            seen.setdefault(keys, node.lineno)
     assert SOURCES and found == []
