@@ -97,9 +97,9 @@ def _cmd_matrix(args) -> str:
         raise ValueError(
             f"the right-hand sides are defined for k >= 3 (g = 2k >= 6), got --k {args.k}"
         )
-    system = relations.build_relations(args.g)
-    if args.k is not None and args.g != 2 * args.k:
+    if args.k is not None and args.g != 2 * args.k:  # before the rows are built
         raise ValueError(f"--k {args.k} needs --g {2 * args.k}")
+    system = relations.build_relations(args.g)
     return (
         relations.system_to_csv(system, args.k)
         if args.format == "csv"

@@ -25,9 +25,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cache
-from math import comb
-
-from bn2.exactnum import factorial
+from math import comb, factorial
 
 __all__ = [
     "SchubertIndex",
@@ -162,12 +160,14 @@ def castelnuovo_N(g: int, d: int, alpha, beta=SchubertIndex(0, 0)) -> Fraction:
     reciprocal-factorial expansion over one denominator s!; a route
     independent of the raw determinant (the test oracle
     ``castelnuovo_general``), which it must always equal.  With beta
-    omitted this is the single-point count.
+    omitted this is the single-point count.  It is defined for g >= 0.
     """
     from fractions import Fraction
 
     a = _index(alpha).check_degree(d)
     b = _index(beta).check_degree(d)
+    if g < 0:
+        raise ValueError(f"castelnuovo_N is defined for g >= 0, got g={g}")
     _in_reach(g, "castelnuovo_N", "g")
     scale = factorial(g)
     num, s = _castelnuovo_num(g - (d - a.a0 - b.a0), a.a1 - a.a0, b.a1 - b.a0)

@@ -63,9 +63,14 @@ def _s2_pairs(g: int):
     return ((i, j) for i in range(2, (g + 1) // 2) for j in range(i, g - i))
 
 
+_S2_SOURCE = "S2[i={},j={}]".format  # the source tag of the S2 row of (i, j)
+
+
 class RelationSystem(namedtuple("RelationSystem", "g core s2", defaults=(range(0),))):
     """The core rows of genus g, and at the index range s2 the S2 rows, one
-    {k1^2: 2, d(i,j): 1} with rhs D(i,j) per pair of ``_s2_pairs``."""
+    {k1^2: 2, d(i,j): 1} with rhs D(i,j) per pair of ``_s2_pairs``.  The
+    S2 rows are written only by the views ``rows``, ``sources`` and
+    ``s2_coefficients``, each only the part it returns."""
 
     __slots__ = ()
 
@@ -74,18 +79,34 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2", defaults=(range(0
         """The columns: the genus-g generators in the frozen order."""
         return enumerate_basis(self.g)
 
+    def _spliced(self, core: list, s2) -> list:
+        """The core rows' items core with the S2 rows' items s2 written in."""
+        at = self.s2.start
+        return [*core[:at], *s2, *core[at:]] if self.s2 else core
+
+    @property
+    def s2_coefficients(self) -> list[dict[int, int]]:
+        """The coefficient dicts of the S2 rows, in order."""
+        K1SQ, *_, dd, _ = columns(self.g)
+        return [{K1SQ: 2, dd(i, j): 1} for i, j in _s2_pairs(self.g)]
+
+    @property
+    def sources(self) -> list[str]:
+        """The source tag of every row in group order; no S2 row is built."""
+        s2 = (_S2_SOURCE(i, j) for i, j in _s2_pairs(self.g))
+        return self._spliced([rel.source for rel in self.core], s2)
+
     @property
     def rows(self) -> list[Relation]:
         """Every row in group order, the S2 rows written in at s2."""
-        g, core, at = self.g, self.core, self.s2.start
-        if not self.s2:
-            return core
-        K1SQ, *_, dd, _ = columns(g)
+        if not self.s2:  # a hand-built system, whose g need not have columns
+            return self.core
+        g = self.g
         s2 = (
-            Relation(f"S2[i={i},j={j}]", g, {K1SQ: 2, dd(i, j): 1}, Rhs("D", i, j))
-            for i, j in _s2_pairs(g)
+            Relation(_S2_SOURCE(i, j), g, coeffs, Rhs("D", i, j))
+            for (i, j), coeffs in zip(_s2_pairs(g), self.s2_coefficients)
         )
-        return [*core[:at], *s2, *core[at:]]
+        return self._spliced(self.core, s2)
 
 
 def build_relations(g: int) -> RelationSystem:

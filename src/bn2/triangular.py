@@ -127,7 +127,7 @@ def _t_tags(g: int) -> list[str]:
     _t_order(g)
     named = {f"S6[i={g - 2}]": "T6[ld2]", f"S16[i={g - 2}]": "T16[sum]"}
     named.update({"S18[i=3]": "T18[th2]", "S18[i=2]": "T18[final]"})
-    return [named.get(rel.source, "T" + rel.source[1:]) for rel in build_relations(g).rows]
+    return [named.get(source, "T" + source[1:]) for source in build_relations(g).sources]
 
 
 def _t_rows(g: int) -> list[dict[int, int]]:
@@ -200,16 +200,15 @@ class _Genus:
 
     def __init__(self, g: int):
         self.g = g
+        self.t = _t_rows(g)  # first, so that every g < 6 gets T_g's own error
         self.system = build_relations(g)
         self.q = [rel.coefficients for rel in self.system.core]
-        self.t = _t_rows(g)
 
     @cached_property
     def report(self) -> TriangularityReport:
         # the core's rows and the S2 rows of P: each row is multiplied once
-        rows, core = self.system.s2, list(self.core.values())
-        q = [rel.coefficients for rel in self.system.rows[rows.start : rows.stop]]
-        return _product_report(core[: rows.start] + _product(q, self.t) + core[rows.start :])
+        system, core = self.system, list(self.core.values())
+        return _product_report(system._spliced(core, _product(system.s2_coefficients, self.t)))
 
     @cached_property
     def s2(self) -> tuple[range, range, int]:
@@ -234,11 +233,9 @@ class _Genus:
         return dict(zip(rest, _product(self.q, self.t)))
 
 
-@lru_cache(maxsize=1)
-def _genus(g: int) -> _Genus:
-    """The system of genus g >= 6.  The memo holds one genus: ``verify.run_all``
-    runs its checks genus by genus, so each genus is built once per run."""
-    return _Genus(g)
+# the system of genus g >= 6; the memo holds one genus: ``verify.run_all``
+# runs its checks genus by genus, so each genus is built once per run
+_genus = lru_cache(maxsize=1)(_Genus)
 
 
 def forward_substitute(rows: dict[int, dict[int, int]], b) -> tuple[list[int], int]:

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, count, repeat
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul, ne
 
 from bn2.basis import ClassExpression, ClassLabel, basis_dimension, columns, enumerate_basis
-from bn2.exactnum import double_factorial_odd, factorial, fraction_text
+from bn2.exactnum import fraction_text
 from bn2.relations import _json_quote, build_relations
 from bn2.solver import RationalMatrix, rank
 from bn2.triangular import _genus, _solve
@@ -127,7 +127,9 @@ def reports_to_json(reports) -> str:
 def _scale(k: int) -> tuple[int, int]:
     """(p, q) with p / q = 2^(k-6) (2k-7)!! / (3 k!), the common factor of
     the closed formula."""
-    return double_factorial_odd(2 * k - 7) << max(k - 6, 0), 3 * factorial(k) << max(6 - k, 0)
+    if k < 3:
+        raise ValueError(f"closed formula holds for k >= 3, got k={k}")
+    return prod(range(1, 2 * k - 6, 2)) << max(k - 6, 0), 3 * factorial(k) << max(6 - k, 0)
 
 
 def scale_factor(k: int) -> Fraction:
@@ -199,32 +201,19 @@ def _closed_form_parts(k: int) -> tuple[list[int], tuple[int, int]]:
     return b, (p // c, 5 * q // c)
 
 
-def _fraction_view(g: int, nums: list[int], p: int, q: int) -> ClassExpression:
-    """The genus-g class with coefficients p * nums / q, in the frozen order."""
-    from fractions import Fraction
-
-    return ClassExpression.from_vector(g, [Fraction(p * v, q) for v in nums])
-
-
 def closed_form_class(k: int) -> ClassExpression:
     """The degree-k pencil-locus class at genus 2k from the closed formula:
     every bracket coefficient times 2^(k-6) (2k-7)!! / (3 k!)."""
+    from fractions import Fraction
+
     b, (p, q) = _closed_form_parts(k)
-    return _fraction_view(2 * k, b, p, q)
+    return ClassExpression.from_vector(2 * k, [Fraction(p * v, q) for v in b])
 
 
-@lru_cache(maxsize=1)
-def _closed_form(k: int) -> tuple[list[int], tuple[int, int]]:
-    """(B, (p, q)) of closed_form_class(k), evaluated once for the checks of
-    degree k, which only read it."""
-    return _closed_form_parts(k)
-
-
-@lru_cache(maxsize=1)
-def _solved(k: int) -> tuple[list[int], int]:
-    """(X, D) with X / D = solve_class(k), solved once for the checks of
-    degree k, which only read it."""
-    return _solve(k)
+# (B, (p, q)) of closed_form_class(k) and (X, D) with X / D = solve_class(k),
+# each built once for the checks of degree k, which only read them
+_closed_form = lru_cache(maxsize=1)(_closed_form_parts)
+_solved = lru_cache(maxsize=1)(_solve)
 
 
 def _trigonal_table() -> list[tuple[int, int, int]]:
@@ -641,9 +630,7 @@ def check_triangularity(g: int) -> CheckReport:
     documented row/column pairing.  The production solve (``_solve``) and
     the nonsingularity certificate depend on this structure and fail on
     their own without it; this report lists the deviations and stays at
-    "warn"."""
-    if g < 6:
-        raise ValueError(f"T_g is defined for g >= 6, got g={g}")
+    "warn".  A g < 6 is the ValueError of T_g's build."""
     report = _genus(g).report
     return CheckReport(
         check=f"triangularity[g={g}]",

@@ -70,6 +70,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from bn2.basis import (
     D0SQ,
@@ -90,7 +91,6 @@ from bn2.basis import (
     th,
 )
 from bn2.enumerative import _castelnuovo_num, _counted, _pencil_count, _ram_sequence
-from bn2.exactnum import factorial
 from bn2.relations import build_relations, build_rhs_vector, describe_rhs
 from bn2.solver import (
     DimensionMismatchError,

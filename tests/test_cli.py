@@ -45,6 +45,13 @@ def test_counts_castelnuovo(capsys):
     assert code == 0 and out == "2\n"
 
 
+def test_counts_castelnuovo_rejects_a_negative_genus(capsys):
+    argv = ("counts", "castelnuovo", "--g", "-1", "--d", "2", "--alpha", "0,1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "bn2 counts castelnuovo: castelnuovo_N is defined for g >= 0, got g=-1\n"
+
+
 def test_counts_T_and_D_and_s16(capsys):
     assert run(capsys, "counts", "T", "--i", "2", "--g", "6", "--k", "3")[:2] == (0, "144\n")
     assert run(capsys, "counts", "D", "--i", "2", "--j", "2", "--g", "6", "--k", "3")[:2] == (
@@ -349,6 +356,13 @@ def test_matrix_json_with_k(capsys):
 def test_matrix_k_genus_mismatch(capsys):
     code, _, err = run(capsys, "matrix", "--g", "6", "--k", "4")
     assert code == 2 and "needs" in err
+
+
+def test_matrix_k_genus_mismatch_builds_no_rows():
+    # --g and --k are checked to agree before the genus-G rows are built,
+    # whose build alone runs for about a minute at g = 2,000,000
+    proc = _fresh(("matrix", "--g", "2000000", "--k", "3"), capture_output=True, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "bn2 matrix: --k 3 needs --g 6\n")
 
 
 @pytest.mark.parametrize("k", [-1, 0, 2])

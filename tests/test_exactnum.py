@@ -1,22 +1,19 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bn2.exactnum import double_factorial_odd, factorial, fraction_text
+from bn2.exactnum import fraction_text
 from oracles import inv_factorial_or_zero
 
 
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
+def test_exactnum_exports_only_fraction_text():
+    # the factorials are math.factorial, called where they are taken
+    import bn2.exactnum
 
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
+    assert bn2.exactnum.__all__ == ["fraction_text"]
 
 
 def test_inv_factorial_or_zero_values():
@@ -25,26 +22,9 @@ def test_inv_factorial_or_zero_values():
     assert inv_factorial_or_zero(0) == 1
 
 
-def test_double_factorial_anchors():
-    assert double_factorial_odd(-1) == 1
-    assert double_factorial_odd(1) == 1
-    assert double_factorial_odd(5) == 15
-
-
-@pytest.mark.parametrize("bad", [-3, -2, 0, 2, 8])
-def test_double_factorial_rejects_even_or_small(bad):
-    with pytest.raises(ValueError):
-        double_factorial_odd(bad)
-
-
 @given(st.integers(min_value=1, max_value=400))
 def test_inv_factorial_inverts_factorial(n):
     assert inv_factorial_or_zero(n) * factorial(n) == 1
-
-
-@given(st.integers(min_value=0, max_value=150))
-def test_double_factorial_identity(m):
-    assert double_factorial_odd(2 * m + 1) * 2**m * factorial(m) == factorial(2 * m + 1)
 
 
 @given(

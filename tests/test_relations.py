@@ -552,6 +552,18 @@ def test_the_core_holds_no_s2_row(fresh_memos, k):
     assert [r for r, rel in enumerate(rows) if rel.rhs.kind == "D"] == list(system.s2)
 
 
+@pytest.mark.parametrize("g", [5, 6, 11, 30])
+def test_the_views_of_the_s2_rows_are_those_of_rows(g):
+    system = build_relations(g)
+    rows = system.rows
+    assert system.sources == [rel.source for rel in rows]
+    assert system.s2_coefficients == [rows[r].coefficients for r in system.s2]
+    # a system without S2 rows: every view is of its core rows alone
+    core = RelationSystem(g, system.core)
+    assert core.rows is system.core
+    assert core.sources == [rel.source for rel in system.core]
+
+
 def test_b_of_the_s2_rows_needs_g_2k():
     with pytest.raises(ValueError, match=r"needs g = 2k, got g=8, k=3"):
         build_rhs_vector(build_relations(8), 3)
@@ -571,6 +583,21 @@ def test_the_solve_builds_no_s2_row(fresh_memos, monkeypatch):
     x, d = _solve(8)
     monkeypatch.undo()
     assert (x, d) == solve_full_p(8)
+
+
+def test_the_t_tags_and_the_report_build_no_s2_row(monkeypatch):
+    # the tags read the sources and the report the S2 coefficient dicts, so
+    # neither writes a Relation of an S2 row
+    import bn2.relations
+
+    tags, report = _t_tags(21), _Genus(21).report
+
+    def no_view(system):
+        raise AssertionError("the S2 rows were built")
+
+    monkeypatch.setattr(bn2.relations.RelationSystem, "rows", property(no_view))
+    assert _t_tags(21) == tags
+    assert _Genus(21).report == report and report.ok
 
 
 def test_rhs_entries_are_ints_where_integral(monkeypatch):

@@ -9,8 +9,9 @@ at load; only ``bn2.cli.build_parser`` imports ``argparse``, and
 writes its output.  The package exports only names it defines, and the
 test oracles stay out of it; the relation and T_g builders take their
 columns from ``basis.columns``, not through labels, and no module-level
-function but ``enumerate_basis`` keeps an unbounded memo.  No module keeps
-two module-level dict tables keyed by the same constants."""
+function but ``enumerate_basis`` keeps an unbounded memo, by decorator or
+by assignment.  No module keeps two module-level dict tables keyed by the
+same constants."""
 
 import ast
 import importlib
@@ -211,6 +212,16 @@ def _unbounded_memo(decorator) -> bool:
     return bool(maxsize) and isinstance(maxsize[0], ast.Constant) and maxsize[0].value is None
 
 
+def _memos(node) -> list[tuple[str, ast.expr]]:
+    """(name, memo) for each memo a module-level statement applies: the
+    decorators of a function, or the f of ``name = memo(f)``."""
+    if isinstance(node, ast.FunctionDef):
+        return [(node.name, decorator) for decorator in node.decorator_list]
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and node.value.args:
+        return [(t.id, node.value.func) for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
 @pytest.mark.parametrize(
     "source, unbounded",
     [
@@ -221,21 +232,29 @@ def _unbounded_memo(decorator) -> bool:
         ("@lru_cache(maxsize=1)\ndef f(): pass", False),
         ("@lru_cache\ndef f(): pass", False),
         ("@cached_property\ndef f(): pass", False),
+        ("f = cache(g)", True),
+        ("f = functools.cache(g)", True),
+        ("f = lru_cache(maxsize=None)(g)", True),
+        ("f = functools.lru_cache(None)(g)", True),
+        ("f = lru_cache(maxsize=1)(g)", False),
+        ("f = lru_cache(g)", False),
+        ("f = lru_cache(maxsize=None)", False),
     ],
 )
 def test_unbounded_memo_rule_reads_each_form(source, unbounded):
-    (decorator,) = ast.parse(source).body[0].decorator_list
-    assert _unbounded_memo(decorator) is unbounded
+    memos = _memos(ast.parse(source).body[0])
+    assert any(_unbounded_memo(memo) for _, memo in memos) is unbounded
 
 
 def test_only_enumerate_basis_keeps_an_unbounded_memo():
     # labels compare by value: a factory that interned them would grow its
     # memo with every index a run builds, so only the basis itself is kept
     found = [
-        f"{path.name} {fn.name}"
+        f"{path.name} {name}"
         for path in SOURCES
-        for fn in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(fn, ast.FunctionDef) and any(map(_unbounded_memo, fn.decorator_list))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for name, memo in _memos(node)
+        if _unbounded_memo(memo)
     ]
     assert found == ["basis.py enumerate_basis"]
 

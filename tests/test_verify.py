@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given
@@ -40,6 +41,16 @@ def test_scale_factor_values():
     assert scale_factor(3) == F(1, 144)
     assert scale_factor(4) == F(1, 288)
     assert scale_factor(6) == F(1, 144)
+
+
+def test_scale_factor_is_its_double_factorial_quotient():
+    # (2k-7)!! = (2k-6)! / (2^(k-3) (k-3)!), and (-1)!! = 1 at k = 3
+    for k in range(3, 61):
+        double = F(factorial(2 * k - 6), 2 ** (k - 3) * factorial(k - 3))
+        assert scale_factor(k) == F(2) ** (k - 6) * double / (3 * factorial(k))
+    for k in (2, 1, 0, -1, -40):
+        with pytest.raises(ValueError, match=f"closed formula holds for k >= 3, got k={k}$"):
+            scale_factor(k)
 
 
 def test_closed_form_k3_spot_values():
@@ -355,6 +366,14 @@ def test_memos_hold_one_genus(fresh_memos):
         assert _genus(2 * k).system.g == 2 * k
 
 
+def test_the_memos_wrap_their_functions():
+    from bn2.triangular import _Genus, _genus, _solve
+    from bn2.verify import _closed_form, _closed_form_parts, _solved
+
+    for memo, function in ((_genus, _Genus), (_closed_form, _closed_form_parts), (_solved, _solve)):
+        assert memo.__wrapped__ is function and memo.cache_parameters()["maxsize"] == 1
+
+
 def test_closed_form_class_is_fresh():
     check_pullback(3)  # fills the closed-formula memo
     assert closed_form_class(3) is not closed_form_class(3)
@@ -449,24 +468,14 @@ def test_closed_form_check_builds_no_fraction_when_it_passes(monkeypatch):
 
 def test_only_the_k3_checks_build_the_fraction_view(fresh_memos, monkeypatch):
     # the k = 3 checks (trigonal-table and trigonal) compare the integer
-    # genus-6 table too, so no check builds the fraction view or calls a
-    # public Fraction view
+    # genus-6 table too, so no check calls a public Fraction view
     import bn2.triangular
     import bn2.verify
 
-    views = []
-    fraction_view = bn2.verify._fraction_view
-
-    def counting(g, nums, p, q):
-        views.append(g)
-        return fraction_view(g, nums, p, q)
-
-    monkeypatch.setattr(bn2.verify, "_fraction_view", counting)
     monkeypatch.setattr(bn2.triangular, "solve_class", None)
     monkeypatch.setattr(bn2.verify, "closed_form_class", None)
     monkeypatch.setattr(bn2.verify, "known_trigonal_class", None)
     assert all(rep.status != "fail" for rep in run_all(k_max=8))
-    assert views == []
 
 
 def test_run_all_builds_no_fraction(fresh_memos, monkeypatch):
