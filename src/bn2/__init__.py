@@ -35,7 +35,7 @@ _EXPORTS = {
         "relations",
     ),
     "solve_class": "triangular",
-    **dict.fromkeys(("RationalMatrix", "rank"), "solver"),
+    "RationalMatrix": "solver",
     **dict.fromkeys(
         ("closed_form_class", "pullback_image", "pullback_matrix", "known_trigonal_class"),
         "verify",

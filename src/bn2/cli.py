@@ -48,6 +48,14 @@ def _usage_error(args, message: str) -> None:
     build_parser().parse_args(head).parser.error(message)
 
 
+def _reject_unread(args, reads) -> None:
+    """A usage error for a flag given to the command, other than --out, that
+    is not one of reads, the flags its ``which`` reads."""
+    for flag in _COMMANDS[args.command][2].split():
+        if flag not in (*reads, "out") and getattr(args, flag.replace("-", "_")) is not None:
+            _usage_error(args, f"--{flag} is not read by {args.command} {args.which}")
+
+
 def _emit(text: str, out: str | None) -> None:
     """Write text to the file out, or to stdout and flush it."""
     if out:
@@ -65,12 +73,13 @@ def _castelnuovo(args):
     return enumerative.castelnuovo_N(args.g, args.d, _parse_pair(args.alpha, "--alpha"), beta)
 
 
-# each count of ``bn2 counts``: its required flags, in report order, and its call
+# each count of ``bn2 counts``: the flags it reads, in report order, each
+# required unless it is in brackets, and its call
 _COUNTS = {
     "n": ("g d alpha", lambda a: enumerative.count_n(a.g, a.d, _parse_pair(a.alpha, "--alpha"))),
     "m": ("g d alpha", lambda a: enumerative.count_m(a.g, a.d, _parse_pair(a.alpha, "--alpha"))),
     "ell": ("g k", lambda a: enumerative.count_ell(a.g, a.k)),
-    "castelnuovo": ("g d alpha", _castelnuovo),
+    "castelnuovo": ("g d alpha [beta]", _castelnuovo),
     "T": ("i g k", lambda a: enumerative.sum_T(a.i, a.g, a.k)),
     "D": ("i j g k", lambda a: enumerative.sum_D(a.i, a.j, a.g, a.k)),
     "s16": ("i g k", lambda a: enumerative.sum_S16(a.i, a.g, a.k)),
@@ -78,10 +87,11 @@ _COUNTS = {
 
 
 def _cmd_counts(args) -> str:
-    required, count = _COUNTS[args.which]
-    for name in required.split():
-        if getattr(args, name) is None:
+    flags, count = _COUNTS[args.which]
+    for name in flags.split():
+        if name[0] != "[" and getattr(args, name) is None:
             _usage_error(args, f"--{name} is required for this subcommand")
+    _reject_unread(args, [name.strip("[]") for name in flags.split()])
     return f"{count(args)}\n"
 
 
@@ -128,7 +138,8 @@ def _cmd_solve(args) -> str:
 
 
 # each check of ``bn2 verify``: its function in bn2.verify, the flag of its one
-# value, and what it sweeps without it: 3..--k-max or a range of bn2.verify
+# value, and what it sweeps without it: 3..--k-max or a range of bn2.verify.
+# A check reads its flag and, when it sweeps the degrees, --k-max
 _CHECKS = {
     "closed-form": ("check_closed_form", "k", "degrees"),
     "pullback": ("check_pullback", "k", "degrees"),
@@ -143,10 +154,11 @@ _CHECKS = {
 
 def _cmd_verify(args) -> tuple[str, list[str]]:
     """The JSON report of the checks, and the names of those that failed."""
+    name, flag, sweep = _CHECKS[args.which]
+    _reject_unread(args, [flag, "k-max"] if sweep == "degrees" else [flag])
     # the checks load only for this command
     from bn2 import verify
 
-    name, flag, sweep = _CHECKS[args.which]
     check = getattr(verify, name)
     value = getattr(args, flag) if flag else None
     if value is not None:

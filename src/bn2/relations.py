@@ -63,16 +63,35 @@ def _s2_pairs(g: int):
     return ((i, j) for i in range(2, (g + 1) // 2) for j in range(i, g - i))
 
 
+def _s2_count(g: int) -> int:
+    """The count of ``_s2_pairs(g)``."""
+    return sum(g - 2 * i for i in range(2, (g + 1) // 2))
+
+
 _S2_SOURCE = "S2[i={},j={}]".format  # the source tag of the S2 row of (i, j)
 
 
-class RelationSystem(namedtuple("RelationSystem", "g core s2", defaults=(range(0),))):
+class RelationSystem(namedtuple("RelationSystem", "g core s2")):
     """The core rows of genus g, and at the index range s2 the S2 rows, one
     {k1^2: 2, d(i,j): 1} with rhs D(i,j) per pair of ``_s2_pairs``.  The
     S2 rows are written only by the views ``rows``, ``sources`` and
-    ``s2_coefficients``, each only the part it returns."""
+    ``s2_coefficients``, each only the part it returns.  A nonempty s2 is
+    a range of step 1, starting within the core, with one index per pair."""
 
     __slots__ = ()
+
+    def __new__(cls, g: int, core: list, s2: range = range(0)) -> "RelationSystem":
+        pairs = _s2_count(g)
+        if s2 and (s2.step != 1 or s2.start > len(core) or len(s2) != pairs):
+            raise ValueError(
+                f"s2 must be range(a, a + {pairs}) with a <= {len(core)} at g={g}, got {s2!r}"
+            )
+        return super().__new__(cls, g, core, s2)
+
+    @classmethod
+    def _make(cls, iterable) -> "RelationSystem":
+        # namedtuple's _make, and so _replace, would skip the check
+        return cls(*iterable)
 
     @property
     def labels(self) -> tuple[ClassLabel, ...]:
@@ -136,7 +155,7 @@ def build_relations(g: int) -> RelationSystem:
         add(f"S1[i={i}]", Rhs("T", i), [(K1SQ, 2), (om(i), -1), (om(g - i), -1)])
 
     # S2: two moving tails on a fixed two-pointed curve (RelationSystem).
-    s2 = range(len(rows), len(rows) + th(1) - dd(2, 2))
+    s2 = range(len(rows), len(rows) + _s2_count(g))
 
     # S3: elliptic curve glued to itself and to a moving point.
     add(

@@ -6,19 +6,17 @@ product of integer matrices such as ``Q_g * T_g`` runs in integer arithmetic
 and a matrix-vector product clears the vector's denominators once.
 ``from_sparse`` is the one constructor.  No float enters any computation.
 
-``rank`` is the one elimination: fraction-free (Bareiss) on integer rows
-built straight from the nonzeros.  The dense oracles the tests hold it
-against (Gauss, determinants, nullspaces, a general solve, dense
-constructors) live in ``tests/oracles.py`` and reuse this Bareiss kernel.
-
-The production solve does not use this module: ``bn2.triangular`` solves on
-integer rows, and ``bn2 solve``, ``bn2 matrix`` and ``bn2 tmatrix`` never load
-it.  ``RationalMatrix`` is built only by the genus-4 and genus-5 checks of
-``bn2.verify``, on integer rows, and by the test oracles.  ``fractions`` is
-imported only where a non-integral entry is stored or a vector is passed to
-``matvec``, so ``rank`` on integer rows and ``int_matvec`` load none of it.
-``matmul`` and ``matvec`` stay as the tests' reference for the integer-row
-product of ``bn2.triangular`` and as the hooks of the benchmark's tracer.
+No command loads this module and none of it eliminates.  ``bn2.triangular``
+solves on integer rows, and ``bn2.verify`` takes the ranks of its genus-4
+and genus-5 checks on integer rows.  ``RationalMatrix`` is built by the
+library view ``verify.m4_relations`` and by the test oracles in
+``tests/oracles.py``, which hold the dense eliminations (Gauss, Bareiss,
+determinants, nullspaces, a general solve).  ``fractions`` is imported only
+where a non-integral entry is stored or a vector is passed to ``matvec``.
+The module stays, until the benchmark's tracer no longer hooks it, as that
+tracer's hooks (``matvec`` and ``matmul``), as the tests' reference for the
+integer-row product of ``bn2.triangular``, and as the library type of
+``m4_relations``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from operator import mul
 __all__ = [
     "RationalMatrix",
     "DimensionMismatchError",
-    "rank",
 ]
 
 def _exact(x) -> int | Fraction:
@@ -130,65 +127,3 @@ class RationalMatrix:
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.nrows}x{self.ncols})"
-
-
-def _cleared(rows: list[dict[int, int | Fraction]]):
-    """Each row times the lcm of its denominators, as integer nonzeros, and
-    those lcms, the row scales."""
-    scales = [lcm(*(x.denominator for x in row.values())) for row in rows]
-    pairs = zip(rows, scales)
-    cleared = [{j: x.numerator * (s // x.denominator) for j, x in r.items()} for r, s in pairs]
-    return cleared, scales
-
-
-def _scaled_int_rows(rows: list[dict[int, int | Fraction]], width: int):
-    """Clear denominators row by row from the nonzeros; returns dense integer
-    rows of the given width and the row scales."""
-    cleared, scales = _cleared(rows)
-    return [[row.get(j, 0) for j in range(width)] for row in cleared], scales
-
-
-def _bareiss_echelon(int_rows: list[list[int]]):
-    """Fraction-free row echelon form.  Pivots are chosen inside each column
-    by largest bit length.  Returns (rows, pivots, sign) where pivots is a
-    list of (row, col) and sign that of the row permutation."""
-    m = [r[:] for r in int_rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    pr = 0
-    sign = 1
-    for c in range(nc):
-        best, best_bits = -1, -1
-        for r in range(pr, nr):
-            v = m[r][c]
-            if v != 0:
-                bits = abs(v).bit_length()
-                if bits > best_bits:
-                    best, best_bits = r, bits
-        if best < 0:
-            continue
-        if best != pr:
-            m[pr], m[best] = m[best], m[pr]
-            sign = -sign
-        p = m[pr][c]
-        prow = m[pr]
-        for r in range(pr + 1, nr):
-            row = m[r]
-            f = row[c]
-            for cc in range(c + 1, nc):
-                row[cc] = (p * row[cc] - f * prow[cc]) // prev
-            row[c] = 0
-        prev = p
-        pivots.append((pr, c))
-        pr += 1
-        if pr == nr:
-            break
-    return m, pivots, sign
-
-
-def rank(matrix: RationalMatrix) -> int:
-    """Exact rank by fraction-free elimination."""
-    int_rows, _ = _scaled_int_rows(matrix._rows, matrix.ncols)
-    return len(_bareiss_echelon(int_rows)[1])

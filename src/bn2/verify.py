@@ -10,9 +10,10 @@ column: each row of the genus-6 table, the pull-back and the genus-4
 subsystem is integer numerators over its own denominator.  A class is
 compared as integer numerators times one scale p / q, so each comparison
 cross-multiplies, and each rational text of a report is
-``exactnum.fraction_text``.  ``reports_to_json`` writes the report as
+``exactnum.fraction_text``.  The genus-4 and genus-5 ranks are taken on
+the integer rows (``_rank``).  ``reports_to_json`` writes the report as
 ``json.dumps(..., indent=2)`` does.  So a run whose checks pass loads
-neither ``fractions`` nor ``json``.  ``closed_form_class``,
+neither ``fractions``, ``json`` nor ``bn2.solver``.  ``closed_form_class``,
 ``scale_factor``, ``known_trigonal_class``, ``pullback_matrix``,
 ``pullback_image``, ``m4_relations``, ``m4_class`` and ``m4_rank_relation``
 are the library views: each builds its Fractions from the same integer
@@ -29,8 +30,7 @@ from operator import mul, ne
 from bn2.basis import ClassExpression, ClassLabel, basis_dimension, columns, enumerate_basis
 from bn2.exactnum import fraction_text
 from bn2.relations import _json_quote, build_relations
-from bn2.solver import RationalMatrix, rank
-from bn2.triangular import _genus, _solve
+from bn2.triangular import _genus, _matvec, _solve
 
 __all__ = [
     "CheckReport",
@@ -441,6 +441,8 @@ def m4_relations() -> tuple[list[str], RationalMatrix, list[Fraction]]:
     the M4_LABELS order, and the right-hand sides."""
     from fractions import Fraction
 
+    from bn2.solver import RationalMatrix
+
     scales = [_M4_ROW_SCALE.get(tag, 1) for tag, _, _ in _M4_ROWS]
     rows = [{j: Fraction(v, s) for j, v in row.items()} for row, s in zip(_m4_rows(), scales)]
     tags = [tag for tag, _, _ in _M4_ROWS]
@@ -466,6 +468,26 @@ def m4_rank_relation() -> list[Fraction]:
 
 # ---------------------------------------------------------------------------
 # Checks.
+
+
+def _rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """The rank of the integer rows {column: value} of ncols columns by
+    fraction-free (Bareiss) elimination, pivoting on the first nonzero entry
+    of each column; each update divides exactly by the previous pivot."""
+    m = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    r, prev = 0, 1
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        prow = m[r]
+        for row in m[r + 1 :]:
+            f = row[c]
+            row[c:] = [(prow[c] * v - f * w) // prev for v, w in zip(row[c:], prow[c:])]
+        prev = prow[c]
+        r += 1
+    return r
 
 
 def _compare(name: str, g: int, expected, actual) -> CheckReport:
@@ -541,18 +563,18 @@ def check_m4() -> CheckReport:
     so a nonzero r with M r = 0 spans it.  All in integers: a row written
     times s holds for the class x = X / 2 exactly when its product with X is
     2 b, and a scaled row has the same kernel."""
-    matrix = RationalMatrix.from_sparse(_m4_rows(), len(M4_LABELS))
+    rows = _m4_rows()
     twice = [_M4_TWICE_CLASS[name] for name in M4_LABELS]
     residues = []
-    for (tag, _, b), lhs in zip(_M4_ROWS, matrix.int_matvec(twice)):
+    for (tag, _, b), lhs in zip(_M4_ROWS, _matvec(rows, twice)):
         if lhs != 2 * b:
             s = _M4_ROW_SCALE.get(tag, 1)
             residues.append(
                 {"relation": tag, "lhs": fraction_text(lhs, 2 * s), "rhs": fraction_text(b, s)}
             )
-    r = rank(matrix)
+    r = _rank(rows, len(M4_LABELS))
     stated = list(_M4_RANK_RELATION)
-    kernel_ok = matrix.ncols - r == 1 and any(stated) and not any(matrix.int_matvec(stated))
+    kernel_ok = len(M4_LABELS) - r == 1 and any(stated) and not any(_matvec(rows, stated))
     ok = not residues and r == 13 and kernel_ok
     return CheckReport(
         check="m4",
@@ -588,14 +610,14 @@ def check_g5_rank() -> CheckReport:
     """Diagnostic: the 19 x 20 genus-5 system (no S10 row) has rank 19 under
     the documented lambda identification."""
     rows = [rel.coefficients for rel in build_relations(5).rows]
-    matrix = RationalMatrix.from_sparse(rows, basis_dimension(5))
-    r = rank(matrix)
-    ok = r == 19 and matrix.nrows == 19 and matrix.ncols == 20
+    ncols = basis_dimension(5)
+    r = _rank(rows, ncols)
+    ok = r == 19 and len(rows) == 19 and ncols == 20
     return CheckReport(
         check="g5",
         status="pass" if ok else "fail",
         expected={"rows": 19, "cols": 20, "rank": 19},
-        actual={"rows": matrix.nrows, "cols": matrix.ncols, "rank": r},
+        actual={"rows": len(rows), "cols": ncols, "rank": r},
         notes=["diagnostic", G5_CONVENTION_NOTE],
     )
 

@@ -10,11 +10,14 @@ from routes that share none of that code:
   ``dense_row`` and ``dense_rows``, and the shape test ``is_square`` of the
   dense eliminations.  The runtime builds every matrix from sparse rows
   (``RationalMatrix.from_sparse``).
-- dense elimination: ``solve_exact``, ``det``, ``det_is_nonzero`` and
-  ``nullspace``.  Elimination is either fraction-free (Bareiss), on integer
-  rows built from the nonzeros with the one kernel of ``bn2.solver``, or
-  plain Gaussian elimination on Fraction entries (``gauss_rank``).  Both
-  choose pivots by the same rule.
+- dense elimination: ``rank``, ``solve_exact``, ``det``, ``det_is_nonzero``
+  and ``nullspace``.  Elimination is either fraction-free (Bareiss), on
+  integer rows cleared of their denominators (``_cleared``,
+  ``_scaled_int_rows``) with the one kernel ``_bareiss_echelon``, or plain
+  Gaussian elimination on Fraction entries (``gauss_rank``).  Both choose
+  pivots by the same rule, by bit length.  The runtime takes the genus-4
+  and genus-5 ranks with ``verify._rank``, its own elimination, which
+  pivots on the first nonzero entry.
 - the raw reciprocal-factorial determinant ``castelnuovo_general``.  The
   runtime's ``castelnuovo_N`` is the reduced two-term formula for the same
   number.
@@ -70,7 +73,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from bn2.basis import (
     D0SQ,
@@ -92,13 +95,7 @@ from bn2.basis import (
 )
 from bn2.enumerative import _castelnuovo_num, _counted, _pencil_count, _ram_sequence
 from bn2.relations import build_relations, build_rhs_vector, describe_rhs
-from bn2.solver import (
-    DimensionMismatchError,
-    RationalMatrix,
-    _bareiss_echelon,
-    _cleared,
-    _scaled_int_rows,
-)
+from bn2.solver import DimensionMismatchError, RationalMatrix
 from bn2.triangular import _t_tags, forward_substitute
 from bn2.verify import scale_factor
 
@@ -213,6 +210,68 @@ def _gauss_echelon(rows: list[list[Fraction]]):
         if pr == nr:
             break
     return m, pivots
+
+
+def _cleared(rows: list[dict[int, int | Fraction]]):
+    """Each row times the lcm of its denominators, as integer nonzeros, and
+    those lcms, the row scales."""
+    scales = [lcm(*(x.denominator for x in row.values())) for row in rows]
+    pairs = zip(rows, scales)
+    cleared = [{j: x.numerator * (s // x.denominator) for j, x in r.items()} for r, s in pairs]
+    return cleared, scales
+
+
+def _scaled_int_rows(rows: list[dict[int, int | Fraction]], width: int):
+    """Clear denominators row by row from the nonzeros; returns dense integer
+    rows of the given width and the row scales."""
+    cleared, scales = _cleared(rows)
+    return [[row.get(j, 0) for j in range(width)] for row in cleared], scales
+
+
+def _bareiss_echelon(int_rows: list[list[int]]):
+    """Fraction-free row echelon form.  Pivots are chosen inside each column
+    by largest bit length.  Returns (rows, pivots, sign) where pivots is a
+    list of (row, col) and sign that of the row permutation."""
+    m = [r[:] for r in int_rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots: list[tuple[int, int]] = []
+    prev = 1
+    pr = 0
+    sign = 1
+    for c in range(nc):
+        best, best_bits = -1, -1
+        for r in range(pr, nr):
+            v = m[r][c]
+            if v != 0:
+                bits = abs(v).bit_length()
+                if bits > best_bits:
+                    best, best_bits = r, bits
+        if best < 0:
+            continue
+        if best != pr:
+            m[pr], m[best] = m[best], m[pr]
+            sign = -sign
+        p = m[pr][c]
+        prow = m[pr]
+        for r in range(pr + 1, nr):
+            row = m[r]
+            f = row[c]
+            for cc in range(c + 1, nc):
+                row[cc] = (p * row[cc] - f * prow[cc]) // prev
+            row[c] = 0
+        prev = p
+        pivots.append((pr, c))
+        pr += 1
+        if pr == nr:
+            break
+    return m, pivots, sign
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Exact rank by fraction-free elimination on the cleared rows."""
+    int_rows, _ = _scaled_int_rows(matrix._rows, matrix.ncols)
+    return len(_bareiss_echelon(int_rows)[1])
 
 
 def gauss_rank(matrix: RationalMatrix) -> int:

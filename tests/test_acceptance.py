@@ -19,7 +19,6 @@ from bn2.enumerative import (
     sum_D,
 )
 from bn2.relations import build_relations, build_rhs_vector
-from bn2.solver import rank
 from bn2.triangular import _product_report
 from bn2.verify import (
     M4_LABELS,
@@ -38,6 +37,7 @@ from oracles import (
     det_is_nonzero,
     gauss_rank,
     nullspace,
+    rank,
     solve_exact,
     system_matrix,
 )

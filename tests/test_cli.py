@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bn2
-from bn2.cli import _COMMANDS, _FLAGS, _WHICH, _parse, build_parser, main
+from bn2.cli import _CHECKS, _COMMANDS, _FLAGS, _WHICH, _parse, build_parser, main
 
 
 def run(capsys, *argv):
@@ -458,13 +458,96 @@ def test_verify_closed_form_reports_formula_domain(capsys):
         ("verify", "closed-form", "--k-max", "2"),
         ("verify", "pullback", "--k-max", "0"),
         ("verify", "all", "--k-max", "1"),
-        ("verify", "all", "--k", "4", "--k-max", "2"),
     ],
 )
 def test_verify_k_max_below_3_is_a_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"bn2 verify {argv[1]}: closed formula holds for k >= 3, got --k-max {argv[-1]}\n"
+
+
+# a valid argv of each count and check that gives every flag it reads
+_READING = {
+    "counts n": "--g 4 --d 3 --alpha 0,1",
+    "counts m": "--g 4 --d 3 --alpha 0,1",
+    "counts ell": "--g 4 --k 3",
+    "counts castelnuovo": "--g 2 --d 3 --alpha 0,1 --beta 0,1",
+    "counts T": "--i 2 --g 6 --k 3",
+    "counts D": "--i 2 --j 2 --g 6 --k 3",
+    "counts s16": "--i 3 --g 6 --k 3",
+    "verify closed-form": "--k 3 --k-max 3",
+    "verify pullback": "--k 3 --k-max 3",
+    "verify all": "--k-max 3",
+    "verify nonsingular": "--g 6",
+    "verify triangularity": "--g 6",
+    "verify m4": "",
+    "verify trigonal": "",
+    "verify g5": "",
+}
+_VALUES = {
+    "g": "6", "k": "3", "k-max": "3", "d": "3", "alpha": "0,1", "beta": "0,1", "i": "2", "j": "2"
+}
+# each flag, other than --out, that a count or check does not read
+_UNREAD = [
+    (head, flag)
+    for head, given in _READING.items()
+    for flag in _COMMANDS[head.split()[0]][2].split()
+    if flag != "out" and f"--{flag} " not in f"{given} "
+]
+
+
+def _usage_exit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("head", sorted(_READING), ids=lambda head: head.replace(" ", "-"))
+def test_every_flag_a_count_or_check_reads_is_accepted(tmp_path, capsys, head):
+    assert sorted(_READING) == sorted(f"{c} {which}" for c in _WHICH for which in _WHICH[c])
+    target = tmp_path / "out"  # every subcommand reads --out
+    code, out, err = run(capsys, *head.split(), *_READING[head].split(), "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("joined", [False, True], ids=["table", "argparse"])
+@pytest.mark.parametrize(
+    "head, flag", _UNREAD, ids=[f"{h.replace(' ', '-')}--{f}" for h, f in _UNREAD]
+)
+def test_a_flag_its_count_or_check_does_not_read_is_a_usage_error(
+    capsys, monkeypatch, head, flag, joined
+):
+    # --flag=value is left to argparse; a check that ran would call None
+    from bn2 import verify
+
+    command, which = head.split()
+    if command == "verify":
+        monkeypatch.setattr(verify, _CHECKS[which][0], None)
+    extra = [f"--{flag}={_VALUES[flag]}"] if joined else [f"--{flag}", _VALUES[flag]]
+    argv = [command, which, *_READING[head].split(), *extra]
+    assert (_parse(argv) is None) == joined
+    err = _usage_exit(capsys, argv)
+    assert err.startswith(f"usage: bn2 {command} [-h]")
+    assert err.endswith(f"\nbn2 {command}: error: --{flag} is not read by {head}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("counts", "n", "--g", "4", "--d", "3", "--alpha", "0,1", "--beta", "1,1"), "--beta"),
+        (("verify", "m4", "--g", "7"), "--g"),
+        (("verify", "nonsingular", "--k", "3"), "--k"),
+        (("verify", "all", "--k", "4", "--k-max", "2"), "--k"),
+    ],
+)
+def test_a_flag_that_was_dropped_is_a_usage_error(capsys, argv, flag):
+    # these printed the one-point count 24, ran m4, ran the g = 6..16 sweep,
+    # and reported --k-max 2 as a domain error while --k went unread
+    err = _usage_exit(capsys, argv)
+    assert err.endswith(f"error: {flag} is not read by {argv[0]} {argv[1]}\n")
 
 
 def test_verify_k_overrides_k_max(capsys):
@@ -837,11 +920,12 @@ VERIFY_CHECKS = (
 
 @pytest.mark.parametrize("which", VERIFY_CHECKS)
 def test_verify_loads_the_checks(which):
-    # every check runs in integers and the report is written without json, so
-    # a verify whose checks pass loads neither fractions (nor decimal) nor json
+    # every check runs in integers, the ranks on integer rows, and the report
+    # is written without json, so a verify whose checks pass loads neither
+    # fractions (nor decimal), json nor the RationalMatrix layer
     code, _, *loaded = _loaded_after("verify", which)
     assert code == "0"
-    assert loaded == ["bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify"]
+    assert loaded == ["bn2.relations", "bn2.triangular", "bn2.verify"]
 
 
 @pytest.mark.parametrize("which", VERIFY_CHECKS)

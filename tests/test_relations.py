@@ -27,6 +27,7 @@ from bn2.relations import (
     Relation,
     RelationSystem,
     _csv_line,
+    _s2_pairs,
     Rhs,
     build_relations,
     build_rhs_vector,
@@ -568,9 +569,33 @@ def test_b_of_the_s2_rows_needs_g_2k():
     with pytest.raises(ValueError, match=r"needs g = 2k, got g=8, k=3"):
         build_rhs_vector(build_relations(8), 3)
     # a hand-built system with S2 rows and no core right-hand side to check
-    system = RelationSystem(8, [Relation("S5", 8, {}, Rhs("zero"))], range(1, 2))
+    system = RelationSystem(8, [Relation("S5", 8, {}, Rhs("zero"))], range(1, 7))
     with pytest.raises(ValueError, match=r"S2 rows needs g = 2k, got g=8, k=3"):
         build_rhs_vector(system, 3)
+
+
+@pytest.mark.parametrize(
+    "s2", [range(1, 2), range(1, 8), range(0, 12, 2), range(6, 0, -1), range(2, 8)]
+)
+def test_a_system_rejects_an_s2_range_its_genus_does_not_have(s2):
+    # g = 8 has 6 S2 pairs; one core row leaves room for a start of 0 or 1
+    core = [Relation("S5", 8, {}, Rhs("zero"))]
+    with pytest.raises(ValueError, match=r"s2 must be range\(a, a \+ 6\) with a <= 1 at g=8"):
+        RelationSystem(8, core, s2)
+    with pytest.raises(ValueError, match="s2 must be"):
+        RelationSystem._make((8, core, s2))
+    with pytest.raises(ValueError, match="s2 must be"):
+        RelationSystem(8, core, range(1, 7))._replace(s2=s2)
+
+
+@pytest.mark.parametrize("g", [5, 6, 7, 8, 13, 40])
+def test_a_system_takes_the_s2_range_of_its_genus(g):
+    system = build_relations(g)
+    pairs = len(list(_s2_pairs(g)))
+    assert len(system.s2) == pairs and system._replace() == system
+    assert RelationSystem(g, system.core[:1], range(1, 1 + pairs)).s2 == range(1, 1 + pairs)
+    assert RelationSystem(g, system.core[:1], range(0, pairs)).s2 == range(pairs)
+    assert RelationSystem(g + 1, []).s2 == range(0)
 
 
 def test_the_solve_builds_no_s2_row(fresh_memos, monkeypatch):

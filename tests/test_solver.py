@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bn2.solver import (
-    DimensionMismatchError,
-    RationalMatrix,
-    _cleared,
-    rank,
-)
+from bn2.solver import DimensionMismatchError, RationalMatrix
 from bn2.triangular import forward_substitute
 from oracles import (
     SingularMatrixError,
+    _cleared,
     dense,
     dense_row,
     dense_rows,
@@ -22,6 +18,7 @@ from oracles import (
     gauss_rank,
     identity,
     nullspace,
+    rank,
     solve_exact,
     solve_lower_triangular,
     zeros,

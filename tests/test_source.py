@@ -2,9 +2,9 @@
 invariants must raise, because ``python -O`` strips ``assert``, and the
 arithmetic is exact, so no float appears.  No module imports
 ``dataclasses`` or ``typing``; ``bn2.relations`` imports neither the
-solver nor ``bn2.triangular``, ``bn2.triangular`` not the solver, and
-neither ``bn2.verify`` nor ``bn2.solver`` imports ``fractions`` or ``json``
-at load; only ``bn2.cli.build_parser`` imports ``argparse``, and
+solver nor ``bn2.triangular``, ``bn2.triangular`` not the solver, neither
+``bn2.verify`` nor ``bn2.solver`` imports ``fractions`` or ``json`` at
+load, and ``bn2.verify`` does not import the solver at load; only ``bn2.cli.build_parser`` imports ``argparse``, and
 ``bn2.cli.main`` is the one place that catches a subcommand's errors and
 writes its output.  The package exports only names it defines, and the
 test oracles stay out of it; the relation and T_g builders take their
@@ -115,8 +115,9 @@ def _load_time_nodes(tree):
         # no RationalMatrix
         ("triangular.py", ("bn2.solver",), False),
         # the checks run in integers and write their report directly: a view
-        # that builds a Fraction imports fractions when it is called
-        ("verify.py", ("fractions", "json"), True),
+        # that builds a Fraction or a RationalMatrix imports fractions or
+        # bn2.solver when it is called
+        ("verify.py", ("fractions", "json", "bn2.solver"), True),
         ("solver.py", ("fractions", "json"), True),
     ],
     ids=["relations.py", "triangular.py", "verify.py", "solver.py"],

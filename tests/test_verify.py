@@ -1,12 +1,25 @@
 import json
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bn2.basis import D0SQ, K1SQ, K2, ClassExpression, dd, enumerate_basis, om, th
+from bn2.basis import (
+    D0SQ,
+    K1SQ,
+    K2,
+    ClassExpression,
+    basis_dimension,
+    dd,
+    enumerate_basis,
+    om,
+    th,
+)
+from bn2.relations import build_relations
+from bn2.solver import RationalMatrix
 from bn2.verify import (
     G5_CONVENTION_NOTE,
     CheckReport,
@@ -31,8 +44,9 @@ from bn2.verify import (
     scale_factor,
     known_trigonal_class,
     _json_text,
+    _rank,
 )
-from oracles import basis_index, closed_form_by_label
+from oracles import basis_index, closed_form_by_label, gauss_rank, rank
 
 F = Fraction
 
@@ -257,6 +271,85 @@ def test_check_g5_rank():
     assert rep.status == "pass"
     assert rep.actual == {"rows": 19, "cols": 20, "rank": 19}
     assert G5_CONVENTION_NOTE in rep.notes
+
+
+@st.composite
+def _int_rows(draw):
+    """0..8 integer rows {column: nonzero} of 0..8 columns, some of them
+    zero rows, repeats of other rows, or with a column that is zero."""
+    ncols = draw(st.integers(0, 8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5, 12, -144])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            kind = draw(st.sampled_from(["zero row", "repeat", "zero column"]))
+            at = draw(st.integers(0, len(rows) - 1))
+            if kind == "zero row":
+                rows[at] = [0] * ncols
+            elif kind == "repeat":
+                rows.insert(at, list(rows[draw(st.integers(0, len(rows) - 1))]))
+            elif ncols:
+                c = draw(st.integers(0, ncols - 1))
+                rows = [[0 if j == c else v for j, v in enumerate(row)] for row in rows]
+    return [{j: v for j, v in enumerate(row) if v} for row in rows[:8]], ncols
+
+
+def _oracle_ranks(rows, ncols):
+    matrix = RationalMatrix.from_sparse(rows, ncols)
+    return rank(matrix), gauss_rank(matrix)
+
+
+@given(_int_rows())
+@example(([], 0))
+@example(([{}, {}], 3))
+@example(([{0: 1, 2: 2}, {0: 1, 2: 2}, {1: 3}], 4))
+@example(([{0: 2, 1: 4}, {0: 1, 1: 2}, {2: 7}], 3))
+def test_rank_is_the_rank_of_the_oracles(matrix):
+    rows, ncols = matrix
+    r = _rank(rows, ncols)
+    assert (r, r) == _oracle_ranks(rows, ncols)
+    assert 0 <= r <= min(len(rows), ncols)
+
+
+@pytest.mark.parametrize("g", range(5, 13))
+def test_rank_of_the_relation_rows_is_that_of_the_oracles(g):
+    # Q_g is square and nonsingular for g >= 6; the genus-5 system is 19 x 20
+    rows = [rel.coefficients for rel in build_relations(g).rows]
+    n = basis_dimension(g)
+    r = _rank(rows, n)
+    assert (r, r) == _oracle_ranks(rows, n)
+    assert r == (19 if g == 5 else n)
+
+
+def test_a_repeated_g5_row_fails_the_g5_check(monkeypatch):
+    import bn2.verify
+
+    system = build_relations(5)
+    rows = list(system.rows)
+    rows[7] = rows[3]
+    monkeypatch.setattr(bn2.verify, "build_relations", lambda g: SimpleNamespace(rows=rows))
+    rep = check_g5_rank()
+    assert rep.status == "fail"
+    assert rep.actual == {"rows": 19, "cols": 20, "rank": 18}
+    assert rep.expected == {"rows": 19, "cols": 20, "rank": 19}
+
+
+@pytest.mark.parametrize("at", range(13))
+def test_a_changed_m4_entry_fails_the_m4_check(monkeypatch, at):
+    # every coefficient of the doubled class is nonzero, so a changed entry
+    # breaks that row's relation
+    import bn2.verify
+
+    rows = list(bn2.verify._M4_ROWS)
+    tag, coeffs, b = rows[at]
+    name = next(iter(coeffs))
+    rows[at] = (tag, {**coeffs, name: coeffs[name] + 1}, b)
+    monkeypatch.setattr(bn2.verify, "_M4_ROWS", rows)
+    rep = check_m4()
+    assert rep.status == "fail"
+    assert list(rep.actual) == ["relations_violated", "rank", "nullspace_matches"]
+    assert rep.actual["relations_violated"] == 1
+    assert [entry["relation"] for entry in rep.diff] == [tag]
 
 
 def test_check_nonsingular_g6():
