@@ -4,6 +4,10 @@ in the package uses.
 
 Labels serialize as short strings: ``k1^2``, ``k2``, ``d0^2``, ``ld0``,
 ``d1^2``, ``ld1``, ``ld2``, ``om(i)``, ``la(i)``, ``d(i,j)``, ``th(i)``.
+
+A rational value is carried as integers wherever the package computes, and
+its text is ``fraction_text(n, d)``: ``str(Fraction(n, d))`` without
+``fractions``.  The commands that write a rational load this module anyway.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from math import gcd
 
 __all__ = [
     "ClassLabel",
@@ -32,6 +37,7 @@ __all__ = [
     "basis_dimension",
     "enumerate_basis",
     "columns",
+    "fraction_text",
 ]
 
 _SCALAR_KINDS = ("k1^2", "k2", "d0^2", "ld0", "d1^2", "ld1", "ld2")
@@ -192,6 +198,17 @@ def columns(g: int):
         return th0 + i
 
     return (*range(7), om, la, dd, th)
+
+
+def fraction_text(n: int, d: int) -> str:
+    """n / d written as ``str(Fraction(n, d))`` writes it: in lowest terms
+    with a positive denominator, and without one when it is 1."""
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    c = gcd(n, d)
+    if d < 0:
+        c = -c
+    return f"{n // c}" if d == c else f"{n // c}/{d // c}"
 
 
 class ClassExpression:

@@ -22,11 +22,10 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from bn2 import enumerative
-from bn2.basis import enumerate_basis
+from bn2.basis import enumerate_basis, fraction_text
 from bn2.enumerative import SchubertIndex
-from bn2.exactnum import fraction_text
 
-# the enumerative and solver errors subclass ValueError; a non-integral count
+# the enumerative, relation and T_g errors subclass ValueError; a non-integral count
 # is an ArithmeticError.  Internal errors are RuntimeErrors; main handles both.
 _DOMAIN_ERRORS = (ValueError, ArithmeticError)
 

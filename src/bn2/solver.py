@@ -6,17 +6,15 @@ product of integer matrices such as ``Q_g * T_g`` runs in integer arithmetic
 and a matrix-vector product clears the vector's denominators once.
 ``from_sparse`` is the one constructor.  No float enters any computation.
 
-No command loads this module and none of it eliminates.  ``bn2.triangular``
-solves on integer rows, and ``bn2.verify`` takes the ranks of its genus-4
-and genus-5 checks on integer rows.  ``RationalMatrix`` is built by the
-library view ``verify.m4_relations`` and by the test oracles in
-``tests/oracles.py``, which hold the dense eliminations (Gauss, Bareiss,
-determinants, nullspaces, a general solve).  ``fractions`` is imported only
-where a non-integral entry is stored or a vector is passed to ``matvec``.
-The module stays, until the benchmark's tracer no longer hooks it, as that
-tracer's hooks (``matvec`` and ``matmul``), as the tests' reference for the
-integer-row product of ``bn2.triangular``, and as the library type of
-``m4_relations``.
+No package module imports this one, no command loads it and none of it
+eliminates: ``bn2.triangular`` and ``bn2.verify`` work on integer rows.  Only
+the test oracles in ``tests/oracles.py`` build a ``RationalMatrix``, and
+``fractions`` is imported only where a non-integral entry is stored or a
+vector is passed to ``matvec``.  The module stays, until the benchmark's
+tracer (``perfbench/tracer.py``) no longer hooks it by name, as that
+tracer's hooks (``matvec`` and ``matmul``) and as the tests' reference for
+the integer-row product of ``bn2.triangular``; ``bn2.RationalMatrix`` is
+its lazy export.
 """
 
 from __future__ import annotations

@@ -10,14 +10,14 @@ column: each row of the genus-6 table, the pull-back and the genus-4
 subsystem is integer numerators over its own denominator.  A class is
 compared as integer numerators times one scale p / q, so each comparison
 cross-multiplies, and each rational text of a report is
-``exactnum.fraction_text``.  The genus-4 and genus-5 ranks are taken on
-the integer rows (``_rank``).  ``reports_to_json`` writes the report as
+``basis.fraction_text``.  The genus-4 and genus-5 ranks are taken on the
+integer rows (``_rank``).  ``reports_to_json`` writes the report as
 ``json.dumps(..., indent=2)`` does.  So a run whose checks pass loads
-neither ``fractions``, ``json`` nor ``bn2.solver``.  ``closed_form_class``,
+neither ``fractions`` nor ``json``.  ``closed_form_class``,
 ``scale_factor``, ``known_trigonal_class``, ``pullback_matrix``,
 ``pullback_image``, ``m4_relations``, ``m4_class`` and ``m4_rank_relation``
 are the library views: each builds its Fractions from the same integer
-data when it is called.
+data when it is called, and no view builds a matrix object.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from itertools import compress, count, repeat
 from math import factorial, gcd, lcm, prod
 from operator import mul, ne
 
-from bn2.basis import ClassExpression, ClassLabel, basis_dimension, columns, enumerate_basis
-from bn2.exactnum import fraction_text
+from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis, fraction_text
 from bn2.relations import _json_quote, build_relations
 from bn2.triangular import _genus, _matvec, _solve
 
@@ -436,18 +435,17 @@ def _m4_rows() -> list[dict[int, int]]:
     return [{pos[name]: v for name, v in coeffs.items()} for _, coeffs, _ in _M4_ROWS]
 
 
-def m4_relations() -> tuple[list[str], RationalMatrix, list[Fraction]]:
-    """The 13 genus-4 relations: source tags, 13 x 14 coefficient matrix in
-    the M4_LABELS order, and the right-hand sides."""
+def m4_relations() -> tuple[list[str], list[dict[int, Fraction]], list[Fraction]]:
+    """The 13 genus-4 relations: source tags, one {column: coefficient} row
+    per relation with the columns in the M4_LABELS order, and the
+    right-hand sides."""
     from fractions import Fraction
-
-    from bn2.solver import RationalMatrix
 
     scales = [_M4_ROW_SCALE.get(tag, 1) for tag, _, _ in _M4_ROWS]
     rows = [{j: Fraction(v, s) for j, v in row.items()} for row, s in zip(_m4_rows(), scales)]
     tags = [tag for tag, _, _ in _M4_ROWS]
     rhs = [Fraction(b, s) for (_, _, b), s in zip(_M4_ROWS, scales)]
-    return tags, RationalMatrix.from_sparse(rows, len(M4_LABELS)), rhs
+    return tags, rows, rhs
 
 
 def m4_class() -> dict[str, Fraction]:

@@ -19,6 +19,7 @@ from bn2.enumerative import (
     sum_D,
 )
 from bn2.relations import build_relations, build_rhs_vector
+from bn2.solver import RationalMatrix
 from bn2.triangular import _product_report
 from bn2.verify import (
     M4_LABELS,
@@ -116,7 +117,8 @@ def test_criterion_4_pullback_vanishing():
 
 def test_criterion_5_m4_hyperelliptic():
     start = time.perf_counter()
-    tags, matrix, rhs = m4_relations()
+    tags, rows, rhs = m4_relations()
+    matrix = RationalMatrix.from_sparse(rows, len(M4_LABELS))
     cls = m4_class()
     x = [cls[name] for name in M4_LABELS]
     relations_ok = matrix.matvec(x) == rhs

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bn2.basis import (
@@ -18,6 +18,7 @@ from bn2.basis import (
     columns,
     dd,
     enumerate_basis,
+    fraction_text,
     is_valid,
     la,
     om,
@@ -250,3 +251,19 @@ def test_class_expression_diff():
 @given(st.integers(5, 18))
 def test_dimension_formula_matches_enumeration(g):
     assert len(enumerate_basis(g)) == (g * g - 1) // 4 + 3 * g - 1
+
+
+@given(st.integers(), st.integers().filter(bool))
+@example(0, 7)
+@example(0, -7)
+@example(-6, 4)
+@example(6, -4)
+@example(-5, -1)
+@example(12, 12)
+def test_fraction_text_is_str_fraction(n, d):
+    assert fraction_text(n, d) == str(Fraction(n, d))
+
+
+def test_fraction_text_rejects_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        fraction_text(1, 0)

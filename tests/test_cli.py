@@ -850,31 +850,36 @@ def test_short_families_match_pinned_digest(capsys, command):
 
 
 # runs one command in a fresh interpreter and prints its exit code, the length
-# of its stdout and which of bn2.relations, bn2.solver, bn2.triangular,
-# bn2.verify, fractions, decimal, csv, json, _json, dataclasses, inspect,
-# argparse, gettext and locale it loaded (typing is not probed: site may load
-# it before bn2 runs); no command that succeeds loads argparse
+# of its stdout and which of bn2.exactnum, bn2.relations, bn2.solver,
+# bn2.triangular, bn2.verify, fractions, decimal, csv, json, _json,
+# dataclasses, inspect, argparse, gettext and locale it loaded (typing is not
+# probed: site may load it before bn2 runs); no command that succeeds loads
+# argparse, and none loads bn2.exactnum or bn2.solver
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-probed = ("bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "fractions",
-          "decimal", "csv", "json", "_json", "dataclasses", "inspect", "argparse", "gettext",
-          "locale")
+probed = ("bn2.exactnum", "bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify",
+          "fractions", "decimal", "csv", "json", "_json", "dataclasses", "inspect", "argparse",
+          "gettext", "locale")
 print(code, len(out.getvalue()), *(m for m in probed if m in sys.modules))
 """
 
 
-def _loaded_after(*argv):
+def _src_env():
     src = str(Path(bn2.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _loaded_after(*argv):
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_PROBE, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=60,
         check=True,
     )
@@ -926,6 +931,29 @@ def test_verify_loads_the_checks(which):
     code, _, *loaded = _loaded_after("verify", which)
     assert code == "0"
     assert loaded == ["bn2.relations", "bn2.triangular", "bn2.verify"]
+
+
+@pytest.mark.parametrize("argv", [("solve", "--k", "3"), ("verify", "m4")])
+def test_benchmark_tracer_hooks_every_layer(capsys, tmp_path, argv):
+    # the benchmark's tracer imports every layer it times by name, bn2.exactnum
+    # and bn2.solver included, and wraps their public functions; a package
+    # change that breaks one of those imports fails here, not in a traced run
+    tracer = Path(bn2.__file__).resolve().parents[2] / "perfbench" / "tracer.py"
+    spans_path = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(tracer), str(spans_path), "--", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    assert {"exactnum.fraction_text", "relations.build_relations"} <= set(spans)
+    if argv[0] == "solve":
+        assert spans["exactnum.fraction_text"][0] > 0
+        assert spans["relations.build_relations"][0] > 0
 
 
 @pytest.mark.parametrize("which", VERIFY_CHECKS)

@@ -4,7 +4,8 @@ arithmetic is exact, so no float appears.  No module imports
 ``dataclasses`` or ``typing``; ``bn2.relations`` imports neither the
 solver nor ``bn2.triangular``, ``bn2.triangular`` not the solver, neither
 ``bn2.verify`` nor ``bn2.solver`` imports ``fractions`` or ``json`` at
-load, and ``bn2.verify`` does not import the solver at load; only ``bn2.cli.build_parser`` imports ``argparse``, and
+load, and no package module imports ``bn2.solver`` or ``bn2.exactnum``;
+only ``bn2.cli.build_parser`` imports ``argparse``, and
 ``bn2.cli.main`` is the one place that catches a subcommand's errors and
 writes its output.  The package exports only names it defines, and the
 test oracles stay out of it; the relation and T_g builders take their
@@ -92,6 +93,17 @@ def test_package_imports_neither_dataclasses_nor_typing():
     assert SOURCES and found == []
 
 
+def _imported_names(node):
+    """The modules an import statement names, and for ``from m import a``
+    also ``m.a``, since ``a`` may be a submodule; nothing for other nodes."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    return []
+
+
 def _load_time_nodes(tree):
     """The nodes that run when the module loads: every node outside a
     function body."""
@@ -107,37 +119,46 @@ def _load_time_nodes(tree):
 
 
 @pytest.mark.parametrize(
-    "name, forbidden, at_load_only",
+    "name, forbidden, forbidden_at_load",
     [
         # the data layer: bn2 matrix loads it and neither the solver nor T_g
-        ("relations.py", ("bn2.solver", "bn2.triangular"), False),
+        ("relations.py", ("bn2.solver", "bn2.triangular"), ()),
         # the integer rows of Q_g, T_g and P: bn2 solve and bn2 tmatrix load
         # no RationalMatrix
-        ("triangular.py", ("bn2.solver",), False),
-        # the checks run in integers and write their report directly: a view
-        # that builds a Fraction or a RationalMatrix imports fractions or
-        # bn2.solver when it is called
-        ("verify.py", ("fractions", "json", "bn2.solver"), True),
-        ("solver.py", ("fractions", "json"), True),
+        ("triangular.py", ("bn2.solver",), ()),
+        # the checks run in integers and write their report directly, and no
+        # view builds a RationalMatrix; a view that builds a Fraction imports
+        # fractions when it is called.  fraction_text comes from bn2.basis
+        ("verify.py", ("bn2.solver", "bn2.exactnum"), ("fractions", "json")),
+        ("cli.py", ("bn2.solver", "bn2.exactnum"), ()),
+        ("solver.py", (), ("fractions", "json")),
     ],
-    ids=["relations.py", "triangular.py", "verify.py", "solver.py"],
+    ids=["relations.py", "triangular.py", "verify.py", "cli.py", "solver.py"],
 )
-def test_relations_imports_no_linear_algebra(name, forbidden, at_load_only):
-    path = Path(bn2.__file__).parent / name
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = []
-    for node in _load_time_nodes(tree) if at_load_only else ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
-        else:
-            continue
-        found += [
-            f"{node.lineno} {n}" for n in names for f in forbidden if n == f or n.startswith(f + ".")
-        ]
+def test_relations_imports_no_linear_algebra(name, forbidden, forbidden_at_load):
+    tree = ast.parse((Path(bn2.__file__).parent / name).read_text(encoding="utf-8"))
+    load_time = {id(node) for node in _load_time_nodes(tree)}
+    found = [
+        f"{node.lineno} {n}"
+        for node in ast.walk(tree)
+        for n in _imported_names(node)
+        for f in (*forbidden, *(forbidden_at_load if id(node) in load_time else ()))
+        if n == f or n.startswith(f + ".")
+    ]
     assert found == []
+
+
+def test_no_package_module_imports_exactnum_or_solver():
+    # both stay only for the benchmark's tracer; bn2.exactnum re-exports
+    # bn2.basis.fraction_text, and bn2.RationalMatrix is a lazy export
+    found = [
+        f"{path.name}:{node.lineno} {n}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for n in _imported_names(node)
+        if n.split(".")[:2] in (["bn2", "exactnum"], ["bn2", "solver"])
+    ]
+    assert SOURCES and found == []
 
 
 def test_only_build_parser_imports_argparse():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import factorial
@@ -153,10 +154,22 @@ def test_check_pullback_reports():
 
 
 def test_m4_data_shapes():
-    tags, matrix, rhs = m4_relations()
+    tags, rows, rhs = m4_relations()
+    matrix = RationalMatrix.from_sparse(rows, len(M4_LABELS))
     assert len(tags) == 13 and matrix.nrows == 13 and matrix.ncols == 14
     assert len(rhs) == 13
     assert len(m4_class()) == len(M4_LABELS) == 14
+
+
+def test_m4_relations_rows_are_pinned():
+    # the rows are {column: Fraction} dicts in the M4_LABELS order; as a
+    # matrix they are exactly the one m4_relations returned when its library
+    # type was a RationalMatrix
+    _, rows, _ = m4_relations()
+    assert all(type(v) is Fraction for row in rows for v in row.values())
+    matrix = RationalMatrix.from_sparse(rows, 14)
+    digest = hashlib.sha256(repr(list(matrix.nonzeros())).encode()).hexdigest()
+    assert digest == "e54d402412d22f8eca47c22ae96f521219fefaf9e5e0c7513d9dbe7289dbbca3"
 
 
 def test_m4_first_relation_by_hand():
@@ -232,7 +245,8 @@ def test_m4_kernel_proof_rejects_a_wrong_relation(monkeypatch):
 
 
 def test_m4_rank_relation_is_in_kernel():
-    _, matrix, _ = m4_relations()
+    _, rows, _ = m4_relations()
+    matrix = RationalMatrix.from_sparse(rows, len(M4_LABELS))
     v = m4_rank_relation()
     assert matrix.matvec(v) == [0] * 13
 
