@@ -35,7 +35,6 @@ _EXPORTS = {
         "relations",
     ),
     "solve_class": "triangular",
-    "RationalMatrix": "solver",
     **dict.fromkeys(
         ("closed_form_class", "pullback_image", "pullback_matrix", "known_trigonal_class"),
         "verify",

@@ -2,12 +2,12 @@
 solve, and the verification suite.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or
-domain error, a command that runs out of memory (``bn2 <command>: not
-enough memory``) or output that cannot be written (``bn2 <command>: cannot
-write PATH: reason``, PATH being ``stdout`` or the ``--out`` path), 3
-internal error (``bn2 <command>: internal error: ...``).  Results go to
-stdout, diagnostics to stderr; identical invocations produce byte-identical
-output.  The subcommands, their flags and their work are one table, and
+domain error (an empty ``--out`` is a usage error), a command that runs
+out of memory (``bn2 <command>: not enough memory``) or output that cannot
+be written (``bn2 <command>: cannot write PATH: reason``, PATH being
+``stdout`` or the ``--out`` path), 3 internal error (``bn2 <command>:
+internal error: ...``).  Results go to stdout, diagnostics to stderr;
+identical invocations produce byte-identical output.  The subcommands, their flags and their work are one table, and
 ``main`` alone writes each result and sets the exit code; ``argparse`` is
 loaded only for help, a usage error or a command line that is not of the
 table's canonical form.
@@ -272,6 +272,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     required = _COMMANDS[args.command][3]
     if required and getattr(args, required) is None:
         _usage_error(args, f"--{required} is required for {args.command}")
+    if args.out == "":  # would read as no --out and write to stdout
+        _usage_error(args, "--out needs a path")
     prefix = " ".join(["bn2", args.command, *([args.which] if hasattr(args, "which") else ())])
     try:
         text = args.func(args)

@@ -175,25 +175,6 @@ def castelnuovo_N(g: int, d: int, alpha, beta=SchubertIndex(0, 0)) -> Fraction:
     return Fraction(scale * num, factorial(s)) if num else Fraction(0)
 
 
-# _pencil_count codes for an index whose n_{g,d,alpha} is not a count
-_RHO_MISMATCH = -1
-_BELOW_REGIME = -2
-
-
-def _pencil_count(g: int, d: int, a0: int, a1: int) -> int:
-    """n_{g,d,(a0,a1)} if it is a count, else the code of the failed
-    condition, on which count_n raises.  The sums walk the same
-    regime in integers (``_counted``), which the tests hold against this."""
-    if rho(g, 1, d, [(a0, a1)]) != -1:
-        return _RHO_MISMATCH
-    dp = d - a0
-    if 2 * dp - g - 2 < 0:
-        return _BELOW_REGIME
-    lead = 2 * dp - g - 1  # equals a1 - a0, >= 1 here
-    _in_reach(g - dp, "count_n", "g")  # the smaller index of C(g, dp), as dp > g/2
-    return lead * (lead + 1) * (lead + 2) * comb(g, dp)
-
-
 def count_n(g: int, d: int, alpha) -> int:
     """Number of (moving point, pencil) pairs on a general genus-g curve with
     ramification alpha at the point, in the adjusted-rho = -1 regime.
@@ -202,18 +183,21 @@ def count_n(g: int, d: int, alpha) -> int:
     (2d'-g-1)(2d'-g)(2d'-g+1) * C(g, d').  Raises RhoMismatchError unless
     rho(g,1,d,alpha) = -1, and RegimeError when rho(g,1,d') < 0 -- the case
     where the leading factor 2d'-g-1 would be <= 0 and no such pencils exist
-    on a general curve.
+    on a general curve.  The sums walk the same regime in integers
+    (``_counted``), which the tests hold against the definitions.
     """
     a = _index(alpha).check_degree(d)
-    value = _pencil_count(g, d, a.a0, a.a1)
-    if value == _RHO_MISMATCH:
+    value = rho(g, 1, d, [a])
+    if value != -1:
         raise RhoMismatchError(
-            f"count_n needs adjusted rho = -1, got rho({g},1,{d},{(a.a0, a.a1)}) = "
-            f"{rho(g, 1, d, [a])}"
+            f"count_n needs adjusted rho = -1, got rho({g},1,{d},{(a.a0, a.a1)}) = {value}"
         )
-    if value == _BELOW_REGIME:
-        raise RegimeError(f"rho({g},1,{d - a.a0}) < 0 after base-locus reduction")
-    return value
+    dp = d - a.a0
+    if 2 * dp - g - 2 < 0:
+        raise RegimeError(f"rho({g},1,{dp}) < 0 after base-locus reduction")
+    lead = 2 * dp - g - 1  # equals a1 - a0, >= 1 here
+    _in_reach(g - dp, "count_n", "g")  # the smaller index of C(g, dp), as dp > g/2
+    return lead * (lead + 1) * (lead + 2) * comb(g, dp)
 
 
 def count_m(g: int, d: int, alpha) -> int:

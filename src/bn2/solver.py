@@ -13,8 +13,8 @@ the test oracles in ``tests/oracles.py`` build a ``RationalMatrix``, and
 vector is passed to ``matvec``.  The module stays, until the benchmark's
 tracer (``perfbench/tracer.py``) no longer hooks it by name, as that
 tracer's hooks (``matvec`` and ``matmul``) and as the tests' reference for
-the integer-row product of ``bn2.triangular``; ``bn2.RationalMatrix`` is
-its lazy export.
+the integer-row product of ``bn2.triangular``.  ``bn2`` does not export
+it: the tracer imports ``bn2.solver`` by name.
 """
 
 from __future__ import annotations

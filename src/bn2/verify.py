@@ -407,23 +407,9 @@ _M4_ROWS: list[tuple[str, dict[str, int], int]] = [
 ]
 _M4_ROW_SCALE = {"pullback[D00]": 120}
 
-# twice the coefficients of the genus-4 hyperelliptic class, in integers
-_M4_TWICE_CLASS = {
-    "k2": 27,
-    "l^2": -339,
-    "ld0": 64,
-    "ld1": 90,
-    "ld2": 6,
-    "d0^2": -1,
-    "d0d1": -8,
-    "d1^2": 15,
-    "d1d2": 6,
-    "d2^2": 9,
-    "d00": -4,
-    "g1": -6,
-    "d01a": 3,
-    "d1_1": -36,
-}
+# twice the coefficients of the genus-4 hyperelliptic class, in integers, in
+# the M4_LABELS order
+_M4_TWICE_CLASS = (27, -339, 64, 90, 6, -1, -8, 15, 6, 9, -4, -6, 3, -36)
 
 # the unique linear relation among the 14 generators, in the M4_LABELS order
 _M4_RANK_RELATION = (60, -810, 156, 252, 0, -3, -24, 24, 0, 0, -9, -12, 7, -84)
@@ -453,7 +439,7 @@ def m4_class() -> dict[str, Fraction]:
     every denominator."""
     from fractions import Fraction
 
-    return {name: Fraction(v, 2) for name, v in _M4_TWICE_CLASS.items()}
+    return {name: Fraction(v, 2) for name, v in zip(M4_LABELS, _M4_TWICE_CLASS)}
 
 
 def m4_rank_relation() -> list[Fraction]:
@@ -562,9 +548,8 @@ def check_m4() -> CheckReport:
     times s holds for the class x = X / 2 exactly when its product with X is
     2 b, and a scaled row has the same kernel."""
     rows = _m4_rows()
-    twice = [_M4_TWICE_CLASS[name] for name in M4_LABELS]
     residues = []
-    for (tag, _, b), lhs in zip(_M4_ROWS, _matvec(rows, twice)):
+    for (tag, _, b), lhs in zip(_M4_ROWS, _matvec(rows, _M4_TWICE_CLASS)):
         if lhs != 2 * b:
             s = _M4_ROW_SCALE.get(tag, 1)
             residues.append(

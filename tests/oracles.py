@@ -26,8 +26,10 @@ from routes that share none of that code:
   genus-i and a genus-j vector by Chu-Vandermonde.  The runtime's ``sum_D``
   joins the pairs into four integer products per pair at g = 2k, and into
   one sum over the full range of the first index off g = 2k.  Both oracles
-  find the counted indices by scanning every a0 < k through the regime
-  function (``counted_by_scan``); the runtime walks one interval in integers
+  find the counted indices by scanning every a0 < k (``counted_by_scan``)
+  and take each count from its definitions (``n_from_rho``: adjusted
+  rho = -1, and rho(g,1,d') >= 0 after the base point), not from the
+  runtime's ``count_n``; the runtime walks one interval in integers
   (``_counted``).
 - the dense CSV exports ``system_to_csv_dense`` and ``t_matrix_to_csv_dense``:
   every cell of ``Q_g`` and ``T_g`` written by ``csv.writer``.  The runtime
@@ -93,7 +95,7 @@ from bn2.basis import (
     om,
     th,
 )
-from bn2.enumerative import _castelnuovo_num, _counted, _pencil_count, _ram_sequence
+from bn2.enumerative import _castelnuovo_num, _counted, _ram_sequence, rho
 from bn2.relations import build_relations, build_rhs_vector, describe_rhs
 from bn2.solver import DimensionMismatchError, RationalMatrix
 from bn2.triangular import _t_tags, forward_substitute
@@ -467,10 +469,20 @@ def _weight_pairs(k: int, w: int) -> list[tuple[int, int]]:
     return [(a0, w - a0) for a0 in range(k) if a0 <= w - a0 <= k - 1]
 
 
+def n_from_rho(g: int, d: int, a0: int, a1: int) -> int:
+    """n_{g,d,alpha} straight from the definitions: adjusted rho = -1 and
+    rho(g,1,d') >= 0 after removing the a0-fold base point, else 0."""
+    dp = d - a0
+    if rho(g, 1, d, [(a0, a1)]) != -1 or rho(g, 1, dp) < 0:
+        return 0
+    lead = 2 * dp - g - 1
+    return lead * (lead + 1) * (lead + 2) * math.comb(g, dp)
+
+
 def counted_by_scan(i: int, k: int, w: int) -> list[tuple[int, int, int]]:
     """(a0, a1, n_{i,k,(a0,a1)}) where n counts, from the scan over every
     a0 < k of weight w; the runtime's ``_counted`` walks one interval."""
-    return [(a0, a1, n) for a0, a1 in _weight_pairs(k, w) if (n := _pencil_count(i, k, a0, a1)) > 0]
+    return [(a0, a1, n) for a0, a1 in _weight_pairs(k, w) if (n := n_from_rho(i, k, a0, a1)) > 0]
 
 
 def sum_D_pairs(i: int, j: int, g: int, k: int) -> int:
@@ -484,12 +496,12 @@ def sum_D_pairs(i: int, j: int, g: int, k: int) -> int:
     h = g - i - j
     betas = []
     for b0, b1 in _weight_pairs(k, 2 * k - j - 1):
-        nb = _pencil_count(j, k, b0, b1)
+        nb = n_from_rho(j, k, b0, b1)
         if nb > 0:
             betas.append((nb, b1 - b0, k - 1 - b1))
     total = 0
     for a0, a1 in _weight_pairs(k, 2 * k - i - 1):
-        na = _pencil_count(i, k, a0, a1)
+        na = n_from_rho(i, k, a0, a1)
         if na <= 0:
             continue
         gd_a = h - 1 - a1

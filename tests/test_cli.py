@@ -646,6 +646,23 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert err == f"{_words(argv)}: cannot write {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("joined", [False, True], ids=["table", "argparse"])
+@pytest.mark.parametrize(
+    "argv", [("solve", "--k", "3"), ("verify", "m4"), ("matrix", "--g", "6")],
+    ids=["solve", "verify", "matrix"],
+)
+def test_an_empty_out_is_a_usage_error(capsys, monkeypatch, argv, joined):
+    # an empty --out read as no --out, and the text went to stdout with exit
+    # 0; it is rejected before any work, whichever parser read it
+    for callee in ("bn2.triangular._solve", "bn2.verify.check_m4", "bn2.relations.build_relations"):
+        monkeypatch.setattr(callee, None)
+    extra = ["--out="] if joined else ["--out", ""]
+    assert (_parse([*argv, *extra]) is None) == joined
+    err = _usage_exit(capsys, [*argv, *extra])
+    assert err.startswith(f"usage: bn2 {argv[0]} [-h]")
+    assert err.endswith(f"\nbn2 {argv[0]}: error: --out needs a path\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(

@@ -1,19 +1,16 @@
 import hashlib
 from fractions import Fraction
-from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bn2.enumerative import (
-    _RHO_MISMATCH,
     InvalidIndexError,
     RegimeError,
     RhoMismatchError,
     SchubertIndex,
     _counted,
-    _pencil_count,
     castelnuovo_N,
     count_ell,
     count_m,
@@ -27,6 +24,7 @@ from bn2.enumerative import (
 from oracles import (
     castelnuovo_general,
     counted_by_scan,
+    n_from_rho,
     sum_D_pairs,
     sum_D_vectors,
     sum_S16_castelnuovo,
@@ -515,28 +513,16 @@ def test_castelnuovo_N_equals_raw_determinant(args):
     assert castelnuovo_N(g, d, alpha, beta) == _N_raw(g, d, alpha, beta)
 
 
-def _n_from_rho(g, d, a0, a1):
-    """n_{g,d,alpha} straight from the definitions: adjusted rho = -1 and
-    rho(g,1,d') >= 0 after removing the a0-fold base point, else 0."""
-    dp = d - a0
-    if rho(g, 1, d, [(a0, a1)]) != -1 or rho(g, 1, dp) < 0:
-        return 0
-    lead = 2 * dp - g - 1
-    return lead * (lead + 1) * (lead + 2) * comb(g, dp)
-
-
 def test_regime_predicate_matches_count_n_exceptions():
     for g in range(0, 21):
         for d in range(1, 13):
             for a0 in range(d):
                 for a1 in range(a0, d):
-                    value = _pencil_count(g, d, a0, a1)
-                    quiet = _n_quiet(g, d, (a0, a1))
-                    assert max(value, 0) == quiet == _n_from_rho(g, d, a0, a1)
-                    assert (value > 0) == (quiet != 0)
-                    if value <= 0:
-                        kind = RhoMismatchError if value == _RHO_MISMATCH else RegimeError
-                        with pytest.raises(kind):
+                    value = n_from_rho(g, d, a0, a1)
+                    assert _n_quiet(g, d, (a0, a1)) == value
+                    if not value:
+                        mismatch = rho(g, 1, d, [(a0, a1)]) != -1
+                        with pytest.raises(RhoMismatchError if mismatch else RegimeError):
                             count_n(g, d, (a0, a1))
 
 

@@ -12,7 +12,8 @@ test oracles stay out of it; the relation and T_g builders take their
 columns from ``basis.columns``, not through labels, and no module-level
 function but ``enumerate_basis`` keeps an unbounded memo, by decorator or
 by assignment.  No module keeps two module-level dict tables keyed by the
-same constants."""
+same constants, nor a dict keyed by exactly the constants of a module-level
+tuple or list."""
 
 import ast
 import importlib
@@ -149,8 +150,9 @@ def test_relations_imports_no_linear_algebra(name, forbidden, forbidden_at_load)
 
 
 def test_no_package_module_imports_exactnum_or_solver():
-    # both stay only for the benchmark's tracer; bn2.exactnum re-exports
-    # bn2.basis.fraction_text, and bn2.RationalMatrix is a lazy export
+    # both stay only for the benchmark's tracer, which imports them by name;
+    # bn2.exactnum re-exports bn2.basis.fraction_text, and bn2 exports
+    # nothing from either
     found = [
         f"{path.name}:{node.lineno} {n}"
         for path in SOURCES
@@ -300,7 +302,15 @@ def test_package_exports_are_the_submodule_objects():
         assert name in getattr(importlib.import_module(f"bn2.{module}"), "__all__", [name])
     assert sorted(bn2.__all__) == sorted(bn2._EXPORTS)
     assert set(bn2.__all__) <= set(dir(bn2))
-    for name in ("solve_exact", "build_T", "build_matrix", "system_matrix", "triangularity_report"):
+    dropped = (
+        "solve_exact",
+        "build_T",
+        "build_matrix",
+        "system_matrix",
+        "triangularity_report",
+        "RationalMatrix",
+    )
+    for name in dropped:
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(bn2, name)
 
@@ -321,21 +331,56 @@ def test_package_defines_no_oracle():
     assert SOURCES and found == []
 
 
-def test_no_module_keeps_parallel_tables():
-    # two module-level dicts keyed by the same three or more constants hold
-    # one fact in two tables that must agree key by key: one table whose
-    # values are tuples states it once
+def _parallel_tables(source: str) -> list[str]:
+    """"line and line" for each pair of module-level tables that hold one
+    fact twice: two dicts keyed by the same three or more constants, or a
+    dict whose three or more constant keys are exactly the elements of a
+    tuple or list of constants."""
     found = []
-    for path in SOURCES:
-        seen: dict[frozenset, int] = {}
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
-            if not isinstance(value, ast.Dict) or len(value.keys) < 3:
-                continue
-            if not all(isinstance(key, ast.Constant) for key in value.keys):
-                continue
-            keys = frozenset(key.value for key in value.keys)
-            if keys in seen:
-                found.append(f"{path.name}:{seen[keys]} and {node.lineno}")
-            seen.setdefault(keys, node.lineno)
+    dicts: dict[frozenset, int] = {}
+    sequences: dict[frozenset, int] = {}
+    for node in ast.parse(source).body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, ast.Dict):
+            elements, own, other = value.keys, dicts, (dicts, sequences)
+        elif isinstance(value, (ast.Tuple, ast.List)):
+            elements, own, other = value.elts, sequences, (dicts,)
+        else:
+            continue
+        if len(elements) < 3 or not all(isinstance(e, ast.Constant) for e in elements):
+            continue
+        keys = frozenset(e.value for e in elements)
+        found += [f"{seen[keys]} and {node.lineno}" for seen in other if keys in seen]
+        own.setdefault(keys, node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("A = {'a': 1, 'b': 2, 'c': 3}\nB = {'c': 4, 'b': 5, 'a': 6}", ["1 and 2"]),
+        ("A = ('a', 'b', 'c')\nB = {'c': 4, 'b': 5, 'a': 6}", ["1 and 2"]),
+        ("B = {'c': 4, 'b': 5, 'a': 6}\nA = ['a', 'b', 'c']", ["1 and 2"]),
+        ("A: tuple = ('a', 'b', 'c')\nB: dict = {'a': 1, 'b': 2, 'c': 3}", ["1 and 2"]),
+        ("A = ('a', 'b', 'c')\nB = ['c', 'b', 'a']", []),
+        ("A = ('a', 'b')\nB = {'a': 1, 'b': 2}", []),
+        ("A = ('a', 'b', 'c', 'd')\nB = {'a': 1, 'b': 2, 'c': 3}", []),
+        ("A = ('a', 'b', x)\nB = {'a': 1, 'b': 2, x: 3}", []),
+        ("A = (60, -810, 156)\nB = {'a': 1, 'b': 2, 'c': 3}", []),
+    ],
+)
+def test_parallel_table_rule_reads_each_form(source, found):
+    assert _parallel_tables(source) == found
+
+
+def test_no_module_keeps_parallel_tables():
+    # two module-level dicts keyed by the same three or more constants, or a
+    # dict keyed by the elements of a tuple, hold one fact in two tables that
+    # must agree key by key: one table whose values are tuples, or a tuple
+    # of values in the order of the other, states it once
+    found = [
+        f"{path.name}:{pair}"
+        for path in SOURCES
+        for pair in _parallel_tables(path.read_text(encoding="utf-8"))
+    ]
     assert SOURCES and found == []
