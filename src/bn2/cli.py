@@ -68,7 +68,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _castelnuovo(args):
-    beta = _parse_pair(args.beta, "--beta") if args.beta else SchubertIndex(0, 0)
+    beta = _parse_pair(args.beta, "--beta") if args.beta is not None else SchubertIndex(0, 0)
     return enumerative.castelnuovo_N(args.g, args.d, _parse_pair(args.alpha, "--alpha"), beta)
 
 

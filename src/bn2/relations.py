@@ -141,14 +141,11 @@ def build_relations(g: int) -> RelationSystem:
     K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
 
     def add(source: str, rhs: Rhs, terms: list) -> None:
-        acc = dict(terms)
-        if len(acc) != len(terms):  # two terms share a column: sum them
-            acc = {}
-            for c, coeff in terms:
-                acc[c] = acc.get(c, 0) + coeff
-            if not all(acc.values()):  # only a row whose terms cancel drops a column
-                acc = {c: v for c, v in acc.items() if v}
-        rows.append(Relation(source, g, acc, rhs))
+        acc: dict[int, int] = {}
+        for c, coeff in terms:  # terms that share a column are summed
+            acc[c] = acc.get(c, 0) + coeff
+        # only a row whose terms cancel drops a column
+        rows.append(Relation(source, g, {c: v for c, v in acc.items() if v}, rhs))
 
     # S1: two moving points glued, genus i + (g-i).
     for i in range(2, g // 2 + 1):
@@ -438,10 +435,10 @@ def build_relations(g: int) -> RelationSystem:
 _S01 = SchubertIndex(0, 1)
 
 
-def _quotient(num, den: int):
-    """num / den, for an int or Fraction num, as an int when it is one, else
-    as a Fraction; only a value that is not an integer loads ``fractions``."""
-    q, r = divmod(num, den)  # q is an int for a Fraction num too
+def _quotient(num: int, den: int):
+    """num / den, for an int num, as an int when it is one, else as a
+    Fraction; only a value that is not an integer loads ``fractions``."""
+    q, r = divmod(num, den)
     if not r:
         return q
     from fractions import Fraction
@@ -509,14 +506,12 @@ def describe_rhs(rel: Relation) -> str:
 def build_rhs_vector(system: RelationSystem, k: int) -> list[int | Fraction]:
     """b_k: every right-hand side at degree k, the S2 rows' in one loop.  The
     D and D6 counts share one sum_D table, which builds each E_r(j) once."""
-    g, at, d_sums = system.g, system.s2.start, _sum_D_table(k)
+    g, d_sums = system.g, _sum_D_table(k)
     b = [_evaluate(rel, k, d_sums) for rel in system.core]
-    if system.s2:
-        if g != 2 * k:
-            raise ValueError(f"rhs of the S2 rows needs g = 2k, got g={g}, k={k}")
-        _, div, _ = _RHS["D"]
-        b[at:at] = (_quotient(d_sums(i, j), div(g, i, j)) for i, j in _s2_pairs(g))
-    return b
+    if system.s2 and g != 2 * k:
+        raise ValueError(f"rhs of the S2 rows needs g = 2k, got g={g}, k={k}")
+    _, div, _ = _RHS["D"]
+    return system._spliced(b, (_quotient(d_sums(i, j), div(g, i, j)) for i, j in _s2_pairs(g)))
 
 
 def _rows_with_rhs(system: RelationSystem, k: int | None):
@@ -560,37 +555,34 @@ def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     return "".join(lines)
 
 
-def _json_quote(strings: list[str]):
-    """A function that writes each of strings as ``json.dumps`` writes it.
+def _json_string(text: str) -> str:
+    """text as ``json.dumps`` writes it.
 
     bn2 builds every string it exports from ASCII templates and integers, so
     none holds a character that ``json.dumps`` escapes (a double quote, a
     backslash, a control or a non-ASCII character), and each is written
-    between double quotes as it is, without loading ``json``.  Only a row
-    built by hand can need json's escaping."""
-    text = "".join(strings)
+    between double quotes as it is, without loading ``json``.  Each string is
+    checked on its own: only one of a row built by hand can need json's escaping."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return '"{}"'.format
+        return f'"{text}"'
     from json.encoder import encode_basestring_ascii
 
-    return encode_basestring_ascii
+    return encode_basestring_ascii(text)
 
 
 def _json_export(g: int, key: str, entries: list) -> str:
     """``json.dumps({"g": g, "labels": labels, key: entries}, indent=2)`` plus
     a newline for the genus-g labels, written directly.  An entry is a field
     name, its string, a {column: int} dict of coefficients and, optionally, a
-    right-hand side; labels, strings and coefficients are written as JSON
-    strings.  Coefficients may be empty, entries may not."""
-    names = [str(lab) for lab in enumerate_basis(g)]
-    quote = _json_quote([*names, *(t for _, text, _, *rhs in entries for t in (text, *rhs))])
-    names = list(map(quote, names))
+    right-hand side; labels, strings (each by ``_json_string``) and
+    coefficients are JSON strings.  Coefficients may be empty, entries not."""
+    names = [_json_string(str(lab)) for lab in enumerate_basis(g)]
     items = []
     for field, text, coeffs, *rhs in entries:
         cells = ",\n        ".join(f'{names[c]}: "{v}"' for c, v in sorted(coeffs.items()))
         cells = "{\n        " + cells + "\n      }" if cells else "{}"
-        rhs = "".join(f',\n      "rhs": {quote(t)}' for t in rhs)
-        items.append(f'\n      "{field}": {quote(text)},\n      "coeffs": {cells}{rhs}\n    ')
+        rhs = "".join(f',\n      "rhs": {_json_string(t)}' for t in rhs)
+        items.append(f'\n      "{field}": {_json_string(text)},\n      "coeffs": {cells}{rhs}\n    ')
     labels = ",\n    ".join(names)
     return f'{{\n  "g": {g},\n  "labels": [\n    {labels}\n  ],\n  "{key}": [\n    {{' + "},\n    {".join(items) + "}\n  ]\n}\n"
 

@@ -81,10 +81,9 @@ def _t_columns(g: int):
         without its zero entries."""
         for s in range(2, fl + 1):
             w = scale * 6 * (g - 2 * s)
-            if w:
-                hi, lo = om(g - s), om(s)
-                col[hi] = col.get(hi, 0) + w
-                col[lo] = col.get(lo, 0) - w
+            hi, lo = om(g - s), om(s)
+            col[hi] = col.get(hi, 0) + w
+            col[lo] = col.get(lo, 0) - w
         return {c: v for c, v in col.items() if v != 0}
 
     t16 = {D1SQ: 12 * (g - 1), d11: -24 * (g - 1), d0g1: 2 * (g - 1), D0SQ: 3, d00: -6}

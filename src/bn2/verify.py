@@ -28,7 +28,7 @@ from math import factorial, gcd, lcm, prod
 from operator import mul, ne
 
 from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis, fraction_text
-from bn2.relations import _json_quote, build_relations
+from bn2.relations import _json_string, build_relations
 from bn2.triangular import _genus, _matvec, _solve
 
 __all__ = [
@@ -89,10 +89,10 @@ def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)`` from the column of indent, for nested
     dicts with string keys, lists, tuples, strings, ints, bools and None,
     written directly; any other value is a TypeError, as json.dumps raises
-    for an object.  Each string is quoted by ``relations._json_quote``,
+    for an object.  Each string is quoted on its own by ``_json_string``,
     which loads ``json``'s encoder only for a string that needs escaping."""
     if isinstance(value, str):
-        return _json_quote([value])(value)
+        return _json_string(value)
     if value is None:
         return "null"
     if value is True:

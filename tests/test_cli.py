@@ -52,6 +52,18 @@ def test_counts_castelnuovo_rejects_a_negative_genus(capsys):
     assert err == "bn2 counts castelnuovo: castelnuovo_N is defined for g >= 0, got g=-1\n"
 
 
+@pytest.mark.parametrize("joined", [False, True], ids=["table", "argparse"])
+def test_an_empty_beta_is_parsed(capsys, joined):
+    # an empty --beta read as no --beta and gave the one-point count with
+    # exit 0; it is parsed as an empty --alpha is, whichever parser read it
+    argv = ["counts", "castelnuovo", "--g", "2", "--d", "3", "--alpha", "0,1"]
+    extra = ["--beta="] if joined else ["--beta", ""]
+    assert (_parse([*argv, *extra]) is None) == joined
+    message = "bn2 counts castelnuovo: --beta expects 'a0,a1', got ''\n"
+    assert run(capsys, *argv, *extra) == (2, "", message)
+    assert run(capsys, *argv, "--beta", "0,0") == (0, "2\n", "")
+
+
 def test_counts_T_and_D_and_s16(capsys):
     assert run(capsys, "counts", "T", "--i", "2", "--g", "6", "--k", "3")[:2] == (0, "144\n")
     assert run(capsys, "counts", "D", "--i", "2", "--j", "2", "--g", "6", "--k", "3")[:2] == (

@@ -764,8 +764,23 @@ def test_json_exports_quote_only_plain_ascii(g, monkeypatch):
         assert len(strings) > g and strings == plain
 
 
-def test_json_export_writes_an_empty_row_as_json_dumps():
-    rows = [Relation("empty", 6, {}, Rhs("zero")), Relation('a "b"\\', 6, {3: -2}, Rhs("zero"))]
+# each string is quoted on its own, so one export can hold plain strings,
+# written as they are, next to strings that json's encoder escapes
+_ESCAPED_SOURCES = ["a\nb", "\x00", "\x7f", "\u00e9", "\u2028", "\ud800"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [Relation("empty", 6, {}, Rhs("zero")), Relation('a "b"\\', 6, {3: -2}, Rhs("zero"))],
+        [
+            Relation("plain", 6, {}, Rhs("zero")),
+            *(Relation(text, 6, {c: c + 1}, Rhs("zero")) for c, text in enumerate(_ESCAPED_SOURCES)),
+        ],
+    ],
+    ids=["empty-and-quoted", "plain-and-escaped"],
+)
+def test_json_export_writes_an_empty_row_as_json_dumps(rows):
     system = RelationSystem(6, rows)
     assert '"coeffs": {},' in system_to_json(system)
     assert system_to_json(system) == system_to_json_dumps(system)

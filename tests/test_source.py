@@ -11,7 +11,8 @@ writes its output.  The package exports only names it defines, and the
 test oracles stay out of it; the relation and T_g builders take their
 columns from ``basis.columns``, not through labels, and no module-level
 function but ``enumerate_basis`` keeps an unbounded memo, by decorator or
-by assignment.  No module keeps two module-level dict tables keyed by the
+by assignment, and the ``fresh_memos`` fixture clears exactly the bounded
+ones.  No module keeps two module-level dict tables keyed by the
 same constants, nor a dict keyed by exactly the constants of a module-level
 tuple or list."""
 
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import bn2
+from conftest import MEMOS
 
 SOURCES = sorted(Path(bn2.__file__).parent.glob("*.py"))
 
@@ -281,6 +283,20 @@ def test_only_enumerate_basis_keeps_an_unbounded_memo():
         if _unbounded_memo(memo)
     ]
     assert found == ["basis.py enumerate_basis"]
+
+
+def test_the_memo_fixture_clears_every_bounded_memo():
+    # a bounded memo keeps what it last built: one that fresh_memos does not
+    # clear would carry a patched build from one test into the next
+    found = []
+    for path in SOURCES:
+        module = importlib.import_module("bn2" if path.stem == "__init__" else f"bn2.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name, _ in _memos(node):
+                info = getattr(getattr(module, name), "cache_info", None)
+                if info is not None and info().maxsize is not None:
+                    found.append(getattr(module, name))
+    assert len(found) == len(MEMOS) and set(found) == set(MEMOS)
 
 
 def test_every_exported_name_resolves():
