@@ -3,12 +3,12 @@ CSV and JSON exports of the system.
 
 Each of the eighteen families of test surfaces contributes one group of
 rows; a row stores exact integer coefficients keyed by column in the frozen
-basis order plus a right-hand-side descriptor that evaluates to an exact
-rational once the pencil degree k (with g = 2k) is fixed.  Each term of a
-family is written as its column, computed from the generator's indices by
-``basis.columns`` (which also sorts a boundary pair and maps la(g-2) to
-ld2), and coincident columns accumulate additively, which is what collapses
-repeated terms at small g.
+basis order plus a right-hand-side descriptor that evaluates to an integer
+(any other value is an internal error) once the pencil degree k, with
+g = 2k, is fixed.  Each term of a family is written as its column, computed
+from the generator's indices by ``basis.columns`` (which also sorts a
+boundary pair and maps la(g-2) to ld2), and coincident columns accumulate
+additively, which is what collapses repeated terms at small g.
 
 This is the data layer: it builds no matrix and imports no solver, so
 ``bn2 matrix`` loads no linear algebra.  Q_g, T_g and the solve are in
@@ -22,7 +22,6 @@ from math import factorial
 
 from bn2.basis import ClassLabel, basis_dimension, columns, enumerate_basis
 from bn2.enumerative import (
-    SchubertIndex,
     _castelnuovo_num,
     _sum_D_table,
     count_ell,
@@ -74,9 +73,9 @@ _S2_SOURCE = "S2[i={},j={}]".format  # the source tag of the S2 row of (i, j)
 class RelationSystem(namedtuple("RelationSystem", "g core s2")):
     """The core rows of genus g, and at the index range s2 the S2 rows, one
     {k1^2: 2, d(i,j): 1} with rhs D(i,j) per pair of ``_s2_pairs``.  The
-    S2 rows are written only by the views ``rows``, ``sources`` and
-    ``s2_coefficients``, each only the part it returns.  A nonempty s2 is
-    a range of step 1, starting within the core, with one index per pair."""
+    S2 rows are written only by the views, each only the part it returns;
+    no package code reads ``rows``, the library view of Relations.  A nonempty
+    s2 is a range of step 1, starting within the core, with one index per pair."""
 
     __slots__ = ()
 
@@ -114,6 +113,11 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
         """The source tag of every row in group order; no S2 row is built."""
         s2 = (_S2_SOURCE(i, j) for i, j in _s2_pairs(self.g))
         return self._spliced([rel.source for rel in self.core], s2)
+
+    @property
+    def coefficients(self) -> list[dict[int, int]]:
+        """The coefficient dict of every row in group order."""
+        return self._spliced([rel.coefficients for rel in self.core], self.s2_coefficients)
 
     @property
     def rows(self) -> list[Relation]:
@@ -432,63 +436,56 @@ def build_relations(g: int) -> RelationSystem:
     return RelationSystem(g, rows, s2)
 
 
-_S01 = SchubertIndex(0, 1)
-
-
-def _quotient(num: int, den: int):
-    """num / den, for an int num, as an int when it is one, else as a
-    Fraction; only a value that is not an integer loads ``fractions``."""
+def _quotient(num: int, den: int, k: int, row, *at) -> int:
+    """num / den, exactly: a remainder is an internal error naming k and the row row(*at)."""
     q, r = divmod(num, den)
-    if not r:
-        return q
-    from fractions import Fraction
-
-    return Fraction(num, den)
+    if r:
+        raise RuntimeError(f"internal error: rhs of {row(*at)} at k={k} is {num}/{den}, not an integer")
+    return q
 
 
-def _four_N(g: int, k: int):
-    """4 N_{g-4,k,(0,1),(0,1)}: ``castelnuovo_N``'s (g-4)! num / s!, with no
-    base locus to remove, divided exactly."""
+def _four_N(g: int, k: int, source: str) -> int:
+    """4 N_{g-4,k,(0,1),(0,1)} of the row source: ``castelnuovo_N``'s (g-4)! num / s!, exactly."""
     num, s = _castelnuovo_num(g - 4 - k, 1, 1)
-    return _quotient(4 * factorial(g - 4) * num, factorial(s)) if num else 0
+    return _quotient(4 * factorial(g - 4) * num, factorial(s), k, str, source) if num else 0
 
 
 # The right-hand side of a row, by its kind: a count over a divisor, each a
 # function of the row's (g, i, j), the count at degree k reading that degree's
-# sum_D table d, and the symbolic text, formatted with i, j, g2 = g - 2 and
-# g4 = g - 4.  Only describe_rhs reads the text, so evaluation builds none.
+# sum_D table d and (for 4N's division) its source row, and the symbolic text,
+# formatted with i, j, g2 = g - 2 and g4 = g - 4; evaluation builds no text.
 _RHS = {
-    "zero": (lambda g, i, j, k, d: 0, lambda g, i, j: 1, "0"),
+    "zero": (lambda g, i, j, k, d, row: 0, lambda g, i, j: 1, "0"),
     "T": (
-        lambda g, i, j, k, d: sum_T(i, g, k), lambda g, i, j: 4 * (i - 1) * (g - i - 1), "T({i})"
+        lambda g, i, j, k, d, row: sum_T(i, g, k), lambda g, i, j: 4 * (i - 1) * (g - i - 1), "T({i})"
     ),
-    "D": (lambda g, i, j, k, d: d(i, j), lambda g, i, j: 4 * (i - 1) * (j - 1), "D({i},{j})"),
+    "D": (lambda g, i, j, k, d, row: d(i, j), lambda g, i, j: 4 * (i - 1) * (j - 1), "D({i},{j})"),
     "n_over": (
-        lambda g, i, j, k, d: count_n(g - 2, k, _S01), lambda g, i, j: g - 3, "n({g2},(0,1))"
+        lambda g, i, j, k, d, row: count_n(g - 2, k, (0, 1)), lambda g, i, j: g - 3, "n({g2},(0,1))"
     ),
-    "D6": (lambda g, i, j, k, d: d(2, i), lambda g, i, j: 6 * (i - 1), "D(2,{i})"),
-    "4N": (lambda g, i, j, k, d: _four_N(g, k), lambda g, i, j: 1, "4*N({g4},(0,1),(0,1))"),
-    "2ell": (lambda g, i, j, k, d: 2 * count_ell(g - 2, k), lambda g, i, j: 1, "2*ell({g2})"),
-    "S16": (lambda g, i, j, k, d: sum_S16(i, g, k), lambda g, i, j: 2 * i - 2, "S16({i})"),
+    "D6": (lambda g, i, j, k, d, row: d(2, i), lambda g, i, j: 6 * (i - 1), "D(2,{i})"),
+    "4N": (lambda g, i, j, k, d, row: _four_N(g, k, row), lambda g, i, j: 1, "4*N({g4},(0,1),(0,1))"),
+    "2ell": (lambda g, i, j, k, d, row: 2 * count_ell(g - 2, k), lambda g, i, j: 1, "2*ell({g2})"),
+    "S16": (lambda g, i, j, k, d, row: sum_S16(i, g, k), lambda g, i, j: 2 * i - 2, "S16({i})"),
     "S16sp": (
-        lambda g, i, j, k, d: count_m(g - 2, k, _S01), lambda g, i, j: 2 * g - 6, "m({g2},(0,1))"
+        lambda g, i, j, k, d, row: count_m(g - 2, k, (0, 1)), lambda g, i, j: 2 * g - 6, "m({g2},(0,1))"
     ),
 }
 
 
-def _evaluate(rel: Relation, k: int, d_sums) -> int | Fraction:
+def _evaluate(rel: Relation, k: int, d_sums) -> int:
     g, (kind, i, j) = rel.g, rel.rhs
     if kind not in _RHS:
         raise ValueError(f"unknown rhs kind {kind!r}")
     count, divisor, _ = _RHS[kind]
     if kind != "zero" and g != 2 * k:
         raise ValueError(f"rhs of {rel.source} needs g = 2k, got g={g}, k={k}")
-    return _quotient(count(g, i, j, k, d_sums), divisor(g, i, j))
+    return _quotient(count(g, i, j, k, d_sums, rel.source), divisor(g, i, j), k, str, rel.source)
 
 
-def evaluate_rhs(rel: Relation, k: int) -> int | Fraction:
-    """Exact right-hand side of a relation at degree k, an int when integral.
-    Zero descriptors evaluate for any genus; the nonzero ones need g = 2k."""
+def evaluate_rhs(rel: Relation, k: int) -> int:
+    """The right-hand side of a relation at degree k, an int.  Zero
+    descriptors evaluate for any genus; the nonzero ones need g = 2k."""
     return _evaluate(rel, k, _sum_D_table(k))
 
 
@@ -503,7 +500,7 @@ def describe_rhs(rel: Relation) -> str:
     return text if div == 1 else f"{text}/{div}"
 
 
-def build_rhs_vector(system: RelationSystem, k: int) -> list[int | Fraction]:
+def build_rhs_vector(system: RelationSystem, k: int) -> list[int]:
     """b_k: every right-hand side at degree k, the S2 rows' in one loop.  The
     D and D6 counts share one sum_D table, which builds each E_r(j) once."""
     g, d_sums = system.g, _sum_D_table(k)
@@ -511,13 +508,19 @@ def build_rhs_vector(system: RelationSystem, k: int) -> list[int | Fraction]:
     if system.s2 and g != 2 * k:
         raise ValueError(f"rhs of the S2 rows needs g = 2k, got g={g}, k={k}")
     _, div, _ = _RHS["D"]
-    return system._spliced(b, (_quotient(d_sums(i, j), div(g, i, j)) for i, j in _s2_pairs(g)))
+    s2 = (_quotient(d_sums(i, j), div(g, i, j), k, _S2_SOURCE, i, j) for i, j in _s2_pairs(g))
+    return system._spliced(b, s2)
 
 
 def _rows_with_rhs(system: RelationSystem, k: int | None):
-    """Each row with the text of its right-hand side, symbolic or at k."""
-    rows = system.rows
-    return zip(rows, map(describe_rhs, rows) if k is None else map(str, build_rhs_vector(system, k)))
+    """The source, coefficient dict and right-hand-side text, symbolic or at
+    k, of each row; an S2 row's text is D(i,j) over its divisor."""
+    if k is not None:
+        return zip(system.sources, system.coefficients, map(str, build_rhs_vector(system, k)))
+    g, (_, div, template) = system.g, _RHS["D"]
+    s2 = (f"{template.format(i=i, j=j)}/{div(g, i, j)}" for i, j in _s2_pairs(g))
+    texts = system._spliced([describe_rhs(rel) for rel in system.core], s2)
+    return zip(system.sources, system.coefficients, texts)
 
 
 def _csv_field(text: str) -> str:
@@ -549,9 +552,8 @@ def _csv_line(head: list[str], nonzeros, width: int, tail: tuple[str, ...] = ())
 def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     labels = system.labels
     lines = [_csv_line(["source", *map(str, labels), "rhs"], (), 0)]
-    for rel, rhs in _rows_with_rhs(system, k):
-        nonzeros = sorted(rel.coefficients.items())
-        lines.append(_csv_line([rel.source], nonzeros, len(labels), (rhs,)))
+    for source, coeffs, rhs in _rows_with_rhs(system, k):
+        lines.append(_csv_line([source], sorted(coeffs.items()), len(labels), (rhs,)))
     return "".join(lines)
 
 
@@ -588,5 +590,4 @@ def _json_export(g: int, key: str, entries: list) -> str:
 
 
 def system_to_json(system: RelationSystem, k: int | None = None) -> str:
-    entries = [("source", rel.source, rel.coefficients, rhs) for rel, rhs in _rows_with_rhs(system, k)]
-    return _json_export(system.g, "rows", entries)
+    return _json_export(system.g, "rows", [("source", *row) for row in _rows_with_rhs(system, k)])

@@ -8,19 +8,19 @@ the relation rows' own coefficient dicts), and ``_product`` is the one kernel
 of P, for the solve and the triangularity report alike.  Every S2 row of P
 (two moving tails on a fixed two-pointed curve, 97% of the rows at g = 600)
 is the unit row on the diagonal.  The solve takes those entries of the
-solution from b_k and substitutes only the other rows of P, the core; it
-builds no S2 row of Q_g.  No matrix object is built here and ``bn2.solver`` is
-never imported; only the genus-4 and genus-5 checks of ``bn2.verify`` and
-the test oracles build its matrices.  So ``bn2 solve`` and ``bn2 tmatrix``
-load neither ``bn2.solver`` nor ``fractions`` (``solve_class`` builds its
-Fractions when called), and ``bn2 matrix`` loads none of this module.
+solution from b_k, which is integers, and substitutes only the other rows
+of P, the core; it builds no S2 row of Q_g.  No matrix object is built here
+and ``bn2.solver`` is never imported (only the test oracles build its
+matrices), so ``bn2 solve`` and ``bn2 tmatrix`` load neither ``bn2.solver``
+nor ``fractions`` (``solve_class`` builds its Fractions when called), and
+``bn2 matrix`` loads none of this module.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis
@@ -237,40 +237,34 @@ class _Genus:
 _genus = lru_cache(maxsize=1)(_Genus)
 
 
-def forward_substitute(rows: dict[int, dict[int, int]], b) -> tuple[list[int], int]:
+def forward_substitute(rows: dict[int, dict[int, int]], b: list[int]) -> tuple[list[int], int]:
     """Integer numerators y over one denominator d > 0 with P (y/d) = b, for
-    b of ints and Fractions, by fraction-free forward substitution.
+    b of ints, by fraction-free forward substitution.
 
     P is square of order len(b), lower-triangular with a nonzero diagonal and
     of integer entries.  ``rows`` maps the index i of each row of P that is
     not the unit row e_i to that row, a {column: int} dict, in increasing i;
     y_i of a unit row is d b_i and is written only at the end.  d starts at
-    the lcm of b's denominators; a row whose division is not exact multiplies
-    d and the numerators so far by what makes it exact.  A row given with an
-    entry above the diagonal or a zero diagonal is a ValueError that names
-    the row and column at fault."""
-    d = lcm(*(v.denominator for v in b))
-    y: dict[int, int] = {}  # the numerators of the rows given, over d
-
-    def at(j: int) -> int:
-        """The numerator of y_j over d; d b_j until row j is substituted."""
-        v = y.get(j)
-        return b[j].numerator * (d // b[j].denominator) if v is None else v
-
+    1; a row whose division is not exact multiplies d and the numerators so
+    far by what makes it exact.  A row given with an entry above the diagonal
+    or a zero diagonal is a ValueError that names the row and column at
+    fault."""
+    d = 1
+    y: dict[int, int] = {}  # the numerators of the rows given, over d; d b_j for the others
     for i, row in rows.items():
         if max(row, default=-1) != i:
             j, a = next(((j, a) for j, a in row.items() if j > i), (i, 0))
             if a:
                 raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
             raise ValueError(f"row {i} has a zero diagonal entry, in column {i}")
-        acc = at(i) - sum(a * at(j) for j, a in row.items() if j != i)
+        acc = d * b[i] - sum(a * (y[j] if j in y else d * b[j]) for j, a in row.items() if j != i)
         y[i], r = divmod(acc, row[i])
         if r:
             f = abs(row[i]) // gcd(acc, row[i])
             d *= f
             y = {j: v * f for j, v in y.items()}
             y[i] = acc * f // row[i]
-    out = [v.numerator * (d // v.denominator) for v in b]
+    out = [d * v for v in b]
     for i, v in y.items():
         out[i] = v
     return out, d
@@ -306,7 +300,7 @@ def _solve(k: int) -> tuple[list[int], int]:
     w = 2 * x[0]  # Q_g X, where Q_g's S2 rows are {k1^2: 2, d(i,j): 1}
     lhs = _matvec(q[: rows.start], x) + [v + w for v in x[cols.start : cols.stop]]
     lhs += _matvec(q[rows.start :], x)
-    if lhs != [v.numerator * (d // v.denominator) for v in b]:
+    if lhs != [d * v for v in b]:
         raise RuntimeError(f"internal error: the solution at k={k} has a nonzero residual")
     return x, d
 

@@ -592,7 +592,7 @@ G5_CONVENTION_NOTE = (
 def check_g5_rank() -> CheckReport:
     """Diagnostic: the 19 x 20 genus-5 system (no S10 row) has rank 19 under
     the documented lambda identification."""
-    rows = [rel.coefficients for rel in build_relations(5).rows]
+    rows = build_relations(5).coefficients
     ncols = basis_dimension(5)
     r = _rank(rows, ncols)
     ok = r == 19 and len(rows) == 19 and ncols == 20

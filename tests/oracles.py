@@ -57,12 +57,19 @@ from routes that share none of that code:
   certificate.  The runtime's ``triangular._solve`` certifies the S2 rows
   of P as unit rows, takes their entries from b_k, and substitutes only
   the other rows.
+- the per-row right-hand side ``rhs_by_row``: every row of the
+  ``RelationSystem.rows`` view, S2 rows included, evaluated as one
+  ``Fraction`` of its count over its divisor, 4N from the raw determinant.
+  The runtime's ``build_rhs_vector`` divides each count exactly, in
+  integers, and evaluates the S2 block in one loop over the pairs, with no
+  ``Relation``.
 
 Views of runtime code that serve only the tests live here too:
 ``system_matrix`` and ``build_matrix``, the rows of ``Q_g`` as a
 ``RationalMatrix`` for the elimination oracles above;
 ``solve_lower_triangular``, ``forward_substitute`` on a ``RationalMatrix``
-with each row cleared of its denominators, read as Fractions; and
+with each row and then b cleared of their denominators, read as
+Fractions; and
 ``t_column_tags``, the tags of the ``T_g`` columns.  The runtime keeps
 ``Q_g`` and ``T_g`` as integer rows and builds no matrix object from them.
 """
@@ -95,8 +102,8 @@ from bn2.basis import (
     om,
     th,
 )
-from bn2.enumerative import _castelnuovo_num, _counted, _ram_sequence, rho
-from bn2.relations import build_relations, build_rhs_vector, describe_rhs
+from bn2.enumerative import _castelnuovo_num, _counted, _ram_sequence, _sum_D_table, rho
+from bn2.relations import _RHS, build_relations, build_rhs_vector, describe_rhs
 from bn2.solver import DimensionMismatchError, RationalMatrix
 from bn2.triangular import _t_tags, forward_substitute
 from bn2.verify import scale_factor
@@ -356,8 +363,9 @@ def solve_exact(matrix: RationalMatrix, b, method: str = "bareiss") -> list[Frac
 def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
     """Exact solution of p y = b for a lower-triangular p with a nonzero
     diagonal: ``forward_substitute`` on every row of p, each row and its
-    entry of b multiplied by the lcm of the row's denominators, read as
-    Fractions.  An entry above the diagonal is named as p holds it."""
+    entry of b multiplied by the lcm of the row's denominators, and that b
+    by the lcm m of its own denominators, so that it is integers, read as
+    Fractions over m.  An entry above the diagonal is named as p holds it."""
     if not is_square(p):
         raise DimensionMismatchError(
             f"forward_substitute needs a square matrix, got {p.nrows} rows "
@@ -371,8 +379,10 @@ def solve_lower_triangular(p: RationalMatrix, b) -> list[Fraction]:
             j, a = above[0]
             raise ValueError(f"row {i} has the nonzero {a} above the diagonal, in column {j}")
     rows, scales = _cleared(p._rows)
-    y, d = forward_substitute(dict(enumerate(rows)), [Fraction(v) * s for v, s in zip(b, scales)])
-    return [Fraction(v, d) for v in y]
+    scaled = [Fraction(v) * s for v, s in zip(b, scales)]
+    m = lcm(*(v.denominator for v in scaled))
+    y, d = forward_substitute(dict(enumerate(rows)), [v.numerator * (m // v.denominator) for v in scaled])
+    return [Fraction(v, d * m) for v in y]
 
 
 def solve_full_p(k: int) -> tuple[list[int], int]:
@@ -386,9 +396,29 @@ def solve_full_p(k: int) -> tuple[list[int], int]:
     b = build_rhs_vector(system, k)
     y, d = forward_substitute(dict(enumerate(q.matmul(t)._rows)), b)
     x = t.int_matvec(y)
-    if q.int_matvec(x) != [v.numerator * (d // v.denominator) for v in b]:
+    if q.int_matvec(x) != [d * v for v in b]:
         raise RuntimeError(f"the full-P solution at k={k} has a nonzero residual")
     return x, d
+
+
+def rhs_by_row(system, k: int) -> list[Fraction]:
+    """b_k as each row of the ``rows`` view evaluates: its count over its
+    divisor as one Fraction, read from the table ``relations._RHS``, with no
+    check that a division is exact.  The 4N count, itself a quotient in the
+    runtime, is 4 times the raw determinant ``castelnuovo_general``.  The
+    runtime's ``build_rhs_vector`` divides exactly and evaluates the S2 rows
+    in one loop over the pairs, without a ``Relation``."""
+    d_sums = _sum_D_table(k)
+    out = []
+    for rel in system.rows:
+        (kind, i, j), g = rel.rhs, rel.g
+        count, divisor, _ = _RHS[kind]
+        if kind == "4N":
+            num = 4 * castelnuovo_general(g - 4, 1, k, (0, 1), (0, 1))
+        else:
+            num = count(g, i, j, k, d_sums, rel.source)
+        out.append(Fraction(num, divisor(g, i, j)))
+    return out
 
 
 def nullspace(matrix: RationalMatrix) -> list[list[Fraction]]:

@@ -53,7 +53,7 @@ from bn2.triangular import (
     t_matrix_to_json,
 )
 from bn2.cli import main
-from bn2.verify import closed_form_class
+from bn2.verify import check_g5_rank, closed_form_class
 from oracles import (
     basis_index,
     build_matrix,
@@ -61,6 +61,7 @@ from oracles import (
     canonicalize,
     castelnuovo_general,
     dense_row,
+    rhs_by_row,
     solve_exact,
     solve_full_p,
     solve_lower_triangular,
@@ -625,6 +626,29 @@ def test_the_t_tags_and_the_report_build_no_s2_row(monkeypatch):
     assert _Genus(21).report == report and report.ok
 
 
+@pytest.mark.parametrize("g", [5, 6, 11])
+def test_the_exports_and_the_g5_check_build_no_s2_row(monkeypatch, g):
+    # the exports write each row from the sources, the coefficient dicts and
+    # the right-hand-side texts, and the genus-5 check ranks the coefficient
+    # dicts, so none writes a Relation of an S2 row
+    import bn2.relations
+
+    system = build_relations(g)
+    ks = [None, g // 2] if g % 2 == 0 else [None]
+
+    def outputs():
+        texts = [export(system, k) for export in (system_to_csv, system_to_json) for k in ks]
+        return texts, check_g5_rank().to_dict()
+
+    before = outputs()
+
+    def no_view(system):
+        raise AssertionError("the S2 rows were built")
+
+    monkeypatch.setattr(bn2.relations.RelationSystem, "rows", property(no_view))
+    assert outputs() == before
+
+
 def test_rhs_entries_are_ints_where_integral(monkeypatch):
     import bn2.relations
 
@@ -633,16 +657,58 @@ def test_rhs_entries_are_ints_where_integral(monkeypatch):
         assert {type(v) for v in build_rhs_vector(build_relations(2 * k), k)} == {int}
     rel = Relation("S1[i=2]", 6, {}, Rhs("T", 2))
     assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (12, int)
-    # a count that its divisor (2*2-2)(2*4-2) = 12 does not divide stays exact
+    # a count that its divisor (2*2-2)(2*4-2) = 12 does not divide is an
+    # internal error that names the row and k
     monkeypatch.setattr(bn2.relations, "sum_T", lambda i, g, k: 18)
-    assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (Fraction(3, 2), Fraction)
+    message = r"^internal error: rhs of S1\[i=2\] at k=3 is 18/12, not an integer$"
+    with pytest.raises(RuntimeError, match=message):
+        evaluate_rhs(rel, 3)
+    with pytest.raises(RuntimeError, match=message):
+        build_rhs_vector(build_relations(6), 3)
     # 4N = 4 (g-4)! num / s!: with (num, s) = (30, 4) at g = 6, N = 2 * 30 / 24
     # = 5/2 and 4N = 10, and with (30, 5) N = 1/2 and 4N = 2, while (7, 4)
-    # makes 4N = 7/3
+    # makes 4N = 56/24, which names its row S7
     (rel,) = [r for r in build_relations(6).rows if r.rhs.kind == "4N"]
-    for num_s, want in (((30, 4), 10), ((30, 5), 2), ((7, 4), Fraction(7, 3))):
+    for num_s, want in (((30, 4), 10), ((30, 5), 2)):
         monkeypatch.setattr(bn2.relations, "_castelnuovo_num", lambda *args, v=num_s: v)
-        assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (want, type(want))
+        assert (evaluate_rhs(rel, 3), type(evaluate_rhs(rel, 3))) == (want, int)
+    monkeypatch.setattr(bn2.relations, "_castelnuovo_num", lambda *args: (7, 4))
+    with pytest.raises(RuntimeError, match=r"of S7 at k=3 is 56/24, not an integer$"):
+        evaluate_rhs(rel, 3)
+
+
+def test_a_non_integral_s2_entry_names_its_pair(monkeypatch):
+    # D(i,j) = 6(i-1)(j-1) keeps every D6 row, D(2,i)/(6(i-1)), integral and
+    # makes the first S2 row, D(2,2)/4, 6/4
+    import bn2.relations
+
+    monkeypatch.setattr(bn2.relations, "_sum_D_table", lambda k: lambda i, j: 6 * (i - 1) * (j - 1))
+    message = r"^internal error: rhs of S2\[i=2,j=2\] at k=3 is 6/4, not an integer$"
+    with pytest.raises(RuntimeError, match=message):
+        build_rhs_vector(build_relations(6), 3)
+
+
+@pytest.mark.parametrize(
+    "argv", [("solve", "--k", "3"), ("matrix", "--g", "6", "--k", "3")], ids=["solve", "matrix"]
+)
+def test_a_non_integral_rhs_exits_3(fresh_memos, capsys, monkeypatch, argv):
+    import bn2.relations
+
+    monkeypatch.setattr(bn2.relations, "sum_T", lambda i, g, k: 18)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    message = "internal error: rhs of S1[i=2] at k=3 is 18/12, not an integer"
+    assert (code, captured.out, captured.err) == (3, "", f"bn2 {argv[0]}: {message}\n")
+
+
+@pytest.mark.parametrize("k", [*range(3, 41), 60, 90])
+def test_rhs_vector_is_each_row_over_its_divisor(k):
+    # a second route to b_k: every row of the rows view, S2 rows included,
+    # as one Fraction of its count over its divisor
+    system = build_relations(2 * k)
+    b = build_rhs_vector(system, k)
+    assert b == rhs_by_row(system, k)
+    assert {type(v) for v in b} == {int}
 
 
 @pytest.mark.parametrize("k", [40, 60])

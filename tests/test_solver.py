@@ -309,8 +309,12 @@ def test_forward_substitute_grows_one_denominator():
     # third row, y1 + 5/2 y2 = 1 cleared to 2 y1 + 5 y2 = 2, divides exactly
     p = {0: {0: 2}, 1: {0: 1, 1: 3}, 2: {1: 2, 2: 5}}
     assert forward_substitute(p, [1, 1, 2]) == ([3, 1, 2], 6)
-    # D starts at 4 for b = (1/4, 0, 0), and y = (1/8, -1/24, 1/60)
-    assert forward_substitute(p, [Fraction(1, 4), 0, 0]) == ([15, -5, 2], 120)
+    # b = (1/4, 0, 0) goes through the oracle, which clears its denominator
+    # 4, and y = (1/8, -1/24, 1/60) over the one denominator 120
+    dense_p = dense([[2, 0, 0], [1, 3, 0], [0, 2, 5]])
+    assert solve_lower_triangular(dense_p, [Fraction(1, 4), 0, 0]) == [
+        Fraction(v, 120) for v in (15, -5, 2)
+    ]
 
 
 def test_forward_substitute_takes_the_unit_rows_from_b():
@@ -318,11 +322,16 @@ def test_forward_substitute_takes_the_unit_rows_from_b():
     # y_0 + 3 y_1 = 2, gives y_1 = 1/3 and D = 3, which scales the unit rows
     # before and after it
     assert forward_substitute({1: {0: 1, 1: 3}}, [1, 2, 5]) == ([3, 1, 15], 3)
-    # D = 4 from b; y_1 = 1/2 from y_0 = 1/2, and row 3, -y_1 + 2 y_2 + 4 y_3
-    # = 1 with y_2 = -3/4, gives y_3 = 3/4
-    p = {1: {0: 1, 1: 3}, 3: {1: -1, 2: 2, 3: 4}}
-    assert forward_substitute(p, [Fraction(1, 2), 2, Fraction(-3, 4), 1]) == ([2, 2, -3, 3], 4)
-    assert forward_substitute({}, [Fraction(1, 6), 5]) == ([1, 30], 6)
+    assert forward_substitute({}, [1, 5]) == ([1, 5], 1)
+    # a b of Fractions goes through the oracle, with every unit row given:
+    # y_1 = 1/2 from y_0 = 1/2, and row 3, -y_1 + 2 y_2 + 4 y_3 = 1 with
+    # y_2 = -3/4, gives y_3 = 3/4, all over 4
+    p = dense([[1, 0, 0, 0], [1, 3, 0, 0], [0, 0, 1, 0], [0, -1, 2, 4]])
+    b = [Fraction(1, 2), 2, Fraction(-3, 4), 1]
+    assert solve_lower_triangular(p, b) == [Fraction(v, 4) for v in (2, 2, -3, 3)]
+    assert solve_lower_triangular(identity(2), [Fraction(1, 6), 5]) == [
+        Fraction(v, 6) for v in (1, 30)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -353,16 +362,20 @@ def test_forward_substitute_matches_bareiss(n, data):
         for i in range(n)
     ]
     p = RationalMatrix.from_sparse(rows, n)
+    # a b of ints and Fractions goes through the oracle, which clears it
     b = data.draw(st.lists(_MIXED, min_size=n, max_size=n))
-    # each row and its entry of b times the lcm of the row's denominators; a
-    # row that is e_i (drawn, or made so) may be left to forward_substitute
+    assert solve_lower_triangular(p, b) == solve_exact(p, b)
+    # forward_substitute itself on an int b: each row and its entry of b
+    # times the lcm of the row's denominators; a row that is e_i (drawn, or
+    # made so) may be left to forward_substitute
+    b = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
     cleared, scales = _cleared(p._rows)
     given = {
         i: row
         for i, row in enumerate(cleared)
         if row != {i: 1} or data.draw(st.booleans(), label=f"give e_{i}")
     }
-    y, d = forward_substitute(given, [Fraction(v) * s for v, s in zip(b, scales)])
+    y, d = forward_substitute(given, [v * s for v, s in zip(b, scales)])
     assert type(d) is int and d > 0 and all(type(v) is int for v in y)
     assert [Fraction(v, d) for v in y] == solve_exact(p, b)
 

@@ -10,15 +10,16 @@ only ``bn2.cli.build_parser`` imports ``argparse``, and
 writes its output.  The package exports only names it defines, and the
 test oracles stay out of it; the relation and T_g builders take their
 columns from ``basis.columns``, not through labels, and no module-level
-function but ``enumerate_basis`` keeps an unbounded memo, by decorator or
-by assignment, and the ``fresh_memos`` fixture clears exactly the bounded
-ones.  No module keeps two module-level dict tables keyed by the
+function but ``enumerate_basis`` keeps an unbounded memo, by decorator, by
+assignment or under any name, and the ``fresh_memos`` fixture clears
+exactly the bounded ones.  No module reads ``RelationSystem.rows``.  No module keeps two module-level dict tables keyed by the
 same constants, nor a dict keyed by exactly the constants of a module-level
 tuple or list."""
 
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -272,9 +273,31 @@ def test_unbounded_memo_rule_reads_each_form(source, unbounded):
     assert any(_unbounded_memo(memo) for _, memo in memos) is unbounded
 
 
+def _modules():
+    """Every package module, imported."""
+    return [
+        importlib.import_module("bn2" if path.stem == "__init__" else f"bn2.{path.stem}")
+        for path in SOURCES
+    ]
+
+
+def _unbounded_memo_objects(modules) -> set:
+    """The module-level objects of modules whose ``cache_info().maxsize`` is
+    None, however the memo was imported or named."""
+    found = set()
+    for module in modules:
+        for obj in vars(module).values():
+            info = getattr(obj, "cache_info", None)
+            if callable(info) and info().maxsize is None:
+                found.add(obj)
+    return found
+
+
 def test_only_enumerate_basis_keeps_an_unbounded_memo():
     # labels compare by value: a factory that interned them would grow its
-    # memo with every index a run builds, so only the basis itself is kept
+    # memo with every index a run builds, so only the basis itself is kept;
+    # the syntax tree sees the decorators, and the objects a memo under any
+    # name
     found = [
         f"{path.name} {name}"
         for path in SOURCES
@@ -283,14 +306,36 @@ def test_only_enumerate_basis_keeps_an_unbounded_memo():
         if _unbounded_memo(memo)
     ]
     assert found == ["basis.py enumerate_basis"]
+    assert _unbounded_memo_objects(_modules()) == {bn2.basis.enumerate_basis}
+
+
+def test_an_aliased_memo_is_found():
+    # a memo imported under another name escapes the syntax-tree rule, which
+    # matches cache and lru_cache by name, and not the objects' rule
+    module = types.ModuleType("aliased")
+    source = "from functools import cache as _c\n_x = _c(len)\n"
+    exec(source, vars(module))
+    assert not any(_unbounded_memo(memo) for node in ast.parse(source).body for _, memo in _memos(node))
+    assert _unbounded_memo_objects([module]) == {module._x}
+
+
+def test_no_module_reads_the_rows_view():
+    # RelationSystem.rows writes a Relation per S2 row; it is a library view,
+    # and the package reads the sources, coefficients and right-hand sides
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "rows" and isinstance(node.ctx, ast.Load)
+    ]
+    assert SOURCES and found == []
 
 
 def test_the_memo_fixture_clears_every_bounded_memo():
     # a bounded memo keeps what it last built: one that fresh_memos does not
     # clear would carry a patched build from one test into the next
     found = []
-    for path in SOURCES:
-        module = importlib.import_module("bn2" if path.stem == "__init__" else f"bn2.{path.stem}")
+    for path, module in zip(SOURCES, _modules()):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             for name, _ in _memos(node):
                 info = getattr(getattr(module, name), "cache_info", None)

@@ -338,10 +338,9 @@ def test_rank_of_the_relation_rows_is_that_of_the_oracles(g):
 def test_a_repeated_g5_row_fails_the_g5_check(monkeypatch):
     import bn2.verify
 
-    system = build_relations(5)
-    rows = list(system.rows)
+    rows = build_relations(5).coefficients
     rows[7] = rows[3]
-    monkeypatch.setattr(bn2.verify, "build_relations", lambda g: SimpleNamespace(rows=rows))
+    monkeypatch.setattr(bn2.verify, "build_relations", lambda g: SimpleNamespace(coefficients=rows))
     rep = check_g5_rank()
     assert rep.status == "fail"
     assert rep.actual == {"rows": 19, "cols": 20, "rank": 18}
