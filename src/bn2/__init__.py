@@ -13,9 +13,10 @@ __version__ = "0.1.0"
 # exported name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("ClassExpression", "ClassLabel", "basis_dimension", "enumerate_basis"),
+        ("ClassLabel", "basis_dimension", "enumerate_basis"),
         "basis",
     ),
+    "ClassExpression": "classes",
     **dict.fromkeys(
         (
             "SchubertIndex",

@@ -8,11 +8,12 @@ Labels serialize as short strings: ``k1^2``, ``k2``, ``d0^2``, ``ld0``,
 A rational value is carried as integers wherever the package computes, and
 its text is ``fraction_text(n, d)``: ``str(Fraction(n, d))`` without
 ``fractions``.  The commands that write a rational load this module anyway.
+The Fraction view of a class, ``ClassExpression``, and the label parser are
+in ``bn2.classes``, which no command loads.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from collections import namedtuple
 from functools import lru_cache
@@ -20,7 +21,6 @@ from math import gcd
 
 __all__ = [
     "ClassLabel",
-    "ClassExpression",
     "K1SQ",
     "K2",
     "D0SQ",
@@ -32,24 +32,20 @@ __all__ = [
     "la",
     "dd",
     "th",
-    "parse_label",
-    "is_valid",
     "basis_dimension",
     "enumerate_basis",
     "columns",
     "fraction_text",
 ]
 
-_SCALAR_KINDS = ("k1^2", "k2", "d0^2", "ld0", "d1^2", "ld1", "ld2")
-
 
 class ClassLabel(namedtuple("ClassLabel", "kind i j", defaults=(None, None))):
     """One generator: an interior kappa class, a product of divisor classes,
     a pushed-forward omega/lambda class, or a boundary-stratum class.
 
-    ``kind`` is one of the scalar kinds above, or ``om``/``la``/``th`` with
-    index ``i``, or ``d`` with a pair ``i <= j``.  A label is a tuple: it
-    equals the plain tuple of its fields.
+    ``kind`` is one of the seven scalar kinds ``k1^2`` to ``ld2``, or
+    ``om``/``la``/``th`` with index ``i``, or ``d`` with a pair ``i <= j``.
+    A label is a tuple: it equals the plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -85,40 +81,6 @@ def dd(i: int, j: int) -> ClassLabel:
 
 def th(i: int) -> ClassLabel:
     return ClassLabel("th", i)
-
-
-# compiled on the first parse_label call, by re's own cache, not at import
-_LABEL_PATTERN = r"^(om|la|th)\((\d+)\)$|^d\((\d+),(\d+)\)$"
-
-
-def parse_label(text: str) -> ClassLabel:
-    """Inverse of str(label)."""
-    if text in _SCALAR_KINDS:
-        return ClassLabel(text)
-    m = re.match(_LABEL_PATTERN, text)
-    if m is None:
-        raise ValueError(f"cannot parse class label {text!r}")
-    if m.group(1):
-        return ClassLabel(m.group(1), int(m.group(2)))
-    return ClassLabel("d", int(m.group(3)), int(m.group(4)))
-
-
-def is_valid(label: ClassLabel, g: int) -> bool:
-    """Range check for a label at genus g."""
-    if label.kind in _SCALAR_KINDS:
-        return True
-    if label.kind == "om":
-        return 2 <= label.i <= g - 2
-    if label.kind == "la":
-        return 3 <= label.i <= g - 3
-    if label.kind == "th":
-        return 1 <= label.i <= (g - 1) // 2
-    if label.kind == "d":
-        i, j = label.i, label.j
-        if i == 0:
-            return j == 0 or 1 <= j <= g - 1
-        return 1 <= i <= j <= g - 2 and i + j <= g - 1
-    return False
 
 
 def basis_dimension(g: int) -> int:
@@ -210,54 +172,3 @@ def fraction_text(n: int, d: int) -> str:
         c = -c
     return f"{n // c}" if d == c else f"{n // c}/{d // c}"
 
-
-class ClassExpression:
-    """Exact-rational coefficient vector indexed by the genus-g generators.
-    ``fractions`` loads with the first expression, not with this module."""
-
-    __slots__ = ("genus", "coefficients")
-
-    def __init__(self, genus: int, coefficients: dict[ClassLabel, Fraction]):
-        from fractions import Fraction
-
-        self.genus = genus
-        clean: dict[ClassLabel, Fraction] = {}
-        for lab, value in coefficients.items():
-            if not is_valid(lab, genus):
-                raise ValueError(f"label {lab} is invalid for genus {genus}")
-            clean[lab] = value if type(value) is Fraction else Fraction(value)
-        self.coefficients = clean
-
-    def __getitem__(self, label: ClassLabel) -> Fraction:
-        from fractions import Fraction
-
-        return self.coefficients.get(label, Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassExpression):
-            return NotImplemented
-        return self.genus == other.genus and self.vector() == other.vector()
-
-    def vector(self) -> list[Fraction]:
-        return [self[lab] for lab in enumerate_basis(self.genus)]
-
-    @classmethod
-    def from_vector(cls, genus: int, vec) -> "ClassExpression":
-        labels = enumerate_basis(genus)
-        if len(vec) != len(labels):
-            raise ValueError(f"need {len(labels)} coefficients, got {len(vec)}")
-        return cls(genus, dict(zip(labels, vec)))
-
-    def diff(self, other: "ClassExpression") -> list[tuple[str, Fraction, Fraction]]:
-        """Labels where the two expressions disagree, as (label, self, other)."""
-        if self.genus != other.genus:
-            raise ValueError("cannot diff expressions of different genus")
-        out = []
-        for lab in enumerate_basis(self.genus):
-            a, b = self[lab], other[lab]
-            if a != b:
-                out.append((str(lab), a, b))
-        return out
-
-    def __repr__(self) -> str:
-        return f"ClassExpression(genus={self.genus}, {len(self.coefficients)} terms)"

@@ -99,8 +99,9 @@ def _cmd_basis(args) -> str:
 
 
 def _cmd_matrix(args) -> str:
-    # the relation rows load only for the commands that build them
-    from bn2 import relations
+    # the relation rows load only for the commands that build them, and the
+    # writers only for the exports; this one loads no T_g
+    from bn2 import export, relations
 
     if args.k is not None and args.k < 3:
         raise ValueError(
@@ -110,24 +111,26 @@ def _cmd_matrix(args) -> str:
         raise ValueError(f"--k {args.k} needs --g {2 * args.k}")
     system = relations.build_relations(args.g)
     return (
-        relations.system_to_csv(system, args.k)
+        export.system_to_csv(system, args.k)
         if args.format == "csv"
-        else relations.system_to_json(system, args.k)
+        else export.system_to_json(system, args.k)
     )
 
 
 def _cmd_tmatrix(args) -> str:
-    # T_g loads only for the commands that use it; this one loads no solver
-    from bn2 import triangular
+    # T_g loads only for the commands that use it, through the writers of
+    # bn2.export; this one loads no solver
+    from bn2 import export
 
     return (
-        triangular.t_matrix_to_csv(args.g)
+        export.t_matrix_to_csv(args.g)
         if args.format == "csv"
-        else triangular.t_matrix_to_json(args.g)
+        else export.t_matrix_to_json(args.g)
     )
 
 
 def _cmd_solve(args) -> str:
+    # the integer solve alone: no writer of bn2.export and no ClassExpression
     from bn2 import triangular
 
     x, d = triangular._solve(args.k)

@@ -1,5 +1,4 @@
-"""Test-surface relation rows and their symbolic right-hand sides, and the
-CSV and JSON exports of the system.
+"""Test-surface relation rows and their symbolic right-hand sides.
 
 Each of the eighteen families of test surfaces contributes one group of
 rows; a row stores exact integer coefficients keyed by column in the frozen
@@ -12,7 +11,9 @@ additively, which is what collapses repeated terms at small g.
 
 This is the data layer: it builds no matrix and imports no solver, so
 ``bn2 matrix`` loads no linear algebra.  Q_g, T_g and the solve are in
-``bn2.triangular``.
+``bn2.triangular``, and the CSV and JSON exports of Q_g and T_g in
+``bn2.export``; ``describe_rhs`` and ``_json_string`` stay here, for the
+exports and the verify reports alike.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ __all__ = [
     "evaluate_rhs",
     "describe_rhs",
     "build_rhs_vector",
-    "system_to_csv",
-    "system_to_json",
 ]
 
 class Rhs(namedtuple("Rhs", "kind i j", defaults=(0, 0))):
@@ -104,7 +103,9 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
 
     @property
     def s2_coefficients(self) -> list[dict[int, int]]:
-        """The coefficient dicts of the S2 rows, in order."""
+        """The coefficient dicts of the S2 rows, in order: none for an empty s2."""
+        if not self.s2:  # a hand-built system, whose g need not have columns
+            return []
         K1SQ, *_, dd, _ = columns(self.g)
         return [{K1SQ: 2, dd(i, j): 1} for i, j in _s2_pairs(self.g)]
 
@@ -512,51 +513,6 @@ def build_rhs_vector(system: RelationSystem, k: int) -> list[int]:
     return system._spliced(b, s2)
 
 
-def _rows_with_rhs(system: RelationSystem, k: int | None):
-    """The source, coefficient dict and right-hand-side text, symbolic or at
-    k, of each row; an S2 row's text is D(i,j) over its divisor."""
-    if k is not None:
-        return zip(system.sources, system.coefficients, map(str, build_rhs_vector(system, k)))
-    g, (_, div, template) = system.g, _RHS["D"]
-    s2 = (f"{template.format(i=i, j=j)}/{div(g, i, j)}" for i, j in _s2_pairs(g))
-    texts = system._spliced([describe_rhs(rel) for rel in system.core], s2)
-    return zip(system.sources, system.coefficients, texts)
-
-
-def _csv_field(text: str) -> str:
-    """text as one CSV field, quoted as ``csv.writer`` quotes it under
-    QUOTE_MINIMAL with the line terminator "\\n": only when it holds a comma,
-    a double quote or a newline, with each double quote doubled."""
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_line(head: list[str], nonzeros, width: int, tail: tuple[str, ...] = ()) -> str:
-    """One CSV line: the text fields head, then width numeric cells that are
-    0 except at the (column, value) pairs of nonzeros, sorted by column, then
-    the text fields tail.  The zero runs are written whole, so the cost is
-    that of the nonzeros, not of the width."""
-    parts = [",".join(map(_csv_field, head))]
-    last = -1
-    for column, value in nonzeros:
-        parts.append(",0" * (column - last - 1))
-        parts.append(f",{value}")
-        last = column
-    parts.append(",0" * (width - last - 1))
-    parts.extend("," + _csv_field(text) for text in tail)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
-    labels = system.labels
-    lines = [_csv_line(["source", *map(str, labels), "rhs"], (), 0)]
-    for source, coeffs, rhs in _rows_with_rhs(system, k):
-        lines.append(_csv_line([source], sorted(coeffs.items()), len(labels), (rhs,)))
-    return "".join(lines)
-
-
 def _json_string(text: str) -> str:
     """text as ``json.dumps`` writes it.
 
@@ -571,23 +527,3 @@ def _json_string(text: str) -> str:
 
     return encode_basestring_ascii(text)
 
-
-def _json_export(g: int, key: str, entries: list) -> str:
-    """``json.dumps({"g": g, "labels": labels, key: entries}, indent=2)`` plus
-    a newline for the genus-g labels, written directly.  An entry is a field
-    name, its string, a {column: int} dict of coefficients and, optionally, a
-    right-hand side; labels, strings (each by ``_json_string``) and
-    coefficients are JSON strings.  Coefficients may be empty, entries not."""
-    names = [_json_string(str(lab)) for lab in enumerate_basis(g)]
-    items = []
-    for field, text, coeffs, *rhs in entries:
-        cells = ",\n        ".join(f'{names[c]}: "{v}"' for c, v in sorted(coeffs.items()))
-        cells = "{\n        " + cells + "\n      }" if cells else "{}"
-        rhs = "".join(f',\n      "rhs": {_json_string(t)}' for t in rhs)
-        items.append(f'\n      "{field}": {_json_string(text)},\n      "coeffs": {cells}{rhs}\n    ')
-    labels = ",\n    ".join(names)
-    return f'{{\n  "g": {g},\n  "labels": [\n    {labels}\n  ],\n  "{key}": [\n    {{' + "},\n    {".join(items) + "}\n  ]\n}\n"
-
-
-def system_to_json(system: RelationSystem, k: int | None = None) -> str:
-    return _json_export(system.g, "rows", [("source", *row) for row in _rows_with_rhs(system, k)])

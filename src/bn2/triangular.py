@@ -12,8 +12,10 @@ solution from b_k, which is integers, and substitutes only the other rows
 of P, the core; it builds no S2 row of Q_g.  No matrix object is built here
 and ``bn2.solver`` is never imported (only the test oracles build its
 matrices), so ``bn2 solve`` and ``bn2 tmatrix`` load neither ``bn2.solver``
-nor ``fractions`` (``solve_class`` builds its Fractions when called), and
-``bn2 matrix`` loads none of this module.
+nor ``fractions`` (``solve_class`` builds its Fractions and imports
+``bn2.classes`` when called), and ``bn2 matrix`` loads none of this module.
+The CSV and JSON exports of T_g are in ``bn2.export``, which reads the rows
+and columns built here.
 """
 
 from __future__ import annotations
@@ -23,15 +25,10 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
-from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis
-from bn2.relations import _csv_line, _json_export, build_relations, build_rhs_vector
+from bn2.basis import basis_dimension, columns
+from bn2.relations import build_relations, build_rhs_vector
 
-__all__ = [
-    "solve_class",
-    "TriangularityReport",
-    "t_matrix_to_csv",
-    "t_matrix_to_json",
-]
+__all__ = ["solve_class", "TriangularityReport"]
 
 
 def _t_columns(g: int):
@@ -39,7 +36,7 @@ def _t_columns(g: int):
     each generator is written as its column (``basis.columns``).  Every
     column comes from its family's formula: la(g-2) is ld2 (T6[ld2] and
     T9[j=2]), and T18's th(2) is its i = 3 column, last as in S18.  The tags
-    are ``_t_tags``, which only the exports write."""
+    are ``bn2.export._t_tags``, which only the exports write."""
     K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
     fl = g // 2
     yield from ({om(i): 1} for i in range(2, fl + 1))
@@ -117,16 +114,6 @@ def _checked_t_columns(g: int) -> list[dict[int, int]]:
     if len(cols) != n:
         raise RuntimeError(f"internal error: built {len(cols)} T-columns at g={g}, expected {n}")
     return cols
-
-
-def _t_tags(g: int) -> list[str]:
-    """The tags of the columns of T_g: column r pairs with row r of Q_g and is
-    tagged with its source, T for S, but T6[ld2], T16[sum], T18[th2] and
-    T18[final] for S6[i=g-2], S16[i=g-2], S18[i=3] and S18[i=2]."""
-    _t_order(g)
-    named = {f"S6[i={g - 2}]": "T6[ld2]", f"S16[i={g - 2}]": "T16[sum]"}
-    named.update({"S18[i=3]": "T18[th2]", "S18[i=2]": "T18[final]"})
-    return [named.get(source, "T" + source[1:]) for source in build_relations(g).sources]
 
 
 def _t_rows(g: int) -> list[dict[int, int]]:
@@ -310,18 +297,8 @@ def solve_class(k: int) -> ClassExpression:
     the one Fraction X_i / D per coefficient of ``_solve``'s (X, D)."""
     from fractions import Fraction
 
+    from bn2.classes import ClassExpression
+
     x, d = _solve(k)
     return ClassExpression.from_vector(2 * k, [Fraction(v, d) for v in x])
 
-
-def t_matrix_to_csv(g: int) -> str:
-    rows = _t_rows(g)
-    lines = [_csv_line(["label", *_t_tags(g)], (), 0)]
-    for lab, row in zip(enumerate_basis(g), rows):
-        lines.append(_csv_line([str(lab)], sorted(row.items()), len(rows)))
-    return "".join(lines)
-
-
-def t_matrix_to_json(g: int) -> str:
-    cols = _checked_t_columns(g)
-    return _json_export(g, "columns", [("tag", tag, col) for tag, col in zip(_t_tags(g), cols)])

@@ -17,7 +17,8 @@ neither ``fractions`` nor ``json``.  ``closed_form_class``,
 ``scale_factor``, ``known_trigonal_class``, ``pullback_matrix``,
 ``pullback_image``, ``m4_relations``, ``m4_class`` and ``m4_rank_relation``
 are the library views: each builds its Fractions from the same integer
-data when it is called, and no view builds a matrix object.
+data when it is called, a view that returns a ``ClassExpression`` imports
+``bn2.classes`` then, and no view builds a matrix object.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import compress, count, repeat
 from math import factorial, gcd, lcm, prod
 from operator import mul, ne
 
-from bn2.basis import ClassExpression, basis_dimension, columns, enumerate_basis, fraction_text
+from bn2.basis import basis_dimension, columns, enumerate_basis, fraction_text
 from bn2.relations import _json_string, build_relations
 from bn2.triangular import _genus, _matvec, _solve
 
@@ -205,6 +206,8 @@ def closed_form_class(k: int) -> ClassExpression:
     every bracket coefficient times 2^(k-6) (2k-7)!! / (3 k!)."""
     from fractions import Fraction
 
+    from bn2.classes import ClassExpression
+
     b, (p, q) = _closed_form_parts(k)
     return ClassExpression.from_vector(2 * k, [Fraction(p * v, q) for v in b])
 
@@ -264,6 +267,8 @@ def known_trigonal_class() -> ClassExpression:
     """The 25 known coefficients of the trigonal-locus class at genus 6,
     hard-coded independently of closed_form_class as a mutual check."""
     from fractions import Fraction
+
+    from bn2.classes import ClassExpression
 
     labels = enumerate_basis(6)
     return ClassExpression(6, {labels[c]: Fraction(n, d) for c, n, d in _trigonal_table()})

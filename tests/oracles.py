@@ -92,20 +92,20 @@ from bn2.basis import (
     LD0,
     LD1,
     LD2,
-    ClassExpression,
     ClassLabel,
     basis_dimension,
     dd,
     enumerate_basis,
-    is_valid,
     la,
     om,
     th,
 )
+from bn2.classes import ClassExpression, is_valid
 from bn2.enumerative import _castelnuovo_num, _counted, _ram_sequence, _sum_D_table, rho
 from bn2.relations import _RHS, build_relations, build_rhs_vector, describe_rhs
 from bn2.solver import DimensionMismatchError, RationalMatrix
-from bn2.triangular import _t_tags, forward_substitute
+from bn2.export import _t_tags
+from bn2.triangular import forward_substitute
 from bn2.verify import scale_factor
 
 F = Fraction
@@ -597,7 +597,7 @@ def _csv_text(rows) -> str:
 
 
 def system_to_csv_dense(system, k: int | None = None) -> str:
-    """``relations.system_to_csv`` as ``csv.writer`` writes it from dense rows:
+    """``export.system_to_csv`` as ``csv.writer`` writes it from dense rows:
     a header, then per relation its source, every coefficient in basis order
     (zeros included) and its right-hand side, symbolic or evaluated at k."""
     labels = system.labels
@@ -620,7 +620,7 @@ def t_column_tags(g: int) -> list[str]:
 
 
 def t_matrix_to_csv_dense(g: int) -> str:
-    """``triangular.t_matrix_to_csv`` as ``csv.writer`` writes it from the
+    """``export.t_matrix_to_csv`` as ``csv.writer`` writes it from the
     dense rows of ``build_T_by_label(g)``."""
     t = build_T_by_label(g)
     rows = [["label", *t_column_tags(g)]]
@@ -837,7 +837,7 @@ def sum_S16_castelnuovo(i: int, g: int, k: int) -> int:
 
 
 def system_to_json_dumps(system, k: int | None = None) -> str:
-    """``relations.system_to_json`` as ``json.dumps(indent=2)`` writes it."""
+    """``export.system_to_json`` as ``json.dumps(indent=2)`` writes it."""
     if k is None:
         rhs = [describe_rhs(rel) for rel in system.rows]
     else:
@@ -859,7 +859,7 @@ def system_to_json_dumps(system, k: int | None = None) -> str:
 
 
 def t_matrix_to_json_dumps(g: int) -> str:
-    """``triangular.t_matrix_to_json`` as ``json.dumps(indent=2)`` writes it
+    """``export.t_matrix_to_json`` as ``json.dumps(indent=2)`` writes it
     from the label-keyed columns."""
     index = basis_index(g)
     data = {

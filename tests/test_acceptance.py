@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from bn2.basis import ClassExpression
+from bn2.classes import ClassExpression
 from bn2.enumerative import (
     RegimeError,
     RhoMismatchError,

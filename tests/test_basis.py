@@ -12,19 +12,17 @@ from bn2.basis import (
     LD0,
     LD1,
     LD2,
-    ClassExpression,
     ClassLabel,
     basis_dimension,
     columns,
     dd,
     enumerate_basis,
     fraction_text,
-    is_valid,
     la,
     om,
-    parse_label,
     th,
 )
+from bn2.classes import ClassExpression, is_valid, parse_label
 from oracles import basis_index, canonicalize
 
 

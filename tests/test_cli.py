@@ -326,7 +326,8 @@ def test_solve_k3(capsys):
 
 
 def test_solve_k4_matches_closed_formula(capsys):
-    from bn2.basis import enumerate_basis, parse_label
+    from bn2.basis import enumerate_basis
+    from bn2.classes import parse_label
     from bn2.verify import closed_form_class
 
     code, out, _ = run(capsys, "solve", "--k", "4")
@@ -619,7 +620,7 @@ RUNNER_CASES = [
     (("counts", "ell", "--g", "4", "--k", "3"), "bn2.enumerative.count_ell"),
     (("basis", "--g", "6"), "bn2.cli.enumerate_basis"),
     (("matrix", "--g", "6"), "bn2.relations.build_relations"),
-    (("tmatrix", "--g", "6"), "bn2.triangular.t_matrix_to_csv"),
+    (("tmatrix", "--g", "6"), "bn2.export.t_matrix_to_csv"),
     (("solve", "--k", "3"), "bn2.triangular._solve"),
     (("verify", "m4"), "bn2.verify.check_m4"),
 ]
@@ -879,19 +880,20 @@ def test_short_families_match_pinned_digest(capsys, command):
 
 
 # runs one command in a fresh interpreter and prints its exit code, the length
-# of its stdout and which of bn2.exactnum, bn2.relations, bn2.solver,
-# bn2.triangular, bn2.verify, fractions, decimal, csv, json, _json,
-# dataclasses, inspect, argparse, gettext and locale it loaded (typing is not
-# probed: site may load it before bn2 runs); no command that succeeds loads
-# argparse, and none loads bn2.exactnum or bn2.solver
+# of its stdout and which of bn2.classes, bn2.exactnum, bn2.export,
+# bn2.relations, bn2.solver, bn2.triangular, bn2.verify, fractions, decimal,
+# csv, json, _json, dataclasses, inspect, argparse, gettext and locale it
+# loaded (typing is not probed: site may load it before bn2 runs); no command
+# that succeeds loads argparse, and none loads bn2.classes, bn2.exactnum or
+# bn2.solver
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-probed = ("bn2.exactnum", "bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify",
-          "fractions", "decimal", "csv", "json", "_json", "dataclasses", "inspect", "argparse",
-          "gettext", "locale")
+probed = ("bn2.classes", "bn2.exactnum", "bn2.export", "bn2.relations", "bn2.solver",
+          "bn2.triangular", "bn2.verify", "fractions", "decimal", "csv", "json", "_json",
+          "dataclasses", "inspect", "argparse", "gettext", "locale")
 print(code, len(out.getvalue()), *(m for m in probed if m in sys.modules))
 """
 
@@ -929,13 +931,18 @@ def _loaded_after(*argv):
     ],
 )
 def test_command_loads_no_checks_csv_or_json(argv):
-    # the matrix export reads the data layer alone; solve and tmatrix add the
-    # integer rows of bn2.triangular, and none loads the RationalMatrix layer
-    # or fractions
+    # the matrix export reads the data layer and its writers alone; tmatrix
+    # adds the integer rows of bn2.triangular, and solve those rows without
+    # a writer; none loads the RationalMatrix layer, fractions or the
+    # ClassExpression view
     code, size, *loaded = _loaded_after(*argv)
     assert code == "0" and int(size) > 0
-    linear_algebra = [] if argv[0] == "matrix" else ["bn2.triangular"]
-    assert loaded == ["bn2.relations", *linear_algebra]
+    expected = {
+        "matrix": ["bn2.export", "bn2.relations"],
+        "tmatrix": ["bn2.export", "bn2.relations", "bn2.triangular"],
+        "solve": ["bn2.relations", "bn2.triangular"],
+    }
+    assert loaded == expected[argv[0]]
 
 
 @pytest.mark.parametrize(
@@ -956,10 +963,36 @@ VERIFY_CHECKS = (
 def test_verify_loads_the_checks(which):
     # every check runs in integers, the ranks on integer rows, and the report
     # is written without json, so a verify whose checks pass loads neither
-    # fractions (nor decimal), json nor the RationalMatrix layer
-    code, _, *loaded = _loaded_after("verify", which)
+    # fractions (nor decimal), json, the RationalMatrix layer, the exports
+    # nor the ClassExpression view; all runs the benchmark's --k-max 10
+    code, _, *loaded = _loaded_after("verify", which, *(["--k-max", "10"] * (which == "all")))
     assert code == "0"
     assert loaded == ["bn2.relations", "bn2.triangular", "bn2.verify"]
+
+
+_CHECKER_PROBE = """
+from bn2.basis import enumerate_basis
+from bn2.verify import closed_form_class
+expected = closed_form_class(7)
+print(" ".join(f"{lab}={expected[lab]}" for lab in enumerate_basis(14)))
+"""
+
+
+def test_the_benchmark_checker_reads_the_closed_formula(capsys):
+    # perfbench/run.py's Checker makes these imports and calls in its own
+    # process for every solve output; closed_form_class imports the
+    # ClassExpression it returns when it is called
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECKER_PROBE],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+        check=True,
+    )
+    code, out, _ = run(capsys, "solve", "--k", "7")
+    assert code == 0 and len(out.splitlines()) == bn2.basis_dimension(14)
+    assert proc.stdout == " ".join(out.replace(" ", "=").splitlines()) + "\n"
 
 
 @pytest.mark.parametrize("argv", [("solve", "--k", "3"), ("verify", "m4")])

@@ -26,15 +26,12 @@ from bn2.basis import (
 from bn2.relations import (
     Relation,
     RelationSystem,
-    _csv_line,
     _s2_pairs,
     Rhs,
     build_relations,
     build_rhs_vector,
     describe_rhs,
     evaluate_rhs,
-    system_to_csv,
-    system_to_json,
 )
 from bn2.solver import RationalMatrix
 from bn2.triangular import (
@@ -46,13 +43,18 @@ from bn2.triangular import (
     _solve,
     _t_columns,
     _t_rows,
-    _t_tags,
     forward_substitute,
     solve_class,
+)
+from bn2.cli import main
+from bn2.export import (
+    _csv_line,
+    _t_tags,
+    system_to_csv,
+    system_to_json,
     t_matrix_to_csv,
     t_matrix_to_json,
 )
-from bn2.cli import main
 from bn2.verify import check_g5_rank, closed_form_class
 from oracles import (
     basis_index,
@@ -564,6 +566,17 @@ def test_the_views_of_the_s2_rows_are_those_of_rows(g):
     core = RelationSystem(g, system.core)
     assert core.rows is system.core
     assert core.sources == [rel.source for rel in system.core]
+
+
+def test_a_system_without_s2_rows_has_no_s2_coefficients():
+    # s2_coefficients has one dict per S2 row the system holds, as the other
+    # views have one entry per row
+    system = RelationSystem(6, build_relations(6).core)
+    assert len(system.s2_coefficients) == 0
+    assert len(system.sources) == len(system.coefficients) == len(system.rows) == 23
+    for g in range(5, 41):
+        built = build_relations(g)
+        assert len(built.s2_coefficients) == len(built.s2) > 0
 
 
 def test_b_of_the_s2_rows_needs_g_2k():

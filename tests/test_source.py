@@ -4,7 +4,9 @@ arithmetic is exact, so no float appears.  No module imports
 ``dataclasses`` or ``typing``; ``bn2.relations`` imports neither the
 solver nor ``bn2.triangular``, ``bn2.triangular`` not the solver, neither
 ``bn2.verify`` nor ``bn2.solver`` imports ``fractions`` or ``json`` at
-load, and no package module imports ``bn2.solver`` or ``bn2.exactnum``;
+load, ``bn2.export`` imports ``bn2.triangular`` only in its T_g writers,
+no package module imports ``bn2.solver`` or ``bn2.exactnum``, none imports
+``bn2.classes`` at load and only ``bn2.cli``'s commands import ``bn2.export``;
 only ``bn2.cli.build_parser`` imports ``argparse``, and
 ``bn2.cli.main`` is the one place that catches a subcommand's errors and
 writes its output.  The package exports only names it defines, and the
@@ -136,8 +138,11 @@ def _load_time_nodes(tree):
         ("verify.py", ("bn2.solver", "bn2.exactnum"), ("fractions", "json")),
         ("cli.py", ("bn2.solver", "bn2.exactnum"), ()),
         ("solver.py", (), ("fractions", "json")),
+        # the writers: bn2 matrix loads no T_g, so the T_g writers import
+        # bn2.triangular when they are called, and csv and json stay unloaded
+        ("export.py", ("bn2.solver", "csv", "json"), ("bn2.triangular",)),
     ],
-    ids=["relations.py", "triangular.py", "verify.py", "cli.py", "solver.py"],
+    ids=["relations.py", "triangular.py", "verify.py", "cli.py", "solver.py", "export.py"],
 )
 def test_relations_imports_no_linear_algebra(name, forbidden, forbidden_at_load):
     tree = ast.parse((Path(bn2.__file__).parent / name).read_text(encoding="utf-8"))
@@ -150,6 +155,25 @@ def test_relations_imports_no_linear_algebra(name, forbidden, forbidden_at_load)
         if n == f or n.startswith(f + ".")
     ]
     assert found == []
+
+
+def test_no_module_loads_the_class_view_or_the_writers():
+    # no command loads bn2.classes: the ClassExpression views import it when
+    # they are called; and only the export commands of bn2.cli import the
+    # writers of bn2.export, when they run
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        load_time = {id(node) for node in _load_time_nodes(tree)}
+        for node in ast.walk(tree):
+            for n in _imported_names(node):
+                if n.split(".")[:2] == ["bn2", "classes"] and id(node) in load_time:
+                    found.append(f"{path.name}:{node.lineno} {n}")
+                if n.split(".")[:2] == ["bn2", "export"] and (
+                    path.name != "cli.py" or id(node) in load_time
+                ):
+                    found.append(f"{path.name}:{node.lineno} {n}")
+    assert SOURCES and found == []
 
 
 def test_no_package_module_imports_exactnum_or_solver():

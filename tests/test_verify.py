@@ -12,13 +12,13 @@ from bn2.basis import (
     D0SQ,
     K1SQ,
     K2,
-    ClassExpression,
     basis_dimension,
     dd,
     enumerate_basis,
     om,
     th,
 )
+from bn2.classes import ClassExpression
 from bn2.relations import build_relations
 from bn2.solver import RationalMatrix
 from bn2.verify import (
