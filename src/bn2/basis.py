@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd
 
 __all__ = [
@@ -94,7 +93,6 @@ def basis_dimension(g: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
 def enumerate_basis(g: int) -> tuple[ClassLabel, ...]:
     """The generators in the frozen order: the seven scalar classes, om(2..g-2),
     la(3..g-3), d(0,0), d(0,1..g-1), d(i,j) lexicographic, th(1..(g-1)/2)."""

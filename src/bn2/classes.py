@@ -35,20 +35,25 @@ def parse_label(text: str) -> ClassLabel:
 
 
 def is_valid(label: ClassLabel, g: int) -> bool:
-    """Range check for a label at genus g."""
-    if label.kind in _SCALAR_KINDS:
-        return True
-    if label.kind == "om":
-        return 2 <= label.i <= g - 2
-    if label.kind == "la":
-        return 3 <= label.i <= g - 3
-    if label.kind == "th":
-        return 1 <= label.i <= (g - 1) // 2
-    if label.kind == "d":
-        i, j = label.i, label.j
+    """Range check for a label at genus g.  A label with a field its kind
+    does not use, or with an index that is not an int, is no generator."""
+    kind, i, j = label.kind, label.i, label.j
+    if kind in _SCALAR_KINDS:
+        return i is None and j is None
+    if kind == "d":
+        if type(i) is not int or type(j) is not int:
+            return False
         if i == 0:
             return j == 0 or 1 <= j <= g - 1
         return 1 <= i <= j <= g - 2 and i + j <= g - 1
+    if type(i) is not int or j is not None:
+        return False
+    if kind == "om":
+        return 2 <= i <= g - 2
+    if kind == "la":
+        return 3 <= i <= g - 3
+    if kind == "th":
+        return 1 <= i <= (g - 1) // 2
     return False
 
 

@@ -61,7 +61,7 @@ def _csv_line(head: list[str], nonzeros, width: int, tail: tuple[str, ...] = ())
 
 
 def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
-    labels = system.labels
+    labels = enumerate_basis(system.g)
     lines = [_csv_line(["source", *map(str, labels), "rhs"], (), 0)]
     for source, coeffs, rhs in _rows_with_rhs(system, k):
         lines.append(_csv_line([source], sorted(coeffs.items()), len(labels), (rhs,)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial
 
-from bn2.basis import ClassLabel, basis_dimension, columns, enumerate_basis
+from bn2.basis import basis_dimension, columns
 from bn2.enumerative import (
     _castelnuovo_num,
     _sum_D_table,
@@ -68,10 +68,14 @@ def _s2_count(g: int) -> int:
 
 _S2_SOURCE = "S2[i={},j={}]".format  # the source tag of the S2 row of (i, j)
 
+# the S2 row of (i, j) is {k1^2: 2, d(i,j): 1}, stated here once as its
+# (k1^2, d(i,j)) coefficients: the views write it and the solve's residual reads it
+_S2_ROW = (2, 1)
+
 
 class RelationSystem(namedtuple("RelationSystem", "g core s2")):
     """The core rows of genus g, and at the index range s2 the S2 rows, one
-    {k1^2: 2, d(i,j): 1} with rhs D(i,j) per pair of ``_s2_pairs``.  The
+    ``_S2_ROW`` with rhs D(i,j) per pair of ``_s2_pairs``.  The
     S2 rows are written only by the views, each only the part it returns;
     no package code reads ``rows``, the library view of Relations.  A nonempty
     s2 is a range of step 1, starting within the core, with one index per pair."""
@@ -91,11 +95,6 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
         # namedtuple's _make, and so _replace, would skip the check
         return cls(*iterable)
 
-    @property
-    def labels(self) -> tuple[ClassLabel, ...]:
-        """The columns: the genus-g generators in the frozen order."""
-        return enumerate_basis(self.g)
-
     def _spliced(self, core: list, s2) -> list:
         """The core rows' items core with the S2 rows' items s2 written in."""
         at = self.s2.start
@@ -106,8 +105,8 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
         """The coefficient dicts of the S2 rows, in order: none for an empty s2."""
         if not self.s2:  # a hand-built system, whose g need not have columns
             return []
-        K1SQ, *_, dd, _ = columns(self.g)
-        return [{K1SQ: 2, dd(i, j): 1} for i, j in _s2_pairs(self.g)]
+        (K1SQ, *_, dd, _), (a, e) = columns(self.g), _S2_ROW
+        return [{K1SQ: a, dd(i, j): e} for i, j in _s2_pairs(self.g)]
 
     @property
     def sources(self) -> list[str]:

@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
+from bn2 import relations
 from bn2.basis import basis_dimension, columns
 from bn2.relations import build_relations, build_rhs_vector
 
@@ -199,10 +200,11 @@ class _Genus:
     @cached_property
     def s2(self) -> tuple[range, range, int]:
         """(rows, cols, t14): the S2 rows, their d(i,j) columns in the same
-        order and the column of T14.  Row r, column c of Q_g is {k1^2: 2,
-        d(i,j): 1}, the k1^2 row of T_g {T14: 6} (checked here) and its
-        d(i,j) row {T2[i,j]: 1, T14: -12} with T2[i,j] = r, so row r of P
-        is e_r; the solve's residual checks every row."""
+        order and the column of T14.  Row r, column c of Q_g is
+        ``relations._S2_ROW``, {k1^2: 2, d(i,j): 1}, the k1^2 row of T_g
+        {T14: 6} (checked here) and its d(i,j) row {T2[i,j]: 1, T14: -12}
+        with T2[i,j] = r, so row r of P is e_r; the solve's residual checks
+        every row against the form the exports write."""
         g, t = self.g, self.t
         K1SQ, *_, dd, th = columns(g)
         t14 = next(iter(t[K1SQ]), None)
@@ -266,9 +268,11 @@ def _solve(k: int) -> tuple[list[int], int]:
     D b_k there; only the core rows are substituted, in their order, and D
     is the one of a substitution over all of P.  Every equation of
     Q_g X = D b_k is checked in integers before X and D are returned, which
-    proves X; on the S2 rows that is 2 X_k1^2 + X_d(i,j).  A failure of the
+    proves X; on the S2 rows that is a X_k1^2 + e X_d(i,j), for the form
+    (a, e) = ``relations._S2_ROW`` that the exports write.  A failure of the
     structure or of the residual is an internal error.  The rows come from
-    the one-genus memo.
+    the one-genus memo, so a second solve of the same k builds only b_k and
+    substitutes again.
     """
     if k < 3:
         raise ValueError(
@@ -284,8 +288,9 @@ def _solve(k: int) -> tuple[list[int], int]:
     w = 12 * y[t14]  # X = T_g Y, where T_g's S2 rows are {T2[i,j]: 1, T14: -12}
     x = _matvec(t[: cols.start], y) + [v - w for v in y[rows.start : rows.stop]]
     x += _matvec(t[cols.stop :], y)
-    w = 2 * x[0]  # Q_g X, where Q_g's S2 rows are {k1^2: 2, d(i,j): 1}
-    lhs = _matvec(q[: rows.start], x) + [v + w for v in x[cols.start : cols.stop]]
+    a, e = relations._S2_ROW  # Q_g X, where Q_g's S2 rows are {k1^2: a, d(i,j): e}
+    w = a * x[0]
+    lhs = _matvec(q[: rows.start], x) + [e * v + w for v in x[cols.start : cols.stop]]
     lhs += _matvec(q[rows.start :], x)
     if lhs != [d * v for v in b]:
         raise RuntimeError(f"internal error: the solution at k={k} has a nonzero residual")

@@ -212,10 +212,9 @@ def closed_form_class(k: int) -> ClassExpression:
     return ClassExpression.from_vector(2 * k, [Fraction(p * v, q) for v in b])
 
 
-# (B, (p, q)) of closed_form_class(k) and (X, D) with X / D = solve_class(k),
-# each built once for the checks of degree k, which only read them
+# (B, (p, q)) of closed_form_class(k), built once for the closed-form,
+# pull-back and (at k = 3) trigonal checks of degree k, which only read it
 _closed_form = lru_cache(maxsize=1)(_closed_form_parts)
-_solved = lru_cache(maxsize=1)(_solve)
 
 
 def _trigonal_table() -> list[tuple[int, int, int]]:
@@ -507,7 +506,7 @@ def _compare(name: str, g: int, expected, actual) -> CheckReport:
 def check_trigonal_table() -> CheckReport:
     """Solve the genus-6 system at k = 3 and compare with the known table."""
     table, den = _trigonal_vector()
-    x, d = _solved(3)
+    x, d = _solve(3)
     return _compare("trigonal-table", 6, (table, 1, den), (x, 1, d))
 
 
@@ -517,7 +516,7 @@ def check_closed_form(k: int) -> CheckReport:
     exactly when X q = D p B.  The closed formula's k >= 3 domain is checked
     first."""
     b, (p, q) = _closed_form(k)
-    x, d = _solved(k)
+    x, d = _solve(k)
     return _compare(f"closed-form[k={k}]", 2 * k, (b, p, q), (x, 1, d))
 
 
@@ -666,8 +665,8 @@ def run_all(k_max: int = 6) -> list[CheckReport]:
     """Every check, deterministically ordered by check name.
 
     The checks run genus by genus, so each genus's system and each degree's
-    closed formula and solution are built once, and their memos hold one at
-    a time."""
+    closed formula are built once, and their memos hold one at a time; the
+    table and closed-form[k=3] each solve k = 3 on the genus memo's rows."""
     if k_max < 3:
         raise ValueError(f"closed formula holds for k >= 3, got k_max={k_max}")
     reports = [check_m4(), check_g5_rank()]

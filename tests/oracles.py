@@ -600,7 +600,7 @@ def system_to_csv_dense(system, k: int | None = None) -> str:
     """``export.system_to_csv`` as ``csv.writer`` writes it from dense rows:
     a header, then per relation its source, every coefficient in basis order
     (zeros included) and its right-hand side, symbolic or evaluated at k."""
-    labels = system.labels
+    labels = enumerate_basis(system.g)
     if k is None:
         rhs = [describe_rhs(rel) for rel in system.rows]
     else:
@@ -842,7 +842,7 @@ def system_to_json_dumps(system, k: int | None = None) -> str:
         rhs = [describe_rhs(rel) for rel in system.rows]
     else:
         rhs = [str(v) for v in build_rhs_vector(system, k)]
-    names = [str(lab) for lab in system.labels]
+    names = [str(lab) for lab in enumerate_basis(system.g)]
     data = {
         "g": system.g,
         "labels": names,

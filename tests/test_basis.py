@@ -76,15 +76,36 @@ def test_enumerate_basis_counts_and_uniqueness(g):
     assert all(is_valid(lab, g) for lab in labels)
 
 
+# labels with a field their kind does not use, or an index that is not an
+# int: none is a generator, and none may hold a coefficient that no
+# generator reads
+MALFORMED = [
+    ClassLabel("om", 3, 5),
+    ClassLabel("la", 3, 0),
+    ClassLabel("th", 1, 1),
+    ClassLabel("d", 2),
+    ClassLabel("d", 0),
+    ClassLabel("k2", 1),
+    ClassLabel("k1^2", None, 0),
+    ClassLabel("om", "3"),
+    ClassLabel("th", 1.0),
+    ClassLabel("th", True),
+    ClassLabel("d", 1, 2.0),
+    ClassLabel("d", "0", 0),
+    ClassLabel("om"),
+]
+
+
 @pytest.mark.parametrize("g", range(5, 16))
 def test_every_valid_label_is_enumerated(g):
-    candidates = [K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2]
+    candidates = [K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, *MALFORMED]
     candidates += [om(i) for i in range(0, g + 2)]
     candidates += [la(i) for i in range(0, g + 2)]
     candidates += [th(i) for i in range(0, g + 2)]
     candidates += [dd(i, j) for i in range(0, g + 2) for j in range(i, g + 2)]
     valid = {lab for lab in candidates if is_valid(lab, g)}
     assert valid == set(enumerate_basis(g))
+    assert not any(is_valid(lab, g) for lab in MALFORMED)
 
 
 def test_enumerate_basis_count_mismatch_is_an_error(monkeypatch):
@@ -92,7 +113,7 @@ def test_enumerate_basis_count_mismatch_is_an_error(monkeypatch):
 
     monkeypatch.setattr(bn2.basis, "basis_dimension", lambda g: 26)
     with pytest.raises(RuntimeError, match=r"enumerated 25 generators at g=6, expected 26"):
-        enumerate_basis.__wrapped__(6)
+        enumerate_basis(6)
 
 
 def test_canonicalize_sorts_pairs():
@@ -236,8 +257,11 @@ def test_class_expression_basics():
 
 
 def test_class_expression_rejects_invalid_label():
-    with pytest.raises(ValueError):
-        ClassExpression(6, {om(17): Fraction(1)})
+    # a coefficient the expression stored but never read made
+    # ClassExpression(6, {ClassLabel("om", 3, 5): 1}) equal the zero class
+    for lab in (om(17), *MALFORMED):
+        with pytest.raises(ValueError, match=r"^label .* is invalid for genus 6$"):
+            ClassExpression(6, {lab: Fraction(1)})
 
 
 def test_class_expression_diff():

@@ -1027,3 +1027,24 @@ def test_a_changed_s2_row_of_T_is_internal(fresh_memos, monkeypatch, capsys, k, 
     assert (code, out) == (3, "")
     assert err.startswith("bn2 solve: internal error: ")
 
+
+@pytest.mark.parametrize("form", [(3, 1), (2, 2)])
+def test_a_changed_s2_row_of_Q_is_exported_and_internal(fresh_memos, monkeypatch, capsys, form):
+    # the S2 row's form is stated once, in bn2.relations: the export writes
+    # the changed rows, and the solve's residual, which reads the same
+    # statement, finds that its unit rows of P no longer solve them
+    import bn2.relations
+
+    monkeypatch.setattr(bn2.relations, "_S2_ROW", form)
+    assert main(["matrix", "--g", "10"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    s2 = [row for row in rows if row[0].startswith("S2[")]
+    assert len(s2) == len(list(_s2_pairs(10)))
+    for row, (i, j) in zip(s2, _s2_pairs(10)):
+        assert row[0] == f"S2[i={i},j={j}]"
+        cells = {name: v for name, v in zip(header[1:-1], row[1:-1]) if v != "0"}
+        assert cells == {"k1^2": str(form[0]), f"d({i},{j})": str(form[1])}
+    code, out, err = _solve_exit(capsys, 5)
+    assert (code, out) == (3, "")
+    assert err == "bn2 solve: internal error: the solution at k=5 has a nonzero residual\n"
+

@@ -12,14 +12,15 @@ only ``bn2.cli.build_parser`` imports ``argparse``, and
 writes its output.  The package exports only names it defines, and the
 test oracles stay out of it; the relation and T_g builders take their
 columns from ``basis.columns``, not through labels, and no module-level
-function but ``enumerate_basis`` keeps an unbounded memo, by decorator, by
-assignment or under any name, and the ``fresh_memos`` fixture clears
-exactly the bounded ones.  No module reads ``RelationSystem.rows``.  No module keeps two module-level dict tables keyed by the
+function keeps an unbounded memo, by decorator, by assignment or under any
+name; the ``fresh_memos`` fixture clears exactly the bounded ones, and the
+benchmark's commands hit each of them.  No module reads ``RelationSystem.rows``.  No module keeps two module-level dict tables keyed by the
 same constants, nor a dict keyed by exactly the constants of a module-level
 tuple or list."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import types
 from pathlib import Path
@@ -317,11 +318,10 @@ def _unbounded_memo_objects(modules) -> set:
     return found
 
 
-def test_only_enumerate_basis_keeps_an_unbounded_memo():
-    # labels compare by value: a factory that interned them would grow its
-    # memo with every index a run builds, so only the basis itself is kept;
-    # the syntax tree sees the decorators, and the objects a memo under any
-    # name
+def test_no_module_keeps_an_unbounded_memo():
+    # an unbounded memo grows with every genus a process asks for (the basis
+    # alone is 1.0 M labels at k = 1000); the syntax tree sees the
+    # decorators, and the objects a memo under any name
     found = [
         f"{path.name} {name}"
         for path in SOURCES
@@ -329,8 +329,8 @@ def test_only_enumerate_basis_keeps_an_unbounded_memo():
         for name, memo in _memos(node)
         if _unbounded_memo(memo)
     ]
-    assert found == ["basis.py enumerate_basis"]
-    assert _unbounded_memo_objects(_modules()) == {bn2.basis.enumerate_basis}
+    assert SOURCES and found == []
+    assert _unbounded_memo_objects(_modules()) == set()
 
 
 def test_an_aliased_memo_is_found():
@@ -366,6 +366,32 @@ def test_the_memo_fixture_clears_every_bounded_memo():
                 if info is not None and info().maxsize is not None:
                     found.append(getattr(module, name))
     assert len(found) == len(MEMOS) and set(found) == set(MEMOS)
+
+
+def _benchmark_commands() -> list[list[str]]:
+    """Every command of the benchmark's workloads, read from perfbench/run.py."""
+    path = Path(bn2.__file__).resolve().parents[2] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return [args for commands in run.WORKLOADS.values() for args in commands]
+
+
+def test_the_benchmark_commands_hit_every_memo(fresh_memos, capsys):
+    # a memo that no benchmarked command hits only holds memory; each command
+    # starts with empty memos, as a fresh process of the benchmark does
+    from bn2.cli import main
+
+    commands = _benchmark_commands()
+    hits = dict.fromkeys((memo.__wrapped__.__name__ for memo in MEMOS), 0)
+    for args in commands:
+        for memo in MEMOS:
+            memo.cache_clear()
+        assert main(list(args)) == 0, args
+        capsys.readouterr()
+        for memo in MEMOS:
+            hits[memo.__wrapped__.__name__] += memo.cache_info().hits
+    assert commands and all(hits.values()), hits
 
 
 def test_every_exported_name_resolves():

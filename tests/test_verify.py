@@ -265,7 +265,7 @@ def test_check_closed_form(k):
 @pytest.mark.parametrize("k", [3, 9])
 def test_a_passing_closed_form_check_builds_no_labels(monkeypatch, k):
     # the label texts are built only for the coefficients that differ, so a
-    # sweep keeps no genus's labels in enumerate_basis's memo
+    # passing sweep builds no genus's labels
     import bn2.verify
 
     def no_labels(g):
@@ -455,28 +455,28 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     for g in range(6, 17):
         n = basis_dimension(g)
         assert sum(rows for order, rows in built["P"] if order == n) == n
-    # one solve per degree: the table check and closed-form[k=3] share k = 3
-    assert built["rhs"] == list(range(3, 11))
+    # one solve per degree, and a second at k = 3 for the table check, on the
+    # rows the genus memo already holds
+    assert built["rhs"] == [3, *range(3, 11)]
 
 
 def test_memos_hold_one_genus(fresh_memos):
     from bn2.triangular import _genus
-    from bn2.verify import _closed_form, _solved
+    from bn2.verify import _closed_form
 
     for k in range(3, 13):
         assert check_closed_form(k).status == "pass"
         assert check_pullback(k).status == "pass"
         assert _genus.cache_info().currsize == 1
         assert _closed_form.cache_info().currsize == 1
-        assert _solved.cache_info().currsize == 1
         assert _genus(2 * k).system.g == 2 * k
 
 
 def test_the_memos_wrap_their_functions():
-    from bn2.triangular import _Genus, _genus, _solve
-    from bn2.verify import _closed_form, _closed_form_parts, _solved
+    from bn2.triangular import _Genus, _genus
+    from bn2.verify import _closed_form, _closed_form_parts
 
-    for memo, function in ((_genus, _Genus), (_closed_form, _closed_form_parts), (_solved, _solve)):
+    for memo, function in ((_genus, _Genus), (_closed_form, _closed_form_parts)):
         assert memo.__wrapped__ is function and memo.cache_parameters()["maxsize"] == 1
 
 
@@ -543,7 +543,7 @@ def test_failed_closed_form_report_is_pinned(monkeypatch):
         wrong = list(x)
         for lab, shift in shifts.items():
             wrong[index[lab]] += shift * d
-        monkeypatch.setattr(bn2.verify, "_solved", lambda k, wrong=wrong: (wrong, d))
+        monkeypatch.setattr(bn2.verify, "_solve", lambda k, wrong=wrong: (wrong, d))
         assert check_closed_form(5).to_dict() == want
 
 
@@ -616,7 +616,7 @@ def test_failed_reports_are_written_as_json_dumps(fresh_memos, monkeypatch):
     x, d = _solve(5)
     wrong = list(x)
     wrong[basis_index(10)[dd(0, 8)]] += d
-    monkeypatch.setattr(bn2.verify, "_solved", lambda k: (wrong, d))
+    monkeypatch.setattr(bn2.verify, "_solve", lambda k: (wrong, d))
     reports = [check_closed_form(5)]
     b, c = bn2.verify._closed_form_parts(4)
     off = list(b)
