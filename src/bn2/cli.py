@@ -10,7 +10,8 @@ internal error: ...``).  Results go to stdout, diagnostics to stderr;
 identical invocations produce byte-identical output.  The subcommands, their flags and their work are one table, and
 ``main`` alone writes each result and sets the exit code; ``argparse`` is
 loaded only for help, a usage error or a command line that is not of the
-table's canonical form.
+table's canonical form.  No other bn2 module loads with this one: each
+command imports its layers when it runs, so help and usage errors load none.
 """
 
 from __future__ import annotations
@@ -21,16 +22,15 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from bn2 import enumerative
-from bn2.basis import enumerate_basis, fraction_text
-from bn2.enumerative import SchubertIndex
-
 # the enumerative, relation and T_g errors subclass ValueError; a non-integral count
 # is an ArithmeticError.  Internal errors are RuntimeErrors; main handles both.
 _DOMAIN_ERRORS = (ValueError, ArithmeticError)
 
 
-def _parse_pair(text: str, flag: str) -> SchubertIndex:
+def _parse_pair(text: str, flag: str):
+    """The ``SchubertIndex`` of text, the value ``a0,a1`` of flag."""
+    from bn2.enumerative import SchubertIndex
+
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"{flag} expects 'a0,a1', got {text!r}")
@@ -67,34 +67,42 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.flush()
 
 
-def _castelnuovo(args):
-    beta = _parse_pair(args.beta, "--beta") if args.beta is not None else SchubertIndex(0, 0)
-    return enumerative.castelnuovo_N(args.g, args.d, _parse_pair(args.alpha, "--alpha"), beta)
-
-
 # each count of ``bn2 counts``: the flags it reads, in report order, each
-# required unless it is in brackets, and its call
+# required unless it is in brackets, and its function in bn2.enumerative,
+# called with those flags' values in that order (a pair parsed, an omitted
+# bracketed flag left out)
 _COUNTS = {
-    "n": ("g d alpha", lambda a: enumerative.count_n(a.g, a.d, _parse_pair(a.alpha, "--alpha"))),
-    "m": ("g d alpha", lambda a: enumerative.count_m(a.g, a.d, _parse_pair(a.alpha, "--alpha"))),
-    "ell": ("g k", lambda a: enumerative.count_ell(a.g, a.k)),
-    "castelnuovo": ("g d alpha [beta]", _castelnuovo),
-    "T": ("i g k", lambda a: enumerative.sum_T(a.i, a.g, a.k)),
-    "D": ("i j g k", lambda a: enumerative.sum_D(a.i, a.j, a.g, a.k)),
-    "s16": ("i g k", lambda a: enumerative.sum_S16(a.i, a.g, a.k)),
+    "n": ("g d alpha", "count_n"),
+    "m": ("g d alpha", "count_m"),
+    "ell": ("g k", "count_ell"),
+    "castelnuovo": ("g d alpha [beta]", "castelnuovo_N"),
+    "T": ("i g k", "sum_T"),
+    "D": ("i j g k", "sum_D"),
+    "s16": ("i g k", "sum_S16"),
 }
 
 
 def _cmd_counts(args) -> str:
-    flags, count = _COUNTS[args.which]
-    for name in flags.split():
-        if name[0] != "[" and getattr(args, name) is None:
-            _usage_error(args, f"--{name} is required for this subcommand")
-    _reject_unread(args, [name.strip("[]") for name in flags.split()])
-    return f"{count(args)}\n"
+    flags, name = _COUNTS[args.which]
+    for flag in flags.split():
+        if flag[0] != "[" and getattr(args, flag) is None:
+            _usage_error(args, f"--{flag} is required for this subcommand")
+    reads = [flag.strip("[]") for flag in flags.split()]
+    _reject_unread(args, reads)
+    values = [
+        _parse_pair(value, f"--{flag}") if flag in ("alpha", "beta") else value
+        for flag in reads
+        if (value := getattr(args, flag)) is not None
+    ]
+    # imported once the flags are checked: a usage error loads no counting layer
+    from bn2 import enumerative
+
+    return f"{getattr(enumerative, name)(*values)}\n"
 
 
 def _cmd_basis(args) -> str:
+    from bn2.basis import enumerate_basis
+
     return "".join(f"{lab}\n" for lab in enumerate_basis(args.g))
 
 
@@ -132,8 +140,12 @@ def _cmd_tmatrix(args) -> str:
 def _cmd_solve(args) -> str:
     # the integer solve alone: no writer of bn2.export and no ClassExpression
     from bn2 import triangular
+    from bn2.basis import enumerate_basis, fraction_text
 
     x, d = triangular._solve(args.k)
+    # the rows the solve kept are not read again: let them go before the text
+    # is built, when the process peaks
+    triangular._genus.cache_clear()
     # each coefficient X_i / D in lowest terms, written as str(Fraction) writes it
     lines = [f"{lab} {fraction_text(v, d)}\n" for lab, v in zip(enumerate_basis(2 * args.k), x)]
     return "".join(lines)

@@ -64,6 +64,14 @@ def test_an_empty_beta_is_parsed(capsys, joined):
     assert run(capsys, *argv, "--beta", "0,0") == (0, "2\n", "")
 
 
+def test_a_count_parses_its_pairs_in_report_order(capsys):
+    # the values are read in the order _COUNTS lists the flags, so of two bad
+    # pairs --alpha is the one reported
+    argv = ("counts", "castelnuovo", "--g", "2", "--d", "3", "--alpha", "1,0", "--beta", "1,0")
+    message = "bn2 counts castelnuovo: --alpha: need 0 <= a0 <= a1, got (1,0)\n"
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_counts_T_and_D_and_s16(capsys):
     assert run(capsys, "counts", "T", "--i", "2", "--g", "6", "--k", "3")[:2] == (0, "144\n")
     assert run(capsys, "counts", "D", "--i", "2", "--j", "2", "--g", "6", "--k", "3")[:2] == (
@@ -618,7 +626,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 # an argv of each subcommand and a callee that main reaches through it
 RUNNER_CASES = [
     (("counts", "ell", "--g", "4", "--k", "3"), "bn2.enumerative.count_ell"),
-    (("basis", "--g", "6"), "bn2.cli.enumerate_basis"),
+    (("basis", "--g", "6"), "bn2.basis.enumerate_basis"),
     (("matrix", "--g", "6"), "bn2.relations.build_relations"),
     (("tmatrix", "--g", "6"), "bn2.export.t_matrix_to_csv"),
     (("solve", "--k", "3"), "bn2.triangular._solve"),
@@ -880,20 +888,21 @@ def test_short_families_match_pinned_digest(capsys, command):
 
 
 # runs one command in a fresh interpreter and prints its exit code, the length
-# of its stdout and which of bn2.classes, bn2.exactnum, bn2.export,
-# bn2.relations, bn2.solver, bn2.triangular, bn2.verify, fractions, decimal,
-# csv, json, _json, dataclasses, inspect, argparse, gettext and locale it
-# loaded (typing is not probed: site may load it before bn2 runs); no command
-# that succeeds loads argparse, and none loads bn2.classes, bn2.exactnum or
-# bn2.solver
+# of its stdout and which of bn2.basis, bn2.classes, bn2.enumerative,
+# bn2.exactnum, bn2.export, bn2.relations, bn2.solver, bn2.triangular,
+# bn2.verify, fractions, decimal, csv, json, _json, dataclasses, inspect,
+# argparse, gettext and locale it loaded (typing is not probed: site may load
+# it before bn2 runs); no command that succeeds loads argparse, and none loads
+# bn2.classes, bn2.exactnum or bn2.solver
 _LOADED_PROBE = """
 import contextlib, io, sys
 from bn2.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(sys.argv[1:])
-probed = ("bn2.classes", "bn2.exactnum", "bn2.export", "bn2.relations", "bn2.solver",
-          "bn2.triangular", "bn2.verify", "fractions", "decimal", "csv", "json", "_json",
-          "dataclasses", "inspect", "argparse", "gettext", "locale")
+probed = ("bn2.basis", "bn2.classes", "bn2.enumerative", "bn2.exactnum", "bn2.export",
+          "bn2.relations", "bn2.solver", "bn2.triangular", "bn2.verify", "fractions",
+          "decimal", "csv", "json", "_json", "dataclasses", "inspect", "argparse", "gettext",
+          "locale")
 print(code, len(out.getvalue()), *(m for m in probed if m in sys.modules))
 """
 
@@ -905,9 +914,9 @@ def _src_env():
     return env
 
 
-def _loaded_after(*argv):
+def _loaded_after(*argv, probe=_LOADED_PROBE):
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True,
         text=True,
         env=_src_env(),
@@ -934,24 +943,85 @@ def test_command_loads_no_checks_csv_or_json(argv):
     # the matrix export reads the data layer and its writers alone; tmatrix
     # adds the integer rows of bn2.triangular, and solve those rows without
     # a writer; none loads the RationalMatrix layer, fractions or the
-    # ClassExpression view
+    # ClassExpression view.  The rows load the generators and the counts
     code, size, *loaded = _loaded_after(*argv)
     assert code == "0" and int(size) > 0
     expected = {
-        "matrix": ["bn2.export", "bn2.relations"],
-        "tmatrix": ["bn2.export", "bn2.relations", "bn2.triangular"],
-        "solve": ["bn2.relations", "bn2.triangular"],
+        "matrix": ["bn2.export"],
+        "tmatrix": ["bn2.export", "bn2.triangular"],
+        "solve": ["bn2.triangular"],
     }
-    assert loaded == expected[argv[0]]
+    rows = ["bn2.basis", "bn2.enumerative", "bn2.relations"]
+    assert loaded == sorted([*rows, *expected[argv[0]]])
 
 
 @pytest.mark.parametrize(
     "argv", [("basis", "--g", "6"), ("counts", "n", "--g", "4", "--d", "3", "--alpha", "0,1")]
 )
 def test_commands_without_rows_load_no_relations(argv):
+    # the generators alone, or the counting layer alone
     code, size, *loaded = _loaded_after(*argv)
     assert code == "0" and int(size) > 0
-    assert loaded == []
+    assert loaded == {"basis": ["bn2.basis"], "counts": ["bn2.enumerative"]}[argv[0]]
+
+
+# imports bn2.cli in a fresh interpreter, runs main on the argv if one is
+# given, and prints its exit code (None without one) and every bn2 module
+# then loaded
+_BN2_MODULES_PROBE = """
+import contextlib, io, sys
+import bn2.cli
+code = None
+if sys.argv[1:]:
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = bn2.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "bn2"))
+"""
+
+
+
+def test_importing_the_cli_loads_no_bn2_submodule():
+    # the benchmark's setup probe imports bn2.cli alone: each command imports
+    # its layers when it runs
+    assert _loaded_after(probe=_BN2_MODULES_PROBE) == ["None", "bn2", "bn2.cli"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--help",), "0"),
+        (("solve", "--help"), "0"),
+        (("frobnicate",), "2"),
+        (("solve",), "2"),
+        (("solve", "--k", "x"), "2"),
+        (("matrix", "--g", "6", "--out", ""), "2"),
+        (("counts", "n", "--g", "4", "--d", "3"), "2"),
+        (("counts", "ell", "--g", "4", "--k", "3", "--d", "3"), "2"),
+        (("verify", "m4", "--k", "3"), "2"),
+    ],
+    ids=[
+        "help", "solve-help", "unknown", "missing-k", "bad-int", "empty-out", "missing-alpha",
+        "unread-flag", "unread-verify-flag",
+    ],
+)
+def test_help_and_usage_errors_load_no_bn2_submodule(argv, code):
+    # a usage error is found before the command imports its layers
+    assert _loaded_after(*argv, probe=_BN2_MODULES_PROBE) == [code, "bn2", "bn2.cli"]
+
+
+def test_solve_lets_the_genus_memo_go(fresh_memos, capsys):
+    # the rows bn2 solve kept for its answer are dropped before it writes the
+    # text, the process's peak; verify, which reads them again, keeps them
+    from bn2 import triangular
+
+    code, out, _ = run(capsys, "solve", "--k", "5")
+    assert code == 0 and out
+    assert triangular._genus.cache_info().currsize == 0
+    assert run(capsys, "verify", "closed-form", "--k", "5")[0] == 0
+    assert triangular._genus.cache_info().currsize == 1
 
 
 VERIFY_CHECKS = (
@@ -967,7 +1037,9 @@ def test_verify_loads_the_checks(which):
     # nor the ClassExpression view; all runs the benchmark's --k-max 10
     code, _, *loaded = _loaded_after("verify", which, *(["--k-max", "10"] * (which == "all")))
     assert code == "0"
-    assert loaded == ["bn2.relations", "bn2.triangular", "bn2.verify"]
+    assert loaded == [
+        "bn2.basis", "bn2.enumerative", "bn2.relations", "bn2.triangular", "bn2.verify",
+    ]
 
 
 _CHECKER_PROBE = """

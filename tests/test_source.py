@@ -7,6 +7,7 @@ solver nor ``bn2.triangular``, ``bn2.triangular`` not the solver, neither
 load, ``bn2.export`` imports ``bn2.triangular`` only in its T_g writers,
 no package module imports ``bn2.solver`` or ``bn2.exactnum``, none imports
 ``bn2.classes`` at load and only ``bn2.cli``'s commands import ``bn2.export``;
+``bn2.cli`` imports no bn2 submodule at load;
 only ``bn2.cli.build_parser`` imports ``argparse``, and
 ``bn2.cli.main`` is the one place that catches a subcommand's errors and
 writes its output.  The package exports only names it defines, and the
@@ -125,6 +126,10 @@ def _load_time_nodes(tree):
         )
 
 
+# every submodule of the package, as an import names it
+_SUBMODULES = tuple(f"bn2.{info.name}" for info in pkgutil.iter_modules(bn2.__path__))
+
+
 @pytest.mark.parametrize(
     "name, forbidden, forbidden_at_load",
     [
@@ -137,7 +142,10 @@ def _load_time_nodes(tree):
         # view builds a RationalMatrix; a view that builds a Fraction imports
         # fractions when it is called.  fraction_text comes from bn2.basis
         ("verify.py", ("bn2.solver", "bn2.exactnum"), ("fractions", "json")),
-        ("cli.py", ("bn2.solver", "bn2.exactnum"), ()),
+        # each command imports its layers when it runs, so importing bn2.cli,
+        # as help, a usage error and the benchmark's setup probe do, loads no
+        # other bn2 module
+        ("cli.py", ("bn2.solver", "bn2.exactnum"), _SUBMODULES),
         ("solver.py", (), ("fractions", "json")),
         # the writers: bn2 matrix loads no T_g, so the T_g writers import
         # bn2.triangular when they are called, and csv and json stay unloaded
