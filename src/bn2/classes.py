@@ -2,15 +2,16 @@
 rational coefficient vector over the genus-g generators, and the label
 text parser and range check it uses.
 
-No command loads this module.  ``solve_class``, ``closed_form_class`` and
-``known_trigonal_class`` import it when they are called, as they import
-``fractions``; the commands write each rational by
+No command loads this module, which imports ``fractions`` at load.
+``solve_class``, ``closed_form_class`` and ``known_trigonal_class`` import
+it when they are called; the commands write each rational by
 ``basis.fraction_text`` from integers.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from bn2.basis import ClassLabel, enumerate_basis
 
@@ -58,14 +59,11 @@ def is_valid(label: ClassLabel, g: int) -> bool:
 
 
 class ClassExpression:
-    """Exact-rational coefficient vector indexed by the genus-g generators.
-    ``fractions`` loads with the first expression, not with this module."""
+    """Exact-rational coefficient vector indexed by the genus-g generators."""
 
     __slots__ = ("genus", "coefficients")
 
     def __init__(self, genus: int, coefficients: dict[ClassLabel, Fraction]):
-        from fractions import Fraction
-
         self.genus = genus
         clean: dict[ClassLabel, Fraction] = {}
         for lab, value in coefficients.items():
@@ -75,8 +73,6 @@ class ClassExpression:
         self.coefficients = clean
 
     def __getitem__(self, label: ClassLabel) -> Fraction:
-        from fractions import Fraction
-
         return self.coefficients.get(label, Fraction(0))
 
     def __eq__(self, other) -> bool:

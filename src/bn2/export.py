@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from bn2.basis import enumerate_basis
 from bn2.relations import (
-    _RHS,
     _json_string,
+    _rhs_text,
     _s2_pairs,
     build_relations,
     build_rhs_vector,
@@ -28,8 +28,7 @@ def _rows_with_rhs(system: RelationSystem, k: int | None):
     k, of each row; an S2 row's text is D(i,j) over its divisor."""
     if k is not None:
         return zip(system.sources, system.coefficients, map(str, build_rhs_vector(system, k)))
-    g, (_, div, template) = system.g, _RHS["D"]
-    s2 = (f"{template.format(i=i, j=j)}/{div(g, i, j)}" for i, j in _s2_pairs(g))
+    s2 = (_rhs_text(system.g, "D", i, j) for i, j in _s2_pairs(system.g))
     texts = system._spliced([describe_rhs(rel) for rel in system.core], s2)
     return zip(system.sources, system.coefficients, texts)
 

@@ -489,15 +489,19 @@ def evaluate_rhs(rel: Relation, k: int) -> int:
     return _evaluate(rel, k, _sum_D_table(k))
 
 
-def describe_rhs(rel: Relation) -> str:
-    """Symbolic form of the right-hand side, for exports without a fixed k."""
-    g, (kind, i, j) = rel.g, rel.rhs
+def _rhs_text(g: int, kind: str, i: int, j: int) -> str:
+    """The symbolic right-hand side of the genus-g descriptor (kind, i, j)."""
     if kind not in _RHS:
         raise ValueError(f"unknown rhs kind {kind!r}")
     _, divisor, template = _RHS[kind]
     text = template.format(i=i, j=j, g2=g - 2, g4=g - 4)
     div = divisor(g, i, j)
     return text if div == 1 else f"{text}/{div}"
+
+
+def describe_rhs(rel: Relation) -> str:
+    """Symbolic form of the right-hand side, for exports without a fixed k."""
+    return _rhs_text(rel.g, *rel.rhs)
 
 
 def build_rhs_vector(system: RelationSystem, k: int) -> list[int]:

@@ -1,7 +1,8 @@
 """The linear-algebra layer over the relation rows: the rows of the relation
 matrix Q_g and of the triangularizing column matrix T_g, the product
-P = Q_g * T_g and the check that it is lower-triangular with a nonzero
-diagonal, and the exact degree-k solve.
+P = Q_g * T_g, the certificate that det Q_g != 0 (``_product_report``: no
+entry of P above its diagonal and no zero on it) and the exact degree-k
+solve.
 
 Q_g, T_g and P are integer rows, one {column: int} dict per row (Q_g's are
 the relation rows' own coefficient dicts), and ``_product`` is the one kernel
@@ -20,7 +21,6 @@ and columns built here.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
@@ -29,7 +29,7 @@ from bn2 import relations
 from bn2.basis import basis_dimension, columns
 from bn2.relations import build_relations, build_rhs_vector
 
-__all__ = ["solve_class", "TriangularityReport"]
+__all__ = ["solve_class"]
 
 
 def _t_columns(g: int):
@@ -147,41 +147,20 @@ def _matvec(rows: list[dict[int, int]], v: list[int]) -> list[int]:
     return [sum(map(mul, row.values(), map(get, row))) for row in rows]
 
 
-class TriangularityReport(
-    namedtuple(
-        "TriangularityReport",
-        "order lower_triangular diagonal_nonzero violations zero_diagonal",
-    )
-):
-    """Outcome of the Q_g * T_g product check.  ``ok`` is the structure the
-    production solve (``_solve``) relies on and the certificate that
-    det Q_g != 0."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.lower_triangular and self.diagonal_nonzero
-
-
-def _product_report(p: list[dict]) -> TriangularityReport:
-    """The report on the square product P given by its rows."""
+def _product_report(p: list[dict]) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """(violations, zero_diagonal) of the square product P given by its rows:
+    the sorted (row, col, value) entries above the diagonal and the rows whose
+    diagonal entry is zero.  Both empty is the structure the production solve
+    (``_solve``) relies on and the certificate that det Q_g != 0."""
     violations = sorted((r, c, v) for r, row in enumerate(p) for c, v in row.items() if c > r)
-    zero_diag = [r for r, row in enumerate(p) if not row.get(r)]
-    return TriangularityReport(
-        order=len(p),
-        lower_triangular=not violations,
-        diagonal_nonzero=not zero_diag,
-        violations=violations,
-        zero_diagonal=zero_diag,
-    )
+    return violations, [r for r, row in enumerate(p) if not row.get(r)]
 
 
 class _Genus:
     """One genus's system, built once: the relation rows, the core rows of
     Q_g (the core relations' coefficient dicts, not copied) and the rows of
     T_g, and on first use the core of P = Q_g * T_g, the S2 block's check
-    that the solve reads, and the triangularity report of the full P, the
+    that the solve reads, and ``_product_report`` of the full P, the
     certificate that det Q_g != 0, which adds the S2 rows of P to the core.
     Only this module and ``bn2.verify`` read it, and neither changes it."""
 
@@ -192,7 +171,7 @@ class _Genus:
         self.q = [rel.coefficients for rel in self.system.core]
 
     @cached_property
-    def report(self) -> TriangularityReport:
+    def report(self) -> tuple[list[tuple[int, int, int]], list[int]]:
         # the core's rows and the S2 rows of P: each row is multiplied once
         system, core = self.system, list(self.core.values())
         return _product_report(system._spliced(core, _product(system.s2_coefficients, self.t)))

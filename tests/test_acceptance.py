@@ -221,8 +221,10 @@ def test_criterion_7_oracle_suite():
 def test_criterion_8_triangularity_diagnostic():
     results = {}
     for g in range(6, 11):
-        rep = _product_report(build_matrix(g).matmul(build_T_by_label(g))._rows)
-        results[g] = (rep.lower_triangular, rep.diagonal_nonzero, len(rep.violations))
+        violations, zero_diagonal = _product_report(
+            build_matrix(g).matmul(build_T_by_label(g))._rows
+        )
+        results[g] = (not violations, not zero_diagonal, len(violations))
     ok = all(lt and dn for lt, dn, _ in results.values())
     _report(
         8,

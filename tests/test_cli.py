@@ -887,6 +887,20 @@ def test_short_families_match_pinned_digest(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FAMILY_STDOUT_SHA256[command]
 
 
+# the benchmark's correctness gate: every workload command's stdout digest and
+# exit code, as perfbench/run.py checks them
+GOLDEN = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "golden.json").read_text(encoding="utf-8")
+)["commands"]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_matches_the_benchmark_golden_digest(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == GOLDEN[command]["exit_code"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command]["sha256"]
+
+
 # runs one command in a fresh interpreter and prints its exit code, the length
 # of its stdout and which of bn2.basis, bn2.classes, bn2.enumerative,
 # bn2.exactnum, bn2.export, bn2.relations, bn2.solver, bn2.triangular,

@@ -389,6 +389,40 @@ def test_nonsingular_without_certificate_fails(fresh_memos, monkeypatch):
     assert rep.diff and all("row" in entry or "diagonal" in entry for entry in rep.diff)
 
 
+# reports_to_json of nonsingular[g=G] and triangularity[g=G] when T_g's
+# columns c = 1 mod 4 are zero (a zero diagonal in P) and its last column is
+# the sum of all of them (nonzeros above P's diagonal); at g = 30 each kind
+# has more than 50 entries, so the diff keeps the first 50 of each
+_BROKEN_CERTIFICATE_SHA256 = {
+    8: "53231c66a267d4e0a9f78e8db4544d015cae510133b354ea4b2e84c88d5f3677",
+    30: "cbd1c08dd325e951d2257056be739a21e93f6df7d415f4dd4a295386a0c77797",
+}
+
+
+@pytest.mark.parametrize("g", sorted(_BROKEN_CERTIFICATE_SHA256))
+def test_failing_certificate_reports_are_pinned(fresh_memos, monkeypatch, g):
+    import bn2.triangular
+
+    built = list(bn2.triangular._t_columns(g))
+    total: dict[int, int] = {}
+    for col in built:
+        for r, v in col.items():
+            total[r] = total.get(r, 0) + v
+    broken = [{} if c % 4 == 1 else col for c, col in enumerate(built[:-1])] + [total]
+    monkeypatch.setattr(bn2.triangular, "_t_columns", lambda g: broken)
+    reports = [check_nonsingular(g), check_triangularity(g)]
+    assert [rep.status for rep in reports] == ["fail", "warn"]
+    assert reports[1].actual == {
+        "lower_triangular": False,
+        "diagonal_nonzero": False,
+        "order": len(built),
+    }
+    kinds = [sum(kind in entry for entry in reports[0].diff) for kind in ("row", "diagonal")]
+    assert kinds == ([28, 9] if g == 8 else [50, 50])
+    text = reports_to_json(reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _BROKEN_CERTIFICATE_SHA256[g]
+
+
 def test_check_triangularity_g6():
     rep = check_triangularity(6)
     assert rep.status in ("pass", "warn")
