@@ -15,7 +15,6 @@ from bn2.relations import (
     _json_string,
     _rhs_text,
     _s2_pairs,
-    build_relations,
     build_rhs_vector,
     describe_rhs,
 )
@@ -35,9 +34,9 @@ def _rows_with_rhs(system: RelationSystem, k: int | None):
 
 def _csv_field(text: str) -> str:
     """text as one CSV field, quoted as ``csv.writer`` quotes it under
-    QUOTE_MINIMAL with the line terminator "\\n": only when it holds a comma,
-    a double quote or a newline, with each double quote doubled."""
-    if "," in text or '"' in text or "\n" in text:
+    QUOTE_MINIMAL with the line terminator "\\r\\n": only when it holds a comma,
+    a double quote, a carriage return or a newline, each double quote doubled."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -88,30 +87,18 @@ def system_to_json(system: RelationSystem, k: int | None = None) -> str:
     return _json_export(system.g, "rows", [("source", *row) for row in _rows_with_rhs(system, k)])
 
 
-def _t_tags(g: int) -> list[str]:
-    """The tags of the columns of T_g: column r pairs with row r of Q_g and is
-    tagged with its source, T for S, but T6[ld2], T16[sum], T18[th2] and
-    T18[final] for S6[i=g-2], S16[i=g-2], S18[i=3] and S18[i=2]."""
-    from bn2.triangular import _t_order
-
-    _t_order(g)
-    named = {f"S6[i={g - 2}]": "T6[ld2]", f"S16[i={g - 2}]": "T16[sum]"}
-    named.update({"S18[i=3]": "T18[th2]", "S18[i=2]": "T18[final]"})
-    return [named.get(source, "T" + source[1:]) for source in build_relations(g).sources]
-
-
 def t_matrix_to_csv(g: int) -> str:
-    from bn2.triangular import _t_rows
+    from bn2.triangular import _t_columns, _t_rows
 
-    rows = _t_rows(g)
-    lines = [_csv_line(["label", *_t_tags(g)], (), 0)]
-    for lab, row in zip(enumerate_basis(g), rows):
-        lines.append(_csv_line([str(lab)], sorted(row.items()), len(rows)))
+    system, cols = _t_columns(g)
+    lines = [_csv_line(["label", *system.t_tags], (), 0)]
+    for lab, row in zip(enumerate_basis(g), _t_rows(cols)):
+        lines.append(_csv_line([str(lab)], sorted(row.items()), len(cols)))
     return "".join(lines)
 
 
 def t_matrix_to_json(g: int) -> str:
-    from bn2.triangular import _checked_t_columns
+    from bn2.triangular import _t_columns
 
-    cols = _checked_t_columns(g)
-    return _json_export(g, "columns", [("tag", tag, col) for tag, col in zip(_t_tags(g), cols)])
+    system, cols = _t_columns(g)
+    return _json_export(g, "columns", [("tag", tag, col) for tag, col in zip(system.t_tags, cols)])

@@ -1,19 +1,19 @@
-"""Test-surface relation rows and their symbolic right-hand sides.
+"""Test-surface relation rows, their right-hand sides and their T_g columns.
 
-Each of the eighteen families of test surfaces contributes one group of
-rows; a row stores exact integer coefficients keyed by column in the frozen
-basis order plus a right-hand-side descriptor that evaluates to an integer
-(any other value is an internal error) once the pencil degree k, with
-g = 2k, is fixed.  Each term of a family is written as its column, computed
-from the generator's indices by ``basis.columns`` (which also sorts a
-boundary pair and maps la(g-2) to ld2), and coincident columns accumulate
-additively, which is what collapses repeated terms at small g.
+Each of the eighteen families of test surfaces is written once, as a group
+of rows; a row stores exact integer coefficients keyed by column in the
+frozen basis order, a right-hand-side descriptor that evaluates to an
+integer (any other value is an internal error) once the pencil degree k,
+with g = 2k, is fixed, and the column of the triangularizing T_g paired with
+it.  Each term is written as its column by ``basis.columns`` (which also
+sorts a boundary pair and maps la(g-2) to ld2), and coincident columns
+accumulate additively, which is what collapses repeated terms at small g.
 
 This is the data layer: it builds no matrix and imports no solver, so
-``bn2 matrix`` loads no linear algebra.  Q_g, T_g and the solve are in
-``bn2.triangular``, and the CSV and JSON exports of Q_g and T_g in
-``bn2.export``; ``describe_rhs`` and ``_json_string`` stay here, for the
-exports and the verify reports alike.
+``bn2 matrix`` loads no linear algebra.  ``bn2.triangular`` reads T_g from
+the rows and builds Q_g, P and the solve, and ``bn2.export`` writes the CSV
+and JSON of Q_g and T_g; ``describe_rhs`` and ``_json_string`` stay here,
+for the exports and the verify reports alike.
 """
 
 from __future__ import annotations
@@ -49,9 +49,12 @@ class Rhs(namedtuple("Rhs", "kind i j", defaults=(0, 0))):
     __slots__ = ()
 
 
-class Relation(namedtuple("Relation", "source g coefficients rhs")):
+class Relation(namedtuple("Relation", "source g coefficients rhs column tag", defaults=[None] * 2)):
     """One test-surface row: source tag, nonzero integer coefficients keyed
-    by column in the frozen basis order, RHS descriptor."""
+    by column in the frozen basis order, RHS descriptor and, for a core row of
+    ``build_relations``, a function that writes the T_g column paired with it
+    (a short column's dict ``copy``; a long one, as T14 of ~g^2/4 entries, is
+    built only when T_g is read) and that column's tag if its family names one."""
 
     __slots__ = ()
 
@@ -71,6 +74,10 @@ _S2_SOURCE = "S2[i={},j={}]".format  # the source tag of the S2 row of (i, j)
 # the S2 row of (i, j) is {k1^2: 2, d(i,j): 1}, stated here once as its
 # (k1^2, d(i,j)) coefficients: the views write it and the solve's residual reads it
 _S2_ROW = (2, 1)
+
+# the (k1^2, d(i,j)) coefficients of T14, the one column of T_g other than
+# T2[i,j] = {d(i,j): 1} that the S2 rows of Q_g meet (``triangular._Genus.s2``)
+_S2_T14 = (6, -12)
 
 
 class RelationSystem(namedtuple("RelationSystem", "g core s2")):
@@ -120,6 +127,12 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
         return self._spliced([rel.coefficients for rel in self.core], self.s2_coefficients)
 
     @property
+    def t_tags(self) -> list[str]:
+        """The tags of T_g's columns: a row's own, or its source with T for S; builds no S2 row."""
+        core = [rel.tag or "T" + rel.source[1:] for rel in self.core]
+        return self._spliced(core, ("T" + _S2_SOURCE(i, j)[1:] for i, j in _s2_pairs(self.g)))
+
+    @property
     def rows(self) -> list[Relation]:
         """Every row in group order, the S2 rows written in at s2."""
         if not self.s2:  # a hand-built system, whose g need not have columns
@@ -133,7 +146,7 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
 
 
 def build_relations(g: int) -> RelationSystem:
-    """All relation rows for genus g, in the frozen group order.
+    """All relation rows for genus g with their T_g columns, in the frozen group order.
 
     For g >= 6 the system is square of order basis_dimension(g); for g = 5
     the S10 row does not exist and the system is 19 x 20.
@@ -143,17 +156,29 @@ def build_relations(g: int) -> RelationSystem:
     rows: list[Relation] = []
     # each name is a column of the genus-g basis, or a function to one
     K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
+    d0g1, d00, d01, d11 = dd(0, g - 1), dd(0, 0), dd(0, 1), dd(1, 1)  # in the T_g columns
 
-    def add(source: str, rhs: Rhs, terms: list) -> None:
-        acc: dict[int, int] = {}
-        for c, coeff in terms:  # terms that share a column are summed
-            acc[c] = acc.get(c, 0) + coeff
-        # only a row whose terms cancel drops a column
-        rows.append(Relation(source, g, {c: v for c, v in acc.items() if v}, rhs))
+    def add(source: str, rhs: Rhs, terms: list, column, tag: str | None = None) -> None:
+        acc = dict(terms)
+        if len(acc) < len(terms):  # terms that share a column are summed, and a zero sum dropped
+            acc = dict.fromkeys(acc, 0)
+            for c, coeff in terms:
+                acc[c] += coeff
+            acc = {c: v for c, v in acc.items() if v}
+        rows.append(Relation(source, g, acc, rhs, column, tag))
+
+    def om_pairs(col: dict[int, int], scale: int) -> dict[int, int]:
+        """col plus scale * 6 (g - 2s) (om(g-s) - om(s)) for 2 <= s <= g/2, zeros dropped."""
+        for s in range(2, g // 2 + 1):
+            w = scale * 6 * (g - 2 * s)
+            hi, lo = om(g - s), om(s)
+            col[hi] = col.get(hi, 0) + w
+            col[lo] = col.get(lo, 0) - w
+        return {c: v for c, v in col.items() if v != 0}
 
     # S1: two moving points glued, genus i + (g-i).
     for i in range(2, g // 2 + 1):
-        add(f"S1[i={i}]", Rhs("T", i), [(K1SQ, 2), (om(i), -1), (om(g - i), -1)])
+        add(f"S1[i={i}]", Rhs("T", i), [(K1SQ, 2), (om(i), -1), (om(g - i), -1)], {om(i): 1}.copy)
 
     # S2: two moving tails on a fixed two-pointed curve (RelationSystem).
     s2 = range(len(rows), len(rows) + _s2_count(g))
@@ -163,6 +188,7 @@ def build_relations(g: int) -> RelationSystem:
         "S3",
         Rhs("n_over"),
         [(K1SQ, 4), (om(2), -1), (om(g - 2), -1), (dd(1, g - 2), -1), (dd(0, g - 2), 2)],
+        {dd(1, g - 2): 1}.copy,
     )
 
     # S4: self-glued elliptic curve, fixed middle curve, moving tail.
@@ -171,10 +197,11 @@ def build_relations(g: int) -> RelationSystem:
             f"S4[i={i}]",
             Rhs("D6", i),
             [(K1SQ, 4), (dd(1, i), -1), (dd(0, i), 2), (dd(2, i), 1)],
+            {dd(1, i): 1}.copy,
         )
 
     # S5: pencil of plane cubics glued to a moving point.
-    add("S5", Rhs("zero"), [(K1SQ, 2), (dd(0, g - 1), -12), (D1SQ, 2), (LD1, -1)])
+    add("S5", Rhs("zero"), [(K1SQ, 2), (dd(0, g - 1), -12), (D1SQ, 2), (LD1, -1)], {d0g1: 1}.copy)
 
     # S6: elliptic pencil tail plus a moving tail on a fixed curve; at
     # i = g-2 the column la(g-2) is ld2.
@@ -183,6 +210,8 @@ def build_relations(g: int) -> RelationSystem:
             f"S6[i={i}]",
             Rhs("zero"),
             [(K1SQ, 2), (la(i), -1), (dd(1, g - i), 1), (dd(0, g - i), -12)],
+            {la(i): 1}.copy,
+            "T6[ld2]" if i == g - 2 else None,
         )
 
     # S7: two self-glued elliptic curves on a fixed two-pointed curve.
@@ -200,6 +229,7 @@ def build_relations(g: int) -> RelationSystem:
             (dd(0, 2), 4),
             (dd(0, 1), -4),
         ],
+        {dd(1, 1): 1}.copy,
     )
 
     # S8: two elliptic pencil tails on a fixed curve.
@@ -216,6 +246,7 @@ def build_relations(g: int) -> RelationSystem:
             (dd(1, 1), 1),
             (dd(0, 1), -24),
         ],
+        {LD0: 1}.copy,
     )
 
     # S9: rational spine with two elliptic tails, fixed tail, moving tail.
@@ -232,6 +263,7 @@ def build_relations(g: int) -> RelationSystem:
                 (om(j), -1),
                 (om(g - j), -1),
             ],
+            {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}.copy,
         )
 
     # S10: two rational spines glued at moving points (g >= 6 only); at g = 6
@@ -260,6 +292,7 @@ def build_relations(g: int) -> RelationSystem:
                 (dd(2, g - 4), 6),
                 (dd(2, 2), 3),
             ],
+            {LD1: 60, D1SQ: 12, d0g1: -3, d01: 8, d00: 2}.copy,
         )
 
     # S11: elliptic pencil tail and a moving point on a rational spine.
@@ -279,6 +312,7 @@ def build_relations(g: int) -> RelationSystem:
             (dd(0, 2), 36),
             (dd(1, 2), -3),
         ],
+        {LD1: 12, LD0: 1, d0g1: -1}.copy,
     )
 
     # S12: rational spine carrying an elliptic pencil, glued to a moving point.
@@ -302,6 +336,7 @@ def build_relations(g: int) -> RelationSystem:
             (dd(0, 2), 12),
             (dd(1, 2), -1),
         ],
+        {dd(0, g - 2): 1, dd(1, g - 2): 2}.copy,
     )
 
     # S13: self-glued curve and self-glued elliptic curve, joined at a point.
@@ -324,7 +359,25 @@ def build_relations(g: int) -> RelationSystem:
             (dd(1, 1), 1),
             (D1SQ, 2),
         ],
+        {LD1: 12, LD0: 6, d0g1: -1, d01: -1, d00: -1}.copy,
     )
+
+    def t14() -> dict[int, int]:
+        """The column T14, whose k1^2 and d(i,j) entries are ``_S2_T14``."""
+        a, e = _S2_T14
+        col = {K1SQ: a, LD0: 72, LD1: 144, LD2: 144}
+        if g % 2 == 0:
+            # the self-paired middle class; absent for odd g, where every pair
+            # {s, g-s} is already covered by the loop below
+            col[om(g // 2)] = 6
+        for s in range(2, (g + 1) // 2):  # s < g/2
+            col[om(s)] = 12
+        for s in range(3, g - 2):
+            col[la(s)] = 144
+        for c in range(d00, th(1)):  # the d(i,j) generators are one run of columns
+            col[c] = e
+        col[d0g1] = -11
+        return col
 
     # S14: self-glued curve carrying an elliptic pencil tail.
     w14 = 2 * g - 4
@@ -341,6 +394,7 @@ def build_relations(g: int) -> RelationSystem:
             (dd(0, 1), 12),
             (dd(1, 1), -1),
         ],
+        t14,
     )
 
     # S15: curve glued to itself along two moving points.
@@ -353,6 +407,7 @@ def build_relations(g: int) -> RelationSystem:
             (D1SQ, 4 - 2 * g),
             (D0SQ, 8 * (g - 1) * (g - 2)),
         ],
+        {K2: 1}.copy,
     )
 
     # S16: elliptic curve and fixed tail attached at two moving points.
@@ -368,11 +423,16 @@ def build_relations(g: int) -> RelationSystem:
                 (D1SQ, 1),
                 (dd(1, g - i - 1), 2 * i - 1),
             ],
+            {om(i + 1): 1, om(g - i - 1): -1}.copy,
         )
     add(
         f"S16[i={g - 2}]",
         Rhs("S16sp"),
         [(K1SQ, 4 * g - 9), (K2, 1), (om(g - 2), 1), (D1SQ, 4 * g - 8), (dd(1, 1), 2 * g - 5)],
+        lambda: om_pairs(
+            {D1SQ: 12 * (g - 1), d11: -24 * (g - 1), d0g1: 2 * (g - 1), D0SQ: 3, d00: -6}, g - 1
+        ),
+        "T16[sum]",
     )
 
     # S17: two-pointed elliptic bridge moving in a pencil.
@@ -390,6 +450,9 @@ def build_relations(g: int) -> RelationSystem:
             (dd(0, 0), -12),
             (th(1), 1),
         ],
+        lambda: om_pairs(
+            {K2: 6 * g, D1SQ: 12 - 6 * g, d11: 12 * (g - 2), D0SQ: -3, d0g1: 2 - g, d00: 6}, 1
+        ),
     )
 
     # S18: central elliptic curve of a two-tailed chain moving in a pencil;
@@ -413,6 +476,8 @@ def build_relations(g: int) -> RelationSystem:
                 (dd(0, g - 1), 12),
                 (th(i - 1), 12),
             ],
+            {th(i - 1): 1}.copy,
+            "T18[th2]" if i == 3 else None,
         )
     add(
         "S18[i=2]",
@@ -428,6 +493,19 @@ def build_relations(g: int) -> RelationSystem:
             (dd(0, g - 1), 12),
             (th(1), 12),
         ],
+        lambda: om_pairs(
+            {
+                K2: -6 * g,
+                D1SQ: 6 * g - 12,
+                d11: 12 * (2 - g),
+                D0SQ: 3,
+                d0g1: g - 2,
+                d00: -6,
+                th(1): 72,
+            },
+            -1,
+        ),
+        "T18[final]",
     )
 
     built, expected = len(rows) + len(s2), basis_dimension(g) - (1 if g == 5 else 0)

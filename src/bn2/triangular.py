@@ -1,8 +1,8 @@
 """The linear-algebra layer over the relation rows: the rows of the relation
-matrix Q_g and of the triangularizing column matrix T_g, the product
-P = Q_g * T_g, the certificate that det Q_g != 0 (``_product_report``: no
-entry of P above its diagonal and no zero on it) and the exact degree-k
-solve.
+matrix Q_g and of the triangularizing column matrix T_g (each column read
+from the relation row it pairs with), the product P = Q_g * T_g, the
+certificate that det Q_g != 0 (``_product_report``: no entry of P above its
+diagonal and no zero on it) and the exact degree-k solve.
 
 Q_g, T_g and P are integer rows, one {column: int} dict per row (Q_g's are
 the relation rows' own coefficient dicts), and ``_product`` is the one kernel
@@ -32,95 +32,22 @@ from bn2.relations import build_relations, build_rhs_vector
 __all__ = ["solve_class"]
 
 
-def _t_columns(g: int):
-    """The columns of T_g as {column: coefficient} dicts, in group order;
-    each generator is written as its column (``basis.columns``).  Every
-    column comes from its family's formula: la(g-2) is ld2 (T6[ld2] and
-    T9[j=2]), and T18's th(2) is its i = 3 column, last as in S18.  The tags
-    are ``bn2.export._t_tags``, which only the exports write."""
-    K1SQ, K2, D0SQ, LD0, D1SQ, LD1, LD2, om, la, dd, th = columns(g)
-    fl = g // 2
-    yield from ({om(i): 1} for i in range(2, fl + 1))
-    # T2[i,j] for 2 <= i <= j, i+j <= g-1: the d(i,j) columns from d(2,2) on
-    yield from ({c: 1} for c in range(dd(2, 2), th(1)))
-    yield {dd(1, g - 2): 1}
-    yield from ({c: 1} for c in range(dd(1, 2), dd(1, g - 3) + 1))  # T4: d(1,2..g-3)
-    yield {dd(0, g - 1): 1}
-    yield from ({la(i): 1} for i in range(3, g - 1))
-    yield {dd(1, 1): 1}
-    yield {LD0: 1}
-    for j in range(2, g - 2):
-        yield {dd(1, j): 2, dd(0, j): 1, la(g - j): -10}
-    d0g1, d00, d01, d11 = dd(0, g - 1), dd(0, 0), dd(0, 1), dd(1, 1)
-    yield {LD1: 60, D1SQ: 12, d0g1: -3, d01: 8, d00: 2}
-    yield {LD1: 12, LD0: 1, d0g1: -1}
-    yield {dd(0, g - 2): 1, dd(1, g - 2): 2}
-    yield {LD1: 12, LD0: 6, d0g1: -1, d01: -1, d00: -1}
-    t14: dict[int, int] = {K1SQ: 6, LD0: 72, LD1: 144, LD2: 144}
-    if g % 2 == 0:
-        # the self-paired middle class; absent for odd g, where every pair
-        # {s, g-s} is already covered by the sum below
-        t14[om(fl)] = 6
-    for s in range(2, (g + 1) // 2):  # s < g/2
-        c = om(s)
-        t14[c] = t14.get(c, 0) + 12
-    for s in range(3, g - 2):
-        t14[la(s)] = 144
-    for c in range(d00, th(1)):  # the d(i,j) generators are one run of columns
-        t14[c] = -12
-    t14[d0g1] = -11
-    yield t14
-    yield {K2: 1}
-    for i in range(fl, g - 2):
-        yield {om(i + 1): 1, om(g - i - 1): -1}
-
-    def om_pairs(col: dict[int, int], scale: int) -> dict[int, int]:
-        """col plus scale * 6 (g - 2s) (om(g-s) - om(s)) for 2 <= s <= g/2,
-        without its zero entries."""
-        for s in range(2, fl + 1):
-            w = scale * 6 * (g - 2 * s)
-            hi, lo = om(g - s), om(s)
-            col[hi] = col.get(hi, 0) + w
-            col[lo] = col.get(lo, 0) - w
-        return {c: v for c, v in col.items() if v != 0}
-
-    t16 = {D1SQ: 12 * (g - 1), d11: -24 * (g - 1), d0g1: 2 * (g - 1), D0SQ: 3, d00: -6}
-    yield om_pairs(t16, g - 1)
-    t17 = {K2: 6 * g, D1SQ: 12 - 6 * g, d11: 12 * (g - 2), D0SQ: -3, d0g1: 2 - g, d00: 6}
-    yield om_pairs(t17, 1)
-    yield from ({th(i - 1): 1} for i in (*range(4, (g + 1) // 2 + 1), 3))
-    t18 = {
-        K2: -6 * g,
-        D1SQ: 6 * g - 12,
-        d11: 12 * (2 - g),
-        D0SQ: 3,
-        d0g1: g - 2,
-        d00: -6,
-        th(1): 72,
-    }
-    yield om_pairs(t18, -1)
-
-
-def _t_order(g: int) -> int:
-    """The order of T_g, which is defined for g >= 6."""
+def _t_columns(g: int) -> tuple[RelationSystem, list[dict[int, int]]]:
+    """``build_relations(g)`` and T_g's {column: coefficient} columns, in group order: each
+    core row's own, and the S2 unit run T2[i,j] = {d(i,j): 1}, which no row writes."""
     if g < 6:
         raise ValueError(f"T_g is defined for g >= 6, got g={g}")
-    return basis_dimension(g)
-
-
-def _checked_t_columns(g: int) -> list[dict[int, int]]:
-    """The list of the columns of T_g, one per basis label."""
-    n = _t_order(g)
-    cols = list(_t_columns(g))
+    system, (*_, dd, th) = build_relations(g), columns(g)
+    s2 = ({c: 1} for c in range(dd(2, 2), th(1)))
+    cols = system._spliced([rel.column() for rel in system.core], s2)
+    n = basis_dimension(g)
     if len(cols) != n:
         raise RuntimeError(f"internal error: built {len(cols)} T-columns at g={g}, expected {n}")
-    return cols
+    return system, cols
 
 
-def _t_rows(g: int) -> list[dict[int, int]]:
-    """The rows of T_g, one {column: coefficient} dict per basis label, from
-    its columns."""
-    cols = _checked_t_columns(g)
+def _t_rows(cols: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The rows of T_g, one {column: coefficient} dict per basis label, from its columns."""
     rows: list[dict[int, int]] = [{} for _ in cols]
     for c, coeffs in enumerate(cols):
         for r, v in coeffs.items():
@@ -166,8 +93,8 @@ class _Genus:
 
     def __init__(self, g: int):
         self.g = g
-        self.t = _t_rows(g)  # first, so that every g < 6 gets T_g's own error
-        self.system = build_relations(g)
+        self.system, cols = _t_columns(g)
+        self.t = _t_rows(cols)
         self.q = [rel.coefficients for rel in self.system.core]
 
     @cached_property
@@ -180,15 +107,17 @@ class _Genus:
     def s2(self) -> tuple[range, range, int]:
         """(rows, cols, t14): the S2 rows, their d(i,j) columns in the same
         order and the column of T14.  Row r, column c of Q_g is
-        ``relations._S2_ROW``, {k1^2: 2, d(i,j): 1}, the k1^2 row of T_g
-        {T14: 6} (checked here) and its d(i,j) row {T2[i,j]: 1, T14: -12}
-        with T2[i,j] = r, so row r of P is e_r; the solve's residual checks
-        every row against the form the exports write."""
-        g, t = self.g, self.t
+        ``relations._S2_ROW``, {k1^2: 2, d(i,j): 1}; T_g's row k1^2 is
+        {T14: 6} (checked here) and its row d(i,j) {T2[i,j]: 1, T14: -12},
+        by ``relations._S2_T14``, with T2[i,j] = r.  So row r of P is 1 on
+        T2[i,j], and 2*6 + 1*(-12) = 0 on T14: every S2 row of P is the unit
+        row e_r, at every g.  The solve's residual checks every row against
+        the form the exports write."""
+        g, t, (a, _) = self.g, self.t, relations._S2_T14
         K1SQ, *_, dd, th = columns(g)
         t14 = next(iter(t[K1SQ]), None)
-        if t[K1SQ] != {t14: 6}:
-            raise RuntimeError(f"internal error: T_g at g={g}: row k1^2 is not {{T14: 6}}")
+        if t[K1SQ] != {t14: a}:
+            raise RuntimeError(f"internal error: T_g at g={g}: row k1^2 is not {{T14: {a}}}")
         return self.system.s2, range(dd(2, 2), th(1)), t14
 
     @cached_property
@@ -264,8 +193,8 @@ def _solve(k: int) -> tuple[list[int], int]:
         y, d = forward_substitute(genus.core, b)
     except ValueError as exc:
         raise RuntimeError(f"internal error: Q_g*T_g at g={2 * k}: {exc}") from exc
-    w = 12 * y[t14]  # X = T_g Y, where T_g's S2 rows are {T2[i,j]: 1, T14: -12}
-    x = _matvec(t[: cols.start], y) + [v - w for v in y[rows.start : rows.stop]]
+    w = relations._S2_T14[1] * y[t14]  # X = T_g Y, on the S2 rows {T2[i,j]: 1, T14: _S2_T14[1]}
+    x = _matvec(t[: cols.start], y) + [v + w for v in y[rows.start : rows.stop]]
     x += _matvec(t[cols.stop :], y)
     a, e = relations._S2_ROW  # Q_g X, where Q_g's S2 rows are {k1^2: a, d(i,j): e}
     w = a * x[0]

@@ -104,8 +104,7 @@ from bn2.classes import ClassExpression, is_valid
 from bn2.enumerative import _castelnuovo_num, _counted, _ram_sequence, _sum_D_table, rho
 from bn2.relations import _RHS, build_relations, build_rhs_vector, describe_rhs
 from bn2.solver import DimensionMismatchError, RationalMatrix
-from bn2.export import _t_tags
-from bn2.triangular import forward_substitute
+from bn2.triangular import _t_columns, forward_substitute
 from bn2.verify import scale_factor
 
 F = Fraction
@@ -616,7 +615,7 @@ def system_to_csv_dense(system, k: int | None = None) -> str:
 
 def t_column_tags(g: int) -> list[str]:
     """The tags of the columns of T_g, in column order."""
-    return _t_tags(g)
+    return _t_columns(g)[0].t_tags
 
 
 def t_matrix_to_csv_dense(g: int) -> str:
@@ -722,8 +721,8 @@ def closed_form_by_label(k: int) -> ClassExpression:
 
 def t_columns_by_label(g: int):
     """(tag, {label: coefficient}) pairs for the columns of T_g, in group
-    order: the label-keyed templates ``triangular._t_columns`` evaluates by
-    column."""
+    order: the label-keyed templates of the columns that
+    ``relations.build_relations`` writes beside its rows by column."""
     fl = g // 2
     for i in range(2, fl + 1):
         yield f"T1[i={i}]", {om(i): 1}

@@ -35,7 +35,6 @@ from bn2.relations import (
 )
 from bn2.solver import RationalMatrix
 from bn2.triangular import (
-    _checked_t_columns,
     _Genus,
     _genus,
     _product,
@@ -49,7 +48,6 @@ from bn2.triangular import (
 from bn2.cli import main
 from bn2.export import (
     _csv_line,
-    _t_tags,
     system_to_csv,
     system_to_json,
     t_matrix_to_csv,
@@ -224,7 +222,8 @@ def test_rows_are_pinned_in_insertion_order(genera):
 def test_t_columns_are_pinned_in_insertion_order(genera):
     h = hashlib.sha256()
     for g in genera:
-        for tag, coeffs in zip(_t_tags(g), _checked_t_columns(g), strict=True):
+        system, cols = _t_columns(g)
+        for tag, coeffs in zip(system.t_tags, cols, strict=True):
             h.update(repr((tag, list(coeffs.items()))).encode())
     assert h.hexdigest() == _T_DIGESTS[genera]
 
@@ -271,8 +270,11 @@ def test_structural_counts_are_checked(monkeypatch):
     monkeypatch.setattr(bn2.triangular, "basis_dimension", lambda g: 26)
     with pytest.raises(RuntimeError, match=r"built 25 rows at g=6, expected 26"):
         build_relations(6)
+    # T_g's columns are counted against the order on their own
+    monkeypatch.undo()
+    monkeypatch.setattr(bn2.triangular, "basis_dimension", lambda g: 26)
     with pytest.raises(RuntimeError, match=r"built 25 T-columns at g=6, expected 26"):
-        _t_rows(6)
+        _t_columns(6)
 
 
 @pytest.mark.parametrize("k", range(3, 13))
@@ -291,7 +293,7 @@ def test_solve_class_without_triangular_structure_is_internal(fresh_memos, monke
     import bn2.triangular
 
     # with T_g = I the S2 rows of P are not unit rows: T_g's k1^2 row is {k1^2: 1}
-    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda g: [{i: 1} for i in range(25)])
+    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda cols: [{i: 1} for i in range(25)])
     with pytest.raises(RuntimeError, match=r"^internal error: T_g at g=6: row k1\^2 is not"):
         solve_class(3)
 
@@ -301,10 +303,10 @@ def test_solve_class_with_a_core_off_the_structure_is_internal(fresh_memos, monk
 
     # T_g's k1^2 and S2 d(i,j) rows with I elsewhere: the S2 rows of P are unit
     # rows, and the core is the rest of Q_g, with entries above the diagonal
-    real = _t_rows(6)
+    real = _t_rows(_t_columns(6)[1])
     s2_columns = {c for rel in build_relations(6).rows if rel.rhs.kind == "D" for c in rel.coefficients}
     mixed = [real[c] if c in s2_columns else {c: 1} for c in range(25)]
-    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda g: mixed)
+    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda cols: mixed)
     with pytest.raises(RuntimeError, match=r"^internal error: Q_g\*T_g at g=6: row \d+ has the nonzero"):
         solve_class(3)
 
@@ -366,16 +368,18 @@ def test_solve_class_builds_few_fractions(monkeypatch):
 
 def test_build_functions_return_fresh_objects():
     solve_class(3)  # fills the genus memo
-    for build in (build_relations, _t_rows):
+    for build in (build_relations, lambda g: _t_columns(g)[1]):
         assert build(6) is not build(6)
     assert solve_class(3) is not solve_class(3)
     system = build_relations(6)
     assert system.rows[0] is not build_relations(6).rows[0]
+    column = system.core[0].column  # each read of a T_g column writes a fresh dict
+    assert column() == column() and column() is not column()
 
 
 def _t_matrix(g):
     """The runtime's rows of T_g as a ``RationalMatrix``."""
-    return RationalMatrix.from_sparse(_t_rows(g), basis_dimension(g))
+    return RationalMatrix.from_sparse(_t_rows(_t_columns(g)[1]), basis_dimension(g))
 
 
 @cache
@@ -420,18 +424,18 @@ def test_build_T_columns():
 def test_build_T_equals_the_label_keyed_oracle(g):
     assert _t_matrix(g) == build_T_by_label(g)
     n = basis_dimension(g)
-    assert all(type(c) is int and 0 <= c < n for col in _t_columns(g) for c in col)
+    assert all(type(c) is int and 0 <= c < n for col in _t_columns(g)[1] for c in col)
 
 
 def test_build_T_rejects_g5():
     with pytest.raises(ValueError):
-        _t_rows(5)
+        _t_columns(5)
 
 
 @pytest.mark.parametrize("export", [t_column_tags, t_matrix_to_csv, t_matrix_to_json])
 def test_t_exports_reject_g5_like_build_T(export):
     with pytest.raises(ValueError) as want:
-        _t_rows(5)
+        _t_columns(5)
     with pytest.raises(ValueError) as got:
         export(5)
     assert str(got.value) == str(want.value) == "T_g is defined for g >= 6, got g=5"
@@ -439,7 +443,7 @@ def test_t_exports_reject_g5_like_build_T(export):
 
 def test_triangularity_identity_cases():
     q = [rel.coefficients for rel in build_relations(6).rows]
-    t = _t_rows(6)
+    t = _t_rows(_t_columns(6)[1])
     ident = [{i: 1} for i in range(25)]
 
     def above(rows):
@@ -630,13 +634,13 @@ def test_the_t_tags_and_the_report_build_no_s2_row(monkeypatch):
     # neither writes a Relation of an S2 row
     import bn2.relations
 
-    tags, report = _t_tags(21), _Genus(21).report
+    tags, report = build_relations(21).t_tags, _Genus(21).report
 
     def no_view(system):
         raise AssertionError("the S2 rows were built")
 
     monkeypatch.setattr(bn2.relations.RelationSystem, "rows", property(no_view))
-    assert _t_tags(21) == tags
+    assert build_relations(21).t_tags == tags
     assert _Genus(21).report == report and report == ([], [])
 
 
@@ -895,18 +899,24 @@ _CSV_TEXT = st.text(alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "a", "(
 @example(["d(0,5)", "a\rb", 'say "x"', " a ", "a\nb"], 3, {1: -1}, ["D(2,3)/6", ""])
 @settings(max_examples=300, deadline=None)
 def test_csv_line_quotes_as_the_csv_writer(head, width, row, tail):
-    """Every line the exports build equals csv.writer's for the dense row, text
-    fields holding commas, quotes, carriage returns, newlines and spaces
-    included.  (csv.writer quotes a line of one empty field; no export builds
-    a line of one field.)"""
+    """Every line the exports build equals csv.writer's for the dense row,
+    with the writer's line terminator "\\r\\n" written as "\\n", text fields
+    holding commas, quotes, carriage returns, newlines and spaces included.
+    Under that terminator csv.writer quotes a carriage return as it quotes a
+    newline on every Python from 3.10 on, and csv.reader reads each line back
+    as its fields.  (csv.writer quotes a line of one empty field; no export
+    builds a line of one field.)"""
     assume(len(head) + width + len(tail) >= 2)
     nonzeros = sorted((c, v) for c, v in row.items() if c < width)
     cells = ["0"] * width
     for c, v in nonzeros:
         cells[c] = str(v)
+    fields = [*head, *cells, *tail]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([*head, *cells, *tail])
-    assert _csv_line(head, nonzeros, width, tuple(tail)) == buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    line = _csv_line(head, nonzeros, width, tuple(tail))
+    assert line == buf.getvalue().removesuffix("\r\n") + "\n"
+    assert list(csv.reader(io.StringIO(line))) == [fields]
 
 
 @pytest.mark.parametrize("k", range(3, 61))
@@ -914,6 +924,42 @@ def test_solve_equals_the_full_p_oracle(k):
     # the S2 block in closed form and the core substituted give the (X, D) of
     # forward substitution over all of P = Q_g * T_g
     assert _solve(k) == solve_full_p(k)
+
+
+# the diagonal entry of P = Q_g * T_g on a core row, by the row's family, as
+# a function of g and the row's index (0 for a family of one row): the values
+# of the built P at every g in 6..60, which a derivation with g formal is to prove
+_P_DIAGONAL = {
+    "S1": lambda g, i: -2 if 2 * i == g else -1,
+    "S3": lambda g, i: -1,
+    "S4": lambda g, i: -1,
+    "S5": lambda g, i: -12,
+    "S6": lambda g, i: -1,
+    "S7": lambda g, i: 1,
+    "S8": lambda g, i: 24,
+    "S9": lambda g, j: 6 if j == g - 3 else 4,
+    "S10": lambda g, i: 216 if g == 6 else 144,
+    "S11": lambda g, i: -36,
+    "S12": lambda g, i: 20,
+    "S13": lambda g, i: -2 * (g - 4),
+    "S14": lambda g, i: 144 * (g - 2),
+    "S15": lambda g, i: 2 * g - 4,
+    "S16": lambda g, i: 6 * g * (g - 1) if i == g - 2 else -2 if g % 2 and i == g // 2 else -1,
+    "S17": lambda g, i: 72,
+    "S18": lambda g, i: 864 if i == 2 else 12,
+}
+
+
+@pytest.mark.parametrize("g", range(6, 61))
+def test_the_diagonal_of_p_is_pinned_per_family(g):
+    # each core row dotted with the T_g column written beside it is its own
+    # entry of P's diagonal, nonzero as the det Q_g != 0 certificate needs
+    system, genus = build_relations(g), _Genus(g)
+    for r, rel in zip(genus.core, system.core, strict=True):
+        column = rel.column()
+        entry = sum(v * column.get(c, 0) for c, v in rel.coefficients.items())
+        family, _, index = rel.source.partition("[")
+        assert entry == genus.core[r][r] == _P_DIAGONAL[family](g, int(index[2:-1] or 0))
 
 
 @pytest.mark.parametrize("g", range(6, 61))
@@ -980,9 +1026,9 @@ def _s2_row(g):
 def _t_rows_with(change):
     real = _t_rows
 
-    def rows(g):
-        t = real(g)
-        change(g, t)
+    def rows(cols):
+        t = real(cols)
+        change(t)
         return t
 
     return rows
@@ -999,7 +1045,7 @@ def _solve_exit(capsys, k):
 def test_a_changed_k1sq_row_of_T_is_internal(fresh_memos, monkeypatch, capsys, k, k1sq_row):
     import bn2.triangular
 
-    def change(g, t):
+    def change(t):
         (t14,) = t[0]
         t[0] = {t14 if c == "t14" else c: v for c, v in k1sq_row.items()}
 
@@ -1019,7 +1065,7 @@ def test_a_changed_s2_row_of_T_is_internal(fresh_memos, monkeypatch, capsys, k, 
     g = 2 * k
     r, rel, c = _s2_row(g)
 
-    def change(g, t):
+    def change(t):
         (t14,) = t[0]
         t[c] = {**t[c], **{{"t14": t14, "r": r}.get(key, key): v for key, v in extra.items()}}
 

@@ -381,7 +381,7 @@ def test_nonsingular_without_certificate_fails(fresh_memos, monkeypatch):
     import bn2.triangular
 
     # with T_g = I the product is Q_g itself, which is not lower-triangular
-    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda g: [{i: 1} for i in range(25)])
+    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda cols: [{i: 1} for i in range(25)])
     rep = check_nonsingular(6)
     assert rep.status == "fail"
     assert rep.actual != "nonzero"
@@ -403,13 +403,13 @@ _BROKEN_CERTIFICATE_SHA256 = {
 def test_failing_certificate_reports_are_pinned(fresh_memos, monkeypatch, g):
     import bn2.triangular
 
-    built = list(bn2.triangular._t_columns(g))
+    system, built = bn2.triangular._t_columns(g)
     total: dict[int, int] = {}
     for col in built:
         for r, v in col.items():
             total[r] = total.get(r, 0) + v
     broken = [{} if c % 4 == 1 else col for c, col in enumerate(built[:-1])] + [total]
-    monkeypatch.setattr(bn2.triangular, "_t_columns", lambda g: broken)
+    monkeypatch.setattr(bn2.triangular, "_t_columns", lambda g: (system, broken))
     reports = [check_nonsingular(g), check_triangularity(g)]
     assert [rep.status for rep in reports] == ["fail", "warn"]
     assert reports[1].actual == {
@@ -457,7 +457,7 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
     rows = counting("rows", bn2.relations.build_relations)
     for module in (bn2.triangular, bn2.verify):
         monkeypatch.setattr(module, "build_relations", rows)
-    monkeypatch.setattr(bn2.triangular, "_t_rows", counting("T", bn2.triangular._t_rows))
+    monkeypatch.setattr(bn2.triangular, "_t_columns", counting("T", bn2.triangular._t_columns))
     build_rhs_vector = bn2.relations.build_rhs_vector
 
     def counting_rhs(system, k):
@@ -656,7 +656,7 @@ def test_failed_reports_are_written_as_json_dumps(fresh_memos, monkeypatch):
     off = list(b)
     off[basis_index(8)[K1SQ]] += 1
     monkeypatch.setattr(bn2.verify, "_closed_form", lambda k: (off, c))
-    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda g: [{i: 1} for i in range(25)])
+    monkeypatch.setattr(bn2.triangular, "_t_rows", lambda cols: [{i: 1} for i in range(25)])
     reports += [check_pullback(4), check_nonsingular(6)]
     assert [rep.to_dict() for rep in reports[:2]] == [_FAILED_CLOSED_FORM[0], _FAILED_PULLBACK]
     assert reports[2].status == "fail" and reports[2].diff
