@@ -17,6 +17,7 @@ command imports its layers when it runs, so help and usage errors load none.
 from __future__ import annotations
 
 import errno
+import gc
 import os
 import sys
 from collections.abc import Sequence
@@ -318,5 +319,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 1 if failed else 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry of ``bn2`` and of ``python -m bn2.cli``: ``main``
+    with the objects of start-up frozen (``gc.freeze``), so the collections
+    of the run and the interpreter's collection at exit pass over them.  The
+    exit stays the interpreter's own: atexit hooks run, stdout and stderr are
+    flushed and a profiler writes its report.  ``main`` does not freeze: it
+    is also called in a live process, by the tests and the benchmark's
+    tracer, where the freeze would outlast the call."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

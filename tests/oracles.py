@@ -590,9 +590,15 @@ def sum_D_vectors(i: int, j: int, g: int, k: int) -> int:
 
 
 def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """csv.writer's lines of rows, each ended by "\\n": written under the
+    terminator "\\r\\n", which quotes a field holding a carriage return on every
+    Python from 3.10 on, and each line's terminator then swapped."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 def system_to_csv_dense(system, k: int | None = None) -> str:

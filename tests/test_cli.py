@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -1119,3 +1120,105 @@ def test_verify_report_is_json_dumps(capsys, monkeypatch, which):
     code, out, _ = run(capsys, "verify", which)
     assert code == 0 and len(dicts) == 1
     assert out == json.dumps(dicts[0], indent=2) + "\n"
+
+
+# python -m bn2.cli as the interpreter starts it, after an atexit hook that
+# reports whether the entry froze the start-up objects
+_ENTRY_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("bn2.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_process_entry_freezes_and_exits_through_the_interpreter(capsys):
+    # bn2.cli.run freezes before main and leaves the exit to the interpreter:
+    # an atexit hook registered first still runs, and sees the freeze
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_PROBE, "basis", "--g", "6"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    code, out, _ = run(capsys, "basis", "--g", "6")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "frozen True\n")
+
+
+def test_a_profiler_reports_after_the_process_entry(capsys):
+    # cProfile writes its table when the profiled module has exited, so the
+    # entry's exit must unwind as SystemExit, not end the process at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "bn2.cli", "basis", "--g", "6"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=60,
+    )
+    _, out, _ = run(capsys, "basis", "--g", "6")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(out)
+    assert "function calls" in proc.stdout[len(out):]
+
+
+def test_main_does_not_freeze(capsys):
+    # main runs in live processes (the tests, the benchmark's tracer): only
+    # the process entry freezes
+    before = gc.get_freeze_count()
+    assert run(capsys, "basis", "--g", "6")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def _console_scripts() -> dict:
+    """The ``[project.scripts]`` table of this checkout's pyproject.toml."""
+    text = (Path(bn2.__file__).resolve().parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: the table's `name = "value"` lines
+        table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        pairs = (line.split("=", 1) for line in table.splitlines() if "=" in line)
+        return {name.strip(): value.strip().strip('"') for name, value in pairs}
+    return tomllib.loads(text)["project"]["scripts"]
+
+
+def test_the_console_script_is_the_process_entry():
+    assert _console_scripts() == {"bn2": "bn2.cli:run"}
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, code, err",
+    [
+        (("basis", "--g", "6"), None, 0, ""),
+        (
+            ("solve", "--k", "2"),
+            None,
+            2,
+            "bn2 solve: the class is solved for k >= 3 (Q_g is square for g = 2k >= 6), got k=2\n",
+        ),
+        pytest.param(
+            ("solve", "--k", "8"),
+            "/dev/full",
+            2,
+            f"bn2 solve: cannot write stdout: {os.strerror(errno.ENOSPC)}\n",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
+    ],
+    ids=["success", "domain-error", "full-stdout"],
+)
+def test_both_launch_paths_run_the_same_entry(capsys, argv, stdout, code, err):
+    # the console script calls bn2.cli:run as this -c does, and python -m
+    # runs the module's __main__ block: both give the same bytes and exit code
+    results = []
+    for head in (["-m", "bn2.cli"], ["-c", "from bn2.cli import run; run()"]):
+        with open(stdout, "w") if stdout else contextlib.nullcontext(subprocess.PIPE) as out:
+            proc = subprocess.run(
+                [sys.executable, *head, *argv],
+                stdout=out,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=_src_env(),
+                timeout=120,
+            )
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    expected_out = None if stdout else run(capsys, *argv)[1]
+    assert results == [(code, expected_out, err)] * 2

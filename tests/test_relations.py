@@ -796,6 +796,13 @@ def test_system_csv_equals_the_csv_writer(g):
         assert system_to_csv(system, g // 2) == system_to_csv_dense(system, g // 2)
 
 
+def test_system_csv_of_a_carriage_return_equals_the_csv_writer():
+    # a source holding "\r" is quoted by the export and by the oracle alike
+    rows = [Relation(text, 6, {3: -2}, Rhs("zero")) for text in ("a\rb", "c\r\nd", "e\nf")]
+    system = RelationSystem(6, rows)
+    assert system_to_csv(system) == system_to_csv_dense(system)
+
+
 @pytest.mark.parametrize("g", range(6, 21))
 def test_t_matrix_csv_equals_the_csv_writer(g):
     assert t_matrix_to_csv(g) == t_matrix_to_csv_dense(g)
