@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from bn2.basis import ClassLabel, enumerate_basis
+from bn2.basis import ClassLabel, basis_dimension, enumerate_basis
 
 __all__ = ["ClassExpression", "parse_label", "is_valid"]
 
@@ -37,7 +37,10 @@ def parse_label(text: str) -> ClassLabel:
 
 def is_valid(label: ClassLabel, g: int) -> bool:
     """Range check for a label at genus g.  A label with a field its kind
-    does not use, or with an index that is not an int, is no generator."""
+    does not use, or with an index that is not an int, is no generator, and
+    no label is one below genus 5, where no generating set is modeled."""
+    if g < 5:
+        return False
     kind, i, j = label.kind, label.i, label.j
     if kind in _SCALAR_KINDS:
         return i is None and j is None
@@ -64,6 +67,7 @@ class ClassExpression:
     __slots__ = ("genus", "coefficients")
 
     def __init__(self, genus: int, coefficients: dict[ClassLabel, Fraction]):
+        basis_dimension(genus)  # a genus with no modeled generating set is a ValueError
         self.genus = genus
         clean: dict[ClassLabel, Fraction] = {}
         for lab, value in coefficients.items():

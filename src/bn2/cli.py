@@ -185,8 +185,8 @@ def _cmd_verify(args) -> tuple[str, list[str]]:
         reports = check(k_max) if args.which == "all" else [check(k) for k in range(3, k_max + 1)]
     else:
         reports = [check(g) for g in getattr(verify, sweep)] if sweep else [check()]
-    reports = sorted(reports, key=lambda rep: rep.check)
-    return verify.reports_to_json(reports), [rep.check for rep in reports if rep.failed]
+    reports = sorted(reports, key=lambda rep: rep["check"])
+    return verify.reports_to_json(reports), [rep["check"] for rep in reports if rep["status"] == "fail"]
 
 
 # each flag of the subcommands, once: its type (int, str or a tuple of

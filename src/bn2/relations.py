@@ -135,8 +135,6 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
     @property
     def rows(self) -> list[Relation]:
         """Every row in group order, the S2 rows written in at s2."""
-        if not self.s2:  # a hand-built system, whose g need not have columns
-            return self.core
         g = self.g
         s2 = (
             Relation(_S2_SOURCE(i, j), g, coeffs, Rhs("D", i, j))
@@ -159,13 +157,11 @@ def build_relations(g: int) -> RelationSystem:
     d0g1, d00, d01, d11 = dd(0, g - 1), dd(0, 0), dd(0, 1), dd(1, 1)  # in the T_g columns
 
     def add(source: str, rhs: Rhs, terms: list, column, tag: str | None = None) -> None:
-        acc = dict(terms)
-        if len(acc) < len(terms):  # terms that share a column are summed, and a zero sum dropped
-            acc = dict.fromkeys(acc, 0)
-            for c, coeff in terms:
-                acc[c] += coeff
-            acc = {c: v for c, v in acc.items() if v}
-        rows.append(Relation(source, g, acc, rhs, column, tag))
+        # terms that share a column are summed, and a zero sum dropped
+        acc = dict.fromkeys(dict(terms), 0)
+        for c, coeff in terms:
+            acc[c] += coeff
+        rows.append(Relation(source, g, {c: v for c, v in acc.items() if v}, rhs, column, tag))
 
     def om_pairs(col: dict[int, int], scale: int) -> dict[int, int]:
         """col plus scale * 6 (g - 2s) (om(g-s) - om(s)) for 2 <= s <= g/2, zeros dropped."""

@@ -33,7 +33,6 @@ from bn2.relations import _json_string, build_relations
 from bn2.triangular import _genus, _matvec, _solve
 
 __all__ = [
-    "CheckReport",
     "closed_form_class",
     "known_trigonal_class",
     "PULLBACK_BASIS",
@@ -58,32 +57,18 @@ __all__ = [
 ]
 
 
-class CheckReport:
-    """One verification outcome; serializes to the structured JSON report."""
-
-    __slots__ = ("check", "status", "expected", "actual", "diff", "notes")
-
-    def __init__(self, check: str, status: str, expected, actual, diff=None, notes=None):
-        self.check = check
-        self.status = status  # "pass" | "fail" | "warn"
-        self.expected = expected
-        self.actual = actual
-        self.diff = [] if diff is None else diff
-        self.notes = [] if notes is None else notes
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "fail"
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "diff": self.diff,
-            "notes": self.notes,
-        }
+def _report(check: str, status: str, expected, actual, diff=None, notes=None) -> dict:
+    """One verification outcome as the JSON object its report writes; status
+    is "pass", "fail" or "warn", and an omitted diff or notes is a new empty
+    list."""
+    return {
+        "check": check,
+        "status": status,
+        "expected": expected,
+        "actual": actual,
+        "diff": [] if diff is None else diff,
+        "notes": [] if notes is None else notes,
+    }
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -119,9 +104,9 @@ def _json_text(value, indent: str = "") -> str:
 
 
 def reports_to_json(reports) -> str:
-    """The JSON report of ``bn2 verify``: ``json.dumps`` of the reports'
-    dicts at indent=2, and a newline."""
-    return _json_text([rep.to_dict() for rep in reports]) + "\n"
+    """The JSON report of ``bn2 verify``: ``json.dumps`` of the reports at
+    indent=2, and a newline."""
+    return _json_text(list(reports)) + "\n"
 
 
 def _scale(k: int) -> tuple[int, int]:
@@ -478,7 +463,7 @@ def _rank(rows: list[dict[int, int]], ncols: int) -> int:
     return r
 
 
-def _compare(name: str, g: int, expected, actual) -> CheckReport:
+def _compare(name: str, g: int, expected, actual) -> dict:
     """Compare two genus-g classes coefficient by coefficient, in integers.
     Each is (nums, p, q), the class with coefficients p nums / q in the
     frozen order; a p' / q' equals e p / q exactly when a p' q == e p q'.
@@ -494,7 +479,7 @@ def _compare(name: str, g: int, expected, actual) -> CheckReport:
         }
         for t in bad
     ]
-    return CheckReport(
+    return _report(
         check=name,
         status="pass" if not diff else "fail",
         expected=f"{basis_dimension(g)} coefficients equal",
@@ -503,14 +488,14 @@ def _compare(name: str, g: int, expected, actual) -> CheckReport:
     )
 
 
-def check_trigonal_table() -> CheckReport:
+def check_trigonal_table() -> dict:
     """Solve the genus-6 system at k = 3 and compare with the known table."""
     table, den = _trigonal_vector()
     x, d = _solve(3)
     return _compare("trigonal-table", 6, (table, 1, den), (x, 1, d))
 
 
-def check_closed_form(k: int) -> CheckReport:
+def check_closed_form(k: int) -> dict:
     """Solve the genus-2k system at degree k and compare with the closed
     formula, coefficient by coefficient, in integers: X / D = p B / q
     exactly when X q = D p B.  The closed formula's k >= 3 domain is checked
@@ -520,7 +505,7 @@ def check_closed_form(k: int) -> CheckReport:
     return _compare(f"closed-form[k={k}]", 2 * k, (b, p, q), (x, 1, d))
 
 
-def check_pullback(k: int) -> CheckReport:
+def check_pullback(k: int) -> dict:
     """The pull-back of the degree-k class must vanish on D00, (a), (b), (d);
     the (c) coordinate is reported.  Only the coefficients the pull-back reads
     are taken from the closed formula, and the image p S / (q den) is
@@ -533,7 +518,7 @@ def check_pullback(k: int) -> CheckReport:
         for t in (0, 1, 2, 4)
         if sums[t]
     ]
-    return CheckReport(
+    return _report(
         check=f"pullback[k={k}]",
         status="pass" if not bad else "fail",
         expected="zero on D00, (a), (b), (d)",
@@ -544,7 +529,7 @@ def check_pullback(k: int) -> CheckReport:
     )
 
 
-def check_m4() -> CheckReport:
+def check_m4() -> dict:
     """Genus-4 hyperelliptic verification: the known class satisfies the 13
     relations, the system has rank 13, and its kernel is spanned by the known
     rank relation.  Rank 13 on 14 columns leaves a one-dimensional kernel,
@@ -563,7 +548,7 @@ def check_m4() -> CheckReport:
     stated = list(_M4_RANK_RELATION)
     kernel_ok = len(M4_LABELS) - r == 1 and any(stated) and not any(_matvec(rows, stated))
     ok = not residues and r == 13 and kernel_ok
-    return CheckReport(
+    return _report(
         check="m4",
         status="pass" if ok else "fail",
         expected={"relations": "all satisfied", "rank": 13, "nullspace": "span of the rank relation"},
@@ -576,13 +561,13 @@ def check_m4() -> CheckReport:
     )
 
 
-def check_trigonal_interior() -> CheckReport:
+def check_trigonal_interior() -> dict:
     """The genus-6 closed formula against the known genus-6 table, whose rows
     include the interior coefficients k1^2 -> 41/144 and k2 -> -4."""
     table, den = _trigonal_vector()
     b, (p, q) = _closed_form(3)
     report = _compare("trigonal", 6, (table, 1, den), (b, p, q))
-    report.expected = "k1^2 -> 41/144, k2 -> -4, full table match"
+    report["expected"] = "k1^2 -> 41/144, k2 -> -4, full table match"
     return report
 
 
@@ -593,14 +578,14 @@ G5_CONVENTION_NOTE = (
 )
 
 
-def check_g5_rank() -> CheckReport:
+def check_g5_rank() -> dict:
     """Diagnostic: the 19 x 20 genus-5 system (no S10 row) has rank 19 under
     the documented lambda identification."""
     rows = build_relations(5).coefficients
     ncols = basis_dimension(5)
     r = _rank(rows, ncols)
     ok = r == 19 and len(rows) == 19 and ncols == 20
-    return CheckReport(
+    return _report(
         check="g5",
         status="pass" if ok else "fail",
         expected={"rows": 19, "cols": 20, "rank": 19},
@@ -617,7 +602,7 @@ def _triangularity_diff(violations, zero_diagonal) -> list[dict]:
     return diff
 
 
-def check_nonsingular(g: int) -> CheckReport:
+def check_nonsingular(g: int) -> dict:
     """det(Q_g) != 0, certified without a determinant: P = Q_g * T_g is
     lower-triangular with a nonzero diagonal, so det P = det Q_g det T_g is
     nonzero and so is det Q_g.  Without that certificate the check fails and
@@ -626,7 +611,7 @@ def check_nonsingular(g: int) -> CheckReport:
         raise ValueError(f"Q_g is square only for g >= 6, got g={g}")
     violations, zero_diagonal = _genus(g).report
     ok = not violations and not zero_diagonal
-    return CheckReport(
+    return _report(
         check=f"nonsingular[g={g}]",
         status="pass" if ok else "fail",
         expected="det(Q_g) != 0",
@@ -635,7 +620,7 @@ def check_nonsingular(g: int) -> CheckReport:
     )
 
 
-def check_triangularity(g: int) -> CheckReport:
+def check_triangularity(g: int) -> dict:
     """Q_g * T_g should be lower-triangular with nonzero diagonal under the
     documented row/column pairing.  The production solve (``_solve``) and
     the nonsingularity certificate depend on this structure and fail on
@@ -643,7 +628,7 @@ def check_triangularity(g: int) -> CheckReport:
     "warn".  A g < 6 is the ValueError of T_g's build."""
     genus = _genus(g)
     violations, zero_diagonal = genus.report
-    return CheckReport(
+    return _report(
         check=f"triangularity[g={g}]",
         status="warn" if violations or zero_diagonal else "pass",
         expected="lower-triangular with nonzero diagonal",
@@ -663,7 +648,7 @@ NONSINGULAR_GENERA = range(6, 17)
 TRIANGULARITY_GENERA = range(6, 11)
 
 
-def run_all(k_max: int = 6) -> list[CheckReport]:
+def run_all(k_max: int = 6) -> list[dict]:
     """Every check, deterministically ordered by check name.
 
     The checks run genus by genus, so each genus's system and each degree's
@@ -681,5 +666,5 @@ def run_all(k_max: int = 6) -> list[CheckReport]:
             reports.append(check_nonsingular(g))
         if g in TRIANGULARITY_GENERA:
             reports.append(check_triangularity(g))
-    reports.sort(key=lambda rep: rep.check)
+    reports.sort(key=lambda rep: rep["check"])
     return reports

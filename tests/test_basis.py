@@ -264,6 +264,16 @@ def test_class_expression_rejects_invalid_label():
             ClassExpression(6, {lab: Fraction(1)})
 
 
+@pytest.mark.parametrize("g", [4, 3, 0, -1])
+def test_no_class_expression_below_genus_5(g):
+    # ClassExpression(4, {}) once built, and then its ==, vector() and diff
+    # raised; is_valid(om(2), 4) was True with no genus-4 generating set
+    for coefficients in ({}, {om(2): Fraction(1)}):
+        with pytest.raises(ValueError, match=rf"^the generating set is modeled for g >= 5, got g={g}$"):
+            ClassExpression(g, coefficients)
+    assert not any(is_valid(lab, g) for lab in (K1SQ, om(2), la(3), dd(0, 0), dd(1, 1), th(1)))
+
+
 def test_class_expression_diff():
     a = ClassExpression(6, {K1SQ: Fraction(1)})
     b = ClassExpression(6, {K1SQ: Fraction(2)})

@@ -445,13 +445,9 @@ def test_verify_nonsingular_single_genus(capsys):
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from bn2 import verify
-    from bn2.verify import CheckReport
 
-    monkeypatch.setattr(
-        verify,
-        "check_m4",
-        lambda: CheckReport(check="m4", status="fail", expected="x", actual="y"),
-    )
+    report = {"check": "m4", "status": "fail", "expected": "x", "actual": "y", "diff": [], "notes": []}
+    monkeypatch.setattr(verify, "check_m4", lambda: report)
     code, out, err = run(capsys, "verify", "m4")
     assert code == 1
     assert "FAIL m4" in err
@@ -902,6 +898,42 @@ def test_stdout_matches_the_benchmark_golden_digest(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command]["sha256"]
 
 
+# python -O strips every assert: the structural checks of a run are raised
+# errors, so an optimized interpreter writes the same bytes and still fails
+# a run whose S2 row no longer matches the solve's unit rows
+_CHANGED_S2_ROW = """
+import sys
+import bn2.relations
+bn2.relations._S2_ROW = (3, 1)
+from bn2.cli import main
+sys.exit(main(["solve", "--k", "4"]))
+"""
+
+
+@pytest.mark.parametrize("command", ["solve --k 8", "verify all --k-max 10"])
+def test_optimized_interpreter_writes_the_golden_bytes(command):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "bn2.cli", *command.split()],
+        capture_output=True,
+        env=_src_env(),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (GOLDEN[command]["exit_code"], b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[command]["sha256"]
+
+
+def test_optimized_interpreter_keeps_the_residual_check():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CHANGED_S2_ROW],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "bn2 solve: internal error: the solution at k=4 has a nonzero residual\n"
+
+
 # runs one command in a fresh interpreter and prints its exit code, the length
 # of its stdout and which of bn2.basis, bn2.classes, bn2.enumerative,
 # bn2.exactnum, bn2.export, bn2.relations, bn2.solver, bn2.triangular,
@@ -1113,7 +1145,7 @@ def test_verify_report_is_json_dumps(capsys, monkeypatch, which):
     write = verify.reports_to_json
 
     def recording(reports):
-        dicts.append([rep.to_dict() for rep in reports])
+        dicts.append(reports)
         return write(reports)
 
     monkeypatch.setattr(verify, "reports_to_json", recording)

@@ -656,7 +656,7 @@ def test_the_exports_and_the_g5_check_build_no_s2_row(monkeypatch, g):
 
     def outputs():
         texts = [export(system, k) for export in (system_to_csv, system_to_json) for k in ks]
-        return texts, check_g5_rank().to_dict()
+        return texts, check_g5_rank()
 
     before = outputs()
 

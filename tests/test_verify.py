@@ -23,7 +23,6 @@ from bn2.relations import build_relations
 from bn2.solver import RationalMatrix
 from bn2.verify import (
     G5_CONVENTION_NOTE,
-    CheckReport,
     M4_LABELS,
     PULLBACK_BASIS,
     check_closed_form,
@@ -46,6 +45,7 @@ from bn2.verify import (
     known_trigonal_class,
     _json_text,
     _rank,
+    _report,
 )
 from oracles import basis_index, closed_form_by_label, gauss_rank, rank
 
@@ -148,9 +148,9 @@ def test_pullback_detects_perturbation():
 
 def test_check_pullback_reports():
     rep = check_pullback(3)
-    assert rep.status == "pass"
-    assert rep.check == "pullback[k=3]"
-    assert "(c)" in rep.actual
+    assert rep["status"] == "pass"
+    assert rep["check"] == "pullback[k=3]"
+    assert "(c)" in rep["actual"]
 
 
 def test_m4_data_shapes():
@@ -179,13 +179,13 @@ def test_m4_first_relation_by_hand():
 
 def test_m4_check_passes():
     rep = check_m4()
-    assert rep.status == "pass"
-    assert rep.actual["rank"] == 13
-    assert rep.actual["nullspace_matches"] is True
+    assert rep["status"] == "pass"
+    assert rep["actual"]["rank"] == 13
+    assert rep["actual"]["nullspace_matches"] is True
 
 
 def test_m4_report_is_pinned():
-    assert check_m4().to_dict() == {
+    assert check_m4() == {
         "check": "m4",
         "status": "pass",
         "expected": {
@@ -200,12 +200,12 @@ def test_m4_report_is_pinned():
 
 
 def test_check_reports_own_their_lists():
-    first = CheckReport(check="a", status="pass", expected="x", actual="y")
-    second = CheckReport("b", "warn", {"rank": 1}, None)
-    first.diff.append({"row": 0})
-    first.notes.append("note")
-    assert second.diff == [] and second.notes == []
-    assert first.to_dict() == {
+    first = _report(check="a", status="pass", expected="x", actual="y")
+    second = _report("b", "warn", {"rank": 1}, None)
+    first["diff"].append({"row": 0})
+    first["notes"].append("note")
+    assert second["diff"] == [] and second["notes"] == []
+    assert first == {
         "check": "a",
         "status": "pass",
         "expected": "x",
@@ -213,7 +213,8 @@ def test_check_reports_own_their_lists():
         "diff": [{"row": 0}],
         "notes": ["note"],
     }
-    assert second.to_dict() == {
+    assert list(second) == ["check", "status", "expected", "actual", "diff", "notes"]
+    assert second == {
         "check": "b",
         "status": "warn",
         "expected": {"rank": 1},
@@ -221,9 +222,8 @@ def test_check_reports_own_their_lists():
         "diff": [],
         "notes": [],
     }
-    assert not first.failed and CheckReport("c", "fail", 0, 1).failed
     diff = [{"row": 1}]
-    assert CheckReport("d", "fail", 0, 1, diff=diff).diff is diff
+    assert _report("d", "fail", 0, 1, diff=diff)["diff"] is diff
 
 
 def test_m4_kernel_proof_rejects_a_wrong_relation(monkeypatch):
@@ -237,11 +237,11 @@ def test_m4_kernel_proof_rejects_a_wrong_relation(monkeypatch):
     for wrong in (perturbed, [2 * v for v in true[:-1]] + [true[-1]], [0] * 14):
         monkeypatch.setattr(bn2.verify, "_M4_RANK_RELATION", wrong)
         rep = check_m4()
-        assert rep.actual == {"relations_violated": 0, "rank": 13, "nullspace_matches": False}
-        assert rep.status == "fail"
+        assert rep["actual"] == {"relations_violated": 0, "rank": 13, "nullspace_matches": False}
+        assert rep["status"] == "fail"
     # a nonzero multiple spans the same kernel
     monkeypatch.setattr(bn2.verify, "_M4_RANK_RELATION", [-3 * v for v in true])
-    assert check_m4().status == "pass"
+    assert check_m4()["status"] == "pass"
 
 
 def test_m4_rank_relation_is_in_kernel():
@@ -253,13 +253,13 @@ def test_m4_rank_relation_is_in_kernel():
 
 def test_check_trigonal_table():
     rep = check_trigonal_table()
-    assert rep.status == "pass"
-    assert rep.diff == []
+    assert rep["status"] == "pass"
+    assert rep["diff"] == []
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_check_closed_form(k):
-    assert check_closed_form(k).status == "pass"
+    assert check_closed_form(k)["status"] == "pass"
 
 
 @pytest.mark.parametrize("k", [3, 9])
@@ -272,19 +272,19 @@ def test_a_passing_closed_form_check_builds_no_labels(monkeypatch, k):
         raise AssertionError(f"the genus-{g} labels were built")
 
     monkeypatch.setattr(bn2.verify, "enumerate_basis", no_labels)
-    assert check_closed_form(k).status == "pass"
+    assert check_closed_form(k)["status"] == "pass"
 
 
 def test_check_trigonal_interior():
     rep = check_trigonal_interior()
-    assert rep.status == "pass"
+    assert rep["status"] == "pass"
 
 
 def test_check_g5_rank():
     rep = check_g5_rank()
-    assert rep.status == "pass"
-    assert rep.actual == {"rows": 19, "cols": 20, "rank": 19}
-    assert G5_CONVENTION_NOTE in rep.notes
+    assert rep["status"] == "pass"
+    assert rep["actual"] == {"rows": 19, "cols": 20, "rank": 19}
+    assert G5_CONVENTION_NOTE in rep["notes"]
 
 
 @st.composite
@@ -342,9 +342,9 @@ def test_a_repeated_g5_row_fails_the_g5_check(monkeypatch):
     rows[7] = rows[3]
     monkeypatch.setattr(bn2.verify, "build_relations", lambda g: SimpleNamespace(coefficients=rows))
     rep = check_g5_rank()
-    assert rep.status == "fail"
-    assert rep.actual == {"rows": 19, "cols": 20, "rank": 18}
-    assert rep.expected == {"rows": 19, "cols": 20, "rank": 19}
+    assert rep["status"] == "fail"
+    assert rep["actual"] == {"rows": 19, "cols": 20, "rank": 18}
+    assert rep["expected"] == {"rows": 19, "cols": 20, "rank": 19}
 
 
 @pytest.mark.parametrize("at", range(13))
@@ -359,21 +359,21 @@ def test_a_changed_m4_entry_fails_the_m4_check(monkeypatch, at):
     rows[at] = (tag, {**coeffs, name: coeffs[name] + 1}, b)
     monkeypatch.setattr(bn2.verify, "_M4_ROWS", rows)
     rep = check_m4()
-    assert rep.status == "fail"
-    assert list(rep.actual) == ["relations_violated", "rank", "nullspace_matches"]
-    assert rep.actual["relations_violated"] == 1
-    assert [entry["relation"] for entry in rep.diff] == [tag]
+    assert rep["status"] == "fail"
+    assert list(rep["actual"]) == ["relations_violated", "rank", "nullspace_matches"]
+    assert rep["actual"]["relations_violated"] == 1
+    assert [entry["relation"] for entry in rep["diff"]] == [tag]
 
 
 def test_check_nonsingular_g6():
-    assert check_nonsingular(6).status == "pass"
+    assert check_nonsingular(6)["status"] == "pass"
 
 
 def test_nonsingular_certificate_agrees_with_determinant():
     from oracles import build_matrix, det_is_nonzero
 
     for g in range(6, 17):
-        assert check_nonsingular(g).status == "pass"
+        assert check_nonsingular(g)["status"] == "pass"
         assert det_is_nonzero(build_matrix(g))
 
 
@@ -383,10 +383,10 @@ def test_nonsingular_without_certificate_fails(fresh_memos, monkeypatch):
     # with T_g = I the product is Q_g itself, which is not lower-triangular
     monkeypatch.setattr(bn2.triangular, "_t_rows", lambda cols: [{i: 1} for i in range(25)])
     rep = check_nonsingular(6)
-    assert rep.status == "fail"
-    assert rep.actual != "nonzero"
+    assert rep["status"] == "fail"
+    assert rep["actual"] != "nonzero"
     # each entry names a row of Q_g * T_g: an entry above the diagonal or a zero diagonal
-    assert rep.diff and all("row" in entry or "diagonal" in entry for entry in rep.diff)
+    assert rep["diff"] and all("row" in entry or "diagonal" in entry for entry in rep["diff"])
 
 
 # reports_to_json of nonsingular[g=G] and triangularity[g=G] when T_g's
@@ -411,13 +411,13 @@ def test_failing_certificate_reports_are_pinned(fresh_memos, monkeypatch, g):
     broken = [{} if c % 4 == 1 else col for c, col in enumerate(built[:-1])] + [total]
     monkeypatch.setattr(bn2.triangular, "_t_columns", lambda g: (system, broken))
     reports = [check_nonsingular(g), check_triangularity(g)]
-    assert [rep.status for rep in reports] == ["fail", "warn"]
-    assert reports[1].actual == {
+    assert [rep["status"] for rep in reports] == ["fail", "warn"]
+    assert reports[1]["actual"] == {
         "lower_triangular": False,
         "diagonal_nonzero": False,
         "order": len(built),
     }
-    kinds = [sum(kind in entry for entry in reports[0].diff) for kind in ("row", "diagonal")]
+    kinds = [sum(kind in entry for entry in reports[0]["diff"]) for kind in ("row", "diagonal")]
     assert kinds == ([28, 9] if g == 8 else [50, 50])
     text = reports_to_json(reports)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _BROKEN_CERTIFICATE_SHA256[g]
@@ -425,15 +425,15 @@ def test_failing_certificate_reports_are_pinned(fresh_memos, monkeypatch, g):
 
 def test_check_triangularity_g6():
     rep = check_triangularity(6)
-    assert rep.status in ("pass", "warn")
-    assert rep.actual["order"] == 25
+    assert rep["status"] in ("pass", "warn")
+    assert rep["actual"]["order"] == 25
 
 
 def test_run_all_is_sorted_and_passes():
     reports = run_all(k_max=3)
-    names = [rep.check for rep in reports]
+    names = [rep["check"] for rep in reports]
     assert names == sorted(names)
-    assert all(rep.status != "fail" for rep in reports)
+    assert all(rep["status"] != "fail" for rep in reports)
 
 
 def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
@@ -472,7 +472,7 @@ def test_run_all_builds_each_genus_once(fresh_memos, monkeypatch):
         return product(rows, t)
 
     monkeypatch.setattr(bn2.triangular, "_product", counting_product)
-    assert all(rep.status != "fail" for rep in run_all(k_max=10))
+    assert all(rep["status"] != "fail" for rep in run_all(k_max=10))
     assert built["rows"] == [5, *genera]
     assert built["T"] == genera
     # per genus: the core rows of P, for the solve when g = 2k and for the
@@ -499,8 +499,8 @@ def test_memos_hold_one_genus(fresh_memos):
     from bn2.verify import _closed_form
 
     for k in range(3, 13):
-        assert check_closed_form(k).status == "pass"
-        assert check_pullback(k).status == "pass"
+        assert check_closed_form(k)["status"] == "pass"
+        assert check_pullback(k)["status"] == "pass"
         assert _genus.cache_info().currsize == 1
         assert _closed_form.cache_info().currsize == 1
         assert _genus(2 * k).system.g == 2 * k
@@ -528,7 +528,7 @@ def test_pullback_basis_order():
     assert PULLBACK_BASIS == ("D00", "(a)", "(b)", "(c)", "(d)")
 
 
-# to_dict() of the failing reports, recorded before the checks compared
+# the failing reports, recorded before the checks compared
 # integers: the k=5 solution with d(0,8) + 1, then with k1^2 - 1 and th(2) + 2,
 # and the k=4 closed formula with k1^2 + scale_factor(4)/5
 _FAILED_CLOSED_FORM = [
@@ -578,7 +578,7 @@ def test_failed_closed_form_report_is_pinned(monkeypatch):
         for lab, shift in shifts.items():
             wrong[index[lab]] += shift * d
         monkeypatch.setattr(bn2.verify, "_solve", lambda k, wrong=wrong: (wrong, d))
-        assert check_closed_form(5).to_dict() == want
+        assert check_closed_form(5) == want
 
 
 def test_failed_pullback_report_is_pinned(monkeypatch):
@@ -588,11 +588,11 @@ def test_failed_pullback_report_is_pinned(monkeypatch):
     wrong = list(b)
     wrong[basis_index(8)[K1SQ]] += 1
     monkeypatch.setattr(bn2.verify, "_closed_form", lambda k: (wrong, c))
-    assert check_pullback(4).to_dict() == _FAILED_PULLBACK
+    assert check_pullback(4) == _FAILED_PULLBACK
 
 
 def test_closed_form_check_builds_no_fraction_when_it_passes(monkeypatch):
-    assert check_closed_form(12).status == "pass"  # fills the memos
+    assert check_closed_form(12)["status"] == "pass"  # fills the memos
     new = Fraction.__new__
     built = []
 
@@ -603,7 +603,7 @@ def test_closed_form_check_builds_no_fraction_when_it_passes(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     report = check_closed_form(12)
     monkeypatch.undo()
-    assert report.status == "pass" and built == []
+    assert report["status"] == "pass" and built == []
 
 
 def test_only_the_k3_checks_build_the_fraction_view(fresh_memos, monkeypatch):
@@ -615,7 +615,7 @@ def test_only_the_k3_checks_build_the_fraction_view(fresh_memos, monkeypatch):
     monkeypatch.setattr(bn2.triangular, "solve_class", None)
     monkeypatch.setattr(bn2.verify, "closed_form_class", None)
     monkeypatch.setattr(bn2.verify, "known_trigonal_class", None)
-    assert all(rep.status != "fail" for rep in run_all(k_max=8))
+    assert all(rep["status"] != "fail" for rep in run_all(k_max=8))
 
 
 def test_run_all_builds_no_fraction(fresh_memos, monkeypatch):
@@ -630,7 +630,7 @@ def test_run_all_builds_no_fraction(fresh_memos, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     reports = run_all(k_max=8)
     monkeypatch.undo()
-    assert all(rep.status != "fail" for rep in reports) and built == []
+    assert all(rep["status"] != "fail" for rep in reports) and built == []
 
 
 # the report writer against json.dumps(indent=2)
@@ -658,16 +658,15 @@ def test_failed_reports_are_written_as_json_dumps(fresh_memos, monkeypatch):
     monkeypatch.setattr(bn2.verify, "_closed_form", lambda k: (off, c))
     monkeypatch.setattr(bn2.triangular, "_t_rows", lambda cols: [{i: 1} for i in range(25)])
     reports += [check_pullback(4), check_nonsingular(6)]
-    assert [rep.to_dict() for rep in reports[:2]] == [_FAILED_CLOSED_FORM[0], _FAILED_PULLBACK]
-    assert reports[2].status == "fail" and reports[2].diff
-    dicts = [rep.to_dict() for rep in reports]
-    assert reports_to_json(reports) == json.dumps(dicts, indent=2) + "\n"
-    assert all(map(_written_as_json_dumps, dicts))
+    assert reports[:2] == [_FAILED_CLOSED_FORM[0], _FAILED_PULLBACK]
+    assert reports[2]["status"] == "fail" and reports[2]["diff"]
+    assert reports_to_json(reports) == json.dumps(reports, indent=2) + "\n"
+    assert all(map(_written_as_json_dumps, reports))
 
 
 def test_report_without_actual_is_written_as_json_dumps():
-    report = CheckReport("b", "warn", {"rank": 1}, None, diff=[{}], notes=[[], ""])
-    assert reports_to_json([report]) == json.dumps([report.to_dict()], indent=2) + "\n"
+    report = _report("b", "warn", {"rank": 1}, None, diff=[{}], notes=[[], ""])
+    assert reports_to_json([report]) == json.dumps([report], indent=2) + "\n"
     assert reports_to_json([]) == "[]\n"
 
 
