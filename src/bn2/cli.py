@@ -312,7 +312,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{prefix}: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         if not args.out and sys.stdout is not None:
             # what stdout still buffers goes nowhere: the flush at exit passes
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         return 2
     for check in failed:
         print(f"FAIL {check}", file=sys.stderr)

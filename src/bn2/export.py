@@ -2,8 +2,9 @@
 triangularizing matrix T_g: ``bn2 matrix`` and ``bn2 tmatrix`` write their
 text here, and only those commands load this module.
 
-The T_g writers import ``bn2.triangular`` when they are called, so
-``bn2 matrix`` loads only the data layer ``bn2.relations`` with this module.
+The Q_g writers read only the system's views, and the T_g writers import
+``bn2.triangular`` when they are called, so ``bn2 matrix`` loads only the
+data layer ``bn2.relations`` with this module.
 Every text is written directly, as ``csv.writer`` and ``json.dumps`` would
 write it, without loading ``csv`` or ``json``.
 """
@@ -11,25 +12,24 @@ write it, without loading ``csv`` or ``json``.
 from __future__ import annotations
 
 from bn2.basis import enumerate_basis
-from bn2.relations import (
-    _json_string,
-    _rhs_text,
-    _s2_pairs,
-    build_rhs_vector,
-    describe_rhs,
-)
+from bn2.relations import _json_string, build_rhs_vector
 
 __all__ = ["system_to_csv", "system_to_json", "t_matrix_to_csv", "t_matrix_to_json"]
 
 
 def _rows_with_rhs(system: RelationSystem, k: int | None):
-    """The source, coefficient dict and right-hand-side text, symbolic or at
-    k, of each row; an S2 row's text is D(i,j) over its divisor."""
-    if k is not None:
-        return zip(system.sources, system.coefficients, map(str, build_rhs_vector(system, k)))
-    s2 = (_rhs_text(system.g, "D", i, j) for i, j in _s2_pairs(system.g))
-    texts = system._spliced([describe_rhs(rel) for rel in system.core], s2)
+    """The source, coefficient dict and right-hand-side text, symbolic or at k, of each row."""
+    texts = system.rhs_texts if k is None else map(str, build_rhs_vector(system, k))
     return zip(system.sources, system.coefficients, texts)
+
+
+def _sorted_cells(name: str, coeffs: dict[int, int], width: int) -> list[tuple[int, int]]:
+    """coeffs' (column, value) pairs, sorted; a column off 0..width-1 is a ValueError naming name."""
+    items = sorted(coeffs.items())
+    for c, _ in items[:1] + items[-1:]:
+        if not 0 <= c < width:
+            raise ValueError(f"{name} has column {c}, outside the {width} columns of its genus")
+    return items
 
 
 def _csv_field(text: str) -> str:
@@ -60,9 +60,10 @@ def _csv_line(head: list[str], nonzeros, width: int, tail: tuple[str, ...] = ())
 
 def system_to_csv(system: RelationSystem, k: int | None = None) -> str:
     labels = enumerate_basis(system.g)
+    n = len(labels)
     lines = [_csv_line(["source", *map(str, labels), "rhs"], (), 0)]
     for source, coeffs, rhs in _rows_with_rhs(system, k):
-        lines.append(_csv_line([source], sorted(coeffs.items()), len(labels), (rhs,)))
+        lines.append(_csv_line([source], _sorted_cells(source, coeffs, n), n, (rhs,)))
     return "".join(lines)
 
 
@@ -75,7 +76,8 @@ def _json_export(g: int, key: str, entries: list) -> str:
     names = [_json_string(str(lab)) for lab in enumerate_basis(g)]
     items = []
     for field, text, coeffs, *rhs in entries:
-        cells = ",\n        ".join(f'{names[c]}: "{v}"' for c, v in sorted(coeffs.items()))
+        cells = _sorted_cells(text, coeffs, len(names))
+        cells = ",\n        ".join(f'{names[c]}: "{v}"' for c, v in cells)
         cells = "{\n        " + cells + "\n      }" if cells else "{}"
         rhs = "".join(f',\n      "rhs": {_json_string(t)}' for t in rhs)
         items.append(f'\n      "{field}": {_json_string(text)},\n      "coeffs": {cells}{rhs}\n    ')

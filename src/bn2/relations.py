@@ -11,9 +11,9 @@ accumulate additively, which is what collapses repeated terms at small g.
 
 This is the data layer: it builds no matrix and imports no solver, so
 ``bn2 matrix`` loads no linear algebra.  ``bn2.triangular`` reads T_g from
-the rows and builds Q_g, P and the solve, and ``bn2.export`` writes the CSV
-and JSON of Q_g and T_g; ``describe_rhs`` and ``_json_string`` stay here,
-for the exports and the verify reports alike.
+the rows and the S2 run ``_s2_columns`` and builds P and the solve, and
+``bn2.export`` writes Q_g and T_g from the views; ``_json_string`` stays
+here, for the exports and the verify reports alike.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ def _s2_pairs(g: int):
     return ((i, j) for i in range(2, (g + 1) // 2) for j in range(i, g - i))
 
 
-def _s2_count(g: int) -> int:
-    """The count of ``_s2_pairs(g)``."""
-    return sum(g - 2 * i for i in range(2, (g + 1) // 2))
+def _s2_columns(g: int) -> range:
+    """The d(i,j) column of each pair of ``_s2_pairs(g)``, in order: one run."""
+    *_, dd, th = columns(g)
+    return range(dd(2, 2), th(1))
 
 
 _S2_SOURCE = "S2[i={},j={}]".format  # the source tag of the S2 row of (i, j)
@@ -90,7 +91,7 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
     __slots__ = ()
 
     def __new__(cls, g: int, core: list, s2: range = range(0)) -> "RelationSystem":
-        pairs = _s2_count(g)
+        pairs = s2 and len(_s2_columns(g))  # without S2 rows, g need not have columns
         if s2 and (s2.step != 1 or s2.start > len(core) or len(s2) != pairs):
             raise ValueError(
                 f"s2 must be range(a, a + {pairs}) with a <= {len(core)} at g={g}, got {s2!r}"
@@ -112,8 +113,8 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
         """The coefficient dicts of the S2 rows, in order: none for an empty s2."""
         if not self.s2:  # a hand-built system, whose g need not have columns
             return []
-        (K1SQ, *_, dd, _), (a, e) = columns(self.g), _S2_ROW
-        return [{K1SQ: a, dd(i, j): e} for i, j in _s2_pairs(self.g)]
+        a, e = _S2_ROW
+        return [{0: a, c: e} for c in _s2_columns(self.g)]  # k1^2 is column 0
 
     @property
     def sources(self) -> list[str]:
@@ -125,6 +126,12 @@ class RelationSystem(namedtuple("RelationSystem", "g core s2")):
     def coefficients(self) -> list[dict[int, int]]:
         """The coefficient dict of every row in group order."""
         return self._spliced([rel.coefficients for rel in self.core], self.s2_coefficients)
+
+    @property
+    def rhs_texts(self) -> list[str]:
+        """The symbolic right-hand side of every row in group order; builds no S2 row."""
+        s2 = (_rhs_text(self.g, "D", i, j) for i, j in _s2_pairs(self.g))
+        return self._spliced([describe_rhs(rel) for rel in self.core], s2)
 
     @property
     def t_tags(self) -> list[str]:
@@ -177,7 +184,7 @@ def build_relations(g: int) -> RelationSystem:
         add(f"S1[i={i}]", Rhs("T", i), [(K1SQ, 2), (om(i), -1), (om(g - i), -1)], {om(i): 1}.copy)
 
     # S2: two moving tails on a fixed two-pointed curve (RelationSystem).
-    s2 = range(len(rows), len(rows) + _s2_count(g))
+    s2 = range(len(rows), len(rows) + len(_s2_columns(g)))
 
     # S3: elliptic curve glued to itself and to a moving point.
     add(

@@ -15,8 +15,9 @@ and ``bn2.solver`` is never imported (only the test oracles build its
 matrices), so ``bn2 solve`` and ``bn2 tmatrix`` load neither ``bn2.solver``
 nor ``fractions`` (``solve_class`` builds its Fractions and imports
 ``bn2.classes`` when called), and ``bn2 matrix`` loads none of this module.
-The CSV and JSON exports of T_g are in ``bn2.export``, which reads the rows
-and columns built here.
+The S2 block's columns are the run ``relations._s2_columns``, and nothing is
+read from ``bn2.basis``.  The CSV and JSON exports of T_g are in
+``bn2.export``, which reads the rows and columns built here.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from math import gcd
 from operator import mul
 
 from bn2 import relations
-from bn2.basis import basis_dimension, columns
 from bn2.relations import build_relations, build_rhs_vector
 
 __all__ = ["solve_class"]
@@ -34,16 +34,11 @@ __all__ = ["solve_class"]
 
 def _t_columns(g: int) -> tuple[RelationSystem, list[dict[int, int]]]:
     """``build_relations(g)`` and T_g's {column: coefficient} columns, in group order: each
-    core row's own, and the S2 unit run T2[i,j] = {d(i,j): 1}, which no row writes."""
+    core row's own, and T2[i,j] = {d(i,j): 1} on the S2 run ``relations._s2_columns``."""
     if g < 6:
         raise ValueError(f"T_g is defined for g >= 6, got g={g}")
-    system, (*_, dd, th) = build_relations(g), columns(g)
-    s2 = ({c: 1} for c in range(dd(2, 2), th(1)))
-    cols = system._spliced([rel.column() for rel in system.core], s2)
-    n = basis_dimension(g)
-    if len(cols) != n:
-        raise RuntimeError(f"internal error: built {len(cols)} T-columns at g={g}, expected {n}")
-    return system, cols
+    system, s2 = build_relations(g), ({c: 1} for c in relations._s2_columns(g))
+    return system, system._spliced([rel.column() for rel in system.core], s2)
 
 
 def _t_rows(cols: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -106,19 +101,18 @@ class _Genus:
     @cached_property
     def s2(self) -> tuple[range, range, int]:
         """(rows, cols, t14): the S2 rows, their d(i,j) columns in the same
-        order and the column of T14.  Row r, column c of Q_g is
-        ``relations._S2_ROW``, {k1^2: 2, d(i,j): 1}; T_g's row k1^2 is
-        {T14: 6} (checked here) and its row d(i,j) {T2[i,j]: 1, T14: -12},
-        by ``relations._S2_T14``, with T2[i,j] = r.  So row r of P is 1 on
-        T2[i,j], and 2*6 + 1*(-12) = 0 on T14: every S2 row of P is the unit
-        row e_r, at every g.  The solve's residual checks every row against
-        the form the exports write."""
+        order (``relations._s2_columns``) and the column of T14.  Row r,
+        column c of Q_g is ``relations._S2_ROW``, {k1^2: 2, d(i,j): 1}; T_g's
+        row k1^2, row 0, is {T14: 6} (checked here) and its row d(i,j)
+        {T2[i,j]: 1, T14: -12}, by ``relations._S2_T14``, with T2[i,j] = r.
+        So row r of P is 1 on T2[i,j], and 2*6 + 1*(-12) = 0 on T14: every S2
+        row of P is the unit row e_r, at every g.  The solve's residual checks
+        every row against the form the exports write."""
         g, t, (a, _) = self.g, self.t, relations._S2_T14
-        K1SQ, *_, dd, th = columns(g)
-        t14 = next(iter(t[K1SQ]), None)
-        if t[K1SQ] != {t14: a}:
+        t14 = next(iter(t[0]), None)
+        if t[0] != {t14: a}:
             raise RuntimeError(f"internal error: T_g at g={g}: row k1^2 is not {{T14: {a}}}")
-        return self.system.s2, range(dd(2, 2), th(1)), t14
+        return self.system.s2, relations._s2_columns(g), t14
 
     @cached_property
     def core(self) -> dict[int, dict[int, int]]:
@@ -143,12 +137,16 @@ def forward_substitute(rows: dict[int, dict[int, int]], b: list[int]) -> tuple[l
     not the unit row e_i to that row, a {column: int} dict, in increasing i;
     y_i of a unit row is d b_i and is written only at the end.  d starts at
     1; a row whose division is not exact multiplies d and the numerators so
-    far by what makes it exact.  A row given with an entry above the diagonal
-    or a zero diagonal is a ValueError that names the row and column at
-    fault."""
-    d = 1
+    far by what makes it exact.  A row given out of order or outside
+    0..len(b)-1, with an entry above the diagonal or with a zero diagonal is
+    a ValueError that names the row (and the column at fault)."""
+    d, last = 1, -1
     y: dict[int, int] = {}  # the numerators of the rows given, over d; d b_j for the others
     for i, row in rows.items():
+        if not last < i < len(b):
+            where = f"after row {last}" if 0 <= i < len(b) else f"outside 0..{len(b) - 1}"
+            raise ValueError(f"row {i} is given {where}")
+        last = i
         if max(row, default=-1) != i:
             j, a = next(((j, a) for j, a in row.items() if j > i), (i, 0))
             if a:

@@ -709,6 +709,36 @@ def test_a_full_stdout_is_reported_once(argv, buffered):
     assert (proc.returncode, proc.stderr) == (2, message)
 
 
+def test_a_failed_stdout_write_leaves_no_descriptor_open(monkeypatch, capsys):
+    # an in-process caller whose stdout fails: main points stdout's descriptor
+    # (here a pipe's write end) at /dev/null, and closes the descriptor it
+    # opened to do so, at every call
+    class Failing(io.TextIOBase):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fileno(self):
+            return write_end
+
+    read_end, write_end = os.pipe()
+    opened, os_open = [], os.open
+    monkeypatch.setattr(os, "open", lambda *args: opened.append(os_open(*args)) or opened[-1])
+    monkeypatch.setattr(sys, "stdout", Failing())
+    try:
+        codes = [main(["basis", "--g", "6"]) for _ in range(3)]
+    finally:
+        monkeypatch.undo()
+        os.close(read_end)
+        os.close(write_end)
+    message = f"bn2 basis: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert (codes, capsys.readouterr().err) == ([2] * 3, message * 3)
+    assert len(opened) == 3
+    for fd in opened:
+        with pytest.raises(OSError) as info:
+            os.fstat(fd)
+        assert info.value.errno == errno.EBADF
+
+
 def _fresh(argv, **kwargs):
     """bn2 run on argv in a fresh interpreter, with this checkout's src."""
     env = dict(os.environ)

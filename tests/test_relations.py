@@ -26,6 +26,7 @@ from bn2.basis import (
 from bn2.relations import (
     Relation,
     RelationSystem,
+    _s2_columns,
     _s2_pairs,
     Rhs,
     build_relations,
@@ -264,17 +265,33 @@ def test_unknown_rhs_kind_is_rejected():
 
 def test_structural_counts_are_checked(monkeypatch):
     import bn2.relations
-    import bn2.triangular
 
     monkeypatch.setattr(bn2.relations, "basis_dimension", lambda g: 26)
-    monkeypatch.setattr(bn2.triangular, "basis_dimension", lambda g: 26)
     with pytest.raises(RuntimeError, match=r"built 25 rows at g=6, expected 26"):
         build_relations(6)
-    # T_g's columns are counted against the order on their own
-    monkeypatch.undo()
-    monkeypatch.setattr(bn2.triangular, "basis_dimension", lambda g: 26)
-    with pytest.raises(RuntimeError, match=r"built 25 T-columns at g=6, expected 26"):
-        _t_columns(6)
+
+
+@pytest.mark.parametrize("g", range(5, 61))
+def test_the_s2_pairs_are_one_run_of_columns(g):
+    # each pair's d(i,j) column, by its label's place in the basis, and the
+    # run's length by the sum that counted the pairs before the run
+    index = {lab: c for c, lab in enumerate(enumerate_basis(g))}
+    run = _s2_columns(g)
+    assert list(run) == [index[dd(i, j)] for i, j in _s2_pairs(g)]
+    assert len(run) == sum(g - 2 * i for i in range(2, (g + 1) // 2))
+
+
+@pytest.mark.parametrize("g", [3, 4, 6])
+def test_a_system_without_s2_rows_needs_no_columns(g):
+    # the views of a hand-built system with no S2 rows are those of its core
+    # rows, at every g, also where the genus has no columns
+    core = [Relation("S5", g, {0: 2}, Rhs("zero")), Relation("S1[i=2]", g, {}, Rhs("T", 2))]
+    system = RelationSystem(g, core)
+    assert system.s2 == range(0) and system.s2_coefficients == [] and system.rows == core
+    assert system.sources == ["S5", "S1[i=2]"]
+    assert system.coefficients == [{0: 2}, {}]
+    assert system.rhs_texts == [describe_rhs(rel) for rel in core]
+    assert system.t_tags == ["T5", "T1[i=2]"]
 
 
 @pytest.mark.parametrize("k", range(3, 13))
@@ -875,6 +892,19 @@ def test_json_export_writes_an_empty_row_as_json_dumps(rows):
     system = RelationSystem(6, rows)
     assert '"coeffs": {},' in system_to_json(system)
     assert system_to_json(system) == system_to_json_dumps(system)
+
+
+@pytest.mark.parametrize("column", [25, -1])
+@pytest.mark.parametrize("export", [system_to_csv, system_to_json])
+def test_q_exports_reject_a_column_outside_the_genus(export, column):
+    # g = 6 has the columns 0..24: a hand-built row off them would write a
+    # 28-cell CSV row under the 27-cell header, and in JSON index past the
+    # labels (25) or wrap onto th(2) (-1)
+    hand = Relation("hand", 6, {3: 1, column: 2}, Rhs("zero"))
+    rows = [Relation("S5", 6, {0: 1}, Rhs("zero")), hand]
+    message = rf"^hand has column {column}, outside the 25 columns of its genus$"
+    with pytest.raises(ValueError, match=message):
+        export(RelationSystem(6, rows))
 
 
 def test_rhs_evaluation_builds_no_text(monkeypatch):

@@ -340,6 +340,11 @@ def test_forward_substitute_takes_the_unit_rows_from_b():
         ({1: {0: 2, 1: 3, 2: -7}}, "row 1 has the nonzero -7 above the diagonal, in column 2"),
         ({1: {0: 2}}, "row 1 has a zero diagonal entry, in column 1"),
         ({2: {}}, "row 2 has a zero diagonal entry, in column 2"),
+        # rows come in increasing index, each a row of b
+        ({1: {0: 1, 1: 3}, 0: {0: 2}}, "row 0 is given after row 1"),
+        ({1: {1: 1}, 2: {2: 1}, 0: {0: 1}}, "row 0 is given after row 2"),
+        ({-1: {-1: 1}}, r"row -1 is given outside 0\.\.2"),
+        ({0: {0: 1}, 3: {3: 1}}, r"row 3 is given outside 0\.\.2"),
     ],
 )
 def test_forward_substitute_rejects_rows_off_the_structure(rows, message):
